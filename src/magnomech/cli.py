@@ -17,9 +17,8 @@ import numpy as np
 from . import config as _config
 from . import measures as _measures
 from . import sweep as _sweep
-from .dynamics import (diffusion_from_params, drift_from_params, stability)
-from .errors import (ConfigError, MagnomechError, ParameterError,
-                     UnstableSystemError)
+from .dynamics import drift_from_params
+from .errors import MagnomechError, ParameterError, UnstableSystemError
 from .model import SystemParams, two_mode_eigenfrequencies
 from .steady_state import working_point
 
@@ -107,11 +106,12 @@ def _matrix_csv(matrix: np.ndarray) -> str:
     return "\n".join(",".join(f"{v:.12g}" for v in row) for row in matrix) + "\n"
 
 
-def _kv_csv(obj: dict) -> str:
-    header = ",".join(obj.keys())
-    row = ",".join(
-        f"{v:.12g}" if isinstance(v, float) else str(v) for v in obj.values())
-    return f"{header}\n{row}\n"
+def _kv_csv(*objs: dict) -> str:
+    """Header from the first object's keys, then one row per object."""
+    lines = [",".join(objs[0].keys())]
+    lines.extend(",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
+                          for v in obj.values()) for obj in objs)
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_classify(args, params: SystemParams) -> str:
@@ -145,8 +145,7 @@ def _cmd_drift(args, params: SystemParams) -> str:
 
 
 def _cmd_stability(args, params: SystemParams) -> str:
-    drift = drift_from_params(params, working_point(params))
-    report = stability(drift, _sweep.STABILITY_REL_TOL * params.omega_b)
+    report, _ = _sweep.solve_point(params)
     obj = {
         "stable": bool(report.stable),
         "max_lyapunov_rad_s": report.max_lyapunov,
@@ -160,12 +159,8 @@ def _cmd_stability(args, params: SystemParams) -> str:
 
 
 def _cmd_measures(args, params: SystemParams) -> str:
-    wp = working_point(params)
-    drift = drift_from_params(params, wp)
-    diffusion = diffusion_from_params(params, gain_noise=args.gain_noise)
-    cm = _measures.solve_lyapunov(
-        drift, diffusion,
-        stability_tol=_sweep.STABILITY_REL_TOL * params.omega_b)
+    _, cm = _sweep.solve_point(params, args.gain_noise, covariance=True,
+                               require_stable=True)
     pairs = _measures.PAIRS if args.pair == "all" else (args.pair,)
     objs = []
     for pair in pairs:
@@ -178,11 +173,7 @@ def _cmd_measures(args, params: SystemParams) -> str:
         })
     if args.format == "json":
         return _json_line(objs if args.pair == "all" else objs[0])
-    lines = [",".join(objs[0].keys())]
-    for obj in objs:
-        lines.append(",".join(
-            v if isinstance(v, str) else f"{v:.12g}" for v in obj.values()))
-    return "\n".join(lines) + "\n"
+    return _kv_csv(*objs)
 
 
 def _parse_axis(text: str) -> _sweep.Axis:
@@ -206,7 +197,8 @@ def _cmd_sweep(args, params: SystemParams) -> str:
 
 
 def _cmd_figure(args, params: SystemParams) -> str:
-    spec = _sweep.figure_preset(args.name, gain_noise=args.gain_noise)
+    spec = _sweep.figure_preset(args.name, gain_noise=args.gain_noise,
+                                base=params)
     result = _sweep.run_sweep(spec, jobs=args.jobs)
     return result.to_csv() if args.format == "csv" else result.to_json()
 
@@ -240,23 +232,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ARGS if exc.code not in (0, None) else EXIT_OK
     try:
         params = _load_params(args)
-    except (ConfigError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGS
-    try:
         text = _HANDLERS[args.command](args, params)
         _emit(text, args.out)
     except UnstableSystemError as exc:
         print(json.dumps({"error": "unstable", "detail": str(exc)}),
               file=sys.stderr)
         return EXIT_UNSTABLE
-    except (ConfigError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGS
     except IOError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except MagnomechError as exc:
+    except MagnomechError as exc:  # ConfigError, ParameterError and the rest
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGS
     return EXIT_OK

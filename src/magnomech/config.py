@@ -18,23 +18,22 @@ import re
 from importlib import resources
 
 from .errors import ConfigError
-from .model import SystemParams, TWO_PI, rabi_frequency
+from .model import ANGULAR_FIELDS, SystemParams, TWO_PI, rabi_frequency
 
-_FREQUENCY_KEYS = ("omega_a", "omega_m", "omega_b", "delta_a", "delta_m",
-                   "delta_m_eff", "kappa_a", "kappa_m", "gamma_b", "g_ma",
-                   "g_mb", "G_eff", "epsilon_d")
 _TEMPERATURE_KEYS = ("temperature",)
 _FIELD_KEYS = ("b0",)
 _PLAIN_KEYS = ("sphere_diameter", "spin_density")
 
-VALID_KEYS = _FREQUENCY_KEYS + _TEMPERATURE_KEYS + _FIELD_KEYS + _PLAIN_KEYS
+VALID_KEYS = ANGULAR_FIELDS + _TEMPERATURE_KEYS + _FIELD_KEYS + _PLAIN_KEYS
 
 #: Unit suffix -> (multiplier, category). omega_b ratios are resolved later.
+#: Cyclic magnitudes are scaled first and multiplied by 2*pi last, so that
+#: "10 mhz" gives exactly TWO_PI * 10e6.
 _UNITS = {
-    "hz": (TWO_PI, "frequency"),
-    "khz": (TWO_PI * 1e3, "frequency"),
-    "mhz": (TWO_PI * 1e6, "frequency"),
-    "ghz": (TWO_PI * 1e9, "frequency"),
+    "hz": (1.0, "frequency"),
+    "khz": (1e3, "frequency"),
+    "mhz": (1e6, "frequency"),
+    "ghz": (1e9, "frequency"),
     "rad_s": (1.0, "frequency"),
     "omega_b": (1.0, "omega_b_ratio"),
     "k": (1.0, "temperature"),
@@ -42,8 +41,9 @@ _UNITS = {
     "t": (1.0, "field"),
     "": (1.0, "plain"),
 }
+_CYCLIC_UNITS = ("hz", "khz", "mhz", "ghz")
 
-_CATEGORY_BY_KEY = {key: "frequency" for key in _FREQUENCY_KEYS}
+_CATEGORY_BY_KEY = {key: "frequency" for key in ANGULAR_FIELDS}
 _CATEGORY_BY_KEY.update({key: "temperature" for key in _TEMPERATURE_KEYS})
 _CATEGORY_BY_KEY.update({key: "field" for key in _FIELD_KEYS})
 _CATEGORY_BY_KEY.update({key: "plain" for key in _PLAIN_KEYS})
@@ -78,7 +78,8 @@ def parse_value(key: str, text: str) -> tuple[float, str]:
         raise ConfigError(
             f"unit {suffix!r} is a {category} unit but key {key!r} expects "
             f"a {expected}")
-    return magnitude * factor, expected
+    value = magnitude * factor
+    return (TWO_PI * value if suffix in _CYCLIC_UNITS else value), expected
 
 
 def parse_entries(pairs: list[tuple[str, str]]) -> dict[str, tuple[float, str]]:
@@ -135,28 +136,31 @@ def apply_overrides(entries: dict[str, tuple[float, str]],
     return merged
 
 
-_COUPLING_KEYS = ("G_eff",)
-_DRIVE_KEYS = ("epsilon_d", "b0")
+#: Two ways of fixing one quantity: (keys of one way, keys of the other, what
+#: to name in the error).
+_ALTERNATIVES = (
+    (("G_eff",), ("epsilon_d", "b0"), "G_eff or a drive (epsilon_d / b0)"),
+    (("delta_m_eff",), ("delta_m",), "delta_m_eff or delta_m"),
+)
 
 
 def merge_layers(layers: list[dict[str, tuple[float, str]]]) -> dict[str, tuple[float, str]]:
     """Merge config layers, later layers winning.
 
-    A later layer that specifies the effective coupling directly (``G_eff``)
-    supersedes any drive specification (``epsilon_d``/``b0``) from earlier
-    layers, and vice versa; giving both within one layer is an error.
+    A later layer that fixes a quantity one way supersedes the other way from
+    earlier layers: the effective coupling ``G_eff`` against a drive
+    (``epsilon_d``/``b0``), and the prescribed ``delta_m_eff`` against the
+    bare ``delta_m`` of the self-consistent working point. Giving both ways
+    within one layer is an error.
     """
     merged: dict[str, tuple[float, str]] = {}
     for layer in layers:
-        has_coupling = any(k in layer for k in _COUPLING_KEYS)
-        has_drive = any(k in layer for k in _DRIVE_KEYS)
-        if has_coupling and has_drive:
-            raise ConfigError("give either G_eff or a drive (epsilon_d / b0), not both")
-        if has_coupling:
-            for key in _DRIVE_KEYS + ("sphere_diameter", "spin_density"):
-                merged.pop(key, None)
-        if has_drive:
-            for key in _COUPLING_KEYS:
+        for first, second, what in _ALTERNATIVES:
+            gives_first = any(k in layer for k in first)
+            gives_second = any(k in layer for k in second)
+            if gives_first and gives_second:
+                raise ConfigError(f"give either {what}, not both")
+            for key in second if gives_first else first if gives_second else ():
                 merged.pop(key, None)
         merged.update(layer)
     return merged

@@ -1,12 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the short ``code`` that sweeps write into a failed point's
+``error`` cell.
+"""
 
 
 class MagnomechError(Exception):
     """Base class for all errors raised by this package."""
+    code = "error"
 
 
 class ParameterError(MagnomechError, ValueError):
     """Invalid or inconsistent physical parameters."""
+    code = "parameter_error"
 
 
 class ConfigError(MagnomechError, ValueError):
@@ -15,10 +21,12 @@ class ConfigError(MagnomechError, ValueError):
 
 class DegenerateDenominatorError(MagnomechError):
     """Linear response denominator vanished (parametric resonance)."""
+    code = "degenerate_denominator"
 
 
 class NonConvergenceError(MagnomechError):
     """Fixed-point iteration failed to converge (bistable or oscillatory)."""
+    code = "non_convergence"
 
 
 class UnstableSystemError(MagnomechError):
@@ -27,18 +35,22 @@ class UnstableSystemError(MagnomechError):
 
 class SingularSolveError(MagnomechError):
     """The vectorized Lyapunov system is numerically singular."""
+    code = "singular_solve"
 
 
 class EigenSolveError(MagnomechError):
     """Dense eigenvalue computation failed to converge."""
+    code = "eigen_solve"
 
 
 class NonPhysicalCMError(MagnomechError):
     """Covariance matrix violates positivity beyond tolerance."""
+    code = "nonphysical_cm"
 
 
 class CrossCheckMismatchError(MagnomechError):
     """Two independent routes to the same quantity disagree."""
+    code = "cross_check_mismatch"
 
 
 class BracketInvalidError(MagnomechError):

@@ -15,14 +15,9 @@ from .errors import (CrossCheckMismatchError, NonPhysicalCMError,
                      ParameterError, SingularSolveError, UnstableSystemError)
 from .dynamics import DiffusionMatrix, QuadratureDrift, StabilityReport, stability
 
+#: Mode pairs by label, first listed mode first: photon-magnon, phonon-magnon,
+#: photon-phonon.
 PAIRS = ("am", "bm", "ab")
-
-#: Row/column indices of each pair, first listed mode first.
-PAIR_INDICES = {
-    "am": (0, 1, 2, 3),   # photon, magnon
-    "bm": (4, 5, 2, 3),   # phonon, magnon
-    "ab": (0, 1, 4, 5),   # photon, phonon
-}
 
 #: Quadrature rows of each single mode.
 MODE_INDICES = {"a": (0, 1), "m": (2, 3), "b": (4, 5)}
@@ -43,7 +38,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """6x6 steady-state covariance matrix with its quality certificates."""
+    """6x6 float64 steady-state covariance matrix with its quality certificates."""
 
     v: np.ndarray
     physicality_margin: float
@@ -139,7 +134,7 @@ def solve_lyapunov(drift: QuadratureDrift, diffusion: DiffusionMatrix,
         if next_residual >= residual:
             break
         vl, residual = v_next, next_residual
-    v = vl
+    v = vl.astype(np.float64)
     return CovarianceMatrix(v=v, physicality_margin=physicality_margin(v),
                             residual=residual)
 
@@ -150,14 +145,9 @@ def reduce_cm(cm: CovarianceMatrix | np.ndarray, pair: str) -> ReducedCM:
     The first listed mode of the pair label becomes block A (the steering
     party of ``s_12``).
     """
-    if pair not in PAIR_INDICES:
+    if pair not in PAIRS:
         raise ParameterError(f"unknown pair {pair!r}; valid: {PAIRS}")
-    v = cm.v if isinstance(cm, CovarianceMatrix) else cm
-    v = np.asarray(v, dtype=np.float64)
-    idx = np.array(PAIR_INDICES[pair])
-    sub = v[np.ix_(idx, idx)]
-    return ReducedCM(block_a=sub[:2, :2].copy(), block_b=sub[2:, 2:].copy(),
-                     block_c=sub[:2, 2:].copy(), pair=pair)
+    return reduce_modes(cm, pair[0], pair[1])
 
 
 def reduce_modes(cm: CovarianceMatrix | np.ndarray, first: str,

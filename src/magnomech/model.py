@@ -26,7 +26,8 @@ GYROMAGNETIC_RATIO = TWO_PI * 28e9
 #: Default relative tolerance for the exceptional-point classification.
 EP_REL_TOL = 1e-9
 
-_ANGULAR_FIELDS = (
+#: SystemParams fields held in rad/s.
+ANGULAR_FIELDS = (
     "omega_a", "omega_m", "omega_b", "delta_a", "delta_m", "delta_m_eff",
     "kappa_a", "kappa_m", "gamma_b", "g_ma", "g_mb", "G_eff", "epsilon_d",
 )
@@ -188,7 +189,7 @@ class SystemParams:
         """Build from cyclic frequencies (Hz); temperature stays in kelvin."""
         converted = {}
         for key, val in kwargs.items():
-            if key in _ANGULAR_FIELDS and val is not None:
+            if key in ANGULAR_FIELDS and val is not None:
                 converted[key] = TWO_PI * val
             else:
                 converted[key] = val

@@ -2,28 +2,29 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import measures as _measures
-from .dynamics import GAIN_NOISE_MODES, diffusion_from_params, quadrature_drift, stability
+from .config import build_params, default_config
+from .dynamics import (GAIN_NOISE_MODES, StabilityReport, diffusion_from_params,
+                       drift_from_params, stability)
 from .errors import (BracketInvalidError, MagnomechError, ParameterError,
                      UnstableSystemError)
-from .model import TWO_PI, SystemParams
+from .model import SystemParams
 from .steady_state import working_point
 
 #: Relative (to omega_b) tolerance used for every stability verdict in sweeps.
 STABILITY_REL_TOL = 1e-9
 
-_NUMERIC_FIELDS = ("omega_a", "omega_m", "omega_b", "delta_a", "delta_m",
-                   "delta_m_eff", "kappa_a", "kappa_m", "gamma_b", "g_ma",
-                   "g_mb", "G_eff", "epsilon_d", "temperature")
+_NUMERIC_FIELDS = tuple(f.name for f in fields(SystemParams))
 
 #: Derived sweep parameters: name -> (target field, reference field or None).
 _DERIVED_PARAMS = {
@@ -53,23 +54,25 @@ _OUTPUT_COLUMNS = {
     "physicality_margin": "physicality_margin",
 }
 
+#: Column name of each per-pair or per-direction output kind.
+_KIND_COLUMNS = {"e_n": "E_N_{}_nats", "eta": "eta_minus_{}",
+                 "steering": "S_{}_to_{}_nats"}
+
 _MEASURE_RE = re.compile(r"^E_N\((am|bm|ab)\)$")
 _STEER_RE = re.compile(r"^S\(([amb])->([amb])\)$")
 _ETA_RE = re.compile(r"^eta_minus\((am|bm|ab)\)$")
 
-_ERROR_CODES = {
-    "DegenerateDenominatorError": "degenerate_denominator",
-    "NonConvergenceError": "non_convergence",
-    "SingularSolveError": "singular_solve",
-    "EigenSolveError": "eigen_solve",
-    "NonPhysicalCMError": "nonphysical_cm",
-    "CrossCheckMismatchError": "cross_check_mismatch",
-    "ParameterError": "parameter_error",
-}
+
+def _check_parameter_name(name: str) -> None:
+    if name not in _NUMERIC_FIELDS and name not in _DERIVED_PARAMS:
+        raise ParameterError(
+            f"unknown sweep parameter {name!r}; valid: "
+            f"{sorted(_NUMERIC_FIELDS) + sorted(_DERIVED_PARAMS) + ['temperature']}")
 
 
 def apply_parameter(params: SystemParams, name: str, value: float) -> SystemParams:
     """Return a copy of ``params`` with one swept parameter applied."""
+    _check_parameter_name(name)
     if name == "temperature":
         return params.replace(temperature=value)
     if name == "delta_over_omega_b":
@@ -81,11 +84,7 @@ def apply_parameter(params: SystemParams, name: str, value: float) -> SystemPara
         if ref_val is None:
             raise ParameterError(f"sweep parameter {name} needs {ref} to be set")
         return params.replace(**{target: value * ref_val})
-    if name in _NUMERIC_FIELDS:
-        return params.replace(**{name: value})
-    raise ParameterError(
-        f"unknown sweep parameter {name!r}; valid: "
-        f"{sorted(_NUMERIC_FIELDS) + sorted(_DERIVED_PARAMS) + ['temperature']}")
+    return params.replace(**{name: value})
 
 
 @dataclass(frozen=True)
@@ -127,11 +126,7 @@ class SweepSpec:
         if self.gain_noise not in GAIN_NOISE_MODES:
             raise ParameterError(f"gain_noise must be one of {GAIN_NOISE_MODES}")
         for axis in self.axes:
-            if axis.name != "temperature" and axis.name not in _DERIVED_PARAMS \
-                    and axis.name not in _NUMERIC_FIELDS:
-                raise ParameterError(
-                    f"unknown sweep parameter {axis.name!r}; valid: "
-                    f"{sorted(_NUMERIC_FIELDS) + sorted(_DERIVED_PARAMS) + ['temperature']}")
+            _check_parameter_name(axis.name)
         for out in self.outputs:
             _classify_output(out)
 
@@ -144,8 +139,14 @@ class SweepSpec:
 
 
 def _classify_output(output: str) -> tuple[str, tuple]:
+    """(kind, arguments) of one output name.
+
+    Kinds: "report" (read off the stability verdict), "cm" (a certificate of
+    the covariance matrix), "e_n"/"eta" (pair) and "steering" (two modes).
+    """
     if output in _OUTPUT_COLUMNS:
-        return "scalar", (output,)
+        return ("cm" if output in ("residual", "physicality_margin")
+                else "report"), ()
     m = _MEASURE_RE.match(output)
     if m:
         return "e_n", (m.group(1),)
@@ -160,9 +161,23 @@ def _classify_output(output: str) -> tuple[str, tuple]:
     raise ParameterError(f"unknown sweep output {output!r}")
 
 
-def _needs_covariance(outputs: tuple[str, ...]) -> bool:
-    return any(_classify_output(o)[0] in ("e_n", "eta", "steering")
-               or o in ("residual", "physicality_margin") for o in outputs)
+def solve_point(params: SystemParams, gain_noise: str = "vacuum",
+                covariance: bool = False, require_stable: bool = False
+                ) -> tuple[StabilityReport, _measures.CovarianceMatrix | None]:
+    """Working point -> drift -> stability -> diffusion -> Lyapunov covariance.
+
+    Returns the stability report and, when ``covariance`` is set and the
+    point is stable, the covariance matrix (else None). With
+    ``require_stable`` an unstable point raises UnstableSystemError instead.
+    """
+    drift = drift_from_params(params, working_point(params))
+    tol = STABILITY_REL_TOL * params.omega_b
+    report = stability(drift, tol)
+    if not covariance or not (report.stable or require_stable):
+        return report, None
+    diffusion = diffusion_from_params(params, gain_noise=gain_noise)
+    return report, _measures.solve_lyapunov(drift, diffusion, stability_tol=tol,
+                                            stability_report=report)
 
 
 def evaluate_point(params: SystemParams, outputs: tuple[str, ...],
@@ -175,42 +190,33 @@ def evaluate_point(params: SystemParams, outputs: tuple[str, ...],
     result: dict = {out: None for out in outputs}
     result["error"] = ""
     try:
-        wp = working_point(params)
-        drift = quadrature_drift(params.delta_a, wp.delta_m_eff, params.kappa_a,
-                                 params.kappa_m, params.gamma_b, params.omega_b,
-                                 params.g_ma, wp.G)
-        report = stability(drift, STABILITY_REL_TOL * params.omega_b)
+        kinds = [_classify_output(out) for out in outputs]
+        report, cm = solve_point(params, gain_noise, covariance=any(
+            kind != "report" for kind, _ in kinds))
         if "stable" in result:
             result["stable"] = int(report.stable)
         if "max_lyapunov" in result:
             result["max_lyapunov"] = report.max_lyapunov
         if "pt_phase" in result:
             result["pt_phase"] = params.pt_phase().tag
-        if not (_needs_covariance(outputs) and report.stable):
+        if cm is None:
             return result
-        diffusion = diffusion_from_params(params, gain_noise=gain_noise)
-        cm = _measures.solve_lyapunov(drift, diffusion, stability_report=report)
         if "residual" in result:
             result["residual"] = cm.residual
         if "physicality_margin" in result:
             result["physicality_margin"] = cm.physicality_margin
         cache: dict[str, _measures.PairMeasures] = {}
-        for out in outputs:
-            kind, args = _classify_output(out)
-            if kind == "e_n":
+        for out, (kind, args) in zip(outputs, kinds):
+            if kind in ("e_n", "eta"):
                 pair = args[0]
                 if pair not in cache:
                     cache[pair] = _measures.pair_measures(cm, pair)
-                result[out] = cache[pair].e_n
-            elif kind == "eta":
-                pair = args[0]
-                if pair not in cache:
-                    cache[pair] = _measures.pair_measures(cm, pair)
-                result[out] = cache[pair].eta_minus
+                result[out] = cache[pair].e_n if kind == "e_n" \
+                    else cache[pair].eta_minus
             elif kind == "steering":
                 result[out] = _measures.steering_between(cm, args[0], args[1])
     except MagnomechError as exc:
-        result["error"] = _ERROR_CODES.get(type(exc).__name__, "error")
+        result["error"] = exc.code
     return result
 
 
@@ -236,7 +242,7 @@ def _evaluate_range(spec: SweepSpec, start: int, stop: int) -> list[list]:
                 values = evaluate_point(params, spec.outputs, spec.gain_noise)
             except MagnomechError as exc:
                 values = {out: None for out in spec.outputs}
-                values["error"] = _ERROR_CODES.get(type(exc).__name__, "error")
+                values["error"] = exc.code
             row.extend(values[out] for out in spec.outputs)
             row.append(values["error"])
         rows.append(row)
@@ -254,7 +260,7 @@ class SweepResult:
         return [row[self._column_index(name, series_label)] for row in self.rows]
 
     def _column_index(self, name: str, series_label: str = "") -> int:
-        target = _decorate(name, series_label)
+        target = _decorate(_column_names(self.spec).get(name, name), series_label)
         try:
             return self.columns.index(target)
         except ValueError as exc:
@@ -288,35 +294,27 @@ def _format_cell(value) -> str:
     return f"{value:.12g}"
 
 
-def _decorate(name: str, label: str) -> str:
-    col = _AXIS_COLUMNS.get(name) or _OUTPUT_COLUMNS.get(name)
-    if col is None:
-        m = _MEASURE_RE.match(name)
-        if m:
-            col = f"E_N_{m.group(1)}_nats"
-        else:
-            m = _ETA_RE.match(name)
-            if m:
-                col = f"eta_minus_{m.group(1)}"
-            else:
-                m = _STEER_RE.match(name)
-                if m:
-                    col = f"S_{m.group(1)}_to_{m.group(2)}_nats"
-                elif name == "error":
-                    col = "error"
-                elif name in _NUMERIC_FIELDS:
-                    col = f"{name}_rad_s"
-                else:
-                    col = name
-    return f"{col}[{label}]" if label else col
+def _column_names(spec: SweepSpec) -> dict[str, str]:
+    """Undecorated column of each axis and output of ``spec``, and the error."""
+    names = {axis.name: _AXIS_COLUMNS.get(axis.name, f"{axis.name}_rad_s")
+             for axis in spec.axes}
+    for out in spec.outputs:
+        kind, args = _classify_output(out)
+        names[out] = _OUTPUT_COLUMNS.get(out) or _KIND_COLUMNS[kind].format(*args)
+    names["error"] = "error"
+    return names
+
+
+def _decorate(column: str, label: str) -> str:
+    return f"{column}[{label}]" if label else column
 
 
 def _result_columns(spec: SweepSpec) -> list[str]:
-    cols = [_decorate(axis.name, "") for axis in spec.axes]
+    names = _column_names(spec)
+    cols = [names[axis.name] for axis in spec.axes]
     for series in spec.series:
-        for out in spec.outputs:
-            cols.append(_decorate(out, series.label))
-        cols.append(_decorate("error", series.label))
+        cols.extend(_decorate(names[out], series.label)
+                    for out in (*spec.outputs, "error"))
     return cols
 
 
@@ -358,14 +356,8 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
     with absolute tolerance ``tol`` kelvin (default 0.1 mK).
     """
     def e_n(temperature: float) -> float:
-        params = base.replace(temperature=temperature)
-        wp = working_point(params)
-        drift = quadrature_drift(params.delta_a, wp.delta_m_eff, params.kappa_a,
-                                 params.kappa_m, params.gamma_b, params.omega_b,
-                                 params.g_ma, wp.G)
-        diffusion = diffusion_from_params(params, gain_noise=gain_noise)
-        cm = _measures.solve_lyapunov(
-            drift, diffusion, stability_tol=STABILITY_REL_TOL * params.omega_b)
+        _, cm = solve_point(base.replace(temperature=temperature), gain_noise,
+                            covariance=True, require_stable=True)
         return _measures.pair_measures(cm, pair).e_n
 
     if not t_lo < t_hi:
@@ -398,22 +390,8 @@ FIGURE_NAMES = ("fig2a", "fig2b", "fig2c", "fig2d", "fig3a", "fig3b", "fig3c",
 
 
 def default_params() -> SystemParams:
-    """Shared operating point of the figure presets (gain cavity variant)."""
-    omega_b = TWO_PI * 10e6
-    return SystemParams(
-        omega_a=TWO_PI * 10.1e9,
-        omega_m=TWO_PI * 10.1e9,
-        omega_b=omega_b,
-        delta_a=-omega_b,
-        delta_m_eff=-omega_b,
-        kappa_a=0.02 * omega_b,
-        kappa_m=0.1 * omega_b,
-        gamma_b=TWO_PI * 10.0,
-        g_ma=omega_b,
-        g_mb=TWO_PI * 0.2,
-        G_eff=0.2 * omega_b,
-        temperature=20e-3,
-    )
+    """Shared operating point of the figure presets: the bundled config."""
+    return build_params(default_config())
 
 
 def _gain_loss_series(base: SystemParams) -> tuple[Series, Series]:
@@ -422,82 +400,78 @@ def _gain_loss_series(base: SystemParams) -> tuple[Series, Series]:
             Series("loss", (("kappa_a", -0.2 * km),)))
 
 
-def figure_preset(name: str, gain_noise: str = "vacuum") -> SweepSpec:
-    """Fully populated sweep specification for one of the figure data sets."""
-    base = default_params()
+def figure_preset(name: str, gain_noise: str = "vacuum",
+                  base: SystemParams | None = None) -> SweepSpec:
+    """Fully populated sweep specification for one of the figure data sets.
+
+    Each preset varies ``base``, by default :func:`default_params`.
+    """
+    if base is None:
+        base = default_params()
     wb = base.omega_b
     gain, loss = _gain_loss_series(base)
     pair_by_panel = {"a": "am", "b": "bm", "c": "ab"}
+    spec = functools.partial(SweepSpec, gain_noise=gain_noise)
 
     if name in ("fig2a", "fig2b"):
         kappa_a = -0.2 * base.kappa_m if name == "fig2a" else 0.2 * base.kappa_m
-        return SweepSpec(
+        return spec(
             base=base.replace(kappa_a=kappa_a),
             axes=(Axis("gma_over_omega_b", 0.0, 1.2, 101),
                   Axis("G_over_omega_b", 0.0, 0.6, 101)),
-            outputs=("stable", "max_lyapunov"),
-            gain_noise=gain_noise)
+            outputs=("stable", "max_lyapunov"))
     if name == "fig2c":
-        return SweepSpec(
+        return spec(
             base=base.replace(g_ma=0.5 * wb),
             axes=(Axis("kappa_a_over_kappa_m", 0.0, 1.0, 101),
                   Axis("G_over_omega_b", 0.0, 0.6, 101)),
-            outputs=("stable", "max_lyapunov"),
-            gain_noise=gain_noise)
+            outputs=("stable", "max_lyapunov"))
     if name == "fig2d":
-        return SweepSpec(
+        return spec(
             base=base.replace(kappa_a=0.2 * base.kappa_m, G_eff=0.4 * wb),
             axes=(Axis("gma_over_G", 0.5, 5.0, 101),),
-            outputs=("max_lyapunov", "stable"),
-            gain_noise=gain_noise)
+            outputs=("max_lyapunov", "stable"))
     if name in ("fig3a", "fig3b", "fig3c"):
         pair = pair_by_panel[name[-1]]
-        return SweepSpec(
+        return spec(
             base=base,
             axes=(Axis("G_over_omega_b", 0.0, 0.5, 101),),
             outputs=(f"E_N({pair})", "stable"),
-            series=(gain, loss),
-            gain_noise=gain_noise)
+            series=(gain, loss))
     if name == "fig3d":
-        return SweepSpec(
+        return spec(
             base=base.replace(G_eff=0.1 * wb),
             axes=(Axis("kappa_a_over_kappa_m", 0.0, 0.95, 96),),
-            outputs=("E_N(am)", "stable"),
-            gain_noise=gain_noise)
+            outputs=("E_N(am)", "stable"))
     if name in ("fig4a", "fig4b", "fig4c"):
         pair = pair_by_panel[name[-1]]
-        return SweepSpec(
+        return spec(
             base=base.replace(kappa_a=0.2 * base.kappa_m),
             axes=(Axis("delta_over_omega_b", -2.0, 0.0, 101),
                   Axis("G_over_gma", 0.0, 0.5, 101)),
-            outputs=(f"E_N({pair})", "stable"),
-            gain_noise=gain_noise)
+            outputs=(f"E_N({pair})", "stable"))
     if name == "fig4d":
-        return SweepSpec(
+        return spec(
             base=base,
             axes=(Axis("G_over_gma", 0.0, 0.5, 101),
                   Axis("kappa_a_over_kappa_m", 0.0, 0.95, 96)),
-            outputs=("E_N(am)", "stable"),
-            gain_noise=gain_noise)
+            outputs=("E_N(am)", "stable"))
     if name == "fig5":
-        return SweepSpec(
+        return spec(
             base=base,
             axes=(Axis("G_over_omega_b", 0.0, 0.5, 101),),
             outputs=("S(m->b)", "S(a->b)", "S(b->m)", "S(b->a)", "stable"),
-            series=(gain, loss),
-            gain_noise=gain_noise)
+            series=(gain, loss))
     if name == "fig6a":
-        return SweepSpec(
+        return spec(
             base=base.replace(kappa_a=0.2 * base.kappa_m, G_eff=0.25 * wb),
             axes=(Axis("temperature", 0.0, 250 * _MK, 251),),
             outputs=("E_N(am)", "E_N(bm)", "E_N(ab)", "S(m->b)", "S(a->b)",
-                     "stable"),
-            gain_noise=gain_noise)
+                     "stable"))
     if name == "fig6b":
-        return SweepSpec(
+        return spec(
             base=base.replace(G_eff=0.25 * wb),
             axes=(Axis("temperature", 0.0, 250 * _MK, 251),),
             outputs=("E_N(am)", "stable"),
-            series=(gain, loss),
-            gain_noise=gain_noise)
+            series=(gain, loss))
     raise ParameterError(f"unknown figure preset {name!r}; valid: {FIGURE_NAMES}")

@@ -51,6 +51,16 @@ class TestSteadyStateAndDrift:
         assert len(lines) == 6
         assert all(len(line.split(",")) == 6 for line in lines)
 
+    def test_bare_detuning_reaches_self_consistent_point(self, capsys):
+        code, out, _ = run_cli(capsys, "steady-state",
+                               "--set", "epsilon_d=1e13rad_s",
+                               "--set", "delta_m=-1omega_b")
+        assert code == 0
+        assert json.loads(out)["iterations"] > 0
+        # Without a drive, the bundled G_eff has no effective detuning to use.
+        code, _, err = run_cli(capsys, "steady-state", "--set", "delta_m=-1omega_b")
+        assert code == 2 and "delta_m_eff" in err
+
     def test_stability_json(self, capsys):
         code, out, _ = run_cli(capsys, "stability")
         obj = json.loads(out)
@@ -105,6 +115,26 @@ class TestSweepAndFigure:
         assert code == 0
         expected = run_sweep(figure_preset("fig3a")).to_csv()
         assert out == expected
+
+    def test_figure_follows_config_and_set(self, capsys, tmp_path):
+        conf = tmp_path / "p.conf"
+        conf.write_text("temperature = 200 mk\n")
+        code, out, _ = run_cli(capsys, "figure", "fig3d", "--format", "csv",
+                               "--config", str(conf))
+        assert code == 0
+        base = build_params(default_config()).replace(temperature=0.2)
+        assert out == run_sweep(figure_preset("fig3d", base=base)).to_csv()
+        assert out != run_sweep(figure_preset("fig3d")).to_csv()
+        code, again, _ = run_cli(capsys, "figure", "fig3d", "--format", "csv",
+                                 "--set", "temperature=200mk")
+        assert code == 0 and again == out
+
+    def test_figure_drive_layer_clash_exits_2(self, capsys):
+        # fig3d fixes G_eff, which a drive-mode layer has replaced.
+        code, out, err = run_cli(capsys, "figure", "fig3d",
+                                 "--set", "epsilon_d=1e13rad_s")
+        assert code == 2 and out == ""
+        assert "G_eff" in err
 
     def test_custom_sweep(self, capsys):
         code, out, _ = run_cli(

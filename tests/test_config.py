@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from magnomech import ConfigError, build_params, default_config
+from magnomech import ConfigError, build_params, default_config, default_params
 from magnomech.config import (apply_overrides, load_config, merge_layers,
                               parse_entries, parse_value, read_config_text)
 
@@ -17,6 +17,8 @@ class TestParseValue:
             TWO_PI * 10e6, rel=1e-15)
         assert parse_value("g_ma", "10.1 ghz")[0] == pytest.approx(
             TWO_PI * 10.1e9, rel=1e-15)
+        # Scaled first, then times 2*pi: exactly what TWO_PI * 10e6 gives.
+        assert parse_value("omega_b", "10 mhz")[0] == TWO_PI * 10e6
 
     def test_rad_s_taken_verbatim(self):
         assert parse_value("g_ma", "123.5 rad_s") == (123.5, "frequency")
@@ -72,6 +74,7 @@ class TestEntriesAndFiles:
         assert params.kappa_a == pytest.approx(0.02 * TWO_PI * 10e6)
         assert params.G_eff == pytest.approx(0.2 * TWO_PI * 10e6)
         assert params.temperature == pytest.approx(20e-3)
+        assert params == default_params()  # one operating point, bit for bit
 
 
 class TestOverridesAndLayers:
@@ -98,10 +101,21 @@ class TestOverridesAndLayers:
         assert params.epsilon_d is None
         assert params.G_eff == pytest.approx(0.3 * params.omega_b)
 
+    def test_detuning_layers_supersede_each_other(self):
+        bare = merge_layers([default_config(),
+                             parse_entries([("delta_m", "-1 omega_b")])])
+        assert "delta_m" in bare and "delta_m_eff" not in bare
+        effective = merge_layers([bare,
+                                  parse_entries([("delta_m_eff", "-1 omega_b")])])
+        assert "delta_m_eff" in effective and "delta_m" not in effective
+
     def test_both_in_one_layer_rejected(self):
         with pytest.raises(ConfigError):
             merge_layers([parse_entries([("G_eff", "0.2 omega_b"),
                                          ("epsilon_d", "1e14 rad_s")])])
+        with pytest.raises(ConfigError, match="delta_m"):
+            merge_layers([parse_entries([("delta_m", "-1 omega_b"),
+                                         ("delta_m_eff", "-1 omega_b")])])
 
 
 class TestBuildParams:

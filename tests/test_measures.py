@@ -170,6 +170,12 @@ class TestLyapunovSolve:
         assert cm.residual <= 1e-10 * np.abs(diffusion.d).max()
         assert np.array_equal(cm.v, cm.v.T)
 
+    def test_matrix_is_float64(self):
+        # Refinement runs in extended precision; callers get plain doubles.
+        drift = _stable_drift(np.random.default_rng(79))
+        cm = solve_lyapunov(drift, DiffusionMatrix(d=np.eye(6) * OMEGA_B))
+        assert cm.v.dtype == np.float64
+
     def test_unstable_raises(self):
         drift = quadrature_drift(-OMEGA_B, -OMEGA_B, 0.02 * OMEGA_B,
                                  0.1 * OMEGA_B, TWO_PI * 10, OMEGA_B,

@@ -120,6 +120,26 @@ class TestRunSweep:
         header = run_sweep(spec).to_csv().splitlines()[0]
         assert header == ("G/omega_b,E_N_am_nats,S_m_to_b_nats,"
                           "max_lyapunov_rad_s,error")
+        spec = SweepSpec(base=default_params(),
+                         axes=(Axis("kappa_m", 0.1 * OMEGA_B, 0.2 * OMEGA_B, 2),
+                               Axis("temperature", 0.01, 0.02, 2)),
+                         outputs=("eta_minus(ab)", "residual",
+                                  "physicality_margin", "pt_phase", "stable"),
+                         series=(Series("gain"),))
+        header = run_sweep(spec).to_csv().splitlines()[0]
+        assert header == ("kappa_m_rad_s,T_K,eta_minus_ab[gain],residual[gain],"
+                          "physicality_margin[gain],pt_phase[gain],"
+                          "stable[gain],error[gain]")
+
+    def test_failed_points_carry_error_codes(self):
+        drive = default_params().replace(
+            delta_m_eff=None, delta_m=-0.95 * OMEGA_B, G_eff=None,
+            epsilon_d=9.2e13)
+        assert evaluate_point(drive, ("stable",))["error"] == "non_convergence"
+        # A G_eff axis over a drive-mode base gives no valid parameter set.
+        spec = SweepSpec(base=drive, axes=(Axis("G_over_omega_b", 0.1, 0.2, 2),),
+                         outputs=("stable",))
+        assert run_sweep(spec).column("error") == ["parameter_error"] * 2
 
 
 class TestFigurePresets:
