@@ -42,11 +42,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default="json")
     common.add_argument("--out", metavar="PATH", default="-",
                         help="output file, '-' for stdout")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for sweeps")
-    common.add_argument("--gain-noise", choices=_sweep.GAIN_NOISE_MODES,
-                        default="vacuum", dest="gain_noise",
-                        help="cavity noise convention for a gain cavity")
+    # Only the subcommands that use a flag accept it.
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1, metavar="N",
+                      help="worker processes for sweeps")
+    noise = argparse.ArgumentParser(add_help=False)
+    noise.add_argument("--gain-noise", choices=_sweep.GAIN_NOISE_MODES,
+                       default="vacuum", dest="gain_noise",
+                       help="cavity noise convention for a gain cavity")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("classify", parents=[common],
@@ -56,21 +59,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("drift", parents=[common], help="6x6 drift matrix")
     sub.add_parser("stability", parents=[common],
                    help="drift eigenvalues and stability verdict")
-    p = sub.add_parser("measures", parents=[common],
+    p = sub.add_parser("measures", parents=[common, noise],
                        help="entanglement and steering of the mode pairs")
     p.add_argument("--pair", choices=_measures.PAIRS + ("all",), default="all")
 
-    p = sub.add_parser("sweep", parents=[common], help="custom parameter sweep")
+    p = sub.add_parser("sweep", parents=[common, jobs, noise],
+                       help="custom parameter sweep")
     p.add_argument("--axis", action="append", required=True, metavar="NAME:LO:HI:N",
                    help="sweep axis (repeat for a 2-D grid)")
     p.add_argument("--output", action="append", required=True, metavar="NAME",
                    help="output column, e.g. E_N(am), S(m->b), max_lyapunov")
 
-    p = sub.add_parser("figure", parents=[common],
+    p = sub.add_parser("figure", parents=[common, jobs, noise],
                        help="run one of the built-in figure data sets")
     p.add_argument("name", choices=_sweep.FIGURE_NAMES)
 
-    p = sub.add_parser("vanish-temp", parents=[common],
+    p = sub.add_parser("vanish-temp", parents=[common, noise],
                        help="temperature where a pair's entanglement reaches zero")
     p.add_argument("--pair", choices=_measures.PAIRS, default="am")
     p.add_argument("--t-lo", default="0 mk", help="bracket low end (e.g. '0 mk')")

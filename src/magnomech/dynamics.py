@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenSolveError, ParameterError
+from .errors import (EigenSolveError, ParameterError, alive, no_failures,
+                     raise_failure, record_failures)
 from .model import SystemParams
 from .steady_state import WorkingPoint
 
@@ -47,30 +48,39 @@ class StabilityReport:
     stable: bool
 
 
+def drift_matrices(delta_a, delta_m_eff, kappa_a, kappa_m, gamma_b, omega_b,
+                   g_ma, g_eff) -> tuple[np.ndarray, np.ndarray]:
+    """Drift matrices, shape (..., 6, 6), of numbers or of arrays of points,
+    and the mask of those whose entries (so all inputs) are finite."""
+    inputs = (delta_a, delta_m_eff, kappa_a, kappa_m, gamma_b, omega_b, g_ma,
+              g_eff)
+    a = np.zeros(np.broadcast(*inputs).shape + (6, 6))
+    a[..., 0, 0] = a[..., 1, 1] = kappa_a
+    a[..., 0, 1] = delta_a
+    a[..., 1, 0] = -delta_a
+    a[..., 0, 3] = g_ma
+    a[..., 1, 2] = -g_ma
+    a[..., 2, 1] = g_ma
+    a[..., 3, 0] = -g_ma
+    a[..., 2, 2] = a[..., 3, 3] = -kappa_m
+    a[..., 2, 3] = delta_m_eff
+    a[..., 3, 2] = -delta_m_eff
+    a[..., 2, 4] = -g_eff
+    a[..., 4, 5] = omega_b
+    a[..., 5, 3] = g_eff
+    a[..., 5, 4] = -omega_b
+    a[..., 5, 5] = -gamma_b
+    return a, np.isfinite(a).all(axis=(-2, -1))
+
+
 def quadrature_drift(delta_a: float, delta_m_eff: float, kappa_a: float,
                      kappa_m: float, gamma_b: float, omega_b: float,
                      g_ma: float, g_eff: float) -> QuadratureDrift:
     """Drift matrix of the linearized dynamics in the quadrature basis."""
-    for val in (delta_a, delta_m_eff, kappa_a, kappa_m, gamma_b, omega_b,
-                g_ma, g_eff):
-        if not np.isfinite(val):
-            raise ParameterError("quadrature_drift: non-finite input")
-    a = np.zeros((6, 6))
-    a[0, 0] = a[1, 1] = kappa_a
-    a[0, 1] = delta_a
-    a[1, 0] = -delta_a
-    a[0, 3] = g_ma
-    a[1, 2] = -g_ma
-    a[2, 1] = g_ma
-    a[3, 0] = -g_ma
-    a[2, 2] = a[3, 3] = -kappa_m
-    a[2, 3] = delta_m_eff
-    a[3, 2] = -delta_m_eff
-    a[2, 4] = -g_eff
-    a[4, 5] = omega_b
-    a[5, 3] = g_eff
-    a[5, 4] = -omega_b
-    a[5, 5] = -gamma_b
+    a, finite = drift_matrices(delta_a, delta_m_eff, kappa_a, kappa_m, gamma_b,
+                               omega_b, g_ma, g_eff)
+    if not finite:
+        raise ParameterError("quadrature_drift: non-finite input")
     return QuadratureDrift(a=a)
 
 
@@ -102,6 +112,18 @@ def complex_drift(delta_a: float, delta_m_eff: float, kappa_a: float,
     return _QUAD_TO_MODE @ a @ _MODE_TO_QUAD
 
 
+def diffusion_diagonals(kappa_a, kappa_m, gamma_b, n_a, n_m, n_b,
+                        gain_noise: str = "vacuum") -> np.ndarray:
+    """Diagonals, shape (..., 6), of the diffusion matrices of numbers or arrays."""
+    cavity = np.abs(kappa_a) if gain_noise == "vacuum" else -kappa_a
+    diag = np.zeros(np.broadcast(kappa_a, kappa_m, gamma_b, n_a, n_m, n_b).shape
+                    + (6,))
+    diag[..., 0] = diag[..., 1] = cavity * (2.0 * n_a + 1.0)
+    diag[..., 2] = diag[..., 3] = kappa_m * (2.0 * n_m + 1.0)
+    diag[..., 5] = gamma_b * (2.0 * n_b + 1.0)
+    return diag
+
+
 def diffusion_matrix(kappa_a: float, kappa_m: float, gamma_b: float,
                      n_a: float, n_m: float, n_b: float,
                      gain_noise: str = "vacuum") -> DiffusionMatrix:
@@ -119,14 +141,8 @@ def diffusion_matrix(kappa_a: float, kappa_m: float, gamma_b: float,
         raise ParameterError(f"gain_noise must be one of {GAIN_NOISE_MODES}")
     if min(n_a, n_m, n_b) < 0.0:
         raise ParameterError("occupations must be non-negative")
-    cavity = abs(kappa_a) if gain_noise == "vacuum" else -kappa_a
-    d = np.diag([cavity * (2.0 * n_a + 1.0),
-                 cavity * (2.0 * n_a + 1.0),
-                 kappa_m * (2.0 * n_m + 1.0),
-                 kappa_m * (2.0 * n_m + 1.0),
-                 0.0,
-                 gamma_b * (2.0 * n_b + 1.0)])
-    return DiffusionMatrix(d=d)
+    return DiffusionMatrix(d=np.diag(diffusion_diagonals(
+        kappa_a, kappa_m, gamma_b, n_a, n_m, n_b, gain_noise)))
 
 
 def diffusion_from_params(params: SystemParams,
@@ -136,18 +152,41 @@ def diffusion_from_params(params: SystemParams,
                             n_a, n_m, n_b, gain_noise=gain_noise)
 
 
+def stability_batch(a: np.ndarray, tol_abs: np.ndarray, failures: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues (N, 6), maximal Lyapunov exponents and verdicts of N drifts.
+
+    Stable iff the largest eigenvalue real part is below -tol_abs. Points that
+    already failed are skipped (NaN); an eigenvalue failure is recorded.
+    """
+    eigenvalues = np.full(a.shape[:-1], np.nan, dtype=complex)
+    rows = np.flatnonzero(alive(failures))
+    try:
+        eigenvalues[rows] = np.linalg.eigvals(a if rows.size == len(a) else a[rows])
+    except np.linalg.LinAlgError:
+        # One matrix failed the whole stack; find it point by point.
+        for k in rows:
+            try:
+                eigenvalues[k] = np.linalg.eigvals(a[k])
+            except np.linalg.LinAlgError as exc:
+                failures[k] = EigenSolveError(
+                    f"eigenvalue computation failed: {exc}")
+    record_failures(failures, ~np.isfinite(eigenvalues).all(axis=-1),
+                    lambda k: EigenSolveError(
+                        "eigenvalue computation returned non-finite values"))
+    max_lyapunov = eigenvalues.real.max(axis=-1)
+    return eigenvalues, max_lyapunov, max_lyapunov < -tol_abs
+
+
 def stability(drift: QuadratureDrift, tol_abs: float = 0.0) -> StabilityReport:
     """Eigenvalues, maximal Lyapunov exponent and the stability verdict.
 
     Stable iff the largest eigenvalue real part is below -tol_abs.
     """
-    try:
-        eigenvalues = np.linalg.eigvals(drift.a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolveError(f"eigenvalue computation failed: {exc}") from exc
-    if not np.all(np.isfinite(eigenvalues)):
-        raise EigenSolveError("eigenvalue computation returned non-finite values")
-    max_lyapunov = float(eigenvalues.real.max())
-    return StabilityReport(eigenvalues=eigenvalues,
-                           max_lyapunov=max_lyapunov,
-                           stable=max_lyapunov < -tol_abs)
+    failures = no_failures(1)
+    eigenvalues, max_lyapunov, stable = stability_batch(
+        drift.a[None], np.array([tol_abs]), failures)
+    raise_failure(failures)
+    return StabilityReport(eigenvalues=eigenvalues[0],
+                           max_lyapunov=float(max_lyapunov[0]),
+                           stable=bool(stable[0]))

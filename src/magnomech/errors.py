@@ -2,7 +2,18 @@
 
 Each class carries the short ``code`` that sweeps write into a failed point's
 ``error`` cell.
+
+Batched kernels keep one entry per point in an object array of failures:
+None while the point is fine, else the exception that stopped it. A point
+that has failed is skipped by every later stage, and a scalar call is a
+batch of one that raises its point's failure.
+
+Stored exceptions carry no traceback. The cyclic garbage collector cannot see
+into NumPy object arrays, so a traceback whose frames hold the array that
+holds the exception would never be freed.
 """
+
+import numpy as np
 
 
 class MagnomechError(Exception):
@@ -55,3 +66,32 @@ class CrossCheckMismatchError(MagnomechError):
 
 class BracketInvalidError(MagnomechError):
     """Bisection bracket does not straddle the sought boundary."""
+
+
+def no_failures(shape) -> np.ndarray:
+    """Failure array of a batch of the given shape, none failed yet."""
+    return np.full(shape, None, dtype=object)
+
+
+def alive(failures: np.ndarray) -> np.ndarray:
+    """Mask of the points that have not failed."""
+    return np.equal(failures, None)
+
+
+def store_failure(failures: np.ndarray, k, exc: MagnomechError) -> None:
+    """Record a caught exception at point k, without its traceback."""
+    failures[k] = exc.with_traceback(None)
+
+
+def record_failures(failures: np.ndarray, mask, make) -> None:
+    """Store ``make(k)`` at each index k of ``mask`` that has not failed yet."""
+    for k in zip(*np.nonzero(mask)):
+        if failures[k] is None:
+            failures[k] = make(k)
+
+
+def raise_failure(failures: np.ndarray) -> None:
+    """Raise (a copy of) the failure of a batch of one, if any."""
+    failure = failures.flat[0]
+    if failure is not None:
+        raise type(failure)(*failure.args)

@@ -12,7 +12,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (CrossCheckMismatchError, NonPhysicalCMError,
-                     ParameterError, SingularSolveError, UnstableSystemError)
+                     ParameterError, SingularSolveError, UnstableSystemError,
+                     alive, no_failures, raise_failure, record_failures)
 from .dynamics import DiffusionMatrix, QuadratureDrift, StabilityReport, stability
 
 #: Mode pairs by label, first listed mode first: photon-magnon, phonon-magnon,
@@ -28,12 +29,25 @@ DISCRIMINANT_CLAMP = 1e-12
 #: Relative agreement demanded between the two eta^- routes.
 CROSS_CHECK_TOL = 1e-9
 
-_J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+#: Iterative refinement stops once the residual is below this multiple of
+#: max|D|, after this many corrections, or when a correction does not help.
+RESIDUAL_REL_TARGET = 1e-12
+MAX_REFINEMENTS = 10
+
+#: Partial transposition: flips the second mode's momentum.
+_PPT_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Direct sum of n copies of [[0,1],[-1,0]]."""
-    return np.kron(np.eye(n_modes), _J2)
+    omega = np.zeros((2 * n_modes, 2 * n_modes))
+    first = np.arange(0, 2 * n_modes, 2)
+    omega[first, first + 1] = 1.0
+    omega[first + 1, first] = -1.0
+    return omega
+
+
+_I_OMEGA_2 = 1j * symplectic_form(2)
 
 
 @dataclass(frozen=True)
@@ -73,12 +87,113 @@ class PairMeasures:
     eta_minus: float
 
 
+def physicality_margins(v: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of V + i*Omega/2, for one matrix or a stack."""
+    n_modes = v.shape[-1] // 2
+    return np.linalg.eigvalsh(v + 0.5j * symplectic_form(n_modes)).min(axis=-1)
+
+
 def physicality_margin(v: np.ndarray) -> float:
     """Smallest eigenvalue of V + i*Omega/2 as a Hermitian matrix."""
-    v = np.asarray(v, dtype=np.float64)
-    n_modes = v.shape[0] // 2
-    herm = v + 0.5j * symplectic_form(n_modes)
-    return float(np.linalg.eigvalsh(herm).min().real)
+    return float(physicality_margins(np.asarray(v, dtype=np.float64)))
+
+
+def check_stable(report: StabilityReport, stability_tol: float) -> None:
+    """Raise UnstableSystemError unless the report says stable."""
+    if not report.stable:
+        raise UnstableSystemError(
+            f"max Lyapunov exponent {report.max_lyapunov:.6g} >= -{stability_tol:.3g}")
+
+
+# Entries of the flattened 36x36 Kronecker sum I (x) A + A (x) I that come
+# from A: entry [(i, j), (i, l)] of I (x) A is A[j,l], entry [(i, j), (k, j)]
+# of A (x) I is A[i,k]. Each tuple holds the I (x) A part, then the A (x) I part.
+_i, _j, _k = np.indices((6, 6, 6)).reshape(3, -1)
+_KRON_TARGETS = (np.ravel_multi_index((_i, _j, _i, _k), (6,) * 4),
+                 np.ravel_multi_index((_i, _j, _k, _j), (6,) * 4))
+_KRON_SOURCES = (_j * 6 + _k, _i * 6 + _k)
+del _i, _j, _k
+
+
+def _residual_matrices(al, vl, dl) -> np.ndarray:
+    """A V + V A^T + D per point, in the precision of the inputs."""
+    return al @ vl + vl @ al.swapaxes(-1, -2) + dl
+
+
+def _max_abs(m: np.ndarray) -> np.ndarray:
+    return np.abs(m).max(axis=(-2, -1)).astype(np.float64)
+
+
+def lyapunov_batch(a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray,
+                   failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve A V + V A^T = -D for N stable drifts at once.
+
+    ``a`` and ``d`` are (N, 6, 6) and ``eigenvalues`` (N, 6) is the spectrum
+    of each drift. Each point's vectorized 36x36 system
+    (I (x) A + A (x) I) vec(V) = -vec(D) is solved densely. A point whose
+    eigenvalues pair up to (numerically) zero gets a SingularSolveError.
+    Returns V (N, 6, 6) and the residual max|A V + V A^T + D| (N,), NaN at
+    points that failed.
+    """
+    n = len(a)
+    pair_sums = np.abs(eigenvalues[:, :, None] + eigenvalues[:, None, :])
+    scale = np.maximum(np.abs(eigenvalues).max(axis=-1), 1e-300)
+    record_failures(failures, pair_sums.min(axis=(1, 2)) < 1e-14 * scale,
+                    lambda k: SingularSolveError(
+                        "eigenvalue pair sums to zero; Lyapunov system singular"))
+    v = np.full((n, 6, 6), np.nan)
+    residual = np.full(n, np.nan)
+    rows = np.flatnonzero(alive(failures))
+    if not rows.size:
+        return v, residual
+    a, d = a[rows], d[rows]
+    lhs = np.zeros((len(rows), 36 * 36))
+    lhs[:, _KRON_TARGETS[0]] = a.reshape(-1, 36)[:, _KRON_SOURCES[0]]
+    lhs[:, _KRON_TARGETS[1]] += a.reshape(-1, 36)[:, _KRON_SOURCES[1]]
+    lhs = lhs.reshape(-1, 36, 36)
+    rhs = -d.reshape(-1, 36)
+    factors = []
+    x = np.empty_like(rhs)
+    for k, row in enumerate(rows):
+        lu, piv, info = scipy.linalg.lapack.dgetrf(lhs[k])
+        if info != 0:
+            failures[row] = SingularSolveError(
+                f"vectorized Lyapunov solve failed: LU info {info}")
+        factors.append((lu, piv))
+        x[k] = scipy.linalg.lapack.dgetrs(lu, piv, rhs[k])[0]
+    # Mixed-precision iterative refinement. The residual of any double-stored
+    # solution bottoms out at eps*|A|*|V|, which near-marginal points push
+    # above the certificate target, so the solution and its residual are
+    # accumulated in extended precision while the corrections reuse the
+    # double-precision LU factorization.
+    al = a.astype(np.longdouble)
+    dl = d.astype(np.longdouble)
+    vl = x.reshape(-1, 6, 6).astype(np.longdouble)
+    vl = 0.5 * (vl + vl.swapaxes(-1, -2))
+    resid = _residual_matrices(al, vl, dl)
+    res = _max_abs(resid)
+    target = RESIDUAL_REL_TARGET * np.abs(d).max(axis=(-2, -1))
+    active = ~(res <= target)
+    for _ in range(MAX_REFINEMENTS):
+        act = np.flatnonzero(active)
+        if not act.size:
+            break
+        r = resid[act].astype(np.float64).reshape(-1, 36)
+        corr = np.stack([scipy.linalg.lapack.dgetrs(*factors[k], -r_k)[0]
+                         for k, r_k in zip(act, r)])
+        corr = corr.reshape(-1, 6, 6).astype(np.longdouble)
+        v_next = vl[act] + 0.5 * (corr + corr.swapaxes(-1, -2))
+        resid_next = _residual_matrices(al[act], v_next, dl[act])
+        next_res = _max_abs(resid_next)
+        better = ~(next_res >= res[act])
+        vl[act[better]] = v_next[better]
+        resid[act[better]] = resid_next[better]
+        res[act[better]] = next_res[better]
+        active[act] = better & ~(next_res <= target[act])
+    ok = alive(failures[rows])
+    v[rows[ok]] = vl[ok].astype(np.float64)
+    residual[rows[ok]] = res[ok]
+    return v, residual
 
 
 def solve_lyapunov(drift: QuadratureDrift, diffusion: DiffusionMatrix,
@@ -93,50 +208,33 @@ def solve_lyapunov(drift: QuadratureDrift, diffusion: DiffusionMatrix,
     """
     report = stability_report if stability_report is not None \
         else stability(drift, stability_tol)
-    if not report.stable:
-        raise UnstableSystemError(
-            f"max Lyapunov exponent {report.max_lyapunov:.6g} >= -{stability_tol:.3g}")
-    a, d = drift.a, diffusion.d
-    eig = report.eigenvalues
-    pair_sums = np.abs(eig[:, None] + eig[None, :])
-    scale = max(np.abs(eig).max(), 1e-300)
-    if pair_sums.min() < 1e-14 * scale:
-        raise SingularSolveError("eigenvalue pair sums to zero; Lyapunov system singular")
-    lhs = np.kron(np.eye(6), a) + np.kron(a, np.eye(6))
-    try:
-        lu, piv = scipy.linalg.lu_factor(lhs)
-        vec = scipy.linalg.lu_solve((lu, piv), -d.reshape(36))
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularSolveError(f"vectorized Lyapunov solve failed: {exc}") from exc
-    v = vec.reshape(6, 6)
-    # Mixed-precision iterative refinement. The residual of any double-stored
-    # solution bottoms out at eps*|A|*|V|, which near-marginal points push
-    # above the certificate target, so the solution and its residual are
-    # accumulated in extended precision while the corrections reuse the
-    # double-precision LU factorization.
-    al = a.astype(np.longdouble)
-    dl = d.astype(np.longdouble)
-    vl = v.astype(np.longdouble)
-    vl = 0.5 * (vl + vl.T)
-    residual = float(np.abs(al @ vl + vl @ al.T + dl).max())
-    target = 1e-12 * float(np.abs(d).max())
-    for _ in range(10):
-        if residual <= target:
-            break
-        r = (al @ vl + vl @ al.T + dl).astype(np.float64)
-        try:
-            corr = scipy.linalg.lu_solve((lu, piv), -r.reshape(36)).reshape(6, 6)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise SingularSolveError(f"refinement solve failed: {exc}") from exc
-        corr = corr.astype(np.longdouble)
-        v_next = vl + 0.5 * (corr + corr.T)
-        next_residual = float(np.abs(al @ v_next + v_next @ al.T + dl).max())
-        if next_residual >= residual:
-            break
-        vl, residual = v_next, next_residual
-    v = vl.astype(np.float64)
-    return CovarianceMatrix(v=v, physicality_margin=physicality_margin(v),
-                            residual=residual)
+    check_stable(report, stability_tol)
+    failures = no_failures(1)
+    v, residual = lyapunov_batch(drift.a[None], diffusion.d[None],
+                                 np.asarray(report.eigenvalues)[None], failures)
+    raise_failure(failures)
+    return CovarianceMatrix(v=v[0], physicality_margin=physicality_margin(v[0]),
+                            residual=float(residual[0]))
+
+
+def _mode_indices(first: str, second: str) -> np.ndarray:
+    for mode in (first, second):
+        if mode not in MODE_INDICES:
+            raise ParameterError(f"unknown mode {mode!r}; valid: a, m, b")
+    if first == second:
+        raise ParameterError("reduce_modes needs two distinct modes")
+    return np.array(MODE_INDICES[first] + MODE_INDICES[second])
+
+
+def _pair_indices(pair: str) -> np.ndarray:
+    if pair not in PAIRS:
+        raise ParameterError(f"unknown pair {pair!r}; valid: {PAIRS}")
+    return _mode_indices(pair[0], pair[1])
+
+
+def _matrix(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
+    return np.asarray(cm.v if isinstance(cm, CovarianceMatrix) else cm,
+                      dtype=np.float64)
 
 
 def reduce_cm(cm: CovarianceMatrix | np.ndarray, pair: str) -> ReducedCM:
@@ -145,33 +243,68 @@ def reduce_cm(cm: CovarianceMatrix | np.ndarray, pair: str) -> ReducedCM:
     The first listed mode of the pair label becomes block A (the steering
     party of ``s_12``).
     """
-    if pair not in PAIRS:
-        raise ParameterError(f"unknown pair {pair!r}; valid: {PAIRS}")
+    _pair_indices(pair)
     return reduce_modes(cm, pair[0], pair[1])
 
 
 def reduce_modes(cm: CovarianceMatrix | np.ndarray, first: str,
                  second: str) -> ReducedCM:
     """Two-mode reduction with an explicit mode order (modes 'a', 'm', 'b')."""
-    for mode in (first, second):
-        if mode not in MODE_INDICES:
-            raise ParameterError(f"unknown mode {mode!r}; valid: a, m, b")
-    if first == second:
-        raise ParameterError("reduce_modes needs two distinct modes")
-    v = cm.v if isinstance(cm, CovarianceMatrix) else cm
-    v = np.asarray(v, dtype=np.float64)
-    idx = np.array(MODE_INDICES[first] + MODE_INDICES[second])
-    sub = v[np.ix_(idx, idx)]
+    idx = _mode_indices(first, second)
+    sub = _matrix(cm)[np.ix_(idx, idx)]
     return ReducedCM(block_a=sub[:2, :2].copy(), block_b=sub[2:, 2:].copy(),
                      block_c=sub[:2, 2:].copy(), pair=first + second)
 
 
-def _determinants(rcm: ReducedCM) -> tuple[float, float, float, float]:
-    det_a = float(np.linalg.det(rcm.block_a))
-    det_b = float(np.linalg.det(rcm.block_b))
-    det_c = float(np.linalg.det(rcm.block_c))
-    det_v = float(np.linalg.det(rcm.matrix))
-    return det_a, det_b, det_c, det_v
+#: Rows and columns of the 2x2 blocks A, B and C in a two-mode matrix.
+_BLOCK_ROWS = np.array([[0, 1], [2, 3], [0, 1]])[:, :, None]
+_BLOCK_COLS = np.array([[0, 1], [2, 3], [2, 3]])[:, None, :]
+
+
+def _determinants(sub: np.ndarray) -> tuple[np.ndarray, ...]:
+    """det A, det B, det C and det V of (..., 4, 4) two-mode matrices.
+
+    The 2x2 determinants go through LAPACK like det V, not the closed form
+    ad - bc: the eta^- formula cancels badly on unphysical (reversed-noise)
+    states, where last-ulp changes in det A/B/C move E_N by up to 1e-5
+    relative and flip cross-check verdicts.
+    """
+    blocks =np.linalg.det(sub[..., _BLOCK_ROWS, _BLOCK_COLS])
+    return blocks[..., 0], blocks[..., 1], blocks[..., 2], np.linalg.det(sub)
+
+
+def _log_negativity(dets, failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E_N, eta^-) per matrix; records NonPhysicalCMError where they do not exist."""
+    det_a, det_b, det_c, det_v = dets
+    record_failures(
+        failures, det_v < -DISCRIMINANT_CLAMP * np.maximum(det_a * det_b, 1.0),
+        lambda k: NonPhysicalCMError(f"negative two-mode determinant {det_v[k]:.6g}"))
+    sigma = det_a + det_b - 2.0 * det_c
+    disc = sigma**2 - 4.0 * det_v
+    record_failures(
+        failures, disc < -DISCRIMINANT_CLAMP * sigma**2,
+        lambda k: NonPhysicalCMError(
+            f"discriminant {disc[k]:.6g} negative beyond clamp tolerance"))
+    disc = np.where(disc < 0.0, 0.0, disc)
+    eta_minus = np.sqrt(0.5 * (sigma - np.sqrt(disc)))
+    return np.fmax(0.0, -np.log(2.0 * eta_minus)), eta_minus
+
+
+def _steering(dets, failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and backward steering per matrix; records NonPhysicalCMError
+    where the two-mode determinant is not positive."""
+    det_a, det_b, _, det_v = dets
+    record_failures(failures, det_v <= 0.0, lambda k: NonPhysicalCMError(
+        f"non-positive two-mode determinant {det_v[k]:.6g}"))
+    return (np.fmax(0.0, 0.5 * np.log(det_a / (4.0 * det_v))),
+            np.fmax(0.0, 0.5 * np.log(det_b / (4.0 * det_v))))
+
+
+def _ppt_spectrum(sub: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues, shape (..., 2), of partially transposed CMs."""
+    v_tilde = _PPT_FLIP @ sub @ _PPT_FLIP
+    eig = np.linalg.eigvals(_I_OMEGA_2 @ v_tilde)
+    return np.sort(np.abs(eig.real), axis=-1)[..., ::2]  # each value appears as +/- a pair
 
 
 def ppt_symplectic_eigenvalues(rcm: ReducedCM) -> np.ndarray:
@@ -180,10 +313,7 @@ def ppt_symplectic_eigenvalues(rcm: ReducedCM) -> np.ndarray:
     Partial transposition flips the second mode's momentum; the symplectic
     eigenvalues are the moduli of the eigenvalues of i*Omega*V~ (each doubled).
     """
-    flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    v_tilde = flip @ rcm.matrix @ flip
-    eig = np.linalg.eigvals(1j * symplectic_form(2) @ v_tilde)
-    return np.sort(np.abs(eig.real))[::2]  # each value appears as +/- a pair
+    return _ppt_spectrum(rcm.matrix)
 
 
 def log_negativity(rcm: ReducedCM) -> tuple[float, float]:
@@ -192,19 +322,11 @@ def log_negativity(rcm: ReducedCM) -> tuple[float, float]:
     eta^- = 2^{-1/2} * sqrt(Sigma - sqrt(Sigma^2 - 4 det V)), with
     Sigma = det A + det B - 2 det C; E_N = max(0, -ln 2 eta^-).
     """
-    det_a, det_b, det_c, det_v = _determinants(rcm)
-    if det_v < -DISCRIMINANT_CLAMP * max(det_a * det_b, 1.0):
-        raise NonPhysicalCMError(f"negative two-mode determinant {det_v:.6g}")
-    sigma = det_a + det_b - 2.0 * det_c
-    disc = sigma**2 - 4.0 * det_v
-    if disc < 0.0:
-        if disc < -DISCRIMINANT_CLAMP * sigma**2:
-            raise NonPhysicalCMError(
-                f"discriminant {disc:.6g} negative beyond clamp tolerance")
-        disc = 0.0
-    eta_minus = np.sqrt(0.5 * (sigma - np.sqrt(disc)))
-    e_n = max(0.0, -np.log(2.0 * eta_minus))
-    return float(e_n), float(eta_minus)
+    failures = no_failures(1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        e_n, eta_minus = _log_negativity(_determinants(rcm.matrix[None]), failures)
+    raise_failure(failures)
+    return float(e_n[0]), float(eta_minus[0])
 
 
 def steering(rcm: ReducedCM, direction: str = "forward") -> float:
@@ -215,11 +337,56 @@ def steering(rcm: ReducedCM, direction: str = "forward") -> float:
     """
     if direction not in ("forward", "backward"):
         raise ParameterError("direction must be 'forward' or 'backward'")
-    det_a, det_b, _, det_v = _determinants(rcm)
-    if det_v <= 0.0:
-        raise NonPhysicalCMError(f"non-positive two-mode determinant {det_v:.6g}")
-    numerator = det_a if direction == "forward" else det_b
-    return float(max(0.0, 0.5 * np.log(numerator / (4.0 * det_v))))
+    failures = no_failures(1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s_12, s_21 = _steering(_determinants(rcm.matrix[None]), failures)
+    raise_failure(failures)
+    return float((s_12 if direction == "forward" else s_21)[0])
+
+
+class PairBatch:
+    """Entanglement and steering of P mode pairs over N covariance matrices.
+
+    Every measure is an (N, P) array and comes from one determinant set per
+    pair. Steering needs only a positive two-mode determinant
+    (``steering_failures``). The entanglement failures (``failures``) add the
+    eta^- checks and the PPT cross-check, which run for the ``checked`` pairs
+    only: E_N and eta^- of any other pair are unchecked.
+    """
+
+    def __init__(self, v: np.ndarray, pairs: tuple[str, ...],
+                 checked: tuple[str, ...] = ()) -> None:
+        idx = np.array([_pair_indices(pair) for pair in pairs])
+        sub = v[:, idx[:, :, None], idx[:, None, :]]
+        dets = _determinants(sub)
+        shape = sub.shape[:2]
+        self.steering_failures = no_failures(shape)
+        self.failures = no_failures(shape)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            self.s_12, self.s_21 = _steering(dets, self.steering_failures)
+            self.e_n, self.eta_minus = _log_negativity(dets, self.failures)
+        # eta^- is computed twice: from the determinant formula and from the
+        # partially transposed symplectic spectrum. The two must agree to
+        # CROSS_CHECK_TOL relative.
+        mask = alive(self.failures) & [pair in checked for pair in pairs]
+        eta_ppt = np.full(shape, np.nan)
+        eta_ppt[mask] = _ppt_spectrum(sub[mask])[:, 0]
+        eta = self.eta_minus
+        record_failures(
+            self.failures,
+            np.abs(eta_ppt - eta) > CROSS_CHECK_TOL * np.maximum(np.abs(eta), 1e-30),
+            lambda k: CrossCheckMismatchError(
+                f"eta^- mismatch: formula {float(eta[k])!r} vs "
+                f"symplectic {float(eta_ppt[k])!r}"))
+        record_failures(self.failures, ~alive(self.steering_failures),
+                        lambda k: self.steering_failures[k])
+
+
+def pair_of_modes(source: str, target: str) -> tuple[str, bool]:
+    """The pair label holding two modes, and whether ``source`` comes first."""
+    _mode_indices(source, target)
+    pair = next(p for p in PAIRS if {source, target} == set(p))
+    return pair, pair[0] == source
 
 
 def pair_measures(cm: CovarianceMatrix | np.ndarray, pair: str) -> PairMeasures:
@@ -229,19 +396,17 @@ def pair_measures(cm: CovarianceMatrix | np.ndarray, pair: str) -> PairMeasures:
     partially transposed symplectic spectrum — and the two must agree to
     CROSS_CHECK_TOL relative.
     """
-    rcm = reduce_cm(cm, pair)
-    e_n, eta_minus = log_negativity(rcm)
-    eta_ppt = float(ppt_symplectic_eigenvalues(rcm)[0])
-    if abs(eta_ppt - eta_minus) > CROSS_CHECK_TOL * max(abs(eta_minus), 1e-30):
-        raise CrossCheckMismatchError(
-            f"eta^- mismatch: formula {eta_minus!r} vs symplectic {eta_ppt!r}")
-    return PairMeasures(pair=pair, e_n=e_n,
-                        s_12=steering(rcm, "forward"),
-                        s_21=steering(rcm, "backward"),
-                        eta_minus=eta_minus)
+    batch = PairBatch(_matrix(cm)[None], (pair,), checked=(pair,))
+    raise_failure(batch.failures)
+    return PairMeasures(pair=pair, e_n=float(batch.e_n[0, 0]),
+                        s_12=float(batch.s_12[0, 0]), s_21=float(batch.s_21[0, 0]),
+                        eta_minus=float(batch.eta_minus[0, 0]))
 
 
 def steering_between(cm: CovarianceMatrix | np.ndarray, source: str,
                      target: str) -> float:
     """Steering from ``source`` mode to ``target`` mode (modes 'a', 'm', 'b')."""
-    return steering(reduce_modes(cm, source, target), "forward")
+    pair, forward = pair_of_modes(source, target)
+    batch = PairBatch(_matrix(cm)[None], (pair,))
+    raise_failure(batch.steering_failures)
+    return float((batch.s_12 if forward else batch.s_21)[0, 0])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, replace, fields
+from dataclasses import dataclass, replace
 
 from scipy.constants import hbar, k as k_B
 
@@ -130,6 +130,35 @@ def two_mode_eigenfrequencies(delta: float, kappa_a: float, kappa_m: float,
     return base + root, base - root
 
 
+def parameter_violations(values):
+    """Each rule of a valid :class:`SystemParams`, as (violated, message).
+
+    ``values`` maps every field name to None or a number. Numbers may also be
+    arrays with one entry per point, and "violated" is then a mask over the
+    points. Rules come in the order they are checked.
+    """
+    for name, val in values.items():
+        if val is not None:
+            yield ((val != val) | (abs(val) == math.inf),
+                   f"SystemParams.{name} is not finite")
+    yield values["kappa_m"] <= 0.0, "kappa_m must be positive"
+    yield values["gamma_b"] <= 0.0, "gamma_b must be positive"
+    yield values["omega_b"] <= 0.0, "omega_b must be positive"
+    yield ((values["g_ma"] < 0.0) | (values["g_mb"] < 0.0),
+           "coupling rates must be non-negative")
+    yield values["temperature"] < 0.0, "temperature must be non-negative"
+    has_g = values["G_eff"] is not None
+    has_drive = values["epsilon_d"] is not None and values["g_mb"] > 0.0
+    yield (has_g == has_drive,
+           "exactly one of G_eff or (epsilon_d with g_mb > 0) must be given")
+    if has_g:
+        yield values["G_eff"] < 0.0, "G_eff must be non-negative"
+    if values["epsilon_d"] is not None:
+        yield values["epsilon_d"] < 0.0, "epsilon_d must be non-negative"
+    yield (values["delta_m_eff"] is None and values["delta_m"] is None,
+           "delta_m is required when delta_m_eff is self-consistent")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """All physical rates and detunings of the three-mode system, in rad/s.
@@ -157,32 +186,9 @@ class SystemParams:
     epsilon_d: float | None = None
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if val is not None and not math.isfinite(val):
-                raise ParameterError(f"SystemParams.{f.name} is not finite")
-        if self.kappa_m <= 0.0:
-            raise ParameterError("kappa_m must be positive")
-        if self.gamma_b <= 0.0:
-            raise ParameterError("gamma_b must be positive")
-        if self.omega_b <= 0.0:
-            raise ParameterError("omega_b must be positive")
-        if self.g_ma < 0.0 or self.g_mb < 0.0:
-            raise ParameterError("coupling rates must be non-negative")
-        if self.temperature < 0.0:
-            raise ParameterError("temperature must be non-negative")
-        has_g = self.G_eff is not None
-        has_drive = self.epsilon_d is not None and self.g_mb > 0.0
-        if has_g == has_drive:
-            raise ParameterError(
-                "exactly one of G_eff or (epsilon_d with g_mb > 0) must be given")
-        if self.G_eff is not None and self.G_eff < 0.0:
-            raise ParameterError("G_eff must be non-negative")
-        if self.epsilon_d is not None and self.epsilon_d < 0.0:
-            raise ParameterError("epsilon_d must be non-negative")
-        if self.delta_m_eff is None and self.delta_m is None:
-            raise ParameterError(
-                "delta_m is required when delta_m_eff is self-consistent")
+        for violated, message in parameter_violations(vars(self)):
+            if violated:
+                raise ParameterError(message)
 
     @classmethod
     def from_cyclic(cls, **kwargs) -> "SystemParams":

@@ -6,6 +6,7 @@ import functools
 import io
 import json
 import math
+import operator
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -14,15 +15,22 @@ import numpy as np
 
 from . import measures as _measures
 from .config import build_params, default_config
-from .dynamics import (GAIN_NOISE_MODES, StabilityReport, diffusion_from_params,
-                       drift_from_params, stability)
+from .dynamics import (GAIN_NOISE_MODES, StabilityReport, diffusion_diagonals,
+                       drift_matrices, stability_batch)
 from .errors import (BracketInvalidError, MagnomechError, ParameterError,
-                     UnstableSystemError)
-from .model import SystemParams
+                     UnstableSystemError, alive, no_failures, raise_failure,
+                     record_failures, store_failure)
+from .model import (SystemParams, parameter_violations, pt_classify,
+                    thermal_occupation)
 from .steady_state import working_point
 
 #: Relative (to omega_b) tolerance used for every stability verdict in sweeps.
 STABILITY_REL_TOL = 1e-9
+
+#: Grid points evaluated together as one stack of arrays. Per-call overhead
+#: is already small at this size, while the (N, 36, 36) Lyapunov systems
+#: grow peak memory with N.
+BATCH_SIZE = 64
 
 _NUMERIC_FIELDS = tuple(f.name for f in fields(SystemParams))
 
@@ -70,21 +78,24 @@ def _check_parameter_name(name: str) -> None:
             f"{sorted(_NUMERIC_FIELDS) + sorted(_DERIVED_PARAMS) + ['temperature']}")
 
 
-def apply_parameter(params: SystemParams, name: str, value: float) -> SystemParams:
-    """Return a copy of ``params`` with one swept parameter applied."""
+def _parameter_changes(values, name: str, value) -> dict:
+    """Fields changed by one swept parameter, from the current ``values``
+    (a SystemParams' fields or the columns of a batch)."""
     _check_parameter_name(name)
-    if name == "temperature":
-        return params.replace(temperature=value)
     if name == "delta_over_omega_b":
-        d = value * params.omega_b
-        return params.replace(delta_a=d, delta_m_eff=d)
+        d = value * values["omega_b"]
+        return {"delta_a": d, "delta_m_eff": d}
     if name in _DERIVED_PARAMS:
         target, ref = _DERIVED_PARAMS[name]
-        ref_val = getattr(params, ref)
-        if ref_val is None:
+        if values[ref] is None:
             raise ParameterError(f"sweep parameter {name} needs {ref} to be set")
-        return params.replace(**{target: value * ref_val})
-    return params.replace(**{name: value})
+        return {target: value * values[ref]}
+    return {name: value}
+
+
+def apply_parameter(params: SystemParams, name: str, value: float) -> SystemParams:
+    """Return a copy of ``params`` with one swept parameter applied."""
+    return params.replace(**_parameter_changes(vars(params), name, value))
 
 
 @dataclass(frozen=True)
@@ -130,14 +141,13 @@ class SweepSpec:
         for out in self.outputs:
             _classify_output(out)
 
-    def grid(self) -> list[tuple[float, ...]]:
-        """Grid points in row order, first axis outermost."""
-        if len(self.axes) == 1:
-            return [(v,) for v in self.axes[0].values()]
-        first, second = self.axes[0].values(), self.axes[1].values()
-        return [(u, v) for u in first for v in second]
+    def grid(self) -> np.ndarray:
+        """Grid points (one row each, one column per axis), first axis outermost."""
+        mesh = np.meshgrid(*(axis.values() for axis in self.axes), indexing="ij")
+        return np.stack(mesh, axis=-1).reshape(-1, len(self.axes))
 
 
+@functools.lru_cache(maxsize=1024)
 def _classify_output(output: str) -> tuple[str, tuple]:
     """(kind, arguments) of one output name.
 
@@ -161,6 +171,122 @@ def _classify_output(output: str) -> tuple[str, tuple]:
     raise ParameterError(f"unknown sweep output {output!r}")
 
 
+def _columns(params: SystemParams, n: int = 1) -> dict:
+    """``params`` as batch columns: None or an n-vector per field."""
+    given = {name: value for name, value in vars(params).items()
+             if value is not None}
+    block = np.repeat(np.array(list(given.values()), dtype=np.float64)[:, None],
+                      n, axis=1)
+    columns = dict.fromkeys(vars(params))
+    columns.update(zip(given, block))
+    return columns
+
+
+def _check_columns(columns: dict, failures: np.ndarray) -> None:
+    """Record, at each invalid point, the first SystemParams rule it breaks."""
+    rules = list(parameter_violations(columns))
+    if not np.any(functools.reduce(operator.or_, (bad for bad, _ in rules))):
+        return
+    for violated, message in rules:
+        record_failures(failures, np.broadcast_to(violated, failures.shape),
+                        lambda k: ParameterError(message))
+
+
+def _working_points(columns: dict, failures: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Effective coupling and magnon detuning per point.
+
+    Preset points read both off their columns; drive-mode points solve for
+    them one by one with :func:`working_point`.
+    """
+    if columns["G_eff"] is not None and columns["delta_m_eff"] is not None:
+        return columns["G_eff"], columns["delta_m_eff"]
+    g_eff, delta_m_eff = np.zeros(len(failures)), np.zeros(len(failures))
+    for k in np.flatnonzero(alive(failures)):
+        try:
+            wp = working_point(SystemParams(**{
+                name: None if col is None else float(col[k])
+                for name, col in columns.items()}))
+        except MagnomechError as exc:
+            store_failure(failures, k, exc)
+            continue
+        g_eff[k], delta_m_eff[k] = wp.G, wp.delta_m_eff
+    return g_eff, delta_m_eff
+
+
+def _diffusions(columns: dict, rows: np.ndarray, gain_noise: str,
+                failures: np.ndarray) -> np.ndarray:
+    """Diffusion matrices (len(rows), 6, 6) at the given points."""
+    if gain_noise not in GAIN_NOISE_MODES:
+        failures[:] = ParameterError(
+            f"gain_noise must be one of {GAIN_NOISE_MODES}")
+    omegas = [columns[name][rows].tolist()
+              for name in ("omega_a", "omega_m", "omega_b")]
+    occupations = np.zeros((3, len(rows)))
+    for i, temperature in enumerate(columns["temperature"][rows].tolist()):
+        try:
+            occupations[:, i] = [thermal_occupation(omega[i], temperature)
+                                 for omega in omegas]
+        except MagnomechError as exc:
+            store_failure(failures, i, exc)
+    d = np.zeros((len(rows), 6, 6))
+    d.reshape(-1, 36)[:, ::7] = diffusion_diagonals(
+        columns["kappa_a"][rows], columns["kappa_m"][rows],
+        columns["gamma_b"][rows], *occupations, gain_noise)
+    return d
+
+
+@dataclass
+class _Solution:
+    """Pipeline results over N points.
+
+    ``reported`` marks the points that came through the whole pipeline, so
+    that their stability verdict is reported, and ``solved`` those of them
+    with a covariance matrix; other entries are undefined.
+    """
+
+    max_lyapunov: np.ndarray
+    stable: np.ndarray
+    eigenvalues: np.ndarray
+    reported: np.ndarray
+    v: np.ndarray
+    residual: np.ndarray
+    solved: np.ndarray
+
+
+def _solve(columns: dict, failures: np.ndarray, gain_noise: str,
+           covariance: bool) -> _Solution:
+    """Working point -> drift -> stability -> diffusion -> Lyapunov covariance.
+
+    ``columns`` maps each SystemParams field to None or an N-vector. Points
+    already failed are skipped; each stage records the error that stops a
+    point there. Covariance matrices are solved, when ``covariance`` is set,
+    at the stable points.
+    """
+    g_eff, delta_m_eff = _working_points(columns, failures)
+    a, finite = drift_matrices(
+        columns["delta_a"], delta_m_eff, columns["kappa_a"], columns["kappa_m"],
+        columns["gamma_b"], columns["omega_b"], columns["g_ma"], g_eff)
+    record_failures(failures, ~finite, lambda k: ParameterError(
+        "quadrature_drift: non-finite input"))
+    eigenvalues, max_lyapunov, stable = stability_batch(
+        a, STABILITY_REL_TOL * columns["omega_b"], failures)
+    n = len(failures)
+    v, residual = np.full((n, 6, 6), np.nan), np.full(n, np.nan)
+    rows = np.flatnonzero(alive(failures) & stable)
+    if covariance and rows.size:
+        sub_failures = failures[rows]
+        d = _diffusions(columns, rows, gain_noise, sub_failures)
+        v[rows], residual[rows] = _measures.lyapunov_batch(
+            a[rows], d, eigenvalues[rows], sub_failures)
+        failures[rows] = sub_failures
+    reported = alive(failures)
+    solved = reported & stable if covariance else np.zeros(n, bool)
+    return _Solution(max_lyapunov=max_lyapunov, stable=stable,
+                     eigenvalues=eigenvalues, reported=reported, v=v,
+                     residual=residual, solved=solved)
+
+
 def solve_point(params: SystemParams, gain_noise: str = "vacuum",
                 covariance: bool = False, require_stable: bool = False
                 ) -> tuple[StabilityReport, _measures.CovarianceMatrix | None]:
@@ -170,14 +296,89 @@ def solve_point(params: SystemParams, gain_noise: str = "vacuum",
     point is stable, the covariance matrix (else None). With
     ``require_stable`` an unstable point raises UnstableSystemError instead.
     """
-    drift = drift_from_params(params, working_point(params))
-    tol = STABILITY_REL_TOL * params.omega_b
-    report = stability(drift, tol)
+    failures = no_failures(1)
+    sol = _solve(_columns(params), failures, gain_noise, covariance)
+    raise_failure(failures)
+    report = StabilityReport(eigenvalues=sol.eigenvalues[0],
+                             max_lyapunov=float(sol.max_lyapunov[0]),
+                             stable=bool(sol.stable[0]))
     if not covariance or not (report.stable or require_stable):
         return report, None
-    diffusion = diffusion_from_params(params, gain_noise=gain_noise)
-    return report, _measures.solve_lyapunov(drift, diffusion, stability_tol=tol,
-                                            stability_report=report)
+    _measures.check_stable(report, STABILITY_REL_TOL * params.omega_b)
+    v = sol.v[0]
+    return report, _measures.CovarianceMatrix(
+        v=v, physicality_margin=_measures.physicality_margin(v),
+        residual=float(sol.residual[0]))
+
+
+def _cells(values: np.ndarray, mask: np.ndarray) -> list:
+    """Plain Python values, None where ``mask`` is False."""
+    return [v if ok else None for v, ok in zip(values.tolist(), mask.tolist())]
+
+
+def _evaluate(columns: dict, failures: np.ndarray, outputs: tuple[str, ...],
+              gain_noise: str) -> list[list]:
+    """Rows of output values plus the error code, one per point.
+
+    Unstable points yield None for every covariance-based output (sentinel),
+    never zeros. Measures are taken in output order; the first one that fails
+    at a point sets its error and leaves the later measures None.
+    """
+    kinds = [_classify_output(out) for out in outputs]
+    sol = _solve(columns, failures, gain_noise,
+                 covariance=any(kind != "report" for kind, _ in kinds))
+    n = len(failures)
+    cells: dict[str, list] = {}
+    if "stable" in outputs:
+        cells["stable"] = _cells(sol.stable.astype(int), sol.reported)
+    if "max_lyapunov" in outputs:
+        cells["max_lyapunov"] = _cells(sol.max_lyapunov, sol.reported)
+    if "pt_phase" in outputs:
+        cells["pt_phase"] = [
+            pt_classify(g, ka, km).tag if ok else None for g, ka, km, ok
+            in zip(columns["g_ma"].tolist(), columns["kappa_a"].tolist(),
+                   columns["kappa_m"].tolist(), sol.reported)]
+    if "residual" in outputs:
+        cells["residual"] = _cells(sol.residual, sol.solved)
+    solved = np.flatnonzero(sol.solved)
+    if "physicality_margin" in outputs:
+        margins = np.full(n, np.nan)
+        margins[solved] = _measures.physicality_margins(sol.v[solved])
+        cells["physicality_margin"] = _cells(margins, sol.solved)
+    # Pair measures: (output, kind, (pair, forward)) in output order.
+    wanted = [(out, kind, _measures.pair_of_modes(*args) if kind == "steering"
+               else (args[0], True)) for out, (kind, args) in zip(outputs, kinds)
+              if kind in ("e_n", "eta", "steering")]
+    if wanted and solved.size:
+        pairs = tuple(dict.fromkeys(pair for _, _, (pair, _) in wanted))
+        batch = _measures.PairBatch(sol.v[solved], pairs, checked=tuple(
+            pair for _, kind, (pair, _) in wanted if kind != "steering"))
+        values, stops = [], []
+        for _, kind, (pair, forward) in wanted:
+            col = pairs.index(pair)
+            if kind == "steering":
+                values.append((batch.s_12 if forward else batch.s_21)[:, col])
+                stops.append(batch.steering_failures[:, col])
+            else:
+                values.append((batch.e_n if kind == "e_n" else batch.eta_minus)[:, col])
+                stops.append(batch.failures[:, col])
+        # The first measure (in output order) that fails stops the point.
+        stop_table = np.array(stops, dtype=object)
+        failed = ~alive(stop_table)
+        first = np.where(failed.any(axis=0), failed.argmax(axis=0), len(wanted))
+        stopped = first < len(wanted)
+        failures[solved[stopped]] = stop_table[first[stopped], np.flatnonzero(stopped)]
+        full = np.full((len(wanted), n), np.nan)
+        full[:, solved] = values
+        valid = np.zeros((len(wanted), n), bool)
+        valid[:, solved] = np.arange(len(wanted))[:, None] < first
+        for j, (out, _, _) in enumerate(wanted):
+            cells[out] = _cells(full[j], valid[j])
+    for out in outputs:
+        cells.setdefault(out, [None] * n)
+    codes = [failure.code if failure is not None else "" for failure in failures]
+    return [[*point, code] for point, code in
+            zip(zip(*(cells[out] for out in outputs)), codes)]
 
 
 def evaluate_point(params: SystemParams, outputs: tuple[str, ...],
@@ -188,64 +389,38 @@ def evaluate_point(params: SystemParams, outputs: tuple[str, ...],
     never zeros. Per-point failures are reported in the "error" entry.
     """
     result: dict = {out: None for out in outputs}
-    result["error"] = ""
     try:
-        kinds = [_classify_output(out) for out in outputs]
-        report, cm = solve_point(params, gain_noise, covariance=any(
-            kind != "report" for kind, _ in kinds))
-        if "stable" in result:
-            result["stable"] = int(report.stable)
-        if "max_lyapunov" in result:
-            result["max_lyapunov"] = report.max_lyapunov
-        if "pt_phase" in result:
-            result["pt_phase"] = params.pt_phase().tag
-        if cm is None:
-            return result
-        if "residual" in result:
-            result["residual"] = cm.residual
-        if "physicality_margin" in result:
-            result["physicality_margin"] = cm.physicality_margin
-        cache: dict[str, _measures.PairMeasures] = {}
-        for out, (kind, args) in zip(outputs, kinds):
-            if kind in ("e_n", "eta"):
-                pair = args[0]
-                if pair not in cache:
-                    cache[pair] = _measures.pair_measures(cm, pair)
-                result[out] = cache[pair].e_n if kind == "e_n" \
-                    else cache[pair].eta_minus
-            elif kind == "steering":
-                result[out] = _measures.steering_between(cm, args[0], args[1])
-    except MagnomechError as exc:
+        for out in outputs:
+            _classify_output(out)
+    except ParameterError as exc:
         result["error"] = exc.code
+        return result
+    *values, result["error"] = _evaluate(_columns(params), no_failures(1),
+                                         outputs, gain_noise)[0]
+    result.update(zip(outputs, values))
     return result
 
 
-def _series_params(spec: SweepSpec, series: Series,
-                   point: tuple[float, ...]) -> SystemParams:
-    params = spec.base
-    for name, value in series.overrides:
-        params = apply_parameter(params, name, value)
-    for axis, value in zip(spec.axes, point):
-        params = apply_parameter(params, axis.name, value)
-    return params
-
-
-def _evaluate_range(spec: SweepSpec, start: int, stop: int) -> list[list]:
-    grid = spec.grid()
-    rows = []
-    for i in range(start, stop):
-        point = grid[i]
-        row: list = list(point)
-        for series in spec.series:
-            try:
-                params = _series_params(spec, series, point)
-                values = evaluate_point(params, spec.outputs, spec.gain_noise)
-            except MagnomechError as exc:
-                values = {out: None for out in spec.outputs}
-                values["error"] = exc.code
-            row.extend(values[out] for out in spec.outputs)
-            row.append(values["error"])
-        rows.append(row)
+def _evaluate_batch(spec: "SweepSpec", points: np.ndarray) -> list[list]:
+    """Rows of a batch of grid points: axis values, then each series' cells."""
+    rows = points.tolist()
+    n = len(points)
+    for series in spec.series:
+        columns, failures = _columns(spec.base, n), no_failures(n)
+        steps = [(name, np.full(n, value)) for name, value in series.overrides]
+        steps += [(axis.name, points[:, i]) for i, axis in enumerate(spec.axes)]
+        with np.errstate(all="ignore"):
+            for name, value in steps:
+                try:
+                    columns.update(_parameter_changes(columns, name, value))
+                except ParameterError as exc:
+                    for k in np.flatnonzero(alive(failures)):
+                        store_failure(failures, k, exc)
+                    break
+                _check_columns(columns, failures)
+        for row, cells in zip(rows, _evaluate(columns, failures, spec.outputs,
+                                              spec.gain_noise)):
+            row.extend(cells)
     return rows
 
 
@@ -276,7 +451,7 @@ class SweepResult:
         buf = io.StringIO()
         buf.write(",".join(self.columns) + "\n")
         for row in self.rows:
-            buf.write(",".join(_format_cell(v) for v in row) + "\n")
+            buf.write(",".join(map(_format_cell, row)) + "\n")
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -287,11 +462,9 @@ class SweepResult:
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{value:.12g}"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
 
 
 def _column_names(spec: SweepSpec) -> dict[str, str]:
@@ -319,21 +492,23 @@ def _result_columns(spec: SweepSpec) -> list[str]:
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
-    """Evaluate the grid; results are identical for any worker count."""
-    n = len(spec.grid())
+    """Evaluate the grid in batches of BATCH_SIZE points.
+
+    Up to ``jobs`` worker processes, never more than there are batches,
+    share the batches; results are identical for any worker count.
+    """
     if jobs < 1:
         raise ParameterError("jobs must be >= 1")
-    if jobs == 1 or n < 64:
-        rows = _evaluate_range(spec, 0, n)
+    grid = spec.grid()
+    batches = [grid[s:s + BATCH_SIZE] for s in range(0, len(grid), BATCH_SIZE)]
+    workers = min(jobs, len(batches))
+    if workers == 1:
+        parts = [_evaluate_batch(spec, points) for points in batches]
     else:
-        chunk = max(1, math.ceil(n / (jobs * 4)))
-        bounds = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-        rows_by_chunk: list[list[list]] = [None] * len(bounds)  # type: ignore
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_evaluate_range, spec, s, e) for s, e in bounds]
-            for i, fut in enumerate(futures):
-                rows_by_chunk[i] = fut.result()
-        rows = [row for chunk_rows in rows_by_chunk for row in chunk_rows]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_evaluate_batch, [spec] * len(batches), batches,
+                                  chunksize=math.ceil(len(batches) / (4 * workers))))
+    rows = [row for part in parts for row in part]
     return SweepResult(spec=spec, columns=_result_columns(spec), rows=rows)
 
 
@@ -353,8 +528,12 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
 
     Requires E_N > 0 at ``t_lo`` and E_N = 0 at ``t_hi`` with the system
     stable across the bracket; returns the midpoint of the final bracket,
-    with absolute tolerance ``tol`` kelvin (default 0.1 mK).
+    with absolute tolerance ``tol`` kelvin (default 0.1 mK), which must be
+    positive and finite.
     """
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"tol must be positive and finite, got {tol!r}")
+
     def e_n(temperature: float) -> float:
         _, cm = solve_point(base.replace(temperature=temperature), gain_noise,
                             covariance=True, require_stable=True)

@@ -86,6 +86,18 @@ class TestMeasures:
         assert out == ""
         assert json.loads(err)["error"] == "unstable"
 
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--jobs", "2"), ("steady-state", "--jobs", "2"),
+        ("drift", "--jobs", "2"), ("stability", "--jobs", "2"),
+        ("measures", "--jobs", "2"), ("vanish-temp", "--jobs", "2"),
+        ("classify", "--gain-noise", "reversed"),
+        ("steady-state", "--gain-noise", "reversed"),
+        ("drift", "--gain-noise", "reversed"),
+        ("stability", "--gain-noise", "reversed")])
+    def test_flag_without_effect_exits_2(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+
     def test_unknown_key_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "measures", "--set", "bogus=1.0")
         assert code == 2

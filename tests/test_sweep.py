@@ -1,14 +1,84 @@
+import gc
 import math
 
 import pytest
 
-from magnomech import (Axis, BracketInvalidError, ParameterError, Series,
+from magnomech import (Axis, BracketInvalidError, MagnomechError,
+                       ParameterError, Series,
                        SweepSpec, default_params, evaluate_point,
                        figure_preset, run_sweep, stability_map,
                        vanishing_temperature)
-from magnomech.sweep import FIGURE_NAMES, apply_parameter
+from magnomech import sweep
+from magnomech.sweep import BATCH_SIZE, FIGURE_NAMES, apply_parameter
 
 OMEGA_B = default_params().omega_b
+
+
+def ep_crossing_spec() -> SweepSpec:
+    """A g_ma sweep across (kappa_a + kappa_m)/2 = 0.06 omega_b, two batches."""
+    return SweepSpec(
+        base=default_params().replace(G_eff=0.05 * OMEGA_B),
+        axes=(Axis("gma_over_omega_b", 0.0, 0.12, 101),),
+        outputs=("pt_phase", "stable", "E_N(am)", "S(m->b)", "S(a->m)",
+                 "eta_minus(ab)", "max_lyapunov", "residual",
+                 "physicality_margin"),
+        gain_noise="reversed")
+
+
+def drive_spec() -> SweepSpec:
+    """Drive-mode (self-consistent) points, most of which do not converge."""
+    drive = default_params().replace(
+        delta_m_eff=None, delta_m=-0.95 * OMEGA_B, G_eff=None, epsilon_d=9.2e13)
+    return SweepSpec(base=drive, axes=(Axis("epsilon_d", 8.6e13, 9.4e13, 9),),
+                     outputs=("stable", "E_N(bm)", "S(b->m)"))
+
+
+def fig4b_edge_spec() -> SweepSpec:
+    """fig4b's last two detuning rows; the Delta = 0 row has cross-check
+    mismatches."""
+    spec = figure_preset("fig4b")
+    return SweepSpec(base=spec.base,
+                     axes=(Axis("delta_over_omega_b", -0.02, 0.0, 2), spec.axes[1]),
+                     outputs=spec.outputs)
+
+
+def unstable_spec() -> SweepSpec:
+    return SweepSpec(base=default_params().replace(g_ma=0.06 * OMEGA_B),
+                     axes=(Axis("G_over_omega_b", 0.0, 0.25, 11),),
+                     outputs=("E_N(am)", "S(a->m)", "stable", "max_lyapunov",
+                              "residual"),
+                     series=(Series("gain"), Series("loss", (("kappa_a", -2e5),))))
+
+
+def covariance_failure_spec() -> SweepSpec:
+    """A negative cavity frequency has no thermal occupation, so every stable
+    point fails at the diffusion stage; unstable ones never get there."""
+    base = default_params().replace(g_ma=0.06 * OMEGA_B)
+    return SweepSpec(base=base.replace(omega_a=-base.omega_a),
+                     axes=(Axis("G_over_omega_b", 0.0, 0.25, 11),),
+                     outputs=("stable", "max_lyapunov", "E_N(am)", "residual"))
+
+
+def point_rows(spec: SweepSpec) -> list[list]:
+    """The rows of ``spec`` evaluated one point at a time."""
+    rows = []
+    for point in spec.grid().tolist():
+        row = list(point)
+        for series in spec.series:
+            try:
+                params = spec.base
+                for name, value in series.overrides:
+                    params = apply_parameter(params, name, value)
+                for axis, value in zip(spec.axes, point):
+                    params = apply_parameter(params, axis.name, value)
+            except ParameterError as exc:
+                values = dict.fromkeys(spec.outputs)
+                values["error"] = exc.code
+            else:
+                values = evaluate_point(params, spec.outputs, spec.gain_noise)
+            row.extend(values[out] for out in (*spec.outputs, "error"))
+        rows.append(row)
+    return rows
 
 
 class TestApplyParameter:
@@ -98,10 +168,85 @@ class TestRunSweep:
         assert line.split(",")[1] == ""  # empty cell, not "0"
 
     def test_worker_count_does_not_change_bytes(self):
-        spec = figure_preset("fig3a")
-        a = run_sweep(spec, jobs=1).to_csv()
-        b = run_sweep(spec, jobs=3).to_csv()
-        assert a == b
+        for spec in (figure_preset("fig3a"), ep_crossing_spec()):
+            a = run_sweep(spec, jobs=1).to_csv()
+            b = run_sweep(spec, jobs=3).to_csv()
+            assert a == b
+
+    def test_pool_never_exceeds_batches(self, monkeypatch):
+        max_workers_seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                max_workers_seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+        spec = SweepSpec(base=default_params(),
+                         axes=(Axis("G_over_omega_b", 0.0, 0.5,
+                                    2 * BATCH_SIZE + 1),),
+                         outputs=("stable",))
+        serial = run_sweep(spec, jobs=1).rows
+        assert max_workers_seen == []
+        assert run_sweep(spec, jobs=5000).rows == serial
+        assert max_workers_seen == [3]
+        run_sweep(spec, jobs=2)
+        assert max_workers_seen == [3, 2]
+
+    @pytest.mark.parametrize("make_spec, codes", [
+        (ep_crossing_spec, {""}),
+        (drive_spec, {"", "non_convergence"}),
+        (fig4b_edge_spec, {"", "cross_check_mismatch"}),
+        (unstable_spec, {""}),
+        (covariance_failure_spec, {"", "parameter_error"})])
+    def test_batched_rows_match_single_points(self, make_spec, codes):
+        spec = make_spec()
+        result = run_sweep(spec)
+        assert result.rows == point_rows(spec)
+        for row in result.rows:
+            assert all(type(cell) in (int, float, str, type(None)) for cell in row)
+        assert {code for series in spec.series
+                for code in result.column("error", series.label)} == codes
+        assert {0, 1} & set(result.column("stable", spec.series[0].label))
+
+    def test_failed_points_leave_no_garbage(self):
+        # The cycle collector cannot see into the object arrays that hold
+        # per-point failures, so a failure that kept its traceback would keep
+        # its frames, and the array, alive for good.
+        drive = drive_spec().base
+
+        def live_failures():
+            gc.collect()
+            return sum(isinstance(o, MagnomechError) for o in gc.get_objects())
+
+        def fail_twice():
+            assert evaluate_point(drive, ("stable",))["error"] == "non_convergence"
+            with pytest.raises(MagnomechError):
+                sweep.solve_point(drive)
+
+        fail_twice()
+        before = live_failures()
+        fail_twice()
+        assert live_failures() == before
+
+    def test_ep_crossing_has_stable_points_in_both_phases(self):
+        result = run_sweep(ep_crossing_spec())
+        phases = {phase for phase, stable in
+                  zip(result.column("pt_phase"), result.column("stable")) if stable}
+        assert {"Unbroken", "Broken"} <= phases
+
+    def test_covariance_stage_failure_leaves_no_verdict(self):
+        result = run_sweep(covariance_failure_spec())
+        assert set(zip(result.column("stable"), result.column("error"))) == {
+            (None, "parameter_error"), (0, "")}
 
     def test_series_become_labeled_columns(self):
         spec = SweepSpec(base=default_params(),
@@ -200,6 +345,14 @@ class TestVanishingTemperature:
                                ("E_N(am)",))
         assert below["E_N(am)"] > 0.0
         assert above["E_N(am)"] == 0.0
+
+    def test_tolerance_must_be_positive(self):
+        base = default_params().replace(kappa_a=-0.02 * OMEGA_B,
+                                        G_eff=0.25 * OMEGA_B)
+        # NaN first: the bisection never ends for tol <= 0.
+        for tol in (math.nan, 0.0, -1e-4, math.inf):
+            with pytest.raises(ParameterError, match="tol"):
+                vanishing_temperature(base, "am", 0.0, 0.35, tol=tol)
 
     def test_sub_millikelvin_bracket(self):
         # The cavity occupation at 0.5 mK overflows a naive exp; the search
