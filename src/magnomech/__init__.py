@@ -19,7 +19,7 @@ from .errors import (BracketInvalidError, ConfigError,
                      UnstableSystemError)
 from .measures import (CovarianceMatrix, PairMeasures, ReducedCM,
                        log_negativity, pair_measures, physicality_margin,
-                       ppt_symplectic_eigenvalues, reduce_cm, reduce_modes,
+                       ppt_symplectic_eigenvalues, reduce_modes,
                        solve_lyapunov, steering, steering_between,
                        symplectic_form)
 from .model import (GYROMAGNETIC_RATIO, PTPhase, PTRegime, SystemParams,
@@ -28,7 +28,7 @@ from .model import (GYROMAGNETIC_RATIO, PTPhase, PTRegime, SystemParams,
 from .steady_state import (WorkingPoint, self_consistent_working_point,
                            steady_magnon_amplitude, working_point)
 from .sweep import (Axis, Series, SweepResult, SweepSpec, default_params,
-                    evaluate_point, figure_preset, run_sweep, stability_map,
+                    evaluate_point, figure_preset, run_sweep,
                     vanishing_temperature)
 
 __version__ = "0.1.0"

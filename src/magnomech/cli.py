@@ -163,8 +163,7 @@ def _cmd_stability(args, params: SystemParams) -> str:
 
 
 def _cmd_measures(args, params: SystemParams) -> str:
-    _, cm = _sweep.solve_point(params, args.gain_noise, covariance=True,
-                               require_stable=True)
+    _, cm = _sweep.solve_point(params, args.gain_noise, covariance=True)
     pairs = _measures.PAIRS if args.pair == "all" else (args.pair,)
     objs = []
     for pair in pairs:

@@ -18,6 +18,10 @@ from .steady_state import WorkingPoint
 
 GAIN_NOISE_MODES = ("vacuum", "reversed")
 
+#: A drift is stable iff its largest eigenvalue real part lies below
+#: -STABILITY_REL_TOL * omega_b. This is the only stability verdict.
+STABILITY_REL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class QuadratureDrift:
@@ -152,12 +156,14 @@ def diffusion_from_params(params: SystemParams,
                             n_a, n_m, n_b, gain_noise=gain_noise)
 
 
-def stability_batch(a: np.ndarray, tol_abs: np.ndarray, failures: np.ndarray
+def stability_batch(a: np.ndarray, failures: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues (N, 6), maximal Lyapunov exponents and verdicts of N drifts.
 
-    Stable iff the largest eigenvalue real part is below -tol_abs. Points that
-    already failed are skipped (NaN); an eigenvalue failure is recorded.
+    Stable iff the largest eigenvalue real part is below
+    -STABILITY_REL_TOL * omega_b, with omega_b read from each drift's (4, 5)
+    entry. Points that already failed are skipped (NaN); an eigenvalue
+    failure is recorded.
     """
     eigenvalues = np.full(a.shape[:-1], np.nan, dtype=complex)
     rows = np.flatnonzero(alive(failures))
@@ -175,17 +181,15 @@ def stability_batch(a: np.ndarray, tol_abs: np.ndarray, failures: np.ndarray
                     lambda k: EigenSolveError(
                         "eigenvalue computation returned non-finite values"))
     max_lyapunov = eigenvalues.real.max(axis=-1)
-    return eigenvalues, max_lyapunov, max_lyapunov < -tol_abs
+    return (eigenvalues, max_lyapunov,
+            max_lyapunov < -(STABILITY_REL_TOL * a[:, 4, 5]))
 
 
-def stability(drift: QuadratureDrift, tol_abs: float = 0.0) -> StabilityReport:
-    """Eigenvalues, maximal Lyapunov exponent and the stability verdict.
-
-    Stable iff the largest eigenvalue real part is below -tol_abs.
-    """
+def stability(drift: QuadratureDrift) -> StabilityReport:
+    """Eigenvalues, maximal Lyapunov exponent and the stability verdict of
+    :func:`stability_batch`."""
     failures = no_failures(1)
-    eigenvalues, max_lyapunov, stable = stability_batch(
-        drift.a[None], np.array([tol_abs]), failures)
+    eigenvalues, max_lyapunov, stable = stability_batch(drift.a[None], failures)
     raise_failure(failures)
     return StabilityReport(eigenvalues=eigenvalues[0],
                            max_lyapunov=float(max_lyapunov[0]),

@@ -14,7 +14,8 @@ import scipy.linalg
 from .errors import (CrossCheckMismatchError, NonPhysicalCMError,
                      ParameterError, SingularSolveError, UnstableSystemError,
                      alive, no_failures, raise_failure, record_failures)
-from .dynamics import DiffusionMatrix, QuadratureDrift, StabilityReport, stability
+from .dynamics import (STABILITY_REL_TOL, DiffusionMatrix, QuadratureDrift,
+                       StabilityReport, stability)
 
 #: Mode pairs by label, first listed mode first: photon-magnon, phonon-magnon,
 #: photon-phonon.
@@ -58,10 +59,6 @@ class CovarianceMatrix:
     physicality_margin: float
     residual: float
 
-    @property
-    def physical(self) -> bool:
-        return self.physicality_margin >= -1e-9
-
 
 @dataclass(frozen=True)
 class ReducedCM:
@@ -98,11 +95,12 @@ def physicality_margin(v: np.ndarray) -> float:
     return float(physicality_margins(np.asarray(v, dtype=np.float64)))
 
 
-def check_stable(report: StabilityReport, stability_tol: float) -> None:
+def check_stable(report: StabilityReport) -> None:
     """Raise UnstableSystemError unless the report says stable."""
     if not report.stable:
         raise UnstableSystemError(
-            f"max Lyapunov exponent {report.max_lyapunov:.6g} >= -{stability_tol:.3g}")
+            f"max Lyapunov exponent {report.max_lyapunov:.6g} not below "
+            f"-{STABILITY_REL_TOL:g} omega_b")
 
 
 # Entries of the flattened 36x36 Kronecker sum I (x) A + A (x) I that come
@@ -196,19 +194,17 @@ def lyapunov_batch(a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray,
     return v, residual
 
 
-def solve_lyapunov(drift: QuadratureDrift, diffusion: DiffusionMatrix,
-                   stability_tol: float = 0.0,
-                   stability_report: StabilityReport | None = None) -> CovarianceMatrix:
+def solve_lyapunov(drift: QuadratureDrift,
+                   diffusion: DiffusionMatrix) -> CovarianceMatrix:
     """Solve A V + V A^T = -D for the steady-state covariance matrix.
 
     Assembles the vectorized 36x36 system (I (x) A + A (x) I) vec(V) = -vec(D)
-    and solves it densely. Raises UnstableSystemError when the drift has a
-    non-negative Lyapunov exponent and SingularSolveError when an eigenvalue
-    pair sums to (numerically) zero.
+    and solves it densely. Raises UnstableSystemError when :func:`stability`
+    calls the drift unstable and SingularSolveError when an eigenvalue pair
+    sums to (numerically) zero.
     """
-    report = stability_report if stability_report is not None \
-        else stability(drift, stability_tol)
-    check_stable(report, stability_tol)
+    report = stability(drift)
+    check_stable(report)
     failures = no_failures(1)
     v, residual = lyapunov_batch(drift.a[None], diffusion.d[None],
                                  np.asarray(report.eigenvalues)[None], failures)
@@ -237,19 +233,10 @@ def _matrix(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
                       dtype=np.float64)
 
 
-def reduce_cm(cm: CovarianceMatrix | np.ndarray, pair: str) -> ReducedCM:
-    """Extract the 4x4 principal submatrix of one mode pair.
-
-    The first listed mode of the pair label becomes block A (the steering
-    party of ``s_12``).
-    """
-    _pair_indices(pair)
-    return reduce_modes(cm, pair[0], pair[1])
-
-
 def reduce_modes(cm: CovarianceMatrix | np.ndarray, first: str,
                  second: str) -> ReducedCM:
-    """Two-mode reduction with an explicit mode order (modes 'a', 'm', 'b')."""
+    """4x4 principal submatrix of two modes ('a', 'm', 'b'), ``first`` as
+    block A (the steering party of forward steering)."""
     idx = _mode_indices(first, second)
     sub = _matrix(cm)[np.ix_(idx, idx)]
     return ReducedCM(block_a=sub[:2, :2].copy(), block_b=sub[2:, 2:].copy(),

@@ -1,7 +1,7 @@
 """Physical parameter record, unit conventions and two-mode phase classification.
 
-All rates and frequencies held by :class:`SystemParams` are angular (rad/s).
-Helpers accepting cyclic frequencies (Hz) multiply by 2*pi on entry.
+All rates and frequencies held by :class:`SystemParams` are angular (rad/s);
+:mod:`magnomech.config` converts cyclic (Hz) input.
 
 Sign convention: ``kappa_a > 0`` is a gain (active) cavity, ``kappa_a < 0``
 a lossy one; the magnon and mechanical rates are always positive losses.
@@ -23,7 +23,7 @@ TWO_PI = 2.0 * math.pi
 #: Electron gyromagnetic ratio, 2*pi * 28 GHz/T.
 GYROMAGNETIC_RATIO = TWO_PI * 28e9
 
-#: Default relative tolerance for the exceptional-point classification.
+#: Relative tolerance of the exceptional-point classification.
 EP_REL_TOL = 1e-9
 
 #: SystemParams fields held in rad/s.
@@ -94,11 +94,10 @@ def rabi_frequency(b0: float, sphere_diameter: float, spin_density: float) -> fl
     return math.sqrt(5.0) / 4.0 * GYROMAGNETIC_RATIO * math.sqrt(n_total) * b0
 
 
-def pt_classify(g_ma: float, kappa_a: float, kappa_m: float,
-                rel_tol: float = EP_REL_TOL) -> PTPhase:
+def pt_classify(g_ma: float, kappa_a: float, kappa_m: float) -> PTPhase:
     """Classify the photon-magnon pair by comparing 2*g_ma with kappa_a + kappa_m.
 
-    Within ``rel_tol * (kappa_a + kappa_m)`` of the balance point the result
+    Within ``EP_REL_TOL * (kappa_a + kappa_m)`` of the balance point the result
     is the exceptional point; beyond it the phase is unbroken (2*g_ma larger)
     or broken (smaller).
     """
@@ -106,7 +105,7 @@ def pt_classify(g_ma: float, kappa_a: float, kappa_m: float,
         raise ParameterError("pt_classify: kappa_m must be positive")
     total = kappa_a + kappa_m
     margin = 2.0 * g_ma - total
-    if abs(margin) <= rel_tol * abs(total):
+    if abs(margin) <= EP_REL_TOL * abs(total):
         regime = PTRegime.EXCEPTIONAL_POINT
     elif margin > 0.0:
         regime = PTRegime.UNBROKEN
@@ -141,6 +140,8 @@ def parameter_violations(values):
         if val is not None:
             yield ((val != val) | (abs(val) == math.inf),
                    f"SystemParams.{name} is not finite")
+    yield values["omega_a"] <= 0.0, "omega_a must be positive"
+    yield values["omega_m"] <= 0.0, "omega_m must be positive"
     yield values["kappa_m"] <= 0.0, "kappa_m must be positive"
     yield values["gamma_b"] <= 0.0, "gamma_b must be positive"
     yield values["omega_b"] <= 0.0, "omega_b must be positive"
@@ -190,17 +191,6 @@ class SystemParams:
             if violated:
                 raise ParameterError(message)
 
-    @classmethod
-    def from_cyclic(cls, **kwargs) -> "SystemParams":
-        """Build from cyclic frequencies (Hz); temperature stays in kelvin."""
-        converted = {}
-        for key, val in kwargs.items():
-            if key in ANGULAR_FIELDS and val is not None:
-                converted[key] = TWO_PI * val
-            else:
-                converted[key] = val
-        return cls(**converted)
-
     def replace(self, **changes) -> "SystemParams":
         return replace(self, **changes)
 
@@ -212,8 +202,8 @@ class SystemParams:
     def derive_from_drive(self) -> bool:
         return self.G_eff is None
 
-    def pt_phase(self, rel_tol: float = EP_REL_TOL) -> PTPhase:
-        return pt_classify(self.g_ma, self.kappa_a, self.kappa_m, rel_tol)
+    def pt_phase(self) -> PTPhase:
+        return pt_classify(self.g_ma, self.kappa_a, self.kappa_m)
 
     def occupations(self) -> tuple[float, float, float]:
         """Thermal occupations (n_a, n_m, n_b) at the bath temperature."""

@@ -58,15 +58,14 @@ def working_point_from_preset(params: SystemParams) -> WorkingPoint:
                         delta_m_eff=params.delta_m_eff, G=params.G_eff)
 
 
-def self_consistent_working_point(params: SystemParams,
-                                  tol: float = FIXED_POINT_TOL,
-                                  max_iterations: int = MAX_ITERATIONS) -> WorkingPoint:
+def self_consistent_working_point(params: SystemParams) -> WorkingPoint:
     """Fixed point of m_s -> x_s = -g_mb |m_s|^2 / omega_b -> delta_m_eff -> m_s.
 
     The effective detuning uses the signed displacement shift,
     delta_m_eff = delta_m + g_mb * x_s. Raises NonConvergenceError after
-    ``max_iterations`` without the successive |m_s| change dropping below
-    ``tol`` (relative), which signals a bistable or oscillatory fixed point.
+    MAX_ITERATIONS without the successive |m_s| change dropping below
+    FIXED_POINT_TOL (relative), which signals a bistable or oscillatory
+    fixed point.
     """
     if not params.derive_from_drive:
         raise ParameterError("self-consistent working point needs drive mode")
@@ -79,20 +78,20 @@ def self_consistent_working_point(params: SystemParams,
                             converged=True, iterations=1)
 
     m_s = steady_magnon_amplitude(params, dm)
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         x_s = -g_mb * abs(m_s) ** 2 / wb
         delta_eff = dm + g_mb * x_s
         m_next = steady_magnon_amplitude(params, delta_eff)
         change = abs(abs(m_next) - abs(m_s))
         m_s = m_next
-        if change <= tol * max(abs(m_s), 1e-300):
+        if change <= FIXED_POINT_TOL * max(abs(m_s), 1e-300):
             x_s = -g_mb * abs(m_s) ** 2 / wb
             delta_eff = dm + g_mb * x_s
             return WorkingPoint(m_s=m_s, x_s=x_s, delta_m_eff=delta_eff,
                                 G=g_mb * abs(m_s), converged=True,
                                 iterations=iteration)
     raise NonConvergenceError(
-        f"fixed-point iteration did not converge in {max_iterations} steps")
+        f"fixed-point iteration did not converge in {MAX_ITERATIONS} steps")
 
 
 def working_point(params: SystemParams) -> WorkingPoint:

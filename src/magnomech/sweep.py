@@ -1,4 +1,4 @@
-"""Grid sweeps, figure presets, stability maps and the vanishing-temperature search."""
+"""Grid sweeps, figure presets and the vanishing-temperature search."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import math
 import operator
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .model import (SystemParams, parameter_violations, pt_classify,
                     thermal_occupation)
 from .steady_state import working_point
 
-#: Relative (to omega_b) tolerance used for every stability verdict in sweeps.
-STABILITY_REL_TOL = 1e-9
+#: Absolute tolerance (K) of the vanishing-temperature bisection.
+VANISHING_TEMPERATURE_TOL = 1e-4
 
 #: Grid points evaluated together as one stack of arrays. Per-call overhead
 #: is already small at this size, while the (N, 36, 36) Lyapunov systems
@@ -269,8 +269,7 @@ def _solve(columns: dict, failures: np.ndarray, gain_noise: str,
         columns["gamma_b"], columns["omega_b"], columns["g_ma"], g_eff)
     record_failures(failures, ~finite, lambda k: ParameterError(
         "quadrature_drift: non-finite input"))
-    eigenvalues, max_lyapunov, stable = stability_batch(
-        a, STABILITY_REL_TOL * columns["omega_b"], failures)
+    eigenvalues, max_lyapunov, stable = stability_batch(a, failures)
     n = len(failures)
     v, residual = np.full((n, 6, 6), np.nan), np.full(n, np.nan)
     rows = np.flatnonzero(alive(failures) & stable)
@@ -288,13 +287,13 @@ def _solve(columns: dict, failures: np.ndarray, gain_noise: str,
 
 
 def solve_point(params: SystemParams, gain_noise: str = "vacuum",
-                covariance: bool = False, require_stable: bool = False
+                covariance: bool = False
                 ) -> tuple[StabilityReport, _measures.CovarianceMatrix | None]:
     """Working point -> drift -> stability -> diffusion -> Lyapunov covariance.
 
-    Returns the stability report and, when ``covariance`` is set and the
-    point is stable, the covariance matrix (else None). With
-    ``require_stable`` an unstable point raises UnstableSystemError instead.
+    Returns the stability report and, when ``covariance`` is set, the
+    covariance matrix (else None); an unstable point then raises
+    UnstableSystemError.
     """
     failures = no_failures(1)
     sol = _solve(_columns(params), failures, gain_noise, covariance)
@@ -302,9 +301,9 @@ def solve_point(params: SystemParams, gain_noise: str = "vacuum",
     report = StabilityReport(eigenvalues=sol.eigenvalues[0],
                              max_lyapunov=float(sol.max_lyapunov[0]),
                              stable=bool(sol.stable[0]))
-    if not covariance or not (report.stable or require_stable):
+    if not covariance:
         return report, None
-    _measures.check_stable(report, STABILITY_REL_TOL * params.omega_b)
+    _measures.check_stable(report)
     v = sol.v[0]
     return report, _measures.CovarianceMatrix(
         v=v, physicality_margin=_measures.physicality_margin(v),
@@ -388,17 +387,12 @@ def evaluate_point(params: SystemParams, outputs: tuple[str, ...],
     Unstable points yield None for every covariance-based output (sentinel),
     never zeros. Per-point failures are reported in the "error" entry.
     """
-    result: dict = {out: None for out in outputs}
     try:
-        for out in outputs:
-            _classify_output(out)
-    except ParameterError as exc:
-        result["error"] = exc.code
-        return result
-    *values, result["error"] = _evaluate(_columns(params), no_failures(1),
-                                         outputs, gain_noise)[0]
-    result.update(zip(outputs, values))
-    return result
+        *values, error = _evaluate(_columns(params), no_failures(1), outputs,
+                                   gain_noise)[0]
+    except ParameterError as exc:  # an unknown output name
+        values, error = [None] * len(outputs), exc.code
+    return {**dict(zip(outputs, values)), "error": error}
 
 
 def _evaluate_batch(spec: "SweepSpec", points: np.ndarray) -> list[list]:
@@ -512,31 +506,17 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     return SweepResult(spec=spec, columns=_result_columns(spec), rows=rows)
 
 
-def stability_map(spec: SweepSpec, jobs: int = 1) -> tuple[SweepResult, dict]:
-    """Run a sweep restricted to stability and report stable-area fractions."""
-    if "stable" not in spec.outputs:
-        spec = replace(spec, outputs=tuple(spec.outputs) + ("stable",))
-    result = run_sweep(spec, jobs=jobs)
-    fractions = {s.label: result.stable_fraction(s.label) for s in spec.series}
-    return result, fractions
-
-
 def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
-                          t_hi: float, tol: float = 1e-4,
-                          gain_noise: str = "vacuum") -> float:
+                          t_hi: float, gain_noise: str = "vacuum") -> float:
     """Bisect for the temperature where the pair's entanglement reaches zero.
 
     Requires E_N > 0 at ``t_lo`` and E_N = 0 at ``t_hi`` with the system
     stable across the bracket; returns the midpoint of the final bracket,
-    with absolute tolerance ``tol`` kelvin (default 0.1 mK), which must be
-    positive and finite.
+    within VANISHING_TEMPERATURE_TOL kelvin.
     """
-    if not 0.0 < tol < math.inf:
-        raise ParameterError(f"tol must be positive and finite, got {tol!r}")
-
     def e_n(temperature: float) -> float:
         _, cm = solve_point(base.replace(temperature=temperature), gain_noise,
-                            covariance=True, require_stable=True)
+                            covariance=True)
         return _measures.pair_measures(cm, pair).e_n
 
     if not t_lo < t_hi:
@@ -550,7 +530,7 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
     if hi_val > 0.0:
         raise BracketInvalidError(f"E_N({pair}) = {hi_val:.3g} > 0 still at {t_hi} K")
     lo, hi = t_lo, t_hi
-    while hi - lo > tol:
+    while hi - lo > VANISHING_TEMPERATURE_TOL:
         mid = 0.5 * (lo + hi)
         if e_n(mid) > 0.0:
             lo = mid

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from magnomech import (build_params, default_config, default_params,
-                       figure_preset, run_sweep, two_mode_eigenfrequencies)
+from magnomech import (Axis, SweepSpec, build_params, default_config,
+                       default_params, figure_preset, run_sweep,
+                       two_mode_eigenfrequencies)
 from magnomech.cli import main
 
 OMEGA_B = default_params().omega_b
@@ -104,6 +105,32 @@ class TestMeasures:
         assert "omega_b" in err  # lists valid keys
 
 
+class TestSinglePointCsv:
+    @pytest.mark.parametrize("argv", [
+        ("classify",), ("steady-state",), ("stability",), ("measures",),
+        ("vanish-temp", "--set", "kappa_a=-0.02omega_b",
+         "--set", "G_eff=0.25omega_b", "--t-hi", "350 mk")])
+    def test_csv_rows_match_json(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        objs = json.loads(out)
+        objs = objs if isinstance(objs, list) else [objs]
+        assert len(rows) == len(objs)
+        for row, obj in zip(rows, objs):
+            assert len(row) == len(header)
+            for key, cell in zip(header, row):
+                value = obj[key]
+                if isinstance(value, bool):
+                    assert cell in (str(value), str(int(value)))
+                elif isinstance(value, float):
+                    assert float(cell) == pytest.approx(value, rel=1e-11)
+                else:
+                    assert cell == str(value)
+
+
 class TestPrecedence:
     def test_set_overrides_config_file(self, capsys, tmp_path):
         conf = tmp_path / "p.conf"
@@ -156,6 +183,22 @@ class TestSweepAndFigure:
         lines = out.strip().splitlines()
         assert lines[0] == "G/omega_b,E_N_bm_nats,stable,error"
         assert len(lines) == 4
+
+    def test_json_output_matches_library(self, capsys):
+        code, out, _ = run_cli(capsys, "figure", "fig2d", "--format", "json")
+        assert code == 0
+        result = run_sweep(figure_preset("fig2d"))
+        assert json.loads(out) == [dict(zip(result.columns, row))
+                                   for row in result.rows]
+        code, out, _ = run_cli(
+            capsys, "sweep", "--axis", "G_over_omega_b:0.1:0.3:3",
+            "--output", "E_N(bm)", "--output", "stable")
+        assert code == 0
+        result = run_sweep(SweepSpec(
+            base=default_params(), axes=(Axis("G_over_omega_b", 0.1, 0.3, 3),),
+            outputs=("E_N(bm)", "stable")))
+        assert json.loads(out) == [dict(zip(result.columns, row))
+                                   for row in result.rows]
 
     def test_bad_axis_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--axis", "nope:0:1:5",

@@ -6,6 +6,7 @@ import pytest
 from magnomech import (EigenSolveError, ParameterError, complex_drift,
                        diffusion_matrix, quadrature_drift, stability,
                        thermal_occupation)
+from magnomech.dynamics import STABILITY_REL_TOL
 
 TWO_PI = 2.0 * math.pi
 OMEGA_B = TWO_PI * 10e6
@@ -131,13 +132,17 @@ class TestStability:
                                  0.06 * OMEGA_B, 0.2 * OMEGA_B)
         assert not stability(drift).stable
 
-    def test_tolerance_shifts_the_verdict(self):
-        drift = quadrature_drift(-OMEGA_B, -OMEGA_B, -0.02 * OMEGA_B,
-                                 0.1 * OMEGA_B, TWO_PI * 10.0, OMEGA_B,
-                                 OMEGA_B, 0.2 * OMEGA_B)
-        margin = -stability(drift).max_lyapunov
-        assert stability(drift, tol_abs=0.5 * margin).stable
-        assert not stability(drift, tol_abs=2.0 * margin).stable
+    @pytest.mark.parametrize("omega_b", [OMEGA_B, 1.0])
+    def test_verdict_threshold_is_relative_to_omega_b(self, omega_b):
+        # Decoupled modes: the cavity loss alone sets max Re lambda = kappa_a.
+        def report(kappa_a):
+            return stability(quadrature_drift(
+                -omega_b, -omega_b, kappa_a, 0.1 * omega_b, 1e-6 * omega_b,
+                omega_b, 0.0, 0.0))
+
+        marginal = report(-0.5 * STABILITY_REL_TOL * omega_b)
+        assert marginal.max_lyapunov < 0.0 and not marginal.stable
+        assert report(-2.0 * STABILITY_REL_TOL * omega_b).stable
 
     def test_eigenvalues_conjugate_closed(self):
         rng = np.random.default_rng(9)

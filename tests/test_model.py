@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.constants import hbar, k as k_B
 
-from magnomech import (GYROMAGNETIC_RATIO, ParameterError, SystemParams,
-                       pt_classify, rabi_frequency, thermal_occupation,
+from magnomech import (GYROMAGNETIC_RATIO, Axis, ParameterError, SweepSpec,
+                       SystemParams, default_params, pt_classify,
+                       rabi_frequency, run_sweep, thermal_occupation,
                        two_mode_eigenfrequencies)
 from magnomech.model import PTRegime, sphere_volume
 
@@ -144,15 +145,6 @@ def _params(**overrides):
 
 
 class TestSystemParams:
-    def test_cyclic_constructor_is_exactly_two_pi(self):
-        p = SystemParams.from_cyclic(
-            omega_a=10.1e9, omega_m=10.1e9, omega_b=10e6, delta_a=-10e6,
-            delta_m_eff=-10e6, kappa_a=0.2e6, kappa_m=1e6, gamma_b=10.0,
-            g_ma=10e6, g_mb=0.2, G_eff=2e6, temperature=20e-3)
-        assert p.omega_b == TWO_PI * 10e6
-        assert p.kappa_a == TWO_PI * 0.2e6
-        assert p.temperature == 20e-3  # not angular
-
     def test_requires_exactly_one_coupling_source(self):
         with pytest.raises(ParameterError):
             _params(G_eff=None)  # neither
@@ -170,6 +162,19 @@ class TestSystemParams:
                     dict(temperature=-1e-3), dict(g_ma=-1.0)):
             with pytest.raises(ParameterError):
                 _params(**bad)
+
+    def test_rejects_nonpositive_mode_frequencies(self):
+        for bad in (dict(omega_a=0.0), dict(omega_a=-OMEGA_B),
+                    dict(omega_m=0.0), dict(omega_m=-OMEGA_B)):
+            with pytest.raises(ParameterError, match="must be positive"):
+                _params(**bad)
+        # Batch columns obey the same rules: only the positive cell solves.
+        for name in ("omega_a", "omega_m"):
+            spec = SweepSpec(base=default_params(),
+                             axes=(Axis(name, -OMEGA_B, OMEGA_B, 3),),
+                             outputs=("stable", "E_N(am)"))
+            assert run_sweep(spec).column("error") == [
+                "parameter_error", "parameter_error", ""]
 
     def test_gain_cavity_allowed(self):
         assert _params(kappa_a=0.02 * OMEGA_B).kappa_a > 0

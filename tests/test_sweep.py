@@ -1,13 +1,11 @@
 import gc
-import math
 
 import pytest
 
 from magnomech import (Axis, BracketInvalidError, MagnomechError,
                        ParameterError, Series,
                        SweepSpec, default_params, evaluate_point,
-                       figure_preset, run_sweep, stability_map,
-                       vanishing_temperature)
+                       figure_preset, run_sweep, vanishing_temperature)
 from magnomech import sweep
 from magnomech.sweep import BATCH_SIZE, FIGURE_NAMES, apply_parameter
 
@@ -51,11 +49,15 @@ def unstable_spec() -> SweepSpec:
 
 
 def covariance_failure_spec() -> SweepSpec:
-    """A negative cavity frequency has no thermal occupation, so every stable
-    point fails at the diffusion stage; unstable ones never get there."""
-    base = default_params().replace(g_ma=0.06 * OMEGA_B)
-    return SweepSpec(base=base.replace(omega_a=-base.omega_a),
-                     axes=(Axis("G_over_omega_b", 0.0, 0.25, 11),),
+    """A decoupled cavity at Delta_a = 1e6 omega_b with a loss of 2e-9 omega_b
+    has an eigenvalue pair summing to -4e-9 omega_b, below the Lyapunov
+    solve's pair-sum guard (1e-14 of the largest |eigenvalue|). So every
+    stable point (Delta_m_eff >= 0) fails at the covariance stage; unstable
+    ones (Delta_m_eff < 0) never get there."""
+    base = default_params().replace(delta_a=1e6 * OMEGA_B,
+                                    kappa_a=-2e-9 * OMEGA_B, g_ma=0.0)
+    return SweepSpec(base=base,
+                     axes=(Axis("delta_m_eff", -OMEGA_B, OMEGA_B, 11),),
                      outputs=("stable", "max_lyapunov", "E_N(am)", "residual"))
 
 
@@ -206,7 +208,7 @@ class TestRunSweep:
         (drive_spec, {"", "non_convergence"}),
         (fig4b_edge_spec, {"", "cross_check_mismatch"}),
         (unstable_spec, {""}),
-        (covariance_failure_spec, {"", "parameter_error"})])
+        (covariance_failure_spec, {"", "singular_solve"})])
     def test_batched_rows_match_single_points(self, make_spec, codes):
         spec = make_spec()
         result = run_sweep(spec)
@@ -246,7 +248,28 @@ class TestRunSweep:
     def test_covariance_stage_failure_leaves_no_verdict(self):
         result = run_sweep(covariance_failure_spec())
         assert set(zip(result.column("stable"), result.column("error"))) == {
-            (None, "parameter_error"), (0, "")}
+            (None, "singular_solve"), (0, "")}
+
+    def test_unset_derived_reference_fails_every_cell(self):
+        # g_ma/G needs G_eff, which a drive-mode base leaves unset.
+        spec = SweepSpec(base=drive_spec().base,
+                         axes=(Axis("gma_over_G", 0.5, 5.0, 3),),
+                         outputs=("stable", "E_N(am)"))
+        result = run_sweep(spec)
+        assert result.column("error") == ["parameter_error"] * 3
+        assert [row[1:-1] for row in result.rows] == [[None, None]] * 3
+        assert result.rows == point_rows(spec)
+
+    def test_unknown_output_is_a_parameter_error(self):
+        assert evaluate_point(default_params(), ("stable", "E_N(zz)")) == {
+            "stable": None, "E_N(zz)": None, "error": "parameter_error"}
+
+    def test_jobs_must_be_positive(self):
+        spec = SweepSpec(base=default_params(),
+                         axes=(Axis("G_over_omega_b", 0.1, 0.2, 2),),
+                         outputs=("stable",))
+        with pytest.raises(ParameterError, match="jobs"):
+            run_sweep(spec, jobs=0)
 
     def test_series_become_labeled_columns(self):
         spec = SweepSpec(base=default_params(),
@@ -315,9 +338,9 @@ class TestStabilityMap:
     def test_single_stable_cell_fraction(self):
         spec = SweepSpec(base=default_params(),
                          axes=(Axis("G_over_omega_b", 0.19, 0.21, 2),),
-                         outputs=())
-        result, fractions = stability_map(spec)
-        assert fractions[""] == 1.0
+                         outputs=("stable",))
+        result = run_sweep(spec)
+        assert result.stable_fraction() == 1.0
         assert result.column("stable") == [1, 1]
 
 
@@ -345,14 +368,6 @@ class TestVanishingTemperature:
                                ("E_N(am)",))
         assert below["E_N(am)"] > 0.0
         assert above["E_N(am)"] == 0.0
-
-    def test_tolerance_must_be_positive(self):
-        base = default_params().replace(kappa_a=-0.02 * OMEGA_B,
-                                        G_eff=0.25 * OMEGA_B)
-        # NaN first: the bisection never ends for tol <= 0.
-        for tol in (math.nan, 0.0, -1e-4, math.inf):
-            with pytest.raises(ParameterError, match="tol"):
-                vanishing_temperature(base, "am", 0.0, 0.35, tol=tol)
 
     def test_sub_millikelvin_bracket(self):
         # The cavity occupation at 0.5 mK overflows a naive exp; the search
