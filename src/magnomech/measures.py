@@ -15,7 +15,7 @@ from .errors import (CrossCheckMismatchError, NonPhysicalCMError,
                      ParameterError, SingularSolveError, UnstableSystemError,
                      alive, no_failures, raise_failure, record_failures)
 from .dynamics import (STABILITY_REL_TOL, DiffusionMatrix, QuadratureDrift,
-                       StabilityReport, stability)
+                       stability)
 
 #: Mode pairs by label, first listed mode first: photon-magnon, phonon-magnon,
 #: photon-phonon.
@@ -95,11 +95,11 @@ def physicality_margin(v: np.ndarray) -> float:
     return float(physicality_margins(np.asarray(v, dtype=np.float64)))
 
 
-def check_stable(report: StabilityReport) -> None:
-    """Raise UnstableSystemError unless the report says stable."""
-    if not report.stable:
+def check_stable(max_lyapunov: float, stable: bool) -> None:
+    """Raise UnstableSystemError unless the stability verdict is stable."""
+    if not stable:
         raise UnstableSystemError(
-            f"max Lyapunov exponent {report.max_lyapunov:.6g} not below "
+            f"max Lyapunov exponent {max_lyapunov:.6g} not below "
             f"-{STABILITY_REL_TOL:g} omega_b")
 
 
@@ -204,7 +204,7 @@ def solve_lyapunov(drift: QuadratureDrift,
     sums to (numerically) zero.
     """
     report = stability(drift)
-    check_stable(report)
+    check_stable(report.max_lyapunov, report.stable)
     failures = no_failures(1)
     v, residual = lyapunov_batch(drift.a[None], diffusion.d[None],
                                  np.asarray(report.eigenvalues)[None], failures)

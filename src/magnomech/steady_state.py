@@ -65,7 +65,10 @@ def self_consistent_working_point(params: SystemParams) -> WorkingPoint:
     delta_m_eff = delta_m + g_mb * x_s. Raises NonConvergenceError after
     MAX_ITERATIONS without the successive |m_s| change dropping below
     FIXED_POINT_TOL (relative), which signals a bistable or oscillatory
-    fixed point.
+    fixed point. The next iterate depends on |m_s| alone, so once |m_s|
+    repeats bit for bit the orbit is periodic and every later step would
+    repeat a test that has already failed: the error is then raised at
+    once, naming the period.
     """
     if not params.derive_from_drive:
         raise ParameterError("self-consistent working point needs drive mode")
@@ -78,6 +81,9 @@ def self_consistent_working_point(params: SystemParams) -> WorkingPoint:
                             converged=True, iterations=1)
 
     m_s = steady_magnon_amplitude(params, dm)
+    # Brent's cycle check on |m_s|: one saved value, re-saved after each
+    # power-of-two run of steps.
+    saved, power, period = abs(m_s), 1, 0
     for iteration in range(1, MAX_ITERATIONS + 1):
         x_s = -g_mb * abs(m_s) ** 2 / wb
         delta_eff = dm + g_mb * x_s
@@ -90,6 +96,13 @@ def self_consistent_working_point(params: SystemParams) -> WorkingPoint:
             return WorkingPoint(m_s=m_s, x_s=x_s, delta_m_eff=delta_eff,
                                 G=g_mb * abs(m_s), converged=True,
                                 iterations=iteration)
+        period += 1
+        if abs(m_s) == saved:
+            raise NonConvergenceError(
+                f"fixed-point iteration cycles with period {period}: |m_s| "
+                f"repeats exactly at step {iteration}")
+        if period == power:
+            saved, power, period = abs(m_s), 2 * power, 0
     raise NonConvergenceError(
         f"fixed-point iteration did not converge in {MAX_ITERATIONS} steps")
 

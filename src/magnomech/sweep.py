@@ -27,6 +27,11 @@ from .steady_state import working_point
 #: Absolute tolerance (K) of the vanishing-temperature bisection.
 VANISHING_TEMPERATURE_TOL = 1e-4
 
+#: Bisection steps whose midpoints are solved together as one batch. A batch
+#: of a few points costs little more than one point, but each level doubles
+#: the points, and the deepest ones are mostly off the path taken.
+VANISHING_TREE_DEPTH = 3
+
 #: Grid points evaluated together as one stack of arrays. Per-call overhead
 #: is already small at this size, while the (N, 36, 36) Lyapunov systems
 #: grow peak memory with N.
@@ -240,9 +245,10 @@ def _diffusions(columns: dict, rows: np.ndarray, gain_noise: str,
 class _Solution:
     """Pipeline results over N points.
 
-    ``reported`` marks the points that came through the whole pipeline, so
-    that their stability verdict is reported, and ``solved`` those of them
-    with a covariance matrix; other entries are undefined.
+    ``reported`` marks the points that came through the stability stage, so
+    that their stability verdict is reported even if a later stage fails,
+    and ``solved`` those of them with a covariance matrix; other entries are
+    undefined.
     """
 
     max_lyapunov: np.ndarray
@@ -270,17 +276,17 @@ def _solve(columns: dict, failures: np.ndarray, gain_noise: str,
     record_failures(failures, ~finite, lambda k: ParameterError(
         "quadrature_drift: non-finite input"))
     eigenvalues, max_lyapunov, stable = stability_batch(a, failures)
+    reported = alive(failures)
     n = len(failures)
     v, residual = np.full((n, 6, 6), np.nan), np.full(n, np.nan)
-    rows = np.flatnonzero(alive(failures) & stable)
+    rows = np.flatnonzero(reported & stable)
     if covariance and rows.size:
         sub_failures = failures[rows]
         d = _diffusions(columns, rows, gain_noise, sub_failures)
         v[rows], residual[rows] = _measures.lyapunov_batch(
             a[rows], d, eigenvalues[rows], sub_failures)
         failures[rows] = sub_failures
-    reported = alive(failures)
-    solved = reported & stable if covariance else np.zeros(n, bool)
+    solved = alive(failures) & stable if covariance else np.zeros(n, bool)
     return _Solution(max_lyapunov=max_lyapunov, stable=stable,
                      eigenvalues=eigenvalues, reported=reported, v=v,
                      residual=residual, solved=solved)
@@ -303,7 +309,7 @@ def solve_point(params: SystemParams, gain_noise: str = "vacuum",
                              stable=bool(sol.stable[0]))
     if not covariance:
         return report, None
-    _measures.check_stable(report)
+    _measures.check_stable(report.max_lyapunov, report.stable)
     v = sol.v[0]
     return report, _measures.CovarianceMatrix(
         v=v, physicality_margin=_measures.physicality_margin(v),
@@ -513,29 +519,61 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
     Requires E_N > 0 at ``t_lo`` and E_N = 0 at ``t_hi`` with the system
     stable across the bracket; returns the midpoint of the final bracket,
     within VANISHING_TEMPERATURE_TOL kelvin.
+
+    The two ends are solved as one batch, and then the midpoints of the next
+    VANISHING_TREE_DEPTH bisection steps, whichever way each step goes, as
+    another. The search walks the path the one-at-a-time bisection takes
+    through them, so it returns the same temperature, and only a point on
+    that path can raise.
     """
-    def e_n(temperature: float) -> float:
-        _, cm = solve_point(base.replace(temperature=temperature), gain_noise,
-                            covariance=True)
-        return _measures.pair_measures(cm, pair).e_n
+    outputs = ("stable", "max_lyapunov", f"E_N({pair})")
+
+    def solve(params: SystemParams, temperatures: list[float]):
+        """E_N(k) at the k-th temperature, which raises that point's failure."""
+        n = len(temperatures)
+        columns, failures = _columns(params, n), no_failures(n)
+        columns["temperature"] = np.array(temperatures)
+        _check_columns(columns, failures)
+        rows = _evaluate(columns, failures, outputs, gain_noise)
+
+        def e_n(k: int) -> float:
+            raise_failure(failures[k:k + 1])
+            stable, max_lyapunov, value, _ = rows[k]
+            _measures.check_stable(max_lyapunov, bool(stable))
+            return value
+        return e_n
 
     if not t_lo < t_hi:
         raise BracketInvalidError("need t_lo < t_hi")
+    ends = solve(base, [t_lo, t_hi])
     try:
-        lo_val, hi_val = e_n(t_lo), e_n(t_hi)
+        lo_val, hi_val = ends(0), ends(1)
     except UnstableSystemError as exc:
         raise BracketInvalidError(f"system unstable inside bracket: {exc}") from exc
     if lo_val <= 0.0:
         raise BracketInvalidError(f"E_N({pair}) = 0 already at {t_lo} K")
     if hi_val > 0.0:
         raise BracketInvalidError(f"E_N({pair}) = {hi_val:.3g} > 0 still at {t_hi} K")
+    # The working point does not depend on temperature, and the ends have
+    # solved it: the midpoints take it as given rather than solve it again.
+    wp = working_point(base)
+    fixed = base.replace(G_eff=wp.G, delta_m_eff=wp.delta_m_eff, epsilon_d=None)
     lo, hi = t_lo, t_hi
     while hi - lo > VANISHING_TEMPERATURE_TOL:
-        mid = 0.5 * (lo + hi)
-        if e_n(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        # Heap order: node k bisects brackets[k], and nodes 2k+1 and 2k+2
+        # bisect its lower and upper half.
+        brackets, mids = [(lo, hi)], []
+        for a, b in brackets:
+            mids.append(0.5 * (a + b))
+            if len(brackets) < 2**VANISHING_TREE_DEPTH - 1:
+                brackets += [(a, mids[-1]), (mids[-1], b)]
+        e_n = solve(fixed, mids)
+        node = 0
+        while node < len(mids) and hi - lo > VANISHING_TEMPERATURE_TOL:
+            if e_n(node) > 0.0:
+                lo, node = mids[node], 2 * node + 2
+            else:
+                hi, node = mids[node], 2 * node + 1
     return 0.5 * (lo + hi)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from magnomech import (BracketInvalidError, complex_drift,
+from magnomech import (Axis, BracketInvalidError, SweepSpec, complex_drift,
                        default_params, figure_preset, log_negativity,
                        pt_classify, quadrature_drift, run_sweep, steering,
                        vanishing_temperature)
@@ -56,15 +56,18 @@ def report(capsys):
 
     ``noise`` names the convention of the states behind the verdict; when
     ``margin`` is given, their worst physicality margin is printed with it.
+    ``counts`` is printed whatever the verdict, ``detail`` only on failure.
     """
     def _report(number: int, ok: bool, detail: str = "",
                 noise: str | None = None,
-                margin: float | None = None) -> None:
+                margin: float | None = None, counts: str = "") -> None:
         line = f"ACCEPTANCE {number} {'PASS' if ok else 'FAIL'}"
         if noise is not None:
             tag = noise if margin is None \
                 else f"{noise}, worst physicality margin {margin:.3g}"
             line += f" [{tag}]"
+        if counts:
+            line += f"  {counts}"
         if detail and not ok:
             line += f"  ({detail})"
         with capsys.disabled():
@@ -252,25 +255,44 @@ def test_criterion_07_one_way_steering(gain_side_presets, report):
     # the gain line, that is the thermal phonon (det sigma_b >> det sigma_a
     # ~ 1/4) steering the near-vacuum cavity, in line with the identity
     # G^{b->a} - G^{a->b} = ln(det sigma_b / det sigma_a) / 2.
+    # fig5's gain line lies wholly in the unbroken phase (g_ma = omega_b is
+    # far above (kappa_a + kappa_m)/2), so its PT filter excludes nothing. A
+    # g_ma sweep across the EP at G = 0.05 omega_b gives stable points in both
+    # phases, and the one-way counts come from its unbroken ones.
     result = gain_side_presets["fig5"]
     gain = _stable_vals(result, "gain")
     loss = _stable_vals(result, "loss")
+    crossing = _stable_vals(run_sweep(_augment(SweepSpec(
+        base=default_params().replace(G_eff=0.05 * OMEGA_B),
+        axes=(Axis("gma_over_omega_b", 0.0, 0.12, 101),),
+        outputs=figure_preset("fig5").outputs, gain_noise=GAIN_SIDE_NOISE))),
+        "")
+
+    def one_way(rows, source):
+        return sum(1 for vals in rows if vals[f"S({source}->b)"] > 0.0
+                   and vals[f"S(b->{source})"] <= 1e-12)
+
     unbroken = [vals for vals in gain if vals["pt_phase"] == "Unbroken"]
-    one_way_mb = sum(1 for vals in unbroken
-                     if vals["S(m->b)"] > 0.0 and vals["S(b->m)"] <= 1e-12)
-    one_way_ab = sum(1 for vals in unbroken
-                     if vals["S(a->b)"] > 0.0 and vals["S(b->a)"] <= 1e-12)
+    one_way_mb, one_way_ab = one_way(unbroken, "m"), one_way(unbroken, "a")
+    phases = {phase: [vals for vals in crossing if vals["pt_phase"] == phase]
+              for phase in ("Unbroken", "Broken")}
     gain_bm_max = max(vals["S(b->m)"] for vals in gain)
     loss_max = {out: max(vals[out] for vals in loss)
                 for out in ("S(m->b)", "S(a->b)", "S(b->m)")}
-    pt_ok = one_way_mb > 0 and one_way_ab > 0 and gain_bm_max <= 1e-12
+    pt_ok = (one_way_mb > 0 and one_way_ab > 0 and gain_bm_max <= 1e-12
+             and all(phases.values())
+             and one_way(phases["Unbroken"], "m") > 0
+             and one_way(phases["Unbroken"], "a") > 0)
     conv_ok = all(v <= 1e-12 for v in loss_max.values())
     report(7, pt_ok and conv_ok,
-            f"gain, unbroken PT: {one_way_mb} one-way m->b points, "
-            f"{one_way_ab} one-way a->b points, S(b->m)max={gain_bm_max:.3g}; "
-            f"loss: " + ", ".join(f"{out}max={v:.3g}"
-                                  for out, v in loss_max.items()),
-            noise=GAIN_SIDE_NOISE, margin=_worst_margin(gain + loss))
+           f"gain, unbroken PT: {one_way_mb} one-way m->b points, "
+           f"{one_way_ab} one-way a->b points, S(b->m)max={gain_bm_max:.3g}; "
+           f"loss: " + ", ".join(f"{out}max={v:.3g}"
+                                 for out, v in loss_max.items()),
+           noise=GAIN_SIDE_NOISE, margin=_worst_margin(gain + loss + crossing),
+           counts="EP sweep, one-way m->b / a->b of stable points: " + "; ".join(
+               f"{phase} {one_way(rows, 'm')} / {one_way(rows, 'a')} of "
+               f"{len(rows)}" for phase, rows in phases.items()))
 
 
 def test_criterion_08_vanishing_temperatures(report):

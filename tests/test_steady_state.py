@@ -4,13 +4,66 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from magnomech import (DegenerateDenominatorError, ParameterError,
-                       SystemParams, steady_magnon_amplitude, working_point)
-from magnomech.steady_state import (self_consistent_working_point,
+from magnomech import (DegenerateDenominatorError, MagnomechError,
+                       NonConvergenceError, ParameterError, SystemParams,
+                       default_params, steady_magnon_amplitude, working_point)
+from magnomech import steady_state
+from magnomech.steady_state import (FIXED_POINT_TOL, MAX_ITERATIONS,
+                                    WorkingPoint, self_consistent_working_point,
                                     working_point_from_preset)
 
 TWO_PI = 2.0 * math.pi
 OMEGA_B = TWO_PI * 10e6
+
+
+def reference_working_point(params: SystemParams) -> WorkingPoint:
+    """The fixed-point iteration without its cycle exit: a point that does
+    not converge runs all MAX_ITERATIONS steps."""
+    g_mb, wb, dm = params.g_mb, params.omega_b, params.delta_m
+    if params.epsilon_d == 0.0:
+        return WorkingPoint(m_s=0j, x_s=0.0, delta_m_eff=dm, G=0.0,
+                            converged=True, iterations=1)
+    m_s = steady_magnon_amplitude(params, dm)
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        x_s = -g_mb * abs(m_s) ** 2 / wb
+        delta_eff = dm + g_mb * x_s
+        m_next = steady_magnon_amplitude(params, delta_eff)
+        change = abs(abs(m_next) - abs(m_s))
+        m_s = m_next
+        if change <= FIXED_POINT_TOL * max(abs(m_s), 1e-300):
+            x_s = -g_mb * abs(m_s) ** 2 / wb
+            delta_eff = dm + g_mb * x_s
+            return WorkingPoint(m_s=m_s, x_s=x_s, delta_m_eff=delta_eff,
+                                G=g_mb * abs(m_s), converged=True,
+                                iterations=iteration)
+    raise NonConvergenceError(
+        f"fixed-point iteration did not converge in {MAX_ITERATIONS} steps")
+
+
+def _drive_spec_params(delta_m: float, epsilon_d: float) -> SystemParams:
+    """The bundled point in drive mode (tests/test_sweep.py's drive_spec)."""
+    omega_b = default_params().omega_b
+    return default_params().replace(delta_m_eff=None, delta_m=delta_m * omega_b,
+                                    G_eff=None, epsilon_d=epsilon_d)
+
+
+def _result(compute, params):
+    try:
+        return compute(params)
+    except MagnomechError as exc:
+        return type(exc)
+
+
+def _count_steps(monkeypatch) -> list:
+    """Count the amplitude evaluations, one more than the steps taken."""
+    calls = []
+    amplitude = steady_state.steady_magnon_amplitude
+
+    def counted(params, delta_m_eff):
+        calls.append(delta_m_eff)
+        return amplitude(params, delta_m_eff)
+    monkeypatch.setattr(steady_state, "steady_magnon_amplitude", counted)
+    return calls
 
 
 def _drive_params(**overrides):
@@ -112,3 +165,35 @@ class TestSelfConsistentWorkingPoint:
         wp = working_point(direct)
         assert wp.iterations == 0
         assert wp.delta_m_eff == -OMEGA_B
+
+
+class TestCycleExit:
+    # drive_spec's epsilon_d axis at delta_m = -0.95 omega_b, and a denser one
+    # at -0.7 omega_b that holds converging points, cycles of several periods
+    # and orbits that never repeat.
+    GRID = ([(-0.95, e) for e in np.linspace(8.6e13, 9.4e13, 9).tolist()]
+            + [(-0.7, e) for e in np.linspace(8e13, 5e14, 43).tolist()])
+
+    def test_matches_full_iteration(self):
+        outcomes = set()
+        for delta_m, epsilon_d in self.GRID:
+            params = _drive_spec_params(delta_m, epsilon_d)
+            expected = _result(reference_working_point, params)
+            got = _result(self_consistent_working_point, params)
+            # repr() prints every float exactly, so this compares bit for bit.
+            assert repr(got) == repr(expected), (delta_m, epsilon_d)
+            outcomes.add(expected if isinstance(expected, type) else "converged")
+        assert outcomes == {"converged", NonConvergenceError}
+
+    def test_cycling_point_exits_early(self, monkeypatch):
+        calls = _count_steps(monkeypatch)
+        with pytest.raises(NonConvergenceError, match="period 2"):
+            self_consistent_working_point(_drive_spec_params(-0.95, 9.2e13))
+        assert len(calls) - 1 < MAX_ITERATIONS
+
+    def test_orbit_that_never_repeats_runs_every_step(self, monkeypatch):
+        calls = _count_steps(monkeypatch)
+        with pytest.raises(NonConvergenceError,
+                           match=f"did not converge in {MAX_ITERATIONS} steps"):
+            self_consistent_working_point(_drive_spec_params(-0.7, 2.5e14))
+        assert len(calls) - 1 == MAX_ITERATIONS

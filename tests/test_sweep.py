@@ -1,13 +1,17 @@
+import dataclasses
 import gc
 
 import pytest
 
 from magnomech import (Axis, BracketInvalidError, MagnomechError,
-                       ParameterError, Series,
-                       SweepSpec, default_params, evaluate_point,
-                       figure_preset, run_sweep, vanishing_temperature)
+                       ParameterError, Series, SingularSolveError,
+                       SweepSpec, UnstableSystemError, default_params,
+                       evaluate_point, figure_preset, pair_measures, run_sweep,
+                       vanishing_temperature)
 from magnomech import sweep
-from magnomech.sweep import BATCH_SIZE, FIGURE_NAMES, apply_parameter
+from magnomech.sweep import (BATCH_SIZE, FIGURE_NAMES,
+                             VANISHING_TEMPERATURE_TOL, VANISHING_TREE_DEPTH,
+                             apply_parameter)
 
 OMEGA_B = default_params().omega_b
 
@@ -81,6 +85,38 @@ def point_rows(spec: SweepSpec) -> list[list]:
             row.extend(values[out] for out in (*spec.outputs, "error"))
         rows.append(row)
     return rows
+
+
+def sequential_bisection(base, pair, t_lo, t_hi, gain_noise="vacuum",
+                         visited=None):
+    """vanishing_temperature one point at a time: each temperature is a
+    solve_point plus pair_measures, solved only when the bisection visits it.
+    Appends every temperature solved to ``visited``."""
+    def e_n(temperature):
+        if visited is not None:
+            visited.append(temperature)
+        _, cm = sweep.solve_point(base.replace(temperature=temperature),
+                                  gain_noise, covariance=True)
+        return pair_measures(cm, pair).e_n
+
+    if not t_lo < t_hi:
+        raise BracketInvalidError("need t_lo < t_hi")
+    try:
+        lo_val, hi_val = e_n(t_lo), e_n(t_hi)
+    except UnstableSystemError as exc:
+        raise BracketInvalidError(f"system unstable inside bracket: {exc}") from exc
+    if lo_val <= 0.0:
+        raise BracketInvalidError(f"E_N({pair}) = 0 already at {t_lo} K")
+    if hi_val > 0.0:
+        raise BracketInvalidError(f"E_N({pair}) = {hi_val:.3g} > 0 still at {t_hi} K")
+    lo, hi = t_lo, t_hi
+    while hi - lo > VANISHING_TEMPERATURE_TOL:
+        mid = 0.5 * (lo + hi)
+        if e_n(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class TestApplyParameter:
@@ -245,10 +281,16 @@ class TestRunSweep:
                   zip(result.column("pt_phase"), result.column("stable")) if stable}
         assert {"Unbroken", "Broken"} <= phases
 
-    def test_covariance_stage_failure_leaves_no_verdict(self):
-        result = run_sweep(covariance_failure_spec())
+    def test_covariance_stage_failure_keeps_verdict(self):
+        # A point that fails after its stability verdict keeps the verdict,
+        # so the stable fraction does not depend on the outputs requested.
+        spec = covariance_failure_spec()
+        result = run_sweep(spec)
         assert set(zip(result.column("stable"), result.column("error"))) == {
-            (None, "singular_solve"), (0, "")}
+            (1, "singular_solve"), (0, "")}
+        assert None not in result.column("max_lyapunov")
+        verdict_only = run_sweep(dataclasses.replace(spec, outputs=("stable",)))
+        assert result.stable_fraction() == verdict_only.stable_fraction() == 6 / 11
 
     def test_unset_derived_reference_fails_every_cell(self):
         # g_ma/G needs G_eff, which a drive-mode base leaves unset.
@@ -379,3 +421,66 @@ class TestVanishingTemperature:
         from_zero = vanishing_temperature(base, "am", 0.0, 0.35)
         from_sub_mk = vanishing_temperature(base, "am", 0.5e-3, 0.35)
         assert from_sub_mk == pytest.approx(from_zero, abs=2e-4)
+
+    # Criterion 8's two searches, one on a drive-mode point, and a bracket
+    # whose walk ends inside a tree.
+    SEARCHES = [
+        (default_params().replace(G_eff=0.25 * OMEGA_B), 0.0, 0.35, "reversed"),
+        (default_params().replace(kappa_a=-0.02 * OMEGA_B, G_eff=0.25 * OMEGA_B),
+         0.0, 0.35, "reversed"),
+        (drive_spec().base.replace(epsilon_d=8e13), 0.0, 0.35, "reversed"),
+        (default_params().replace(kappa_a=-0.02 * OMEGA_B, G_eff=0.25 * OMEGA_B),
+         1.1e-3, 0.2, "vacuum")]
+
+    def test_matches_sequential_bisection(self):
+        steps = []
+        for base, t_lo, t_hi, noise in self.SEARCHES:
+            visited = []
+            expected = sequential_bisection(base, "am", t_lo, t_hi, noise, visited)
+            assert vanishing_temperature(base, "am", t_lo, t_hi, noise) == expected
+            steps.append(len(visited) - 2)
+        assert steps[-1] % VANISHING_TREE_DEPTH != 0
+
+    @staticmethod
+    def _fail_at(monkeypatch, bad_temperatures):
+        """Make the points at ``bad_temperatures`` fail in the diffusion
+        stage; returns the list of temperatures that stage sees."""
+        seen = []
+        occupation = sweep.thermal_occupation
+
+        def failing(omega, temperature):
+            seen.append(temperature)
+            if temperature in bad_temperatures:
+                raise SingularSolveError(f"injected at {temperature} K")
+            return occupation(omega, temperature)
+        monkeypatch.setattr(sweep, "thermal_occupation", failing)
+        return seen
+
+    def test_only_the_walked_path_can_raise(self, monkeypatch):
+        base, t_lo, t_hi, noise = self.SEARCHES[-1]
+        visited = []
+        expected = sequential_bisection(base, "am", t_lo, t_hi, noise, visited)
+        # The first midpoint's lower-half child and upper-half child: the
+        # bisection visits one of them as its second midpoint.
+        first = visited[2]
+        children = (0.5 * (t_lo + first), 0.5 * (first + t_hi))
+        assert visited[3] in children
+        off_path = children[1] if visited[3] == children[0] else children[0]
+        seen = self._fail_at(monkeypatch, {off_path})
+        assert vanishing_temperature(base, "am", t_lo, t_hi, noise) == expected
+        assert off_path in seen
+
+        on_path = {visited[4]}
+        self._fail_at(monkeypatch, on_path)
+        with pytest.raises(MagnomechError) as reference:
+            sequential_bisection(base, "am", t_lo, t_hi, noise)
+        with pytest.raises(MagnomechError) as got:
+            vanishing_temperature(base, "am", t_lo, t_hi, noise)
+        assert type(got.value) is type(reference.value) is SingularSolveError
+        assert str(got.value) == str(reference.value)
+
+    def test_low_end_fails_before_high_end(self, monkeypatch):
+        base, t_lo, t_hi, noise = self.SEARCHES[-1]
+        self._fail_at(monkeypatch, {t_lo, t_hi})
+        with pytest.raises(SingularSolveError, match=f"at {t_lo} K"):
+            vanishing_temperature(base, "am", t_lo, t_hi, noise)
