@@ -23,6 +23,14 @@ GAIN_NOISE_MODES = ("vacuum", "reversed")
 STABILITY_REL_TOL = 1e-9
 
 
+def read_only(values) -> np.ndarray:
+    """A new array of ``values`` that cannot be written to: the index and
+    constant tables that the batch kernels share between calls."""
+    table = np.array(values)
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class QuadratureDrift:
     """6x6 real drift matrix of the quadrature fluctuations."""
@@ -52,29 +60,30 @@ class StabilityReport:
     stable: bool
 
 
+#: Nonzero drift entries as (row, column, input, sign), with the inputs in
+#: the argument order of :func:`drift_matrices`.
+_DRIFT_ENTRIES = (
+    (0, 0, 2, 1), (1, 1, 2, 1), (0, 1, 0, 1), (1, 0, 0, -1),
+    (0, 3, 6, 1), (1, 2, 6, -1), (2, 1, 6, 1), (3, 0, 6, -1),
+    (2, 2, 3, -1), (3, 3, 3, -1), (2, 3, 1, 1), (3, 2, 1, -1),
+    (2, 4, 7, -1), (4, 5, 5, 1), (5, 3, 7, 1), (5, 4, 5, -1), (5, 5, 4, -1))
+
+#: Flat drift entry of each nonzero, and its source among (inputs, -inputs).
+_DRIFT_TARGETS = read_only([6 * row + col for row, col, _, _ in _DRIFT_ENTRIES])
+_DRIFT_SOURCES = read_only([source + 8 * (sign < 0)
+                            for _, _, source, sign in _DRIFT_ENTRIES])
+
+
 def drift_matrices(delta_a, delta_m_eff, kappa_a, kappa_m, gamma_b, omega_b,
                    g_ma, g_eff) -> tuple[np.ndarray, np.ndarray]:
-    """Drift matrices, shape (..., 6, 6), of numbers or of arrays of points,
-    and the mask of those whose entries (so all inputs) are finite."""
-    inputs = (delta_a, delta_m_eff, kappa_a, kappa_m, gamma_b, omega_b, g_ma,
-              g_eff)
-    a = np.zeros(np.broadcast(*inputs).shape + (6, 6))
-    a[..., 0, 0] = a[..., 1, 1] = kappa_a
-    a[..., 0, 1] = delta_a
-    a[..., 1, 0] = -delta_a
-    a[..., 0, 3] = g_ma
-    a[..., 1, 2] = -g_ma
-    a[..., 2, 1] = g_ma
-    a[..., 3, 0] = -g_ma
-    a[..., 2, 2] = a[..., 3, 3] = -kappa_m
-    a[..., 2, 3] = delta_m_eff
-    a[..., 3, 2] = -delta_m_eff
-    a[..., 2, 4] = -g_eff
-    a[..., 4, 5] = omega_b
-    a[..., 5, 3] = g_eff
-    a[..., 5, 4] = -omega_b
-    a[..., 5, 5] = -gamma_b
-    return a, np.isfinite(a).all(axis=(-2, -1))
+    """Drift matrices of numbers, shape (6, 6), or of N-vectors of points,
+    shape (N, 6, 6), and the mask of those whose entries (so all inputs) are
+    finite."""
+    values = np.array((delta_a, delta_m_eff, kappa_a, kappa_m, gamma_b,
+                       omega_b, g_ma, g_eff), dtype=np.float64)
+    a = np.zeros(values.shape[1:] + (36,))
+    a[..., _DRIFT_TARGETS] = np.concatenate((values, -values))[_DRIFT_SOURCES].T
+    return a.reshape(values.shape[1:] + (6, 6)), np.isfinite(values).all(axis=0)
 
 
 def quadrature_drift(delta_a: float, delta_m_eff: float, kappa_a: float,
@@ -100,7 +109,9 @@ _QUAD_TO_MODE = np.zeros((6, 6), dtype=complex)
 _QUAD_TO_MODE[0:2, 0:2] = _MODE_BLOCK
 _QUAD_TO_MODE[2:4, 2:4] = _MODE_BLOCK
 _QUAD_TO_MODE[4:6, 4:6] = np.eye(2)
-_MODE_TO_QUAD = np.linalg.inv(_QUAD_TO_MODE)
+_QUAD_TO_MODE = read_only(_QUAD_TO_MODE)
+_MODE_TO_QUAD = read_only(np.linalg.inv(_QUAD_TO_MODE))
+del _MODE_BLOCK
 
 
 def complex_drift(delta_a: float, delta_m_eff: float, kappa_a: float,
@@ -116,16 +127,21 @@ def complex_drift(delta_a: float, delta_m_eff: float, kappa_a: float,
     return _QUAD_TO_MODE @ a @ _MODE_TO_QUAD
 
 
-def diffusion_diagonals(kappa_a, kappa_m, gamma_b, n_a, n_m, n_b,
-                        gain_noise: str = "vacuum") -> np.ndarray:
-    """Diagonals, shape (..., 6), of the diffusion matrices of numbers or arrays."""
+#: Flat entries of the diffusion matrix's nonzero diagonal: the position row
+#: (4, 4) is exactly zero.
+_DIFFUSION_ENTRIES = read_only([0, 7, 14, 21, 35])
+
+
+def diffusion_matrices(kappa_a, kappa_m, gamma_b, n_a, n_m, n_b,
+                       gain_noise: str = "vacuum") -> np.ndarray:
+    """Diffusion matrices of numbers, shape (6, 6), or of N-vectors of
+    points, shape (N, 6, 6)."""
     cavity = np.abs(kappa_a) if gain_noise == "vacuum" else -kappa_a
-    diag = np.zeros(np.broadcast(kappa_a, kappa_m, gamma_b, n_a, n_m, n_b).shape
-                    + (6,))
-    diag[..., 0] = diag[..., 1] = cavity * (2.0 * n_a + 1.0)
-    diag[..., 2] = diag[..., 3] = kappa_m * (2.0 * n_m + 1.0)
-    diag[..., 5] = gamma_b * (2.0 * n_b + 1.0)
-    return diag
+    rates = np.array((cavity, cavity, kappa_m, kappa_m, gamma_b), dtype=np.float64)
+    occupations = np.array((n_a, n_a, n_m, n_m, n_b), dtype=np.float64)
+    d = np.zeros(rates.shape[1:] + (36,))
+    d[..., _DIFFUSION_ENTRIES] = (rates * (2.0 * occupations + 1.0)).T
+    return d.reshape(rates.shape[1:] + (6, 6))
 
 
 def diffusion_matrix(kappa_a: float, kappa_m: float, gamma_b: float,
@@ -145,8 +161,8 @@ def diffusion_matrix(kappa_a: float, kappa_m: float, gamma_b: float,
         raise ParameterError(f"gain_noise must be one of {GAIN_NOISE_MODES}")
     if min(n_a, n_m, n_b) < 0.0:
         raise ParameterError("occupations must be non-negative")
-    return DiffusionMatrix(d=np.diag(diffusion_diagonals(
-        kappa_a, kappa_m, gamma_b, n_a, n_m, n_b, gain_noise)))
+    return DiffusionMatrix(d=diffusion_matrices(
+        kappa_a, kappa_m, gamma_b, n_a, n_m, n_b, gain_noise))
 
 
 def diffusion_from_params(params: SystemParams,
@@ -166,12 +182,12 @@ def stability_batch(a: np.ndarray, failures: np.ndarray
     failure is recorded.
     """
     eigenvalues = np.full(a.shape[:-1], np.nan, dtype=complex)
-    rows = np.flatnonzero(alive(failures))
+    live = alive(failures)
     try:
-        eigenvalues[rows] = np.linalg.eigvals(a if rows.size == len(a) else a[rows])
+        eigenvalues[live] = np.linalg.eigvals(a[live])
     except np.linalg.LinAlgError:
         # One matrix failed the whole stack; find it point by point.
-        for k in rows:
+        for k in np.flatnonzero(live):
             try:
                 eigenvalues[k] = np.linalg.eigvals(a[k])
             except np.linalg.LinAlgError as exc:

@@ -85,6 +85,8 @@ def store_failure(failures: np.ndarray, k, exc: MagnomechError) -> None:
 
 def record_failures(failures: np.ndarray, mask, make) -> None:
     """Store ``make(k)`` at each index k of ``mask`` that has not failed yet."""
+    if not np.count_nonzero(mask):
+        return
     for k in zip(*np.nonzero(mask)):
         if failures[k] is None:
             failures[k] = make(k)

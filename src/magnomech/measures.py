@@ -6,6 +6,7 @@ V + i*Omega/2 >= 0 with Omega the direct-sum symplectic form.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ from .errors import (CrossCheckMismatchError, NonPhysicalCMError,
                      ParameterError, SingularSolveError, UnstableSystemError,
                      alive, no_failures, raise_failure, record_failures)
 from .dynamics import (STABILITY_REL_TOL, DiffusionMatrix, QuadratureDrift,
-                       stability)
+                       read_only, stability)
 
 #: Mode pairs by label, first listed mode first: photon-magnon, phonon-magnon,
 #: photon-phonon.
@@ -36,7 +37,7 @@ RESIDUAL_REL_TARGET = 1e-12
 MAX_REFINEMENTS = 10
 
 #: Partial transposition: flips the second mode's momentum.
-_PPT_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
+_PPT_FLIP = read_only(np.diag([1.0, 1.0, 1.0, -1.0]))
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -48,7 +49,10 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
-_I_OMEGA_2 = 1j * symplectic_form(2)
+_I_OMEGA_2 = read_only(1j * symplectic_form(2))
+
+#: i*Omega/2 of one, two and three modes, by matrix size.
+_HALF_I_OMEGA = {2 * n: read_only(0.5j * symplectic_form(n)) for n in (1, 2, 3)}
 
 
 @dataclass(frozen=True)
@@ -85,9 +89,9 @@ class PairMeasures:
 
 
 def physicality_margins(v: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of V + i*Omega/2, for one matrix or a stack."""
-    n_modes = v.shape[-1] // 2
-    return np.linalg.eigvalsh(v + 0.5j * symplectic_form(n_modes)).min(axis=-1)
+    """Smallest eigenvalue of V + i*Omega/2, for one matrix or a stack of
+    matrices of one, two or three modes."""
+    return np.linalg.eigvalsh(v + _HALF_I_OMEGA[v.shape[-1]]).min(axis=-1)
 
 
 def physicality_margin(v: np.ndarray) -> float:
@@ -107,9 +111,9 @@ def check_stable(max_lyapunov: float, stable: bool) -> None:
 # from A: entry [(i, j), (i, l)] of I (x) A is A[j,l], entry [(i, j), (k, j)]
 # of A (x) I is A[i,k]. Each tuple holds the I (x) A part, then the A (x) I part.
 _i, _j, _k = np.indices((6, 6, 6)).reshape(3, -1)
-_KRON_TARGETS = (np.ravel_multi_index((_i, _j, _i, _k), (6,) * 4),
-                 np.ravel_multi_index((_i, _j, _k, _j), (6,) * 4))
-_KRON_SOURCES = (_j * 6 + _k, _i * 6 + _k)
+_KRON_TARGETS = (read_only(np.ravel_multi_index((_i, _j, _i, _k), (6,) * 4)),
+                 read_only(np.ravel_multi_index((_i, _j, _k, _j), (6,) * 4)))
+_KRON_SOURCES = (read_only(_j * 6 + _k), read_only(_i * 6 + _k))
 del _i, _j, _k
 
 
@@ -133,65 +137,62 @@ def lyapunov_batch(a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray,
     Returns V (N, 6, 6) and the residual max|A V + V A^T + D| (N,), NaN at
     points that failed.
     """
-    n = len(a)
     pair_sums = np.abs(eigenvalues[:, :, None] + eigenvalues[:, None, :])
     scale = np.maximum(np.abs(eigenvalues).max(axis=-1), 1e-300)
     record_failures(failures, pair_sums.min(axis=(1, 2)) < 1e-14 * scale,
                     lambda k: SingularSolveError(
                         "eigenvalue pair sums to zero; Lyapunov system singular"))
-    v = np.full((n, 6, 6), np.nan)
-    residual = np.full(n, np.nan)
-    rows = np.flatnonzero(alive(failures))
-    if not rows.size:
-        return v, residual
-    a, d = a[rows], d[rows]
-    lhs = np.zeros((len(rows), 36 * 36))
-    lhs[:, _KRON_TARGETS[0]] = a.reshape(-1, 36)[:, _KRON_SOURCES[0]]
-    lhs[:, _KRON_TARGETS[1]] += a.reshape(-1, 36)[:, _KRON_SOURCES[1]]
+    live = alive(failures)
+    flat = a.reshape(-1, 36)
+    lhs = np.zeros((len(a), 36 * 36))
+    lhs[:, _KRON_TARGETS[0]] = flat[:, _KRON_SOURCES[0]]
+    lhs[:, _KRON_TARGETS[1]] += flat[:, _KRON_SOURCES[1]]
     lhs = lhs.reshape(-1, 36, 36)
     rhs = -d.reshape(-1, 36)
-    factors = []
-    x = np.empty_like(rhs)
-    for k, row in enumerate(rows):
-        lu, piv, info = scipy.linalg.lapack.dgetrf(lhs[k])
+    # Points that failed keep a zero solution and are not refined.
+    factors = [None] * len(a)
+    x = np.zeros(rhs.shape)
+    getrf, getrs = scipy.linalg.lapack.dgetrf, scipy.linalg.lapack.dgetrs
+    for k in np.flatnonzero(live).tolist():
+        lu, piv, info = getrf(lhs[k])
         if info != 0:
-            failures[row] = SingularSolveError(
+            failures[k] = SingularSolveError(
                 f"vectorized Lyapunov solve failed: LU info {info}")
-        factors.append((lu, piv))
-        x[k] = scipy.linalg.lapack.dgetrs(lu, piv, rhs[k])[0]
+        factors[k] = lu, piv
+        x[k] = getrs(lu, piv, rhs[k])[0]
     # Mixed-precision iterative refinement. The residual of any double-stored
     # solution bottoms out at eps*|A|*|V|, which near-marginal points push
     # above the certificate target, so the solution and its residual are
     # accumulated in extended precision while the corrections reuse the
     # double-precision LU factorization.
     al = a.astype(np.longdouble)
-    dl = d.astype(np.longdouble)
     vl = x.reshape(-1, 6, 6).astype(np.longdouble)
     vl = 0.5 * (vl + vl.swapaxes(-1, -2))
-    resid = _residual_matrices(al, vl, dl)
+    resid = _residual_matrices(al, vl, d)
     res = _max_abs(resid)
     target = RESIDUAL_REL_TARGET * np.abs(d).max(axis=(-2, -1))
-    active = ~(res <= target)
+    active = live & ~(res <= target)
     for _ in range(MAX_REFINEMENTS):
         act = np.flatnonzero(active)
         if not act.size:
             break
         r = resid[act].astype(np.float64).reshape(-1, 36)
-        corr = np.stack([scipy.linalg.lapack.dgetrs(*factors[k], -r_k)[0]
-                         for k, r_k in zip(act, r)])
+        corr = np.stack([getrs(*factors[k], -r_k)[0]
+                         for k, r_k in zip(act.tolist(), r)])
         corr = corr.reshape(-1, 6, 6).astype(np.longdouble)
         v_next = vl[act] + 0.5 * (corr + corr.swapaxes(-1, -2))
-        resid_next = _residual_matrices(al[act], v_next, dl[act])
+        resid_next = _residual_matrices(al[act], v_next, d[act])
         next_res = _max_abs(resid_next)
         better = ~(next_res >= res[act])
         vl[act[better]] = v_next[better]
         resid[act[better]] = resid_next[better]
         res[act[better]] = next_res[better]
         active[act] = better & ~(next_res <= target[act])
-    ok = alive(failures[rows])
-    v[rows[ok]] = vl[ok].astype(np.float64)
-    residual[rows[ok]] = res[ok]
-    return v, residual
+    failed = ~alive(failures)
+    v = vl.astype(np.float64)
+    v[failed] = np.nan
+    res[failed] = np.nan
+    return v, res
 
 
 def solve_lyapunov(drift: QuadratureDrift,
@@ -222,10 +223,20 @@ def _mode_indices(first: str, second: str) -> np.ndarray:
     return np.array(MODE_INDICES[first] + MODE_INDICES[second])
 
 
-def _pair_indices(pair: str) -> np.ndarray:
-    if pair not in PAIRS:
-        raise ParameterError(f"unknown pair {pair!r}; valid: {PAIRS}")
-    return _mode_indices(pair[0], pair[1])
+def _submatrix_entries(pair: str) -> list[list[int]]:
+    """Flat indices into a 6x6 matrix of the pair's 4x4 submatrix."""
+    rows = MODE_INDICES[pair[0]] + MODE_INDICES[pair[1]]
+    return [[6 * i + j for j in rows] for i in rows]
+
+
+#: Flat submatrix indices, shape (P, 4, 4), of each tuple of distinct pairs.
+_PAIR_ENTRIES = {pairs: read_only([_submatrix_entries(pair) for pair in pairs])
+                 for size in range(1, len(PAIRS) + 1)
+                 for pairs in itertools.permutations(PAIRS, size)}
+
+#: (pair, whether the source mode comes first) by (source, target) mode.
+_PAIR_OF_MODES = {**{(pair[0], pair[1]): (pair, True) for pair in PAIRS},
+                  **{(pair[1], pair[0]): (pair, False) for pair in PAIRS}}
 
 
 def _matrix(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
@@ -244,8 +255,8 @@ def reduce_modes(cm: CovarianceMatrix | np.ndarray, first: str,
 
 
 #: Rows and columns of the 2x2 blocks A, B and C in a two-mode matrix.
-_BLOCK_ROWS = np.array([[0, 1], [2, 3], [0, 1]])[:, :, None]
-_BLOCK_COLS = np.array([[0, 1], [2, 3], [2, 3]])[:, None, :]
+_BLOCK_ROWS = read_only(np.array([[0, 1], [2, 3], [0, 1]])[:, :, None])
+_BLOCK_COLS = read_only(np.array([[0, 1], [2, 3], [2, 3]])[:, None, :])
 
 
 def _determinants(sub: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -256,7 +267,7 @@ def _determinants(sub: np.ndarray) -> tuple[np.ndarray, ...]:
     states, where last-ulp changes in det A/B/C move E_N by up to 1e-5
     relative and flip cross-check verdicts.
     """
-    blocks =np.linalg.det(sub[..., _BLOCK_ROWS, _BLOCK_COLS])
+    blocks = np.linalg.det(sub[..., _BLOCK_ROWS, _BLOCK_COLS])
     return blocks[..., 0], blocks[..., 1], blocks[..., 2], np.linalg.det(sub)
 
 
@@ -332,7 +343,8 @@ def steering(rcm: ReducedCM, direction: str = "forward") -> float:
 
 
 class PairBatch:
-    """Entanglement and steering of P mode pairs over N covariance matrices.
+    """Entanglement and steering of P distinct mode pairs over N covariance
+    matrices.
 
     Every measure is an (N, P) array and comes from one determinant set per
     pair. Steering needs only a positive two-mode determinant
@@ -343,8 +355,10 @@ class PairBatch:
 
     def __init__(self, v: np.ndarray, pairs: tuple[str, ...],
                  checked: tuple[str, ...] = ()) -> None:
-        idx = np.array([_pair_indices(pair) for pair in pairs])
-        sub = v[:, idx[:, :, None], idx[:, None, :]]
+        for pair in pairs:
+            if pair not in PAIRS:
+                raise ParameterError(f"unknown pair {pair!r}; valid: {PAIRS}")
+        sub = v.reshape(len(v), 36)[:, _PAIR_ENTRIES[pairs]]
         dets = _determinants(sub)
         shape = sub.shape[:2]
         self.steering_failures = no_failures(shape)
@@ -371,9 +385,9 @@ class PairBatch:
 
 def pair_of_modes(source: str, target: str) -> tuple[str, bool]:
     """The pair label holding two modes, and whether ``source`` comes first."""
-    _mode_indices(source, target)
-    pair = next(p for p in PAIRS if {source, target} == set(p))
-    return pair, pair[0] == source
+    if (source, target) not in _PAIR_OF_MODES:
+        _mode_indices(source, target)  # raises the ParameterError
+    return _PAIR_OF_MODES[source, target]
 
 
 def pair_measures(cm: CovarianceMatrix | np.ndarray, pair: str) -> PairMeasures:

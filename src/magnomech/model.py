@@ -14,6 +14,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
 from scipy.constants import hbar, k as k_B
 
 from .errors import ParameterError
@@ -136,10 +137,11 @@ def parameter_violations(values):
     arrays with one entry per point, and "violated" is then a mask over the
     points. Rules come in the order they are checked.
     """
-    for name, val in values.items():
-        if val is not None:
-            yield ((val != val) | (abs(val) == math.inf),
-                   f"SystemParams.{name} is not finite")
+    given = [name for name, val in values.items() if val is not None]
+    not_finite = ~np.isfinite(np.array([values[name] for name in given],
+                                       dtype=np.float64))
+    for name, violated in zip(given, not_finite):
+        yield violated, f"SystemParams.{name} is not finite"
     yield values["omega_a"] <= 0.0, "omega_a must be positive"
     yield values["omega_m"] <= 0.0, "omega_m must be positive"
     yield values["kappa_m"] <= 0.0, "kappa_m must be positive"

@@ -6,7 +6,6 @@ import functools
 import io
 import json
 import math
-import operator
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -15,7 +14,7 @@ import numpy as np
 
 from . import measures as _measures
 from .config import build_params, default_config
-from .dynamics import (GAIN_NOISE_MODES, StabilityReport, diffusion_diagonals,
+from .dynamics import (GAIN_NOISE_MODES, StabilityReport, diffusion_matrices,
                        drift_matrices, stability_batch)
 from .errors import (BracketInvalidError, MagnomechError, ParameterError,
                      UnstableSystemError, alive, no_failures, raise_failure,
@@ -189,25 +188,34 @@ def _columns(params: SystemParams, n: int = 1) -> dict:
 
 def _check_columns(columns: dict, failures: np.ndarray) -> None:
     """Record, at each invalid point, the first SystemParams rule it breaks."""
-    rules = list(parameter_violations(columns))
-    if not np.any(functools.reduce(operator.or_, (bad for bad, _ in rules))):
-        return
-    for violated, message in rules:
-        record_failures(failures, np.broadcast_to(violated, failures.shape),
-                        lambda k: ParameterError(message))
+    for violated, message in parameter_violations(columns):
+        if np.count_nonzero(violated):
+            record_failures(failures, np.broadcast_to(violated, failures.shape),
+                            lambda k: ParameterError(message))
 
 
 def _working_points(columns: dict, failures: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Effective coupling and magnon detuning per point.
 
-    Preset points read both off their columns; drive-mode points solve for
-    them one by one with :func:`working_point`.
+    Preset points read both off their columns. Drive-mode points solve for
+    them with :func:`working_point`, once per distinct set of the fields
+    other than the temperature, which the working point does not depend on;
+    a point that repeats an earlier one copies its result or its failure.
     """
     if columns["G_eff"] is not None and columns["delta_m_eff"] is not None:
         return columns["G_eff"], columns["delta_m_eff"]
     g_eff, delta_m_eff = np.zeros(len(failures)), np.zeros(len(failures))
-    for k in np.flatnonzero(alive(failures)):
+    keys = np.array([col for name, col in columns.items()
+                     if col is not None and name != "temperature"]).T
+    first: dict[bytes, int] = {}
+    for k in np.flatnonzero(alive(failures)).tolist():
+        j = first.setdefault(keys[k].tobytes(), k)
+        if j != k:
+            if failures[j] is not None:
+                failures[k] = type(failures[j])(*failures[j].args)
+            g_eff[k], delta_m_eff[k] = g_eff[j], delta_m_eff[j]
+            continue
         try:
             wp = working_point(SystemParams(**{
                 name: None if col is None else float(col[k])
@@ -225,20 +233,19 @@ def _diffusions(columns: dict, rows: np.ndarray, gain_noise: str,
     if gain_noise not in GAIN_NOISE_MODES:
         failures[:] = ParameterError(
             f"gain_noise must be one of {GAIN_NOISE_MODES}")
-    omegas = [columns[name][rows].tolist()
-              for name in ("omega_a", "omega_m", "omega_b")]
-    occupations = np.zeros((3, len(rows)))
-    for i, temperature in enumerate(columns["temperature"][rows].tolist()):
+    omegas = [columns[name].tolist() for name in ("omega_a", "omega_m", "omega_b")]
+    temperatures = columns["temperature"].tolist()
+    occupations = []
+    for i, k in enumerate(rows.tolist()):
         try:
-            occupations[:, i] = [thermal_occupation(omega[i], temperature)
-                                 for omega in omegas]
+            occupations.append([thermal_occupation(omega[k], temperatures[k])
+                                for omega in omegas])
         except MagnomechError as exc:
             store_failure(failures, i, exc)
-    d = np.zeros((len(rows), 6, 6))
-    d.reshape(-1, 36)[:, ::7] = diffusion_diagonals(
+            occupations.append([0.0, 0.0, 0.0])
+    return diffusion_matrices(
         columns["kappa_a"][rows], columns["kappa_m"][rows],
-        columns["gamma_b"][rows], *occupations, gain_noise)
-    return d
+        columns["gamma_b"][rows], *np.array(occupations).T, gain_noise)
 
 
 @dataclass
@@ -246,18 +253,19 @@ class _Solution:
     """Pipeline results over N points.
 
     ``reported`` marks the points that came through the stability stage, so
-    that their stability verdict is reported even if a later stage fails,
-    and ``solved`` those of them with a covariance matrix; other entries are
-    undefined.
+    that their stability verdict is reported even if a later stage fails;
+    the verdict arrays are undefined elsewhere. ``solved`` lists the points
+    with a covariance matrix, and ``v`` and ``residual`` hold one entry per
+    listed point.
     """
 
     max_lyapunov: np.ndarray
     stable: np.ndarray
     eigenvalues: np.ndarray
     reported: np.ndarray
+    solved: np.ndarray
     v: np.ndarray
     residual: np.ndarray
-    solved: np.ndarray
 
 
 def _solve(columns: dict, failures: np.ndarray, gain_noise: str,
@@ -277,19 +285,19 @@ def _solve(columns: dict, failures: np.ndarray, gain_noise: str,
         "quadrature_drift: non-finite input"))
     eigenvalues, max_lyapunov, stable = stability_batch(a, failures)
     reported = alive(failures)
-    n = len(failures)
-    v, residual = np.full((n, 6, 6), np.nan), np.full(n, np.nan)
-    rows = np.flatnonzero(reported & stable)
-    if covariance and rows.size:
-        sub_failures = failures[rows]
-        d = _diffusions(columns, rows, gain_noise, sub_failures)
-        v[rows], residual[rows] = _measures.lyapunov_batch(
-            a[rows], d, eigenvalues[rows], sub_failures)
-        failures[rows] = sub_failures
-    solved = alive(failures) & stable if covariance else np.zeros(n, bool)
+    solved = np.flatnonzero(reported & stable & covariance)
+    v, residual = np.empty((0, 6, 6)), np.empty(0)
+    if solved.size:
+        sub_failures = failures[solved]
+        d = _diffusions(columns, solved, gain_noise, sub_failures)
+        v, residual = _measures.lyapunov_batch(
+            a[solved], d, eigenvalues[solved], sub_failures)
+        failures[solved] = sub_failures
+        ok = alive(sub_failures)
+        solved, v, residual = solved[ok], v[ok], residual[ok]
     return _Solution(max_lyapunov=max_lyapunov, stable=stable,
-                     eigenvalues=eigenvalues, reported=reported, v=v,
-                     residual=residual, solved=solved)
+                     eigenvalues=eigenvalues, reported=reported, solved=solved,
+                     v=v, residual=residual)
 
 
 def solve_point(params: SystemParams, gain_noise: str = "vacuum",
@@ -316,9 +324,25 @@ def solve_point(params: SystemParams, gain_noise: str = "vacuum",
         residual=float(sol.residual[0]))
 
 
-def _cells(values: np.ndarray, mask: np.ndarray) -> list:
-    """Plain Python values, None where ``mask`` is False."""
-    return [v if ok else None for v, ok in zip(values.tolist(), mask.tolist())]
+@functools.lru_cache(maxsize=1024)
+def _pair_plan(outputs: tuple[str, ...]) -> tuple[tuple, tuple, tuple]:
+    """The pairs a PairBatch needs for ``outputs``, those of them to
+    cross-check, and the pair measures in output order as (position,
+    PairBatch attribute, column in pairs, steering): a steering measure is
+    stopped only by a steering failure."""
+    measures = []
+    for j, out in enumerate(outputs):
+        kind, args = _classify_output(out)
+        if kind == "steering":
+            pair, forward = _measures.pair_of_modes(*args)
+            measures.append((j, pair, "s_12" if forward else "s_21", True))
+        elif kind in ("e_n", "eta"):
+            measures.append((j, args[0], "e_n" if kind == "e_n" else "eta_minus",
+                             False))
+    pairs = tuple(dict.fromkeys(pair for _, pair, _, _ in measures))
+    checked = tuple(pair for _, pair, _, steering in measures if not steering)
+    return pairs, checked, tuple((j, name, pairs.index(pair), steering)
+                                 for j, pair, name, steering in measures)
 
 
 def _evaluate(columns: dict, failures: np.ndarray, outputs: tuple[str, ...],
@@ -329,61 +353,44 @@ def _evaluate(columns: dict, failures: np.ndarray, outputs: tuple[str, ...],
     never zeros. Measures are taken in output order; the first one that fails
     at a point sets its error and leaves the later measures None.
     """
-    kinds = [_classify_output(out) for out in outputs]
+    kinds = [_classify_output(out)[0] for out in outputs]
     sol = _solve(columns, failures, gain_noise,
-                 covariance=any(kind != "report" for kind, _ in kinds))
-    n = len(failures)
-    cells: dict[str, list] = {}
-    if "stable" in outputs:
-        cells["stable"] = _cells(sol.stable.astype(int), sol.reported)
-    if "max_lyapunov" in outputs:
-        cells["max_lyapunov"] = _cells(sol.max_lyapunov, sol.reported)
-    if "pt_phase" in outputs:
-        cells["pt_phase"] = [
-            pt_classify(g, ka, km).tag if ok else None for g, ka, km, ok
-            in zip(columns["g_ma"].tolist(), columns["kappa_a"].tolist(),
-                   columns["kappa_m"].tolist(), sol.reported)]
-    if "residual" in outputs:
-        cells["residual"] = _cells(sol.residual, sol.solved)
-    solved = np.flatnonzero(sol.solved)
-    if "physicality_margin" in outputs:
-        margins = np.full(n, np.nan)
-        margins[solved] = _measures.physicality_margins(sol.v[solved])
-        cells["physicality_margin"] = _cells(margins, sol.solved)
-    # Pair measures: (output, kind, (pair, forward)) in output order.
-    wanted = [(out, kind, _measures.pair_of_modes(*args) if kind == "steering"
-               else (args[0], True)) for out, (kind, args) in zip(outputs, kinds)
-              if kind in ("e_n", "eta", "steering")]
-    if wanted and solved.size:
-        pairs = tuple(dict.fromkeys(pair for _, _, (pair, _) in wanted))
-        batch = _measures.PairBatch(sol.v[solved], pairs, checked=tuple(
-            pair for _, kind, (pair, _) in wanted if kind != "steering"))
-        values, stops = [], []
-        for _, kind, (pair, forward) in wanted:
-            col = pairs.index(pair)
-            if kind == "steering":
-                values.append((batch.s_12 if forward else batch.s_21)[:, col])
-                stops.append(batch.steering_failures[:, col])
-            else:
-                values.append((batch.e_n if kind == "e_n" else batch.eta_minus)[:, col])
-                stops.append(batch.failures[:, col])
-        # The first measure (in output order) that fails stops the point.
-        stop_table = np.array(stops, dtype=object)
-        failed = ~alive(stop_table)
-        first = np.where(failed.any(axis=0), failed.argmax(axis=0), len(wanted))
-        stopped = first < len(wanted)
-        failures[solved[stopped]] = stop_table[first[stopped], np.flatnonzero(stopped)]
-        full = np.full((len(wanted), n), np.nan)
-        full[:, solved] = values
-        valid = np.zeros((len(wanted), n), bool)
-        valid[:, solved] = np.arange(len(wanted))[:, None] < first
-        for j, (out, _, _) in enumerate(wanted):
-            cells[out] = _cells(full[j], valid[j])
-    for out in outputs:
-        cells.setdefault(out, [None] * n)
-    codes = [failure.code if failure is not None else "" for failure in failures]
-    return [[*point, code] for point, code in
-            zip(zip(*(cells[out] for out in outputs)), codes)]
+                 covariance=any(kind != "report" for kind in kinds))
+    rows = [[None] * len(outputs) for _ in range(len(failures))]
+    reported = np.flatnonzero(sol.reported).tolist()
+    solved = sol.solved.tolist()
+    for j, (out, kind) in enumerate(zip(outputs, kinds)):
+        if out == "pt_phase":
+            g_ma, kappa_a, kappa_m = (columns[name].tolist()
+                                      for name in ("g_ma", "kappa_a", "kappa_m"))
+            for k in reported:
+                rows[k][j] = pt_classify(g_ma[k], kappa_a[k], kappa_m[k]).tag
+        elif kind == "report":
+            values = (sol.stable.astype(int) if out == "stable"
+                      else sol.max_lyapunov).tolist()
+            for k in reported:
+                rows[k][j] = values[k]
+        elif kind == "cm" and solved:
+            values = (sol.residual if out == "residual"
+                      else _measures.physicality_margins(sol.v))
+            for k, value in zip(solved, values.tolist()):
+                rows[k][j] = value
+    pairs, checked, measures = _pair_plan(outputs)
+    if solved and measures:
+        batch = _measures.PairBatch(sol.v, pairs, checked=checked)
+        tables = {name: getattr(batch, name).tolist() for _, name, _, _ in measures}
+        stops = (batch.failures.tolist(), batch.steering_failures.tolist())
+        for i, k in enumerate(solved):
+            row = rows[k]
+            for j, name, col, steering in measures:
+                failure = stops[steering][i][col]
+                if failure is not None:  # stops the point's later measures
+                    failures[k] = failure
+                    break
+                row[j] = tables[name][i][col]
+    for row, failure in zip(rows, failures):
+        row.append(failure.code if failure is not None else "")
+    return rows
 
 
 def evaluate_point(params: SystemParams, outputs: tuple[str, ...],
@@ -520,18 +527,18 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
     stable across the bracket; returns the midpoint of the final bracket,
     within VANISHING_TEMPERATURE_TOL kelvin.
 
-    The two ends are solved as one batch, and then the midpoints of the next
-    VANISHING_TREE_DEPTH bisection steps, whichever way each step goes, as
-    another. The search walks the path the one-at-a-time bisection takes
-    through them, so it returns the same temperature, and only a point on
-    that path can raise.
+    The midpoints of the next VANISHING_TREE_DEPTH bisection steps,
+    whichever way each step goes, are solved as one batch: the first such
+    tree together with the two ends. The search walks the path the
+    one-at-a-time bisection takes through them, so it returns the same
+    temperature, and only a point on that path can raise.
     """
     outputs = ("stable", "max_lyapunov", f"E_N({pair})")
 
-    def solve(params: SystemParams, temperatures: list[float]):
+    def solve(temperatures: list[float]):
         """E_N(k) at the k-th temperature, which raises that point's failure."""
         n = len(temperatures)
-        columns, failures = _columns(params, n), no_failures(n)
+        columns, failures = _columns(base, n), no_failures(n)
         columns["temperature"] = np.array(temperatures)
         _check_columns(columns, failures)
         rows = _evaluate(columns, failures, outputs, gain_noise)
@@ -543,37 +550,37 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
             return value
         return e_n
 
+    def tree(lo: float, hi: float) -> list[float]:
+        """Heap-ordered midpoints: node k bisects brackets[k], and nodes
+        2k+1 and 2k+2 bisect its lower and upper half."""
+        brackets, mids = [(lo, hi)], []
+        for a, b in brackets:
+            mids.append(0.5 * (a + b))
+            if len(brackets) < 2**VANISHING_TREE_DEPTH - 1:
+                brackets += [(a, mids[-1]), (mids[-1], b)]
+        return mids
+
     if not t_lo < t_hi:
         raise BracketInvalidError("need t_lo < t_hi")
-    ends = solve(base, [t_lo, t_hi])
+    mids = tree(t_lo, t_hi)
+    e_n = solve([*mids, t_lo, t_hi])
     try:
-        lo_val, hi_val = ends(0), ends(1)
+        lo_val, hi_val = e_n(len(mids)), e_n(len(mids) + 1)
     except UnstableSystemError as exc:
         raise BracketInvalidError(f"system unstable inside bracket: {exc}") from exc
     if lo_val <= 0.0:
         raise BracketInvalidError(f"E_N({pair}) = 0 already at {t_lo} K")
     if hi_val > 0.0:
         raise BracketInvalidError(f"E_N({pair}) = {hi_val:.3g} > 0 still at {t_hi} K")
-    # The working point does not depend on temperature, and the ends have
-    # solved it: the midpoints take it as given rather than solve it again.
-    wp = working_point(base)
-    fixed = base.replace(G_eff=wp.G, delta_m_eff=wp.delta_m_eff, epsilon_d=None)
-    lo, hi = t_lo, t_hi
+    lo, hi, node = t_lo, t_hi, 0
     while hi - lo > VANISHING_TEMPERATURE_TOL:
-        # Heap order: node k bisects brackets[k], and nodes 2k+1 and 2k+2
-        # bisect its lower and upper half.
-        brackets, mids = [(lo, hi)], []
-        for a, b in brackets:
-            mids.append(0.5 * (a + b))
-            if len(brackets) < 2**VANISHING_TREE_DEPTH - 1:
-                brackets += [(a, mids[-1]), (mids[-1], b)]
-        e_n = solve(fixed, mids)
-        node = 0
-        while node < len(mids) and hi - lo > VANISHING_TEMPERATURE_TOL:
-            if e_n(node) > 0.0:
-                lo, node = mids[node], 2 * node + 2
-            else:
-                hi, node = mids[node], 2 * node + 1
+        if node >= len(mids):
+            mids, node = tree(lo, hi), 0
+            e_n = solve(mids)
+        if e_n(node) > 0.0:
+            lo, node = mids[node], 2 * node + 2
+        else:
+            hi, node = mids[node], 2 * node + 1
     return 0.5 * (lo + hi)
 
 

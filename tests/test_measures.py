@@ -13,6 +13,7 @@ from magnomech import (CrossCheckMismatchError, ParameterError,
                        ppt_symplectic_eigenvalues, quadrature_drift,
                        reduce_modes, solve_lyapunov, steering,
                        steering_between, symplectic_form)
+from magnomech import dynamics, measures
 from magnomech.dynamics import DiffusionMatrix
 from magnomech.errors import no_failures
 from magnomech.measures import MODE_INDICES, ReducedCM, lyapunov_batch
@@ -281,3 +282,33 @@ class TestPairMeasures:
             s = max(steering(rcm, "forward"), steering(rcm, "backward"))
             if s > 1e-12:
                 assert log_negativity(rcm)[0] > 0.0
+
+
+# Index and constant tables shared by every call of the batch kernels.
+SHARED_TABLES = [
+    ("dynamics._DRIFT_TARGETS", dynamics._DRIFT_TARGETS),
+    ("dynamics._DRIFT_SOURCES", dynamics._DRIFT_SOURCES),
+    ("dynamics._DIFFUSION_ENTRIES", dynamics._DIFFUSION_ENTRIES),
+    ("dynamics._QUAD_TO_MODE", dynamics._QUAD_TO_MODE),
+    ("dynamics._MODE_TO_QUAD", dynamics._MODE_TO_QUAD),
+    ("measures._PPT_FLIP", measures._PPT_FLIP),
+    ("measures._I_OMEGA_2", measures._I_OMEGA_2),
+    *((f"measures._HALF_I_OMEGA[{size}]", table)
+      for size, table in measures._HALF_I_OMEGA.items()),
+    *((f"measures._KRON_TARGETS[{k}]", table)
+      for k, table in enumerate(measures._KRON_TARGETS)),
+    *((f"measures._KRON_SOURCES[{k}]", table)
+      for k, table in enumerate(measures._KRON_SOURCES)),
+    *((f"measures._PAIR_ENTRIES[{pairs}]", table)
+      for pairs, table in measures._PAIR_ENTRIES.items()),
+    ("measures._BLOCK_ROWS", measures._BLOCK_ROWS),
+    ("measures._BLOCK_COLS", measures._BLOCK_COLS),
+]
+
+
+def test_shared_tables_are_read_only():
+    # A caller that wrote to a table would change every later result.
+    for name, table in SHARED_TABLES:
+        assert not table.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = table.flat[0]

@@ -1,14 +1,17 @@
 import dataclasses
 import gc
+import math
 
+import numpy as np
 import pytest
 
 from magnomech import (Axis, BracketInvalidError, MagnomechError,
-                       ParameterError, Series, SingularSolveError,
-                       SweepSpec, UnstableSystemError, default_params,
-                       evaluate_point, figure_preset, pair_measures, run_sweep,
-                       vanishing_temperature)
+                       NonConvergenceError, ParameterError, Series,
+                       SingularSolveError, SweepSpec, UnstableSystemError,
+                       default_params, evaluate_point, figure_preset,
+                       pair_measures, run_sweep, vanishing_temperature)
 from magnomech import sweep
+from magnomech.errors import no_failures
 from magnomech.sweep import (BATCH_SIZE, FIGURE_NAMES,
                              VANISHING_TEMPERATURE_TOL, VANISHING_TREE_DEPTH,
                              apply_parameter)
@@ -42,6 +45,38 @@ def fig4b_edge_spec() -> SweepSpec:
     return SweepSpec(base=spec.base,
                      axes=(Axis("delta_over_omega_b", -0.02, 0.0, 2), spec.axes[1]),
                      outputs=spec.outputs)
+
+
+def all_outputs_spec() -> SweepSpec:
+    """fig4b's last two detuning rows with every output a query can ask for:
+    each pair's E_N and eta^-, every steering direction and the certificates.
+    Cross-check mismatches stop points at E_N(bm) and at E_N(ab)."""
+    spec = fig4b_edge_spec()
+    return SweepSpec(base=spec.base, axes=spec.axes, outputs=(
+        "stable", "max_lyapunov", "E_N(am)", "E_N(bm)", "E_N(ab)",
+        "S(a->m)", "S(m->a)", "S(b->m)", "S(m->b)", "S(a->b)", "S(b->a)",
+        "eta_minus(am)", "eta_minus(bm)", "eta_minus(ab)", "residual",
+        "physicality_margin"))
+
+
+def drive_temperature_spec(epsilon_d: float) -> SweepSpec:
+    """A drive-mode temperature sweep: one working point for all 251 points."""
+    return SweepSpec(base=drive_spec().base.replace(epsilon_d=epsilon_d),
+                     axes=(Axis("temperature", 0.0, 0.25, 251),),
+                     outputs=("E_N(am)", "stable"))
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Count the calls made to ``sweep.<name>``; returns the growing list of
+    their arguments."""
+    calls = []
+    original = getattr(sweep, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(sweep, name, counted)
+    return calls
 
 
 def unstable_spec() -> SweepSpec:
@@ -244,7 +279,8 @@ class TestRunSweep:
         (drive_spec, {"", "non_convergence"}),
         (fig4b_edge_spec, {"", "cross_check_mismatch"}),
         (unstable_spec, {""}),
-        (covariance_failure_spec, {"", "singular_solve"})])
+        (covariance_failure_spec, {"", "singular_solve"}),
+        (all_outputs_spec, {"", "cross_check_mismatch"})])
     def test_batched_rows_match_single_points(self, make_spec, codes):
         spec = make_spec()
         result = run_sweep(spec)
@@ -254,6 +290,49 @@ class TestRunSweep:
         assert {code for series in spec.series
                 for code in result.column("error", series.label)} == codes
         assert {0, 1} & set(result.column("stable", spec.series[0].label))
+
+    def test_first_failing_measure_stops_the_later_ones(self):
+        # Outputs: verdict (2), pair measures in output order (12), then the
+        # certificates (2). A failed measure leaves itself and every later
+        # measure None, but keeps the earlier ones and the certificates.
+        spec = all_outputs_spec()
+        stopped = set()
+        for row in run_sweep(spec).rows:
+            values, error = row[len(spec.axes):-1], row[-1]
+            if not values[0]:  # unstable: no covariance matrix
+                continue
+            verdict, cells, certificates = values[:2], values[2:14], values[14:]
+            taken = cells.index(None) if None in cells else len(cells)
+            assert None not in verdict + cells[:taken] + certificates
+            assert cells[taken:] == [None] * (len(cells) - taken)
+            assert (error == "") == (taken == len(cells))
+            stopped.add(spec.outputs[2 + taken] if error else None)
+        assert stopped == {None, "E_N(bm)", "E_N(ab)"}
+
+    @pytest.mark.parametrize("epsilon_d, code", [(8.6e13, ""),
+                                                  (9.2e13, "non_convergence")])
+    def test_working_point_is_solved_once_per_batch(self, monkeypatch,
+                                                     epsilon_d, code):
+        # The working point does not depend on temperature.
+        spec = drive_temperature_spec(epsilon_d)
+        expected = point_rows(spec)
+        calls = count_calls(monkeypatch, "working_point")
+        result = run_sweep(spec)
+        assert len(calls) == -(-len(expected) // BATCH_SIZE)
+        assert result.rows == expected
+        assert set(result.column("error")) == {code}
+
+    def test_repeated_failures_are_separate_copies(self):
+        spec = drive_temperature_spec(9.2e13)
+        columns = sweep._columns(spec.base, 3)
+        columns["temperature"] = np.array([0.0, 0.1, 0.2])
+        failures = no_failures(3)
+        sweep._working_points(columns, failures)
+        assert len({id(failure) for failure in failures}) == 3
+        for failure in failures:
+            assert type(failure) is type(failures[0]) is NonConvergenceError
+            assert failure.args == failures[0].args
+            assert failure.__traceback__ is None
 
     def test_failed_points_leave_no_garbage(self):
         # The cycle collector cannot see into the object arrays that hold
@@ -301,6 +380,26 @@ class TestRunSweep:
         assert result.column("error") == ["parameter_error"] * 3
         assert [row[1:-1] for row in result.rows] == [[None, None]] * 3
         assert result.rows == point_rows(spec)
+
+    def test_each_invalid_point_gets_its_first_broken_rule(self):
+        # As SystemParams would reject that point alone.
+        base = default_params()
+        columns = sweep._columns(base, 4)
+        columns["G_eff"] = np.array([0.1, math.inf, -0.1, 0.2]) * OMEGA_B
+        columns["g_ma"] = np.array([0.1, 0.1, -0.1, 0.1]) * OMEGA_B
+        failures = no_failures(4)
+        sweep._check_columns(columns, failures)
+        messages = [None, "SystemParams.G_eff is not finite",
+                    "coupling rates must be non-negative", None]
+        assert [failure and str(failure) for failure in failures] == messages
+        for k, message in enumerate(messages):
+            point = {name: col[k] for name, col in columns.items()
+                     if col is not None}
+            if message is None:
+                base.replace(**point)
+            else:
+                with pytest.raises(ParameterError, match=message):
+                    base.replace(**point)
 
     def test_unknown_output_is_a_parameter_error(self):
         assert evaluate_point(default_params(), ("stable", "E_N(zz)")) == {
@@ -478,6 +577,34 @@ class TestVanishingTemperature:
             vanishing_temperature(base, "am", t_lo, t_hi, noise)
         assert type(got.value) is type(reference.value) is SingularSolveError
         assert str(got.value) == str(reference.value)
+
+    def test_off_path_failures_in_the_first_batch_do_not_raise(self, monkeypatch):
+        # The ends share a batch with the first tree's midpoints: a failure
+        # at any of those the walk passes by must not raise.
+        base, t_lo, t_hi, noise = self.SEARCHES[-1]
+        visited = []
+        expected = sequential_bisection(base, "am", t_lo, t_hi, noise, visited)
+        brackets, first_tree = [(t_lo, t_hi)], []
+        for a, b in brackets:
+            first_tree.append(0.5 * (a + b))
+            if len(brackets) < 2**VANISHING_TREE_DEPTH - 1:
+                brackets += [(a, first_tree[-1]), (first_tree[-1], b)]
+        off_path = set(first_tree) - set(visited)
+        assert len(off_path) == len(first_tree) - VANISHING_TREE_DEPTH
+        seen = self._fail_at(monkeypatch, off_path)
+        batches = count_calls(monkeypatch, "_evaluate")
+        assert vanishing_temperature(base, "am", t_lo, t_hi, noise) == expected
+        assert off_path <= set(seen)
+        first_batch = batches[0][0]["temperature"].tolist()
+        assert off_path | {t_lo, t_hi} <= set(first_batch)
+
+    def test_search_takes_four_batches(self, monkeypatch):
+        # [0, 0.35] K takes 12 bisection levels: the ends with the first
+        # three levels, then three trees of three.
+        base, t_lo, t_hi, noise = self.SEARCHES[1]
+        batches = count_calls(monkeypatch, "_evaluate")
+        vanishing_temperature(base, "am", t_lo, t_hi, noise)
+        assert [len(args[1]) for args in batches] == [9, 7, 7, 7]
 
     def test_low_end_fails_before_high_end(self, monkeypatch):
         base, t_lo, t_hi, noise = self.SEARCHES[-1]
