@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EigenSolveError, ParameterError, alive, no_failures,
-                     raise_failure, record_failures)
+from .errors import (EigenSolveError, ParameterError, alive, lapack_stack,
+                     no_failures, raise_failure, record_failures)
 from .model import SystemParams
 from .steady_state import WorkingPoint
 
@@ -182,17 +182,10 @@ def stability_batch(a: np.ndarray, failures: np.ndarray
     failure is recorded.
     """
     eigenvalues = np.full(a.shape[:-1], np.nan, dtype=complex)
-    live = alive(failures)
-    try:
-        eigenvalues[live] = np.linalg.eigvals(a[live])
-    except np.linalg.LinAlgError:
-        # One matrix failed the whole stack; find it point by point.
-        for k in np.flatnonzero(live):
-            try:
-                eigenvalues[k] = np.linalg.eigvals(a[k])
-            except np.linalg.LinAlgError as exc:
-                failures[k] = EigenSolveError(
-                    f"eigenvalue computation failed: {exc}")
+    live = np.flatnonzero(alive(failures))
+    eigenvalues[live] = lapack_stack(
+        np.linalg.eigvals, (a[live],), eigenvalues[live], failures, live,
+        EigenSolveError, "eigenvalue computation failed")
     record_failures(failures, ~np.isfinite(eigenvalues).all(axis=-1),
                     lambda k: EigenSolveError(
                         "eigenvalue computation returned non-finite values"))

@@ -92,6 +92,21 @@ def record_failures(failures: np.ndarray, mask, make) -> None:
             failures[k] = make(k)
 
 
+def lapack_stack(func, stacks: tuple, out, failures, points, error, what):
+    """``func(*stacks)`` in one LAPACK call; entry j is point ``points[j]``.
+    Only if LAPACK rejects the stacks does ``func`` run point by point, into
+    ``out``: each point it rejects fails with ``error(f"{what}: {reason}")``."""
+    try:
+        return func(*stacks)
+    except np.linalg.LinAlgError:
+        for j, k in enumerate(points.tolist()):
+            try:
+                out[j] = func(*(stack[j] for stack in stacks))
+            except np.linalg.LinAlgError as exc:
+                failures[k] = error(f"{what}: {exc}")
+        return out
+
+
 def raise_failure(failures: np.ndarray) -> None:
     """Raise (a copy of) the failure of a batch of one, if any."""
     failure = failures.flat[0]

@@ -10,11 +10,11 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (CrossCheckMismatchError, NonPhysicalCMError,
                      ParameterError, SingularSolveError, UnstableSystemError,
-                     alive, no_failures, raise_failure, record_failures)
+                     alive, lapack_stack, no_failures, raise_failure,
+                     record_failures)
 from .dynamics import (STABILITY_REL_TOL, DiffusionMatrix, QuadratureDrift,
                        read_only, stability)
 
@@ -131,54 +131,49 @@ def lyapunov_batch(a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray,
     """Solve A V + V A^T = -D for N stable drifts at once.
 
     ``a`` and ``d`` are (N, 6, 6) and ``eigenvalues`` (N, 6) is the spectrum
-    of each drift. Each point's vectorized 36x36 system
-    (I (x) A + A (x) I) vec(V) = -vec(D) is solved densely. A point whose
-    eigenvalues pair up to (numerically) zero gets a SingularSolveError.
-    Returns V (N, 6, 6) and the residual max|A V + V A^T + D| (N,), NaN at
-    points that failed.
+    of each drift. The vectorized 36x36 systems
+    (I (x) A + A (x) I) vec(V) = -vec(D) are solved densely, as one stack. A
+    point gets a SingularSolveError when its eigenvalues pair up to
+    (numerically) zero or LAPACK finds its system singular. Returns V
+    (N, 6, 6) and the residual max|A V + V A^T + D| (N,), NaN at points that
+    failed.
     """
     pair_sums = np.abs(eigenvalues[:, :, None] + eigenvalues[:, None, :])
     scale = np.maximum(np.abs(eigenvalues).max(axis=-1), 1e-300)
     record_failures(failures, pair_sums.min(axis=(1, 2)) < 1e-14 * scale,
                     lambda k: SingularSolveError(
                         "eigenvalue pair sums to zero; Lyapunov system singular"))
-    live = alive(failures)
+    live = np.flatnonzero(alive(failures))
+    # Build the live systems only: masking a full stack of them copies it.
+    a, d = a[live], d[live]
     flat = a.reshape(-1, 36)
-    lhs = np.zeros((len(a), 36 * 36))
+    lhs = np.zeros((live.size, 36 * 36))
     lhs[:, _KRON_TARGETS[0]] = flat[:, _KRON_SOURCES[0]]
     lhs[:, _KRON_TARGETS[1]] += flat[:, _KRON_SOURCES[1]]
     lhs = lhs.reshape(-1, 36, 36)
-    rhs = -d.reshape(-1, 36)
-    # Points that failed keep a zero solution and are not refined.
-    factors = [None] * len(a)
-    x = np.zeros(rhs.shape)
-    getrf, getrs = scipy.linalg.lapack.dgetrf, scipy.linalg.lapack.dgetrs
-    for k in np.flatnonzero(live).tolist():
-        lu, piv, info = getrf(lhs[k])
-        if info != 0:
-            failures[k] = SingularSolveError(
-                f"vectorized Lyapunov solve failed: LU info {info}")
-        factors[k] = lu, piv
-        x[k] = getrs(lu, piv, rhs[k])[0]
+    # (n, 36, 1) right-hand sides, which NumPy 1.x and 2.x read alike.
+    x = lapack_stack(np.linalg.solve, (lhs, -d.reshape(-1, 36, 1)),
+                     np.zeros((live.size, 36, 1)), failures, live,
+                     SingularSolveError, "vectorized Lyapunov solve failed")
+    solved = alive(failures[live])
     # Mixed-precision iterative refinement. The residual of any double-stored
     # solution bottoms out at eps*|A|*|V|, which near-marginal points push
     # above the certificate target, so the solution and its residual are
-    # accumulated in extended precision while the corrections reuse the
-    # double-precision LU factorization.
+    # accumulated in extended precision while each correction re-solves the
+    # same double-precision system, which LAPACK factors the same way again.
     al = a.astype(np.longdouble)
     vl = x.reshape(-1, 6, 6).astype(np.longdouble)
     vl = 0.5 * (vl + vl.swapaxes(-1, -2))
     resid = _residual_matrices(al, vl, d)
     res = _max_abs(resid)
     target = RESIDUAL_REL_TARGET * np.abs(d).max(axis=(-2, -1))
-    active = live & ~(res <= target)
+    active = solved & ~(res <= target)
     for _ in range(MAX_REFINEMENTS):
         act = np.flatnonzero(active)
         if not act.size:
             break
-        r = resid[act].astype(np.float64).reshape(-1, 36)
-        corr = np.stack([getrs(*factors[k], -r_k)[0]
-                         for k, r_k in zip(act.tolist(), r)])
+        r = resid[act].astype(np.float64).reshape(-1, 36, 1)
+        corr = np.linalg.solve(lhs[act], -r)
         corr = corr.reshape(-1, 6, 6).astype(np.longdouble)
         v_next = vl[act] + 0.5 * (corr + corr.swapaxes(-1, -2))
         resid_next = _residual_matrices(al[act], v_next, d[act])
@@ -188,21 +183,19 @@ def lyapunov_batch(a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray,
         resid[act[better]] = resid_next[better]
         res[act[better]] = next_res[better]
         active[act] = better & ~(next_res <= target[act])
-    failed = ~alive(failures)
-    v = vl.astype(np.float64)
-    v[failed] = np.nan
-    res[failed] = np.nan
-    return v, res
+    v = np.full((len(failures), 6, 6), np.nan)
+    residual = np.full(len(failures), np.nan)
+    v[live[solved]] = vl[solved]
+    residual[live[solved]] = res[solved]
+    return v, residual
 
 
 def solve_lyapunov(drift: QuadratureDrift,
                    diffusion: DiffusionMatrix) -> CovarianceMatrix:
-    """Solve A V + V A^T = -D for the steady-state covariance matrix.
-
-    Assembles the vectorized 36x36 system (I (x) A + A (x) I) vec(V) = -vec(D)
-    and solves it densely. Raises UnstableSystemError when :func:`stability`
-    calls the drift unstable and SingularSolveError when an eigenvalue pair
-    sums to (numerically) zero.
+    """Solve A V + V A^T = -D for the steady-state covariance matrix, as a
+    batch of one of :func:`lyapunov_batch`. Raises UnstableSystemError when
+    :func:`stability` calls the drift unstable and SingularSolveError when
+    the system is singular.
     """
     report = stability(drift)
     check_stable(report.max_lyapunov, report.stable)

@@ -15,11 +15,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
 
 from .errors import ParameterError
 
 TWO_PI = 2.0 * math.pi
+hbar = 6.62607015e-34 / TWO_PI  # J s, exact in SI
+k_B = 1.380649e-23  # J/K, exact in SI
 
 #: Electron gyromagnetic ratio, 2*pi * 28 GHz/T.
 GYROMAGNETIC_RATIO = TWO_PI * 28e9

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,3 +238,19 @@ class TestVanishTemp:
                                "--t-lo", "0 mk", "--t-hi", "250 mk")
         assert code == 2
         assert "error" in err
+
+
+def test_runtime_imports_no_scipy():
+    # NumPy is the only runtime dependency; SciPy serves the tests alone.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys\n"
+            "import magnomech\n"
+            "from magnomech import cli\n"
+            "assert cli.main(['measures']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

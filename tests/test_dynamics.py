@@ -6,7 +6,9 @@ import pytest
 from magnomech import (EigenSolveError, ParameterError, complex_drift,
                        diffusion_matrix, quadrature_drift, stability,
                        thermal_occupation)
-from magnomech.dynamics import STABILITY_REL_TOL
+from magnomech.dynamics import (STABILITY_REL_TOL, QuadratureDrift,
+                                stability_batch)
+from magnomech.errors import no_failures
 
 TWO_PI = 2.0 * math.pi
 OMEGA_B = TWO_PI * 10e6
@@ -143,6 +145,22 @@ class TestStability:
         marginal = report(-0.5 * STABILITY_REL_TOL * omega_b)
         assert marginal.max_lyapunov < 0.0 and not marginal.stable
         assert report(-2.0 * STABILITY_REL_TOL * omega_b).stable
+
+    def test_rejected_drift_fails_only_its_own_point(self):
+        # LAPACK rejects a stack holding a non-finite matrix as a whole.
+        rng = np.random.default_rng(10)
+        a = np.stack([quadrature_drift(**_random_rates(rng)).a
+                      for _ in range(3)])
+        a[1, 0, 0] = np.nan
+        failures = no_failures(3)
+        eigenvalues, max_lyapunov, stable = stability_batch(a, failures)
+        assert failures[0] is None and failures[2] is None
+        assert isinstance(failures[1], EigenSolveError)
+        assert np.isnan(eigenvalues[1]).all() and not stable[1]
+        for k in (0, 2):
+            assert np.array_equal(
+                eigenvalues[k], stability(QuadratureDrift(a=a[k])).eigenvalues)
+            assert max_lyapunov[k] == eigenvalues[k].real.max()
 
     def test_eigenvalues_conjugate_closed(self):
         rng = np.random.default_rng(9)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,33 @@ class TestLyapunovSolve:
                                      np.linalg.eigvals(a)[None], failures)
         assert isinstance(failures[0], SingularSolveError)
         assert np.isnan(v).all() and np.isnan(residual).all()
+
+    def test_rejected_system_fails_only_its_own_point(self):
+        # A zero drift handed to the solver with a made-up stable spectrum
+        # passes the pair-sum guard, but its 36x36 system is exactly
+        # singular. Only that point may fail, without a warning, and its
+        # neighbours must get the answers they get alone.
+        rng = np.random.default_rng(80)
+        good = [_stable_drift(rng).a for _ in range(2)]
+        a = np.stack([good[0], np.zeros((6, 6)), good[1]])
+        d = np.stack([np.diag([1.0, 1.0, 2.0, 2.0, 0.0, 3.0]) * OMEGA_B] * 3)
+        eigenvalues = np.stack([np.linalg.eigvals(good[0]), -np.ones(6),
+                                np.linalg.eigvals(good[1])])
+        failures = no_failures(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, residual = lyapunov_batch(a, d, eigenvalues, failures)
+        assert failures[0] is None and failures[2] is None
+        assert isinstance(failures[1], SingularSolveError)
+        assert "Singular matrix" in str(failures[1])
+        assert np.isnan(v[1]).all() and np.isnan(residual[1])
+        for k in (0, 2):
+            alone = no_failures(1)
+            v_k, residual_k = lyapunov_batch(a[k:k + 1], d[k:k + 1],
+                                             eigenvalues[k:k + 1], alone)
+            assert alone[0] is None
+            assert np.array_equal(v[k], v_k[0])
+            assert residual[k] == residual_k[0]
 
 
 def _rates(lo, hi):

@@ -8,6 +8,7 @@ from magnomech import (GYROMAGNETIC_RATIO, Axis, ParameterError, SweepSpec,
                        SystemParams, default_params, pt_classify,
                        rabi_frequency, run_sweep, thermal_occupation,
                        two_mode_eigenfrequencies)
+from magnomech import model
 from magnomech.model import PTRegime, sphere_volume
 
 TWO_PI = 2.0 * math.pi
@@ -15,6 +16,10 @@ OMEGA_B = TWO_PI * 10e6
 
 
 class TestThermalOccupation:
+    def test_constants_are_exact_si_values(self):
+        assert model.hbar == hbar
+        assert model.k_B == k_B
+
     def test_zero_temperature(self):
         assert thermal_occupation(OMEGA_B, 0.0) == 0.0
 
