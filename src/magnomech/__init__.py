@@ -17,11 +17,10 @@ from .errors import (BracketInvalidError, ConfigError,
                      EigenSolveError, MagnomechError, NonConvergenceError,
                      NonPhysicalCMError, ParameterError, SingularSolveError,
                      UnstableSystemError)
-from .measures import (CovarianceMatrix, PairMeasures, ReducedCM,
-                       log_negativity, pair_measures, physicality_margin,
-                       ppt_symplectic_eigenvalues, reduce_modes,
-                       solve_lyapunov, steering, steering_between,
-                       symplectic_form)
+from .measures import (CovarianceMatrix, PairMeasures, log_negativity,
+                       pair_measures, physicality_margin,
+                       ppt_symplectic_eigenvalues, solve_lyapunov, steering,
+                       steering_between, symplectic_form)
 from .model import (GYROMAGNETIC_RATIO, PTPhase, PTRegime, SystemParams,
                     pt_classify, rabi_frequency, thermal_occupation,
                     two_mode_eigenfrequencies)

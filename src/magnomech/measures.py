@@ -65,21 +65,6 @@ class CovarianceMatrix:
 
 
 @dataclass(frozen=True)
-class ReducedCM:
-    """4x4 two-mode covariance matrix split into its 2x2 blocks."""
-
-    block_a: np.ndarray
-    block_b: np.ndarray
-    block_c: np.ndarray
-    pair: str
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.block([[self.block_a, self.block_c],
-                         [self.block_c.T, self.block_b]])
-
-
-@dataclass(frozen=True)
 class PairMeasures:
     pair: str
     e_n: float
@@ -134,9 +119,9 @@ def lyapunov_batch(a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray,
     of each drift. The vectorized 36x36 systems
     (I (x) A + A (x) I) vec(V) = -vec(D) are solved densely, as one stack. A
     point gets a SingularSolveError when its eigenvalues pair up to
-    (numerically) zero or LAPACK finds its system singular. Returns V
-    (N, 6, 6) and the residual max|A V + V A^T + D| (N,), NaN at points that
-    failed.
+    (numerically) zero, LAPACK finds its system singular, or its solution is
+    not finite. Returns V (N, 6, 6) and the residual max|A V + V A^T + D|
+    (N,), NaN at points that failed.
     """
     pair_sums = np.abs(eigenvalues[:, :, None] + eigenvalues[:, None, :])
     scale = np.maximum(np.abs(eigenvalues).max(axis=-1), 1e-300)
@@ -155,6 +140,12 @@ def lyapunov_batch(a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray,
     x = lapack_stack(np.linalg.solve, (lhs, -d.reshape(-1, 36, 1)),
                      np.zeros((live.size, 36, 1)), failures, live,
                      SingularSolveError, "vectorized Lyapunov solve failed")
+    if not np.isfinite(x).all():  # occupations near 1e308 K overflow D, and V
+        bad = ~np.isfinite(x).all(axis=(1, 2))
+        for k in live[bad].tolist():
+            failures[k] = SingularSolveError(
+                "vectorized Lyapunov solve gave a non-finite solution")
+        x[bad] = 0.0  # not refined, but keeps their residual quiet
     solved = alive(failures[live])
     # Mixed-precision iterative refinement. The residual of any double-stored
     # solution bottoms out at eps*|A|*|V|, which near-marginal points push
@@ -207,15 +198,6 @@ def solve_lyapunov(drift: QuadratureDrift,
                             residual=float(residual[0]))
 
 
-def _mode_indices(first: str, second: str) -> np.ndarray:
-    for mode in (first, second):
-        if mode not in MODE_INDICES:
-            raise ParameterError(f"unknown mode {mode!r}; valid: a, m, b")
-    if first == second:
-        raise ParameterError("reduce_modes needs two distinct modes")
-    return np.array(MODE_INDICES[first] + MODE_INDICES[second])
-
-
 def _submatrix_entries(pair: str) -> list[list[int]]:
     """Flat indices into a 6x6 matrix of the pair's 4x4 submatrix."""
     rows = MODE_INDICES[pair[0]] + MODE_INDICES[pair[1]]
@@ -235,16 +217,6 @@ _PAIR_OF_MODES = {**{(pair[0], pair[1]): (pair, True) for pair in PAIRS},
 def _matrix(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
     return np.asarray(cm.v if isinstance(cm, CovarianceMatrix) else cm,
                       dtype=np.float64)
-
-
-def reduce_modes(cm: CovarianceMatrix | np.ndarray, first: str,
-                 second: str) -> ReducedCM:
-    """4x4 principal submatrix of two modes ('a', 'm', 'b'), ``first`` as
-    block A (the steering party of forward steering)."""
-    idx = _mode_indices(first, second)
-    sub = _matrix(cm)[np.ix_(idx, idx)]
-    return ReducedCM(block_a=sub[:2, :2].copy(), block_b=sub[2:, 2:].copy(),
-                     block_c=sub[:2, 2:].copy(), pair=first + second)
 
 
 #: Rows and columns of the 2x2 blocks A, B and C in a two-mode matrix.
@@ -298,30 +270,38 @@ def _ppt_spectrum(sub: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(eig.real), axis=-1)[..., ::2]  # each value appears as +/- a pair
 
 
-def ppt_symplectic_eigenvalues(rcm: ReducedCM) -> np.ndarray:
-    """Symplectic eigenvalues of the partially transposed two-mode CM.
+def _two_mode(v) -> np.ndarray:
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (4, 4):
+        raise ParameterError(f"need a 4x4 two-mode matrix, got shape {v.shape}")
+    return v
+
+
+def ppt_symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues of a partially transposed 4x4 two-mode CM.
 
     Partial transposition flips the second mode's momentum; the symplectic
     eigenvalues are the moduli of the eigenvalues of i*Omega*V~ (each doubled).
     """
-    return _ppt_spectrum(rcm.matrix)
+    return _ppt_spectrum(_two_mode(v))
 
 
-def log_negativity(rcm: ReducedCM) -> tuple[float, float]:
-    """(E_N, eta^-) of a two-mode covariance matrix, E_N in nats.
+def log_negativity(v: np.ndarray) -> tuple[float, float]:
+    """(E_N, eta^-) of a 4x4 two-mode covariance matrix, E_N in nats.
 
     eta^- = 2^{-1/2} * sqrt(Sigma - sqrt(Sigma^2 - 4 det V)), with
     Sigma = det A + det B - 2 det C; E_N = max(0, -ln 2 eta^-).
     """
     failures = no_failures(1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        e_n, eta_minus = _log_negativity(_determinants(rcm.matrix[None]), failures)
+        e_n, eta_minus = _log_negativity(_determinants(_two_mode(v)[None]), failures)
     raise_failure(failures)
     return float(e_n[0]), float(eta_minus[0])
 
 
-def steering(rcm: ReducedCM, direction: str = "forward") -> float:
-    """Directional Gaussian steering in nats.
+def steering(v: np.ndarray, direction: str = "forward") -> float:
+    """Directional Gaussian steering in nats of a 4x4 two-mode covariance
+    matrix, blocks A (first mode), B (second mode) and C.
 
     "forward" is first mode -> second mode, using max(0, ln(det A / 4 det V)/2);
     "backward" swaps the roles and uses det B.
@@ -330,7 +310,7 @@ def steering(rcm: ReducedCM, direction: str = "forward") -> float:
         raise ParameterError("direction must be 'forward' or 'backward'")
     failures = no_failures(1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        s_12, s_21 = _steering(_determinants(rcm.matrix[None]), failures)
+        s_12, s_21 = _steering(_determinants(_two_mode(v)[None]), failures)
     raise_failure(failures)
     return float((s_12 if direction == "forward" else s_21)[0])
 
@@ -379,7 +359,8 @@ class PairBatch:
 def pair_of_modes(source: str, target: str) -> tuple[str, bool]:
     """The pair label holding two modes, and whether ``source`` comes first."""
     if (source, target) not in _PAIR_OF_MODES:
-        _mode_indices(source, target)  # raises the ParameterError
+        raise ParameterError(f"no mode pair {source!r}, {target!r}; "
+                             "need two distinct modes of a, m, b")
     return _PAIR_OF_MODES[source, target]
 
 

@@ -58,9 +58,10 @@ class PTPhase:
 def thermal_occupation(omega: float, temperature: float) -> float:
     """Bose-Einstein mean occupation 1/(exp(hbar*omega/kB*T) - 1).
 
-    ``omega`` is angular (rad/s), ``temperature`` in kelvin. Returns 0 at T=0.
-    Once exp(x) overflows a double (x > ~709.78), the occupation is exp(-x)
-    to working precision, which underflows toward 0 as T goes to 0.
+    ``omega`` is angular (rad/s), ``temperature`` in kelvin. Returns 0 at T=0
+    and below ~1.8e-301 K, where k_B*T underflows to 0. Once exp(x) overflows
+    a double (x > ~709.78), the occupation is exp(-x) to working precision,
+    which underflows toward 0 as T goes to 0.
     """
     if not (math.isfinite(omega) and math.isfinite(temperature)):
         raise ParameterError("thermal_occupation: non-finite input")
@@ -68,7 +69,7 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise ParameterError("thermal_occupation: omega must be positive")
     if temperature < 0.0:
         raise ParameterError("thermal_occupation: negative temperature")
-    if temperature == 0.0:
+    if k_B * temperature == 0.0:
         return 0.0
     x = hbar * omega / (k_B * temperature)
     try:

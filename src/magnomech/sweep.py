@@ -6,7 +6,6 @@ import functools
 import io
 import json
 import math
-import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -38,63 +37,62 @@ BATCH_SIZE = 64
 
 _NUMERIC_FIELDS = tuple(f.name for f in fields(SystemParams))
 
-#: Derived sweep parameters: name -> (target field, reference field or None).
+#: Sweep parameters with their own rule or CSV column: name -> (fields set,
+#: reference field, CSV column). Each field is set to value * reference, or
+#: to the value itself when there is no reference. Any other sweep parameter
+#: is a SystemParams field, in a column "<field>_rad_s".
 _DERIVED_PARAMS = {
-    "G_over_omega_b": ("G_eff", "omega_b"),
-    "G_over_gma": ("G_eff", "g_ma"),
-    "gma_over_omega_b": ("g_ma", "omega_b"),
-    "gma_over_G": ("g_ma", "G_eff"),
-    "kappa_a_over_kappa_m": ("kappa_a", "kappa_m"),
-    "delta_over_omega_b": (None, None),  # sets delta_a and delta_m_eff jointly
+    "G_over_omega_b": (("G_eff",), "omega_b", "G/omega_b"),
+    "G_over_gma": (("G_eff",), "g_ma", "G/g_ma"),
+    "gma_over_omega_b": (("g_ma",), "omega_b", "g_ma/omega_b"),
+    "gma_over_G": (("g_ma",), "G_eff", "g_ma/G"),
+    "kappa_a_over_kappa_m": (("kappa_a",), "kappa_m", "kappa_a/kappa_m"),
+    "delta_over_omega_b": (("delta_a", "delta_m_eff"), "omega_b", "Delta/omega_b"),
+    "temperature": (("temperature",), None, "T_K"),
 }
 
-_AXIS_COLUMNS = {
-    "G_over_omega_b": "G/omega_b",
-    "G_over_gma": "G/g_ma",
-    "gma_over_omega_b": "g_ma/omega_b",
-    "gma_over_G": "g_ma/G",
-    "kappa_a_over_kappa_m": "kappa_a/kappa_m",
-    "delta_over_omega_b": "Delta/omega_b",
-    "temperature": "T_K",
+#: Sweep outputs: name -> (kind, arguments, CSV column). Kinds: "report"
+#: (read off the stability verdict), "cm" (a certificate of the covariance
+#: matrix), and "pair" and "steering" (a PairBatch attribute of one pair).
+_OUTPUTS = {
+    "stable": ("report", (), "stable"),
+    "max_lyapunov": ("report", (), "max_lyapunov_rad_s"),
+    "pt_phase": ("report", (), "pt_phase"),
+    "residual": ("cm", (), "residual"),
+    "physicality_margin": ("cm", (), "physicality_margin"),
+    **{f"E_N({p})": ("pair", (p, "e_n"), f"E_N_{p}_nats")
+       for p in _measures.PAIRS},
+    **{f"eta_minus({p})": ("pair", (p, "eta_minus"), f"eta_minus_{p}")
+       for p in _measures.PAIRS},
+    **{f"S({s}->{t})": ("steering", (p, attribute), f"S_{s}_to_{t}_nats")
+       for p in _measures.PAIRS
+       for s, t, attribute in ((*p, "s_12"), (*p[::-1], "s_21"))},
 }
-
-_OUTPUT_COLUMNS = {
-    "stable": "stable",
-    "max_lyapunov": "max_lyapunov_rad_s",
-    "pt_phase": "pt_phase",
-    "residual": "residual",
-    "physicality_margin": "physicality_margin",
-}
-
-#: Column name of each per-pair or per-direction output kind.
-_KIND_COLUMNS = {"e_n": "E_N_{}_nats", "eta": "eta_minus_{}",
-                 "steering": "S_{}_to_{}_nats"}
-
-_MEASURE_RE = re.compile(r"^E_N\((am|bm|ab)\)$")
-_STEER_RE = re.compile(r"^S\(([amb])->([amb])\)$")
-_ETA_RE = re.compile(r"^eta_minus\((am|bm|ab)\)$")
 
 
 def _check_parameter_name(name: str) -> None:
     if name not in _NUMERIC_FIELDS and name not in _DERIVED_PARAMS:
         raise ParameterError(
             f"unknown sweep parameter {name!r}; valid: "
-            f"{sorted(_NUMERIC_FIELDS) + sorted(_DERIVED_PARAMS) + ['temperature']}")
+            f"{sorted({*_NUMERIC_FIELDS, *_DERIVED_PARAMS})}")
+
+
+def _check_outputs(outputs: tuple[str, ...]) -> None:
+    for output in outputs:
+        if output not in _OUTPUTS:
+            raise ParameterError(f"unknown sweep output {output!r}")
 
 
 def _parameter_changes(values, name: str, value) -> dict:
     """Fields changed by one swept parameter, from the current ``values``
     (a SystemParams' fields or the columns of a batch)."""
     _check_parameter_name(name)
-    if name == "delta_over_omega_b":
-        d = value * values["omega_b"]
-        return {"delta_a": d, "delta_m_eff": d}
-    if name in _DERIVED_PARAMS:
-        target, ref = _DERIVED_PARAMS[name]
+    targets, ref, _ = _DERIVED_PARAMS.get(name, ((name,), None, None))
+    if ref is not None:
         if values[ref] is None:
             raise ParameterError(f"sweep parameter {name} needs {ref} to be set")
-        return {target: value * values[ref]}
-    return {name: value}
+        value = value * values[ref]
+    return dict.fromkeys(targets, value)
 
 
 def apply_parameter(params: SystemParams, name: str, value: float) -> SystemParams:
@@ -142,37 +140,13 @@ class SweepSpec:
             raise ParameterError(f"gain_noise must be one of {GAIN_NOISE_MODES}")
         for axis in self.axes:
             _check_parameter_name(axis.name)
-        for out in self.outputs:
-            _classify_output(out)
+        object.__setattr__(self, "outputs", tuple(self.outputs))
+        _check_outputs(self.outputs)
 
     def grid(self) -> np.ndarray:
         """Grid points (one row each, one column per axis), first axis outermost."""
         mesh = np.meshgrid(*(axis.values() for axis in self.axes), indexing="ij")
         return np.stack(mesh, axis=-1).reshape(-1, len(self.axes))
-
-
-@functools.lru_cache(maxsize=1024)
-def _classify_output(output: str) -> tuple[str, tuple]:
-    """(kind, arguments) of one output name.
-
-    Kinds: "report" (read off the stability verdict), "cm" (a certificate of
-    the covariance matrix), "e_n"/"eta" (pair) and "steering" (two modes).
-    """
-    if output in _OUTPUT_COLUMNS:
-        return ("cm" if output in ("residual", "physicality_margin")
-                else "report"), ()
-    m = _MEASURE_RE.match(output)
-    if m:
-        return "e_n", (m.group(1),)
-    m = _ETA_RE.match(output)
-    if m:
-        return "eta", (m.group(1),)
-    m = _STEER_RE.match(output)
-    if m:
-        if m.group(1) == m.group(2):
-            raise ParameterError(f"steering needs two distinct modes: {output}")
-        return "steering", (m.group(1), m.group(2))
-    raise ParameterError(f"unknown sweep output {output!r}")
 
 
 def _columns(params: SystemParams, n: int = 1) -> dict:
@@ -243,9 +217,10 @@ def _diffusions(columns: dict, rows: np.ndarray, gain_noise: str,
         except MagnomechError as exc:
             store_failure(failures, i, exc)
             occupations.append([0.0, 0.0, 0.0])
-    return diffusion_matrices(
-        columns["kappa_a"][rows], columns["kappa_m"][rows],
-        columns["gamma_b"][rows], *np.array(occupations).T, gain_noise)
+    with np.errstate(over="ignore"):  # the Lyapunov solve fails such points
+        return diffusion_matrices(
+            columns["kappa_a"][rows], columns["kappa_m"][rows],
+            columns["gamma_b"][rows], *np.array(occupations).T, gain_noise)
 
 
 @dataclass
@@ -330,15 +305,9 @@ def _pair_plan(outputs: tuple[str, ...]) -> tuple[tuple, tuple, tuple]:
     cross-check, and the pair measures in output order as (position,
     PairBatch attribute, column in pairs, steering): a steering measure is
     stopped only by a steering failure."""
-    measures = []
-    for j, out in enumerate(outputs):
-        kind, args = _classify_output(out)
-        if kind == "steering":
-            pair, forward = _measures.pair_of_modes(*args)
-            measures.append((j, pair, "s_12" if forward else "s_21", True))
-        elif kind in ("e_n", "eta"):
-            measures.append((j, args[0], "e_n" if kind == "e_n" else "eta_minus",
-                             False))
+    measures = [(j, *args, kind == "steering")
+                for j, (kind, args, _) in enumerate(map(_OUTPUTS.get, outputs))
+                if kind in ("pair", "steering")]
     pairs = tuple(dict.fromkeys(pair for _, pair, _, _ in measures))
     checked = tuple(pair for _, pair, _, steering in measures if not steering)
     return pairs, checked, tuple((j, name, pairs.index(pair), steering)
@@ -353,7 +322,8 @@ def _evaluate(columns: dict, failures: np.ndarray, outputs: tuple[str, ...],
     never zeros. Measures are taken in output order; the first one that fails
     at a point sets its error and leaves the later measures None.
     """
-    kinds = [_classify_output(out)[0] for out in outputs]
+    _check_outputs(outputs)
+    kinds = [_OUTPUTS[out][0] for out in outputs]
     sol = _solve(columns, failures, gain_noise,
                  covariance=any(kind != "report" for kind in kinds))
     rows = [[None] * len(outputs) for _ in range(len(failures))]
@@ -401,8 +371,8 @@ def evaluate_point(params: SystemParams, outputs: tuple[str, ...],
     never zeros. Per-point failures are reported in the "error" entry.
     """
     try:
-        *values, error = _evaluate(_columns(params), no_failures(1), outputs,
-                                   gain_noise)[0]
+        *values, error = _evaluate(_columns(params), no_failures(1),
+                                   tuple(outputs), gain_noise)[0]
     except ParameterError as exc:  # an unknown output name
         values, error = [None] * len(outputs), exc.code
     return {**dict(zip(outputs, values)), "error": error}
@@ -476,11 +446,10 @@ def _format_cell(value) -> str:
 
 def _column_names(spec: SweepSpec) -> dict[str, str]:
     """Undecorated column of each axis and output of ``spec``, and the error."""
-    names = {axis.name: _AXIS_COLUMNS.get(axis.name, f"{axis.name}_rad_s")
+    names = {axis.name: _DERIVED_PARAMS[axis.name][2]
+             if axis.name in _DERIVED_PARAMS else f"{axis.name}_rad_s"
              for axis in spec.axes}
-    for out in spec.outputs:
-        kind, args = _classify_output(out)
-        names[out] = _OUTPUT_COLUMNS.get(out) or _KIND_COLUMNS[kind].format(*args)
+    names.update((out, _OUTPUTS[out][2]) for out in spec.outputs)
     names["error"] = "error"
     return names
 
@@ -586,22 +555,51 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
 
 # --- figure presets ---------------------------------------------------------
 
-_MK = 1e-3
+_GAIN, _LOSS = ("kappa_a_over_kappa_m", 0.2), ("kappa_a_over_kappa_m", -0.2)
+_GAIN_LOSS = (Series("gain", (_GAIN,)), Series("loss", (_LOSS,)))
+_G_AXIS = Axis("G_over_omega_b", 0.0, 0.5, 101)
+_T_AXIS = Axis("temperature", 0.0, 0.25, 251)
+_COUPLING_AXES = (Axis("gma_over_omega_b", 0.0, 1.2, 101),
+                  Axis("G_over_omega_b", 0.0, 0.6, 101))
 
-FIGURE_NAMES = ("fig2a", "fig2b", "fig2c", "fig2d", "fig3a", "fig3b", "fig3c",
-                "fig3d", "fig4a", "fig4b", "fig4c", "fig4d", "fig5", "fig6a",
-                "fig6b")
+#: Figure presets: name -> (base changes, axes, outputs, whether the preset
+#: has a gain and a loss series). Base changes and series overrides are
+#: sweep parameters, applied in order.
+_FIGURES = {
+    "fig2a": ((_LOSS,), _COUPLING_AXES, ("stable", "max_lyapunov"), False),
+    "fig2b": ((_GAIN,), _COUPLING_AXES, ("stable", "max_lyapunov"), False),
+    "fig2c": ((("gma_over_omega_b", 0.5),),
+              (Axis("kappa_a_over_kappa_m", 0.0, 1.0, 101),
+               Axis("G_over_omega_b", 0.0, 0.6, 101)),
+              ("stable", "max_lyapunov"), False),
+    "fig2d": ((_GAIN, ("G_over_omega_b", 0.4)), (Axis("gma_over_G", 0.5, 5.0, 101),),
+              ("max_lyapunov", "stable"), False),
+    **{f"fig3{panel}": ((), (_G_AXIS,), (f"E_N({pair})", "stable"), True)
+       for panel, pair in zip("abc", _measures.PAIRS)},
+    "fig3d": ((("G_over_omega_b", 0.1),),
+              (Axis("kappa_a_over_kappa_m", 0.0, 0.95, 96),),
+              ("E_N(am)", "stable"), False),
+    **{f"fig4{panel}": ((_GAIN,), (Axis("delta_over_omega_b", -2.0, 0.0, 101),
+                                   Axis("G_over_gma", 0.0, 0.5, 101)),
+                        (f"E_N({pair})", "stable"), False)
+       for panel, pair in zip("abc", _measures.PAIRS)},
+    "fig4d": ((), (Axis("G_over_gma", 0.0, 0.5, 101),
+                   Axis("kappa_a_over_kappa_m", 0.0, 0.95, 96)),
+              ("E_N(am)", "stable"), False),
+    "fig5": ((), (_G_AXIS,), ("S(m->b)", "S(a->b)", "S(b->m)", "S(b->a)", "stable"),
+             True),
+    "fig6a": ((_GAIN, ("G_over_omega_b", 0.25)), (_T_AXIS,),
+              ("E_N(am)", "E_N(bm)", "E_N(ab)", "S(m->b)", "S(a->b)", "stable"),
+              False),
+    "fig6b": ((("G_over_omega_b", 0.25),), (_T_AXIS,), ("E_N(am)", "stable"), True),
+}
+
+FIGURE_NAMES = tuple(_FIGURES)
 
 
 def default_params() -> SystemParams:
     """Shared operating point of the figure presets: the bundled config."""
     return build_params(default_config())
-
-
-def _gain_loss_series(base: SystemParams) -> tuple[Series, Series]:
-    km = base.kappa_m
-    return (Series("gain", (("kappa_a", 0.2 * km),)),
-            Series("loss", (("kappa_a", -0.2 * km),)))
 
 
 def figure_preset(name: str, gain_noise: str = "vacuum",
@@ -610,72 +608,12 @@ def figure_preset(name: str, gain_noise: str = "vacuum",
 
     Each preset varies ``base``, by default :func:`default_params`.
     """
-    if base is None:
-        base = default_params()
-    wb = base.omega_b
-    gain, loss = _gain_loss_series(base)
-    pair_by_panel = {"a": "am", "b": "bm", "c": "ab"}
-    spec = functools.partial(SweepSpec, gain_noise=gain_noise)
-
-    if name in ("fig2a", "fig2b"):
-        kappa_a = -0.2 * base.kappa_m if name == "fig2a" else 0.2 * base.kappa_m
-        return spec(
-            base=base.replace(kappa_a=kappa_a),
-            axes=(Axis("gma_over_omega_b", 0.0, 1.2, 101),
-                  Axis("G_over_omega_b", 0.0, 0.6, 101)),
-            outputs=("stable", "max_lyapunov"))
-    if name == "fig2c":
-        return spec(
-            base=base.replace(g_ma=0.5 * wb),
-            axes=(Axis("kappa_a_over_kappa_m", 0.0, 1.0, 101),
-                  Axis("G_over_omega_b", 0.0, 0.6, 101)),
-            outputs=("stable", "max_lyapunov"))
-    if name == "fig2d":
-        return spec(
-            base=base.replace(kappa_a=0.2 * base.kappa_m, G_eff=0.4 * wb),
-            axes=(Axis("gma_over_G", 0.5, 5.0, 101),),
-            outputs=("max_lyapunov", "stable"))
-    if name in ("fig3a", "fig3b", "fig3c"):
-        pair = pair_by_panel[name[-1]]
-        return spec(
-            base=base,
-            axes=(Axis("G_over_omega_b", 0.0, 0.5, 101),),
-            outputs=(f"E_N({pair})", "stable"),
-            series=(gain, loss))
-    if name == "fig3d":
-        return spec(
-            base=base.replace(G_eff=0.1 * wb),
-            axes=(Axis("kappa_a_over_kappa_m", 0.0, 0.95, 96),),
-            outputs=("E_N(am)", "stable"))
-    if name in ("fig4a", "fig4b", "fig4c"):
-        pair = pair_by_panel[name[-1]]
-        return spec(
-            base=base.replace(kappa_a=0.2 * base.kappa_m),
-            axes=(Axis("delta_over_omega_b", -2.0, 0.0, 101),
-                  Axis("G_over_gma", 0.0, 0.5, 101)),
-            outputs=(f"E_N({pair})", "stable"))
-    if name == "fig4d":
-        return spec(
-            base=base,
-            axes=(Axis("G_over_gma", 0.0, 0.5, 101),
-                  Axis("kappa_a_over_kappa_m", 0.0, 0.95, 96)),
-            outputs=("E_N(am)", "stable"))
-    if name == "fig5":
-        return spec(
-            base=base,
-            axes=(Axis("G_over_omega_b", 0.0, 0.5, 101),),
-            outputs=("S(m->b)", "S(a->b)", "S(b->m)", "S(b->a)", "stable"),
-            series=(gain, loss))
-    if name == "fig6a":
-        return spec(
-            base=base.replace(kappa_a=0.2 * base.kappa_m, G_eff=0.25 * wb),
-            axes=(Axis("temperature", 0.0, 250 * _MK, 251),),
-            outputs=("E_N(am)", "E_N(bm)", "E_N(ab)", "S(m->b)", "S(a->b)",
-                     "stable"))
-    if name == "fig6b":
-        return spec(
-            base=base.replace(G_eff=0.25 * wb),
-            axes=(Axis("temperature", 0.0, 250 * _MK, 251),),
-            outputs=("E_N(am)", "stable"),
-            series=(gain, loss))
-    raise ParameterError(f"unknown figure preset {name!r}; valid: {FIGURE_NAMES}")
+    if name not in _FIGURES:
+        raise ParameterError(f"unknown figure preset {name!r}; valid: {FIGURE_NAMES}")
+    changes, axes, outputs, gain_loss = _FIGURES[name]
+    base = default_params() if base is None else base
+    for change in changes:
+        base = apply_parameter(base, *change)
+    return SweepSpec(base=base, axes=axes, outputs=outputs,
+                     series=_GAIN_LOSS if gain_loss else (Series(),),
+                     gain_noise=gain_noise)

@@ -32,7 +32,7 @@ from magnomech import (Axis, BracketInvalidError, SweepSpec, complex_drift,
 from magnomech.cli import main as cli_main
 from magnomech.dynamics import diffusion_from_params
 from magnomech.model import PTRegime
-from magnomech.measures import ReducedCM, ppt_symplectic_eigenvalues
+from magnomech.measures import ppt_symplectic_eigenvalues
 from magnomech.sweep import apply_parameter, evaluate_point
 
 TWO_PI = 2.0 * math.pi
@@ -186,9 +186,7 @@ def test_criterion_03_basis_consistency(report):
 def _tmsv(r):
     c, s = math.cosh(2 * r), math.sinh(2 * r)
     z = np.diag([1.0, -1.0])
-    v = 0.5 * np.block([[c * np.eye(2), s * z], [s * z, c * np.eye(2)]])
-    return ReducedCM(block_a=v[:2, :2], block_b=v[2:, 2:], block_c=v[:2, 2:],
-                     pair="xy")
+    return 0.5 * np.block([[c * np.eye(2), s * z], [s * z, c * np.eye(2)]])
 
 
 def test_criterion_04_tmsv_oracle(report):
@@ -211,10 +209,8 @@ def test_criterion_05_eta_cross_check(report):
         s = scipy.linalg.expm(omega @ (0.5 * (r + r.T)))
         occ = np.repeat(rng.uniform(0.0, 2.0, size=2), 2)
         v = s @ np.diag(0.5 + occ) @ s.T
-        rcm = ReducedCM(block_a=v[:2, :2], block_b=v[2:, 2:],
-                        block_c=v[:2, 2:], pair="xy")
-        _, eta = log_negativity(rcm)
-        eta_ppt = ppt_symplectic_eigenvalues(rcm)[0]
+        _, eta = log_negativity(v)
+        eta_ppt = ppt_symplectic_eigenvalues(v)[0]
         if abs(eta - eta_ppt) > 1e-9 * max(eta, 1e-30):
             ok = False
             break

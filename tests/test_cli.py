@@ -103,6 +103,17 @@ class TestMeasures:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 2 and out == ""
 
+    def test_sub_underflow_temperature_is_zero_temperature(self, capsys):
+        zero = run_cli(capsys, "measures", "--set", "temperature=0")
+        tiny = run_cli(capsys, "measures", "--set", "temperature=1e-310")
+        assert tiny == zero and zero[0] == 0
+
+    def test_overflowing_temperature_exits_2(self, capsys):
+        # The occupations are infinite at 1e308 K: no covariance matrix.
+        code, out, err = run_cli(capsys, "measures", "--set", "temperature=1e308")
+        assert code == 2 and out == ""
+        assert "non-finite" in err
+
     def test_unknown_key_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "measures", "--set", "bogus=1.0")
         assert code == 2
@@ -187,6 +198,14 @@ class TestSweepAndFigure:
         lines = out.strip().splitlines()
         assert lines[0] == "G/omega_b,E_N_bm_nats,stable,error"
         assert len(lines) == 4
+
+    def test_overflowing_temperature_fails_only_its_points(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--axis", "temperature:1:1e308:3", "--output",
+            "stable", "--output", "physicality_margin", "--format", "csv")
+        assert code == 0
+        errors = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+        assert errors[0] == "" and errors[-1] == "singular_solve"
 
     def test_json_output_matches_library(self, capsys):
         code, out, _ = run_cli(capsys, "figure", "fig2d", "--format", "json")

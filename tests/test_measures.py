@@ -12,12 +12,12 @@ from magnomech import (CrossCheckMismatchError, ParameterError,
                        diffusion_matrix, log_negativity, pair_measures,
                        physicality_margin,
                        ppt_symplectic_eigenvalues, quadrature_drift,
-                       reduce_modes, solve_lyapunov, steering,
+                       solve_lyapunov, steering,
                        steering_between, symplectic_form)
 from magnomech import dynamics, measures
 from magnomech.dynamics import DiffusionMatrix
 from magnomech.errors import no_failures
-from magnomech.measures import MODE_INDICES, ReducedCM, lyapunov_batch
+from magnomech.measures import MODE_INDICES, lyapunov_batch
 
 TWO_PI = 2.0 * math.pi
 OMEGA_B = TWO_PI * 10e6
@@ -31,9 +31,10 @@ def tmsv_cm(r: float) -> np.ndarray:
     return 0.5 * np.block([[c * np.eye(2), s * _Z], [s * _Z, c * np.eye(2)]])
 
 
-def _reduced(v: np.ndarray, pair: str = "xy") -> ReducedCM:
-    return ReducedCM(block_a=v[:2, :2], block_b=v[2:, 2:],
-                     block_c=v[:2, 2:], pair=pair)
+def _reduced(v: np.ndarray, first: str, second: str) -> np.ndarray:
+    """4x4 submatrix of two modes of a 6x6 matrix, ``first`` first."""
+    idx = MODE_INDICES[first] + MODE_INDICES[second]
+    return np.asarray(v)[np.ix_(idx, idx)]
 
 
 def random_symplectic(rng, n_modes: int) -> np.ndarray:
@@ -69,19 +70,19 @@ class TestSymplecticBasics:
 class TestTMSVOracle:
     @pytest.mark.parametrize("r", [0.1, 0.5, 1.0])
     def test_log_negativity_is_2r(self, r):
-        e_n, eta = log_negativity(_reduced(tmsv_cm(r)))
+        e_n, eta = log_negativity(tmsv_cm(r))
         assert e_n == pytest.approx(2 * r, abs=1e-9)
         assert eta == pytest.approx(0.5 * math.exp(-2 * r), abs=1e-9)
 
     @pytest.mark.parametrize("r", [0.1, 0.5, 1.0])
     def test_steering_is_ln_cosh_2r(self, r):
-        rcm = _reduced(tmsv_cm(r))
+        rcm = tmsv_cm(r)
         expected = math.log(math.cosh(2 * r))
         assert steering(rcm, "forward") == pytest.approx(expected, abs=1e-9)
         assert steering(rcm, "backward") == pytest.approx(expected, abs=1e-9)
 
     def test_vacuum_has_no_entanglement(self):
-        e_n, eta = log_negativity(_reduced(0.5 * np.eye(4)))
+        e_n, eta = log_negativity(0.5 * np.eye(4))
         assert e_n == 0.0 and eta == pytest.approx(0.5)
 
 
@@ -90,13 +91,12 @@ class TestEtaCrossCheck:
         rng = np.random.default_rng(33)
         for _ in range(1000):
             v = random_physical_cm(rng, 2)
-            rcm = _reduced(v)
-            _, eta = log_negativity(rcm)
-            eta_ppt = ppt_symplectic_eigenvalues(rcm)[0]
+            _, eta = log_negativity(v)
+            eta_ppt = ppt_symplectic_eigenvalues(v)[0]
             assert abs(eta - eta_ppt) <= 1e-9 * max(eta, 1e-30)
 
     def test_ppt_eigenvalues_of_tmsv(self):
-        nu = ppt_symplectic_eigenvalues(_reduced(tmsv_cm(0.5)))
+        nu = ppt_symplectic_eigenvalues(tmsv_cm(0.5))
         assert nu[0] == pytest.approx(0.5 * math.exp(-1.0), rel=1e-9)
         assert nu[1] == pytest.approx(0.5 * math.exp(1.0), rel=1e-9)
 
@@ -113,22 +113,22 @@ class TestInvariances:
             rot[2:, 2:] = [[math.cos(t2), math.sin(t2)],
                            [-math.sin(t2), math.cos(t2)]]
             w = rot @ v @ rot.T
-            assert log_negativity(_reduced(w))[0] == pytest.approx(1.4, rel=1e-9)
-            assert steering(_reduced(w), "forward") == pytest.approx(
+            assert log_negativity(w)[0] == pytest.approx(1.4, rel=1e-9)
+            assert steering(w, "forward") == pytest.approx(
                 math.log(math.cosh(1.4)), rel=1e-9)
 
     def test_thermal_product_state_is_unentangled_and_unsteerable(self):
         v = np.diag([1.5, 1.5, 3.0, 3.0])
-        assert log_negativity(_reduced(v))[0] == 0.0
-        assert steering(_reduced(v), "forward") == 0.0
-        assert steering(_reduced(v), "backward") == 0.0
+        assert log_negativity(v)[0] == 0.0
+        assert steering(v, "forward") == 0.0
+        assert steering(v, "backward") == 0.0
 
     def test_steering_asymmetry_detected(self):
         # Adding noise to one mode only breaks the symmetry.
         v = tmsv_cm(1.0)
         v[2:, 2:] += 0.4 * np.eye(2)
-        fwd = steering(_reduced(v), "forward")
-        bwd = steering(_reduced(v), "backward")
+        fwd = steering(v, "forward")
+        bwd = steering(v, "backward")
         assert fwd != pytest.approx(bwd)
         # The noisier mode B is the better steering party.
         assert bwd > fwd
@@ -259,10 +259,10 @@ class TestReductions:
     def test_mode_order_swap_swaps_blocks(self):
         rng = np.random.default_rng(89)
         v = random_physical_cm(rng, 3)
-        fwd = reduce_modes(v, "a", "m")
-        rev = reduce_modes(v, "m", "a")
-        assert np.array_equal(fwd.block_a, rev.block_b)
-        assert np.allclose(fwd.block_c, rev.block_c.T, rtol=1e-12)
+        fwd = _reduced(v, "a", "m")
+        rev = _reduced(v, "m", "a")
+        assert np.array_equal(fwd[:2, :2], rev[2:, 2:])
+        assert np.allclose(fwd[:2, 2:], rev[:2, 2:].T, rtol=1e-12)
         # E_N does not depend on the ordering; steering direction flips.
         assert log_negativity(fwd)[0] == pytest.approx(log_negativity(rev)[0])
         assert steering(fwd, "forward") == pytest.approx(
@@ -273,7 +273,14 @@ class TestReductions:
         with pytest.raises(ParameterError):
             pair_measures(v, "xx")
         with pytest.raises(ParameterError):
-            reduce_modes(v, "a", "a")
+            steering_between(v, "a", "a")
+
+    def test_two_mode_helpers_take_a_4x4_matrix(self):
+        v = 0.5 * np.eye(6)
+        for helper in (log_negativity, steering, ppt_symplectic_eigenvalues):
+            with pytest.raises(ParameterError, match="4x4"):
+                helper(v)
+            helper(_reduced(v, "a", "b"))
 
 
 class TestPairMeasures:
@@ -284,7 +291,7 @@ class TestPairMeasures:
         cm = solve_lyapunov(drift, diffusion)
         for pair in ("am", "bm", "ab"):
             pm = pair_measures(cm, pair)
-            rcm = reduce_modes(cm, pair[0], pair[1])
+            rcm = _reduced(cm.v, pair[0], pair[1])
             assert pm.e_n == log_negativity(rcm)[0]
             assert pm.s_12 == steering(rcm, "forward")
             assert pm.s_21 == steering(rcm, "backward")
@@ -306,7 +313,7 @@ class TestPairMeasures:
     def test_steering_implies_entanglement_on_random_states(self):
         rng = np.random.default_rng(101)
         for _ in range(300):
-            rcm = _reduced(random_physical_cm(rng, 2))
+            rcm = random_physical_cm(rng, 2)
             s = max(steering(rcm, "forward"), steering(rcm, "backward"))
             if s > 1e-12:
                 assert log_negativity(rcm)[0] > 0.0

@@ -62,6 +62,12 @@ class TestThermalOccupation:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[-1] > 0.0
 
+    def test_underflowing_thermal_energy_is_zero_temperature(self):
+        # k_B*T underflows to 0 below about 1.8e-301 K: the T -> 0 limit.
+        assert k_B * 1e-310 == 0.0
+        for temp in (1e-310, 5e-324):
+            assert thermal_occupation(OMEGA_B, temp) == 0.0
+
     def test_invalid_inputs(self):
         with pytest.raises(ParameterError):
             thermal_occupation(-1.0, 0.1)

@@ -181,6 +181,12 @@ class TestApplyParameter:
         with pytest.raises(ParameterError, match="unknown sweep parameter"):
             apply_parameter(default_params(), "warp_factor", 9.0)
 
+    def test_valid_names_are_listed_once(self):
+        with pytest.raises(ParameterError) as exc:
+            apply_parameter(default_params(), "warp_factor", 9.0)
+        for name in ("temperature", "G_eff", "delta_over_omega_b"):
+            assert str(exc.value).count(f"'{name}'") == 1
+
 
 class TestSpecValidation:
     def test_axis_bounds(self):
@@ -199,6 +205,13 @@ class TestSpecValidation:
             SweepSpec(base=default_params(),
                       axes=(Axis("G_over_omega_b", 0.0, 0.5, 3),),
                       outputs=("E_N(zz)",))
+
+    @pytest.mark.parametrize("output", ["S(a->a)", "eta_minus(ma)", "E_N"])
+    def test_output_names_outside_the_table(self, output):
+        with pytest.raises(ParameterError, match="unknown sweep output"):
+            SweepSpec(base=default_params(),
+                      axes=(Axis("G_over_omega_b", 0.0, 0.5, 3),),
+                      outputs=(output,))
 
 
 class TestRunSweep:
@@ -401,6 +414,31 @@ class TestRunSweep:
                 with pytest.raises(ParameterError, match=message):
                     base.replace(**point)
 
+    def test_list_outputs_equal_tuple_outputs(self):
+        outputs = ["stable", "E_N(am)", "S(m->b)", "eta_minus(ab)"]
+        params = default_params()
+        assert evaluate_point(params, outputs) == \
+            evaluate_point(params, tuple(outputs))
+        spec = SweepSpec(base=params, axes=(Axis("G_over_omega_b", 0.1, 0.3, 3),),
+                         outputs=outputs)
+        assert spec.outputs == tuple(outputs)
+        assert run_sweep(spec).rows == run_sweep(
+            dataclasses.replace(spec, outputs=tuple(outputs))).rows
+
+    def test_extreme_temperatures_fail_with_codes(self):
+        # Below ~1.8e-301 K, k_B*T underflows: the point is at 0 K. Near
+        # 1e308 K the occupations overflow, and the solve fails that point.
+        base = default_params()
+        outputs = ("stable", "E_N(ab)", "physicality_margin")
+        assert evaluate_point(base.replace(temperature=1e-310), outputs) == \
+            evaluate_point(base.replace(temperature=0.0), outputs)
+        spec = SweepSpec(base=base, axes=(Axis("temperature", 1.0, 1e308, 3),),
+                         outputs=outputs)
+        result = run_sweep(spec)
+        assert result.column("error")[-1] == "singular_solve"
+        assert result.column("error")[0] == ""
+        assert result.rows == point_rows(spec)
+
     def test_unknown_output_is_a_parameter_error(self):
         assert evaluate_point(default_params(), ("stable", "E_N(zz)")) == {
             "stable": None, "E_N(zz)": None, "error": "parameter_error"}
@@ -473,6 +511,89 @@ class TestFigurePresets:
         assert spec.axes[0].name == "temperature"
         assert spec.axes[0].hi == pytest.approx(0.25)
         assert {s.label for s in spec.series} == {"gain", "loss"}
+
+    @pytest.mark.parametrize("name", FIGURE_NAMES)
+    def test_resolved_spec(self, name):
+        # Base kappa_a, g_ma and G_eff, axes, outputs, and each series'
+        # kappa_a once its overrides are applied, compared exactly.
+        base = default_params()
+        km, wb = base.kappa_m, OMEGA_B
+        g_axis = ("G_over_omega_b", 0.0, 0.5, 101)
+        gain_loss = {"gain": 0.2 * km, "loss": -0.2 * km}
+        stability_map = ("stable", "max_lyapunov")
+        temperature = ("temperature", 0.0, 0.25, 251)
+        expected = {
+            "fig2a": (-0.2 * km, base.g_ma, base.G_eff,
+                      (("gma_over_omega_b", 0.0, 1.2, 101),
+                       ("G_over_omega_b", 0.0, 0.6, 101)), stability_map, None),
+            "fig2b": (0.2 * km, base.g_ma, base.G_eff,
+                      (("gma_over_omega_b", 0.0, 1.2, 101),
+                       ("G_over_omega_b", 0.0, 0.6, 101)), stability_map, None),
+            "fig2c": (base.kappa_a, 0.5 * wb, base.G_eff,
+                      (("kappa_a_over_kappa_m", 0.0, 1.0, 101),
+                       ("G_over_omega_b", 0.0, 0.6, 101)), stability_map, None),
+            "fig2d": (0.2 * km, base.g_ma, 0.4 * wb,
+                      (("gma_over_G", 0.5, 5.0, 101),),
+                      ("max_lyapunov", "stable"), None),
+            **{f"fig3{panel}": (base.kappa_a, base.g_ma, base.G_eff, (g_axis,),
+                                (f"E_N({pair})", "stable"), gain_loss)
+               for panel, pair in zip("abc", ("am", "bm", "ab"))},
+            "fig3d": (base.kappa_a, base.g_ma, 0.1 * wb,
+                      (("kappa_a_over_kappa_m", 0.0, 0.95, 96),),
+                      ("E_N(am)", "stable"), None),
+            **{f"fig4{panel}": (0.2 * km, base.g_ma, base.G_eff,
+                                (("delta_over_omega_b", -2.0, 0.0, 101),
+                                 ("G_over_gma", 0.0, 0.5, 101)),
+                                (f"E_N({pair})", "stable"), None)
+               for panel, pair in zip("abc", ("am", "bm", "ab"))},
+            "fig4d": (base.kappa_a, base.g_ma, base.G_eff,
+                      (("G_over_gma", 0.0, 0.5, 101),
+                       ("kappa_a_over_kappa_m", 0.0, 0.95, 96)),
+                      ("E_N(am)", "stable"), None),
+            "fig5": (base.kappa_a, base.g_ma, base.G_eff, (g_axis,),
+                     ("S(m->b)", "S(a->b)", "S(b->m)", "S(b->a)", "stable"),
+                     gain_loss),
+            "fig6a": (0.2 * km, base.g_ma, 0.25 * wb, (temperature,),
+                      ("E_N(am)", "E_N(bm)", "E_N(ab)", "S(m->b)", "S(a->b)",
+                       "stable"), None),
+            "fig6b": (base.kappa_a, base.g_ma, 0.25 * wb, (temperature,),
+                      ("E_N(am)", "stable"), gain_loss),
+        }
+        kappa_a, g_ma, g_eff, axes, outputs, series = expected[name]
+        spec = figure_preset(name)
+        assert (spec.base.kappa_a, spec.base.g_ma, spec.base.G_eff) == \
+            (kappa_a, g_ma, g_eff)
+        assert [(a.name, a.lo, a.hi, a.count) for a in spec.axes] == list(axes)
+        assert spec.outputs == outputs
+        resolved = {}
+        for s in spec.series:
+            params = spec.base
+            for key, value in s.overrides:
+                params = apply_parameter(params, key, value)
+            resolved[s.label] = params.kappa_a
+        assert resolved == (series or {"": kappa_a})
+        assert spec.gain_noise == "vacuum"
+        assert figure_preset(name, "reversed").gain_noise == "reversed"
+
+    def test_drive_mode_base(self):
+        # Every preset fixes or sweeps G_eff, which a drive-mode base leaves
+        # to the working point: fixing it raises, sweeping it fails each cell.
+        drive = drive_spec().base
+        fixing = {"fig2d", "fig3d", "fig6a", "fig6b"}
+        for name in FIGURE_NAMES:
+            if name in fixing:
+                with pytest.raises(ParameterError, match="G_eff"):
+                    figure_preset(name, base=drive)
+                continue
+            spec = figure_preset(name, base=drive)
+            result = run_sweep(spec)
+            n_axes = len(spec.axes)
+            assert len(result.rows) == math.prod(a.count for a in spec.axes)
+            for series in spec.series:
+                assert set(result.column("error", series.label)) == \
+                    {"parameter_error"}
+            assert {cell for row in result.rows for cell in row[n_axes:]} <= \
+                {None, "parameter_error"}
 
 
 class TestStabilityMap:
