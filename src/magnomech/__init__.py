@@ -15,8 +15,8 @@ from .dynamics import (DiffusionMatrix, QuadratureDrift, StabilityReport,
 from .errors import (BracketInvalidError, ConfigError,
                      CrossCheckMismatchError, DegenerateDenominatorError,
                      EigenSolveError, MagnomechError, NonConvergenceError,
-                     NonPhysicalCMError, ParameterError, SingularSolveError,
-                     UnstableSystemError)
+                     NonFiniteDeterminantError, NonPhysicalCMError,
+                     ParameterError, SingularSolveError, UnstableSystemError)
 from .measures import (CovarianceMatrix, PairMeasures, log_negativity,
                        pair_measures, physicality_margin,
                        ppt_symplectic_eigenvalues, solve_lyapunov, steering,

@@ -17,7 +17,8 @@ import numpy as np
 from . import config as _config
 from . import measures as _measures
 from . import sweep as _sweep
-from .dynamics import drift_from_params
+from .dynamics import (GAIN_NOISE_MODES, diffusion_from_params,
+                       drift_from_params, stability)
 from .errors import MagnomechError, ParameterError, UnstableSystemError
 from .model import SystemParams, two_mode_eigenfrequencies
 from .steady_state import working_point
@@ -47,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     jobs.add_argument("--jobs", type=int, default=1, metavar="N",
                       help="worker processes for sweeps")
     noise = argparse.ArgumentParser(add_help=False)
-    noise.add_argument("--gain-noise", choices=_sweep.GAIN_NOISE_MODES,
+    noise.add_argument("--gain-noise", choices=GAIN_NOISE_MODES,
                        default="vacuum", dest="gain_noise",
                        help="cavity noise convention for a gain cavity")
 
@@ -149,7 +150,7 @@ def _cmd_drift(args, params: SystemParams) -> str:
 
 
 def _cmd_stability(args, params: SystemParams) -> str:
-    report, _ = _sweep.solve_point(params)
+    report = stability(drift_from_params(params, working_point(params)))
     obj = {
         "stable": bool(report.stable),
         "max_lyapunov_rad_s": report.max_lyapunov,
@@ -163,7 +164,9 @@ def _cmd_stability(args, params: SystemParams) -> str:
 
 
 def _cmd_measures(args, params: SystemParams) -> str:
-    _, cm = _sweep.solve_point(params, args.gain_noise, covariance=True)
+    drift = drift_from_params(params, working_point(params))
+    cm = _measures.solve_lyapunov(
+        drift, diffusion_from_params(params, args.gain_noise))
     pairs = _measures.PAIRS if args.pair == "all" else (args.pair,)
     objs = []
     for pair in pairs:

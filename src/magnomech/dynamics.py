@@ -23,6 +23,12 @@ GAIN_NOISE_MODES = ("vacuum", "reversed")
 STABILITY_REL_TOL = 1e-9
 
 
+def check_gain_noise(gain_noise: str) -> None:
+    """Raise ParameterError unless ``gain_noise`` is one of GAIN_NOISE_MODES."""
+    if gain_noise not in GAIN_NOISE_MODES:
+        raise ParameterError(f"gain_noise must be one of {GAIN_NOISE_MODES}")
+
+
 def read_only(values) -> np.ndarray:
     """A new array of ``values`` that cannot be written to: the index and
     constant tables that the batch kernels share between calls."""
@@ -136,6 +142,7 @@ def diffusion_matrices(kappa_a, kappa_m, gamma_b, n_a, n_m, n_b,
                        gain_noise: str = "vacuum") -> np.ndarray:
     """Diffusion matrices of numbers, shape (6, 6), or of N-vectors of
     points, shape (N, 6, 6)."""
+    check_gain_noise(gain_noise)
     cavity = np.abs(kappa_a) if gain_noise == "vacuum" else -kappa_a
     rates = np.array((cavity, cavity, kappa_m, kappa_m, gamma_b), dtype=np.float64)
     occupations = np.array((n_a, n_a, n_m, n_m, n_b), dtype=np.float64)
@@ -157,8 +164,6 @@ def diffusion_matrix(kappa_a: float, kappa_m: float, gamma_b: float,
     resulting covariance matrices can violate the uncertainty bound. The
     reversed mode exists only to reproduce published curves computed that way.
     """
-    if gain_noise not in GAIN_NOISE_MODES:
-        raise ParameterError(f"gain_noise must be one of {GAIN_NOISE_MODES}")
     if min(n_a, n_m, n_b) < 0.0:
         raise ParameterError("occupations must be non-negative")
     return DiffusionMatrix(d=diffusion_matrices(

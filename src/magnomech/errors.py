@@ -59,6 +59,11 @@ class NonPhysicalCMError(MagnomechError):
     code = "nonphysical_cm"
 
 
+class NonFiniteDeterminantError(MagnomechError):
+    """A two-mode determinant, or eta^- built from them, overflowed."""
+    code = "nonfinite_determinant"
+
+
 class CrossCheckMismatchError(MagnomechError):
     """Two independent routes to the same quantity disagree."""
     code = "cross_check_mismatch"

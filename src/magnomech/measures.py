@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CrossCheckMismatchError, NonPhysicalCMError,
-                     ParameterError, SingularSolveError, UnstableSystemError,
-                     alive, lapack_stack, no_failures, raise_failure,
-                     record_failures)
+from .errors import (CrossCheckMismatchError, NonFiniteDeterminantError,
+                     NonPhysicalCMError, ParameterError, SingularSolveError,
+                     UnstableSystemError, alive, lapack_stack, no_failures,
+                     raise_failure, record_failures)
 from .dynamics import (STABILITY_REL_TOL, DiffusionMatrix, QuadratureDrift,
                        read_only, stability)
 
@@ -237,13 +237,18 @@ def _determinants(sub: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _log_negativity(dets, failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E_N, eta^-) per matrix; records NonPhysicalCMError where they do not exist."""
+    """(E_N, eta^-) per matrix; records NonFiniteDeterminantError where the
+    determinants overflow and NonPhysicalCMError where E_N does not exist."""
     det_a, det_b, det_c, det_v = dets
+    sigma = det_a + det_b - 2.0 * det_c
+    disc = sigma**2 - 4.0 * det_v
+    # Finite unless a determinant, Sigma^2 or 4 det V overflowed.
+    record_failures(
+        failures, ~np.isfinite(disc),
+        lambda k: NonFiniteDeterminantError("Sigma^2 - 4 det V is not finite"))
     record_failures(
         failures, det_v < -DISCRIMINANT_CLAMP * np.maximum(det_a * det_b, 1.0),
         lambda k: NonPhysicalCMError(f"negative two-mode determinant {det_v[k]:.6g}"))
-    sigma = det_a + det_b - 2.0 * det_c
-    disc = sigma**2 - 4.0 * det_v
     record_failures(
         failures, disc < -DISCRIMINANT_CLAMP * sigma**2,
         lambda k: NonPhysicalCMError(
@@ -254,9 +259,13 @@ def _log_negativity(dets, failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _steering(dets, failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward and backward steering per matrix; records NonPhysicalCMError
-    where the two-mode determinant is not positive."""
+    """Forward and backward steering per matrix; records
+    NonFiniteDeterminantError where a determinant overflowed and
+    NonPhysicalCMError where the two-mode determinant is not positive."""
     det_a, det_b, _, det_v = dets
+    record_failures(failures, ~np.isfinite(dets).all(axis=0),
+                    lambda k: NonFiniteDeterminantError(
+                        "two-mode determinant is not finite"))
     record_failures(failures, det_v <= 0.0, lambda k: NonPhysicalCMError(
         f"non-positive two-mode determinant {det_v[k]:.6g}"))
     return (np.fmax(0.0, 0.5 * np.log(det_a / (4.0 * det_v))),
@@ -293,7 +302,7 @@ def log_negativity(v: np.ndarray) -> tuple[float, float]:
     Sigma = det A + det B - 2 det C; E_N = max(0, -ln 2 eta^-).
     """
     failures = no_failures(1)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         e_n, eta_minus = _log_negativity(_determinants(_two_mode(v)[None]), failures)
     raise_failure(failures)
     return float(e_n[0]), float(eta_minus[0])
@@ -309,7 +318,7 @@ def steering(v: np.ndarray, direction: str = "forward") -> float:
     if direction not in ("forward", "backward"):
         raise ParameterError("direction must be 'forward' or 'backward'")
     failures = no_failures(1)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         s_12, s_21 = _steering(_determinants(_two_mode(v)[None]), failures)
     raise_failure(failures)
     return float((s_12 if direction == "forward" else s_21)[0])
@@ -332,11 +341,11 @@ class PairBatch:
             if pair not in PAIRS:
                 raise ParameterError(f"unknown pair {pair!r}; valid: {PAIRS}")
         sub = v.reshape(len(v), 36)[:, _PAIR_ENTRIES[pairs]]
-        dets = _determinants(sub)
         shape = sub.shape[:2]
         self.steering_failures = no_failures(shape)
         self.failures = no_failures(shape)
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(all="ignore"):
+            dets = _determinants(sub)
             self.s_12, self.s_21 = _steering(dets, self.steering_failures)
             self.e_n, self.eta_minus = _log_negativity(dets, self.failures)
         # eta^- is computed twice: from the determinant formula and from the

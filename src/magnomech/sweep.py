@@ -12,14 +12,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import measures as _measures
+from . import model as _model
 from .config import build_params, default_config
-from .dynamics import (GAIN_NOISE_MODES, StabilityReport, diffusion_matrices,
-                       drift_matrices, stability_batch)
+from .dynamics import (check_gain_noise, diffusion_matrices, drift_matrices,
+                       stability_batch)
 from .errors import (BracketInvalidError, MagnomechError, ParameterError,
                      UnstableSystemError, alive, no_failures, raise_failure,
                      record_failures, store_failure)
-from .model import (SystemParams, parameter_violations, pt_classify,
-                    thermal_occupation)
+from .model import SystemParams, parameter_violations, pt_classify
 from .steady_state import working_point
 
 #: Absolute tolerance (K) of the vanishing-temperature bisection.
@@ -136,8 +136,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if len(self.axes) not in (1, 2):
             raise ParameterError("a sweep needs 1 or 2 axes")
-        if self.gain_noise not in GAIN_NOISE_MODES:
-            raise ParameterError(f"gain_noise must be one of {GAIN_NOISE_MODES}")
+        check_gain_noise(self.gain_noise)
         for axis in self.axes:
             _check_parameter_name(axis.name)
         object.__setattr__(self, "outputs", tuple(self.outputs))
@@ -204,15 +203,12 @@ def _working_points(columns: dict, failures: np.ndarray
 def _diffusions(columns: dict, rows: np.ndarray, gain_noise: str,
                 failures: np.ndarray) -> np.ndarray:
     """Diffusion matrices (len(rows), 6, 6) at the given points."""
-    if gain_noise not in GAIN_NOISE_MODES:
-        failures[:] = ParameterError(
-            f"gain_noise must be one of {GAIN_NOISE_MODES}")
     omegas = [columns[name].tolist() for name in ("omega_a", "omega_m", "omega_b")]
     temperatures = columns["temperature"].tolist()
     occupations = []
     for i, k in enumerate(rows.tolist()):
         try:
-            occupations.append([thermal_occupation(omega[k], temperatures[k])
+            occupations.append([_model.thermal_occupation(omega[k], temperatures[k])
                                 for omega in omegas])
         except MagnomechError as exc:
             store_failure(failures, i, exc)
@@ -221,82 +217,6 @@ def _diffusions(columns: dict, rows: np.ndarray, gain_noise: str,
         return diffusion_matrices(
             columns["kappa_a"][rows], columns["kappa_m"][rows],
             columns["gamma_b"][rows], *np.array(occupations).T, gain_noise)
-
-
-@dataclass
-class _Solution:
-    """Pipeline results over N points.
-
-    ``reported`` marks the points that came through the stability stage, so
-    that their stability verdict is reported even if a later stage fails;
-    the verdict arrays are undefined elsewhere. ``solved`` lists the points
-    with a covariance matrix, and ``v`` and ``residual`` hold one entry per
-    listed point.
-    """
-
-    max_lyapunov: np.ndarray
-    stable: np.ndarray
-    eigenvalues: np.ndarray
-    reported: np.ndarray
-    solved: np.ndarray
-    v: np.ndarray
-    residual: np.ndarray
-
-
-def _solve(columns: dict, failures: np.ndarray, gain_noise: str,
-           covariance: bool) -> _Solution:
-    """Working point -> drift -> stability -> diffusion -> Lyapunov covariance.
-
-    ``columns`` maps each SystemParams field to None or an N-vector. Points
-    already failed are skipped; each stage records the error that stops a
-    point there. Covariance matrices are solved, when ``covariance`` is set,
-    at the stable points.
-    """
-    g_eff, delta_m_eff = _working_points(columns, failures)
-    a, finite = drift_matrices(
-        columns["delta_a"], delta_m_eff, columns["kappa_a"], columns["kappa_m"],
-        columns["gamma_b"], columns["omega_b"], columns["g_ma"], g_eff)
-    record_failures(failures, ~finite, lambda k: ParameterError(
-        "quadrature_drift: non-finite input"))
-    eigenvalues, max_lyapunov, stable = stability_batch(a, failures)
-    reported = alive(failures)
-    solved = np.flatnonzero(reported & stable & covariance)
-    v, residual = np.empty((0, 6, 6)), np.empty(0)
-    if solved.size:
-        sub_failures = failures[solved]
-        d = _diffusions(columns, solved, gain_noise, sub_failures)
-        v, residual = _measures.lyapunov_batch(
-            a[solved], d, eigenvalues[solved], sub_failures)
-        failures[solved] = sub_failures
-        ok = alive(sub_failures)
-        solved, v, residual = solved[ok], v[ok], residual[ok]
-    return _Solution(max_lyapunov=max_lyapunov, stable=stable,
-                     eigenvalues=eigenvalues, reported=reported, solved=solved,
-                     v=v, residual=residual)
-
-
-def solve_point(params: SystemParams, gain_noise: str = "vacuum",
-                covariance: bool = False
-                ) -> tuple[StabilityReport, _measures.CovarianceMatrix | None]:
-    """Working point -> drift -> stability -> diffusion -> Lyapunov covariance.
-
-    Returns the stability report and, when ``covariance`` is set, the
-    covariance matrix (else None); an unstable point then raises
-    UnstableSystemError.
-    """
-    failures = no_failures(1)
-    sol = _solve(_columns(params), failures, gain_noise, covariance)
-    raise_failure(failures)
-    report = StabilityReport(eigenvalues=sol.eigenvalues[0],
-                             max_lyapunov=float(sol.max_lyapunov[0]),
-                             stable=bool(sol.stable[0]))
-    if not covariance:
-        return report, None
-    _measures.check_stable(report.max_lyapunov, report.stable)
-    v = sol.v[0]
-    return report, _measures.CovarianceMatrix(
-        v=v, physicality_margin=_measures.physicality_margin(v),
-        residual=float(sol.residual[0]))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -318,17 +238,40 @@ def _evaluate(columns: dict, failures: np.ndarray, outputs: tuple[str, ...],
               gain_noise: str) -> list[list]:
     """Rows of output values plus the error code, one per point.
 
-    Unstable points yield None for every covariance-based output (sentinel),
-    never zeros. Measures are taken in output order; the first one that fails
-    at a point sets its error and leaves the later measures None.
+    Working point -> drift -> stability -> diffusion -> Lyapunov covariance
+    -> measures. ``columns`` maps each SystemParams field to None or an
+    N-vector. Points already failed are skipped; each stage records the
+    error that stops a point there, and a point's stability verdict is
+    reported even if a later stage fails. Covariance matrices are solved,
+    when an output needs one, at the stable points: unstable points yield
+    None for every covariance-based output (sentinel), never zeros. Measures
+    are taken in output order; the first one that fails at a point sets its
+    error and leaves the later measures None.
     """
+    check_gain_noise(gain_noise)
     _check_outputs(outputs)
     kinds = [_OUTPUTS[out][0] for out in outputs]
-    sol = _solve(columns, failures, gain_noise,
-                 covariance=any(kind != "report" for kind in kinds))
+    g_eff, delta_m_eff = _working_points(columns, failures)
+    a, finite = drift_matrices(
+        columns["delta_a"], delta_m_eff, columns["kappa_a"], columns["kappa_m"],
+        columns["gamma_b"], columns["omega_b"], columns["g_ma"], g_eff)
+    record_failures(failures, ~finite, lambda k: ParameterError(
+        "quadrature_drift: non-finite input"))
+    eigenvalues, max_lyapunov, stable = stability_batch(a, failures)
+    reported = alive(failures)
+    solved = np.flatnonzero(reported & stable
+                            & any(kind != "report" for kind in kinds))
+    if solved.size:
+        sub_failures = failures[solved]
+        d = _diffusions(columns, solved, gain_noise, sub_failures)
+        v, residual = _measures.lyapunov_batch(
+            a[solved], d, eigenvalues[solved], sub_failures)
+        failures[solved] = sub_failures
+        ok = alive(sub_failures)
+        solved, v, residual = solved[ok], v[ok], residual[ok]
     rows = [[None] * len(outputs) for _ in range(len(failures))]
-    reported = np.flatnonzero(sol.reported).tolist()
-    solved = sol.solved.tolist()
+    reported = np.flatnonzero(reported).tolist()
+    solved = solved.tolist()
     for j, (out, kind) in enumerate(zip(outputs, kinds)):
         if out == "pt_phase":
             g_ma, kappa_a, kappa_m = (columns[name].tolist()
@@ -336,18 +279,18 @@ def _evaluate(columns: dict, failures: np.ndarray, outputs: tuple[str, ...],
             for k in reported:
                 rows[k][j] = pt_classify(g_ma[k], kappa_a[k], kappa_m[k]).tag
         elif kind == "report":
-            values = (sol.stable.astype(int) if out == "stable"
-                      else sol.max_lyapunov).tolist()
+            values = (stable.astype(int) if out == "stable"
+                      else max_lyapunov).tolist()
             for k in reported:
                 rows[k][j] = values[k]
         elif kind == "cm" and solved:
-            values = (sol.residual if out == "residual"
-                      else _measures.physicality_margins(sol.v))
+            values = (residual if out == "residual"
+                      else _measures.physicality_margins(v))
             for k, value in zip(solved, values.tolist()):
                 rows[k][j] = value
     pairs, checked, measures = _pair_plan(outputs)
     if solved and measures:
-        batch = _measures.PairBatch(sol.v, pairs, checked=checked)
+        batch = _measures.PairBatch(v, pairs, checked=checked)
         tables = {name: getattr(batch, name).tolist() for _, name, _, _ in measures}
         stops = (batch.failures.tolist(), batch.steering_failures.tolist())
         for i, k in enumerate(solved):
@@ -373,7 +316,7 @@ def evaluate_point(params: SystemParams, outputs: tuple[str, ...],
     try:
         *values, error = _evaluate(_columns(params), no_failures(1),
                                    tuple(outputs), gain_noise)[0]
-    except ParameterError as exc:  # an unknown output name
+    except ParameterError as exc:  # an unknown output or gain_noise
         values, error = [None] * len(outputs), exc.code
     return {**dict(zip(outputs, values)), "error": error}
 

@@ -8,9 +8,14 @@ from pathlib import Path
 import pytest
 
 from magnomech import (Axis, SweepSpec, build_params, default_config,
-                       default_params, figure_preset, run_sweep,
-                       two_mode_eigenfrequencies)
+                       default_params, diffusion_from_params,
+                       drift_from_params, figure_preset, merge_layers,
+                       pair_measures, run_sweep, solve_lyapunov, stability,
+                       two_mode_eigenfrequencies, working_point)
 from magnomech.cli import main
+from magnomech.config import apply_overrides
+from magnomech.dynamics import GAIN_NOISE_MODES
+from magnomech.measures import PAIRS
 
 OMEGA_B = default_params().omega_b
 
@@ -118,6 +123,52 @@ class TestMeasures:
         code, _, err = run_cli(capsys, "measures", "--set", "bogus=1.0")
         assert code == 2
         assert "omega_b" in err  # lists valid keys
+
+
+class TestSinglePointChain:
+    """``stability`` and ``measures`` print exactly the numbers of the
+    documented chain working_point -> drift_from_params -> stability ->
+    solve_lyapunov -> pair_measures."""
+
+    POINTS = [(), ("epsilon_d=1e13rad_s", "delta_m=-1omega_b")]
+
+    @staticmethod
+    def _drift(overrides):
+        params = build_params(merge_layers(
+            [default_config(), apply_overrides({}, list(overrides))]))
+        return params, drift_from_params(params, working_point(params))
+
+    @staticmethod
+    def _argv(command, overrides):
+        return [command, *(arg for text in overrides for arg in ("--set", text))]
+
+    @pytest.mark.parametrize("overrides", POINTS)
+    def test_stability(self, capsys, overrides):
+        _, drift = self._drift(overrides)
+        report = stability(drift)
+        code, out, _ = run_cli(capsys, *self._argv("stability", overrides))
+        assert code == 0
+        assert json.loads(out) == {
+            "stable": report.stable, "max_lyapunov_rad_s": report.max_lyapunov,
+            "eigenvalues_re": sorted(report.eigenvalues.real.tolist())}
+
+    @pytest.mark.parametrize("gain_noise", GAIN_NOISE_MODES)
+    @pytest.mark.parametrize("overrides", POINTS)
+    def test_measures(self, capsys, overrides, gain_noise):
+        params, drift = self._drift(overrides)
+        cm = solve_lyapunov(drift, diffusion_from_params(params, gain_noise))
+        expected = []
+        for pair in PAIRS:
+            pm = pair_measures(cm, pair)
+            expected.append({
+                "pair": pair, "E_N": pm.e_n, "S_forward": pm.s_12,
+                "S_backward": pm.s_21, "eta_minus": pm.eta_minus,
+                "residual": cm.residual,
+                "physicality_margin": cm.physicality_margin})
+        code, out, _ = run_cli(capsys, *self._argv("measures", overrides),
+                               "--gain-noise", gain_noise)
+        assert code == 0
+        assert json.loads(out) == expected
 
 
 class TestSinglePointCsv:

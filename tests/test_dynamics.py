@@ -7,7 +7,7 @@ from magnomech import (EigenSolveError, ParameterError, complex_drift,
                        diffusion_matrix, quadrature_drift, stability,
                        thermal_occupation)
 from magnomech.dynamics import (STABILITY_REL_TOL, QuadratureDrift,
-                                stability_batch)
+                                diffusion_matrices, stability_batch)
 from magnomech.errors import no_failures
 
 TWO_PI = 2.0 * math.pi
@@ -117,6 +117,8 @@ class TestDiffusionMatrix:
             diffusion_matrix(0.1, 0.3, 0.01, -1.0, 0.0, 0.0)
         with pytest.raises(ParameterError):
             diffusion_matrix(0.1, 0.3, 0.01, 0.0, 0.0, 0.0, gain_noise="bogus")
+        with pytest.raises(ParameterError, match="gain_noise must be one of"):
+            diffusion_matrices(0.1, 0.3, 0.01, 0.0, 0.0, 0.0, "bogus")
 
 
 class TestStability:

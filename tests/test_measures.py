@@ -7,8 +7,8 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from magnomech import (CrossCheckMismatchError, ParameterError,
-                       SingularSolveError, UnstableSystemError,
+from magnomech import (CrossCheckMismatchError, NonFiniteDeterminantError,
+                       ParameterError, SingularSolveError, UnstableSystemError,
                        diffusion_matrix, log_negativity, pair_measures,
                        physicality_margin,
                        ppt_symplectic_eigenvalues, quadrature_drift,
@@ -309,6 +309,24 @@ class TestPairMeasures:
             assert 0.0 < pm.s_12 < pm.s_21
             assert steering_between(v, pair[0], pair[1]) == pm.s_12
             assert steering_between(v, pair[1], pair[0]) == pm.s_21
+
+    def test_overflowed_determinants_raise(self):
+        # Entries near 1e80 overflow the 4x4 determinant (about 1e320).
+        two_mode = 1e80 * tmsv_cm(1.0)
+        v = 0.5 * np.eye(6)
+        v[:4, :4] = two_mode  # modes a and m
+        calls = [lambda: log_negativity(two_mode),
+                 lambda: steering(two_mode, "forward"),
+                 lambda: steering(two_mode, "backward"),
+                 lambda: pair_measures(v, "am"),
+                 lambda: steering_between(v, "a", "m"),
+                 lambda: steering_between(v, "m", "a")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(NonFiniteDeterminantError) as exc:
+                    call()
+                assert exc.value.code == "nonfinite_determinant"
 
     def test_steering_implies_entanglement_on_random_states(self):
         rng = np.random.default_rng(101)

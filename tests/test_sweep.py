@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import pytest
 from magnomech import (Axis, BracketInvalidError, MagnomechError,
                        NonConvergenceError, ParameterError, Series,
                        SingularSolveError, SweepSpec, UnstableSystemError,
-                       default_params, evaluate_point, figure_preset,
-                       pair_measures, run_sweep, vanishing_temperature)
-from magnomech import sweep
+                       default_params, diffusion_from_params,
+                       drift_from_params, evaluate_point, figure_preset,
+                       pair_measures, run_sweep, solve_lyapunov,
+                       vanishing_temperature, working_point)
+from magnomech import model, sweep
 from magnomech.errors import no_failures
 from magnomech.sweep import (BATCH_SIZE, FIGURE_NAMES,
                              VANISHING_TEMPERATURE_TOL, VANISHING_TREE_DEPTH,
@@ -124,14 +127,16 @@ def point_rows(spec: SweepSpec) -> list[list]:
 
 def sequential_bisection(base, pair, t_lo, t_hi, gain_noise="vacuum",
                          visited=None):
-    """vanishing_temperature one point at a time: each temperature is a
-    solve_point plus pair_measures, solved only when the bisection visits it.
-    Appends every temperature solved to ``visited``."""
+    """vanishing_temperature one point at a time: each temperature runs the
+    single-point chain working_point -> drift -> solve_lyapunov ->
+    pair_measures, only when the bisection visits it. Appends every
+    temperature solved to ``visited``."""
     def e_n(temperature):
         if visited is not None:
             visited.append(temperature)
-        _, cm = sweep.solve_point(base.replace(temperature=temperature),
-                                  gain_noise, covariance=True)
+        params = base.replace(temperature=temperature)
+        drift = drift_from_params(params, working_point(params))
+        cm = solve_lyapunov(drift, diffusion_from_params(params, gain_noise))
         return pair_measures(cm, pair).e_n
 
     if not t_lo < t_hi:
@@ -360,7 +365,7 @@ class TestRunSweep:
         def fail_twice():
             assert evaluate_point(drive, ("stable",))["error"] == "non_convergence"
             with pytest.raises(MagnomechError):
-                sweep.solve_point(drive)
+                vanishing_temperature(drive, "am", 0.0, 0.35)
 
         fail_twice()
         before = live_failures()
@@ -438,6 +443,44 @@ class TestRunSweep:
         assert result.column("error")[-1] == "singular_solve"
         assert result.column("error")[0] == ""
         assert result.rows == point_rows(spec)
+
+    @pytest.mark.parametrize("g_ma", [1.0, 0.06])  # stable, unstable
+    def test_unknown_gain_noise_fails_before_any_stage(self, g_ma):
+        base = default_params().replace(g_ma=g_ma * OMEGA_B)
+        outputs = ("stable", "max_lyapunov", "E_N(am)")
+        assert evaluate_point(base, outputs, gain_noise="bogus") == {
+            **dict.fromkeys(outputs), "error": "parameter_error"}
+        with pytest.raises(ParameterError) as exc:
+            vanishing_temperature(base, "am", 0.0, 0.35, "bogus")
+        assert type(exc.value) is ParameterError
+        assert str(exc.value) == \
+            "gain_noise must be one of ('vacuum', 'reversed')"
+
+    def test_overflowed_determinants_fail_their_points(self):
+        # From about 1e77 K the two-mode determinants of the bundled point
+        # overflow. E_N, eta^- and steering then fail the point instead of
+        # reading 0; 1e60 K is still finite.
+        spec = SweepSpec(base=default_params(),
+                         axes=(Axis("temperature", 1e60, 1e90, 7),),
+                         outputs=("E_N(am)", "eta_minus(am)", "S(m->b)"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_sweep(spec)
+        first, *rest = result.rows
+        assert first[1] == 0.0 and first[3] == 0.0 and first[4] == ""
+        assert first[2] == pytest.approx(2.82517557612e60, rel=1e-11)
+        for row in rest:
+            assert row[1:] == [None, None, None, "nonfinite_determinant"]
+        assert result.rows == point_rows(spec)
+        hot = default_params().replace(temperature=1e80)
+        for output in ("S(m->b)", "S(a->m)", "eta_minus(ab)"):
+            assert evaluate_point(hot, (output,))["error"] == \
+                "nonfinite_determinant"
+        # Near 3e76 K the determinants are finite but Sigma^2 overflows:
+        # eta^- fails, steering (a ratio far below 1) reads 0.
+        warm = default_params().replace(temperature=3.16e76)
+        assert evaluate_point(warm, ("S(a->m)", "E_N(am)")) == {
+            "S(a->m)": 0.0, "E_N(am)": None, "error": "nonfinite_determinant"}
 
     def test_unknown_output_is_a_parameter_error(self):
         assert evaluate_point(default_params(), ("stable", "E_N(zz)")) == {
@@ -664,16 +707,17 @@ class TestVanishingTemperature:
     @staticmethod
     def _fail_at(monkeypatch, bad_temperatures):
         """Make the points at ``bad_temperatures`` fail in the diffusion
-        stage; returns the list of temperatures that stage sees."""
+        stage, of the batched search and of the single-point chain alike;
+        returns the list of temperatures that stage sees."""
         seen = []
-        occupation = sweep.thermal_occupation
+        occupation = model.thermal_occupation
 
         def failing(omega, temperature):
             seen.append(temperature)
             if temperature in bad_temperatures:
                 raise SingularSolveError(f"injected at {temperature} K")
             return occupation(omega, temperature)
-        monkeypatch.setattr(sweep, "thermal_occupation", failing)
+        monkeypatch.setattr(model, "thermal_occupation", failing)
         return seen
 
     def test_only_the_walked_path_can_raise(self, monkeypatch):
