@@ -15,7 +15,7 @@ from magnomech import (Axis, BracketInvalidError, MagnomechError,
                        vanishing_temperature, working_point)
 from magnomech import model, sweep
 from magnomech.errors import no_failures
-from magnomech.sweep import (BATCH_SIZE, FIGURE_NAMES,
+from magnomech.sweep import (BATCH_SIZE, FIGURE_NAMES, STABILITY_BATCH_SIZE,
                              VANISHING_TEMPERATURE_TOL, VANISHING_TREE_DEPTH,
                              apply_parameter)
 
@@ -283,7 +283,7 @@ class TestRunSweep:
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
         spec = SweepSpec(base=default_params(),
                          axes=(Axis("G_over_omega_b", 0.0, 0.5,
-                                    2 * BATCH_SIZE + 1),),
+                                    2 * STABILITY_BATCH_SIZE + 1),),
                          outputs=("stable",))
         serial = run_sweep(spec, jobs=1).rows
         assert max_workers_seen == []
@@ -291,6 +291,48 @@ class TestRunSweep:
         assert max_workers_seen == [3]
         run_sweep(spec, jobs=2)
         assert max_workers_seen == [3, 2]
+
+    @pytest.mark.parametrize("outputs, batches", [
+        (("stable", "pt_phase", "max_lyapunov"), 3),
+        (("stable", "pt_phase", "E_N(am)"), -(-(2 * STABILITY_BATCH_SIZE + 1)
+                                              // BATCH_SIZE))])
+    def test_batch_size_follows_the_outputs(self, monkeypatch, outputs,
+                                            batches):
+        # Only outputs that need a covariance matrix keep the small batches.
+        spec = SweepSpec(base=default_params(),
+                         axes=(Axis("G_over_omega_b", 0.0, 0.5,
+                                    2 * STABILITY_BATCH_SIZE + 1),),
+                         outputs=outputs)
+        calls = count_calls(monkeypatch, "_evaluate_batch")
+        run_sweep(spec)
+        assert len(calls) == batches
+
+    def test_stability_rows_do_not_depend_on_the_batch_size(self, monkeypatch):
+        # Two of every seven points fail with parameter_error (T < 0), one of
+        # them just before the first batch boundary.
+        spec = SweepSpec(base=default_params().replace(G_eff=0.25 * OMEGA_B),
+                         axes=(Axis("gma_over_omega_b", 0.0, 1.2, 211),
+                               Axis("temperature", -0.02, 0.04, 7)),
+                         outputs=("stable", "max_lyapunov", "pt_phase"),
+                         series=sweep._GAIN_LOSS)
+        assert len(spec.grid()) > STABILITY_BATCH_SIZE
+        expected = point_rows(spec)
+        calls = count_calls(monkeypatch, "_evaluate_batch")
+        result = run_sweep(spec)
+        monkeypatch.setattr(sweep, "STABILITY_BATCH_SIZE", BATCH_SIZE)
+        small = run_sweep(spec).rows
+        assert [len(args[1]) for args in calls] == [
+            STABILITY_BATCH_SIZE, 453, *[BATCH_SIZE] * 23, 5]
+        assert result.rows == expected
+        assert small == expected
+        cells = {name: [result.column(name, series.label)
+                        for series in spec.series]
+                 for name in ("stable", "error")}
+        assert cells["error"][0][STABILITY_BATCH_SIZE - 1] == "parameter_error"
+        assert {code for column in cells["error"] for code in column} == {
+            "", "parameter_error"}
+        assert {value for column in cells["stable"] for value in column} == {
+            0, 1, None}
 
     @pytest.mark.parametrize("make_spec, codes", [
         (ep_crossing_spec, {""}),
@@ -331,14 +373,20 @@ class TestRunSweep:
                                                   (9.2e13, "non_convergence")])
     def test_working_point_is_solved_once_per_batch(self, monkeypatch,
                                                      epsilon_d, code):
-        # The working point does not depend on temperature.
+        # The working point does not depend on temperature. A stability-only
+        # sweep of the same 251 points is one batch.
         spec = drive_temperature_spec(epsilon_d)
+        stability = dataclasses.replace(spec, outputs=("stable",))
         expected = point_rows(spec)
+        expected_stability = point_rows(stability)
         calls = count_calls(monkeypatch, "working_point")
         result = run_sweep(spec)
         assert len(calls) == -(-len(expected) // BATCH_SIZE)
         assert result.rows == expected
         assert set(result.column("error")) == {code}
+        calls.clear()
+        assert run_sweep(stability).rows == expected_stability
+        assert len(calls) == 1
 
     def test_repeated_failures_are_separate_copies(self):
         spec = drive_temperature_spec(9.2e13)
