@@ -6,7 +6,6 @@ import functools
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -39,6 +38,10 @@ BATCH_SIZE = 64
 #: verdict. Such a batch holds only (N, 6, 6) stacks, and at BATCH_SIZE its
 #: per-batch setup took a quarter to a third of a stability map's compute.
 STABILITY_BATCH_SIZE = 1024
+
+#: Rows that ``SweepResult.to_csv`` formats together, one column at a time.
+#: The chunk's columns and cells are the writer's only transient lists.
+CSV_CHUNK_ROWS = 1024
 
 _NUMERIC_FIELDS = tuple(f.name for f in fields(SystemParams))
 
@@ -372,11 +375,22 @@ class SweepResult:
 
     def to_csv(self) -> str:
         """Deterministic CSV: header plus one row per grid point, 12 significant
-        digits for floats, empty cell for sentinel (unstable) values."""
+        digits for floats, empty cell for sentinel (unstable) values.
+
+        Cells are formatted a column at a time, CSV_CHUNK_ROWS rows at once.
+        An axis column repeats a few values across the grid, so each of its
+        distinct values is formatted once.
+        """
+        n_axes = len(self.spec.axes)
+        formatted = [{} for _ in range(n_axes)]
         buf = io.StringIO()
         buf.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            buf.write(",".join(map(_format_cell, row)) + "\n")
+        for start in range(0, len(self.rows), CSV_CHUNK_ROWS):
+            chunk = zip(*self.rows[start:start + CSV_CHUNK_ROWS], strict=True)
+            cells = [_format_axis_cells(values, formatted[j]) if j < n_axes
+                     else _format_cells(values)
+                     for j, values in enumerate(chunk)]
+            buf.write("\n".join(map(",".join, zip(*cells))) + "\n")
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -384,12 +398,30 @@ class SweepResult:
         return json.dumps(objs, indent=None, separators=(",", ":")) + "\n"
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+def _format_cells(values) -> list[str]:
+    """CSV cells: 12 significant digits for a float, empty for None, str()
+    of anything else."""
+    return [f"{v:.12g}" if isinstance(v, float) else "" if v is None else str(v)
+            for v in values]
+
+
+def _format_axis_cells(values, formatted: dict) -> list[str]:
+    """:func:`_format_cells` of a column whose values repeat, through
+    ``formatted``: the cell of each nonzero float seen so far. A zero
+    bypasses it (0.0 and -0.0 are one key but two cells), and so do NaN,
+    which misses every key, and anything that is not a float. The cache is
+    emptied once it holds more than CSV_CHUNK_ROWS cells."""
+    if len(formatted) > CSV_CHUNK_ROWS:
+        formatted.clear()
+    cells = []
+    for v in values:
+        cell = formatted.get(v) if type(v) is float and v else None
+        if cell is None:
+            [cell] = _format_cells((v,))
+            if type(v) is float and v and v == v:
+                formatted[v] = cell
+        cells.append(cell)
+    return cells
 
 
 def _column_names(spec: SweepSpec) -> dict[str, str]:
@@ -434,6 +466,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     if workers == 1:
         parts = [_evaluate_batch(spec, points) for points in batches]
     else:
+        # Imported here: it loads multiprocessing, which one process never uses.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_evaluate_batch, [spec] * len(batches), batches,
                                   chunksize=math.ceil(len(batches) / (4 * workers))))

@@ -12,6 +12,7 @@ from magnomech import (Axis, SweepSpec, build_params, default_config,
                        drift_from_params, figure_preset, merge_layers,
                        pair_measures, run_sweep, solve_lyapunov, stability,
                        two_mode_eigenfrequencies, working_point)
+from magnomech import cli
 from magnomech.cli import main
 from magnomech.config import apply_overrides
 from magnomech.dynamics import GAIN_NOISE_MODES
@@ -310,17 +311,69 @@ class TestVanishTemp:
         assert "error" in err
 
 
-def test_runtime_imports_no_scipy():
-    # NumPy is the only runtime dependency; SciPy serves the tests alone.
+def run_fresh(code: str) -> str:
+    """Last stdout line of ``code`` run in a new interpreter on this src/."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = ("import sys\n"
-            "import magnomech\n"
-            "from magnomech import cli\n"
-            "assert cli.main(['measures']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-1]
+
+
+def test_runtime_imports_no_scipy():
+    # NumPy is the only runtime dependency; SciPy serves the tests alone.
+    code = ("import sys\n"
+            "import magnomech\n"
+            "from magnomech import cli\n"
+            "assert cli.main(['measures']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert run_fresh(code) == "[]"
+
+
+def test_process_pool_is_imported_only_for_a_pool():
+    code = ("import sys\n"
+            "import magnomech\n"
+            "print('multiprocessing' in sys.modules)\n")
+    assert run_fresh(code) == "False"
+    code = ("import io, sys\n"
+            "from magnomech import cli\n"
+            "sys.stdout = io.StringIO()\n"
+            "assert cli.main(['figure', 'fig3a', '--format', 'csv']) == 0\n"
+            "before = 'multiprocessing' in sys.modules\n"
+            "assert cli.main(['figure', 'fig3a', '--jobs', '2']) == 0\n"
+            "sys.stdout = sys.__stdout__\n"
+            "print(before, 'multiprocessing' in sys.modules)\n")
+    assert run_fresh(code) == "False True"
+
+
+class TestRepeatedCalls:
+    """main() builds its parser once per process; each call must still
+    answer as the first call of a process would."""
+
+    def test_back_to_back_calls_match_first_calls(self, capsys, tmp_path):
+        conf = tmp_path / "p.conf"
+        conf.write_text("kappa_a = 0.02 omega_b\ng_ma = 0.0599 omega_b\n")
+        calls = [
+            ("stability",),
+            ("stability", "--set", "G_eff=0.45omega_b"),
+            ("classify", "--config", str(conf)),
+            ("classify", "--config", str(conf), "--set", "g_ma=0.5omega_b"),
+            ("stability", "--bogus"),
+            ("figure", "fig3a", "--format", "csv", "--set",
+             "temperature=200mk"),
+            ("classify",),
+            ("figure", "fig3a", "--format", "csv"),
+        ]
+        first = {}
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            first[argv] = run_cli(capsys, *argv)[:2]
+        assert first[("stability", "--bogus")][0] == 2
+        # Each --set changes its answer, so a leaked override would show.
+        assert first[calls[0]] != first[calls[1]]
+        assert first[calls[2]] != first[calls[3]]
+        assert first[calls[5]] != first[calls[7]]
+        for argv in calls + calls[::-1]:
+            assert run_cli(capsys, *argv)[:2] == first[argv], argv

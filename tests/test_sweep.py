@@ -1,10 +1,14 @@
+import concurrent.futures
 import dataclasses
 import gc
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnomech import (Axis, BracketInvalidError, MagnomechError,
                        NonConvergenceError, ParameterError, Series,
@@ -15,7 +19,8 @@ from magnomech import (Axis, BracketInvalidError, MagnomechError,
                        vanishing_temperature, working_point)
 from magnomech import model, sweep
 from magnomech.errors import no_failures
-from magnomech.sweep import (BATCH_SIZE, FIGURE_NAMES, STABILITY_BATCH_SIZE,
+from magnomech.sweep import (BATCH_SIZE, CSV_CHUNK_ROWS, FIGURE_NAMES,
+                             STABILITY_BATCH_SIZE, SweepResult,
                              VANISHING_TEMPERATURE_TOL, VANISHING_TREE_DEPTH,
                              apply_parameter)
 
@@ -280,7 +285,9 @@ class TestRunSweep:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+        # run_sweep imports the pool class only when it runs one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
         spec = SweepSpec(base=default_params(),
                          axes=(Axis("G_over_omega_b", 0.0, 0.5,
                                     2 * STABILITY_BATCH_SIZE + 1),),
@@ -578,6 +585,102 @@ class TestRunSweep:
         spec = SweepSpec(base=drive, axes=(Axis("G_over_omega_b", 0.1, 0.2, 2),),
                          outputs=("stable",))
         assert run_sweep(spec).column("error") == ["parameter_error"] * 2
+
+
+def reference_csv(result: SweepResult) -> str:
+    """``result.to_csv()`` written one row and one cell at a time."""
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            return f"{value:.12g}"
+        return str(value)
+    lines = [",".join(result.columns)]
+    lines += [",".join(map(cell, row)) for row in result.rows]
+    return "\n".join(lines) + "\n"
+
+
+def stability_map_spec() -> SweepSpec:
+    """A 13 x 11 stability map: 143 rows, a multiple of no chunk size used."""
+    return SweepSpec(base=default_params(),
+                     axes=(Axis("gma_over_omega_b", 0.0, 1.2, 13),
+                           Axis("G_over_omega_b", 0.0, 0.6, 11)),
+                     outputs=("stable", "max_lyapunov", "pt_phase"))
+
+
+def hand_built(rows: list[list]) -> SweepResult:
+    """A result of a 2-D spec with two axis and three output columns."""
+    return SweepResult(spec=stability_map_spec(),
+                       columns=["x", "y", "a", "b", "error"], rows=rows)
+
+
+#: Axis cells: few distinct values, among them both zeros, NaN, infinities
+#: and values that equal a float but are not one.
+AXIS_CELLS = (st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf,
+                               -math.inf, 0.1, 0.30000000000000004, 1.0,
+                               1e13, 10**13, 2 / 3, 1, True,
+                               np.float64(0.1), None, "x"])
+              | st.floats())
+OUTPUT_CELLS = (st.none() | st.integers() | st.booleans() | st.floats()
+                | st.floats().map(np.float64) | st.text(max_size=6)
+                | st.sampled_from(["", "unstable", "singular_solve"]))
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("make_spec", [
+        lambda: figure_preset("fig3a"), stability_map_spec, unstable_spec,
+        covariance_failure_spec, drive_spec, ep_crossing_spec])
+    @pytest.mark.parametrize("chunk", [CSV_CHUNK_ROWS, 7, 1])
+    def test_sweeps_match_the_row_writer(self, monkeypatch, make_spec, chunk):
+        result = run_sweep(make_spec())
+        monkeypatch.setattr(sweep, "CSV_CHUNK_ROWS", chunk)
+        assert result.to_csv() == reference_csv(result)
+
+    @pytest.mark.parametrize("chunk", [CSV_CHUNK_ROWS, 3, 2])
+    def test_zeros_nan_and_infinities(self, monkeypatch, chunk):
+        rows = [[x, y, value, 1, code]
+                for x in (0.0, -0.0, math.nan, 0.5)
+                for y, value, code in ((-0.0, None, ""), (0.0, math.inf, "x"),
+                                       (-math.inf, -0.0, "unstable"))]
+        result = hand_built(rows)
+        monkeypatch.setattr(sweep, "CSV_CHUNK_ROWS", chunk)
+        text = result.to_csv()
+        assert text == reference_csv(result)
+        assert text.splitlines()[1:4] == ["0,-0,,1,", "0,0,inf,1,x",
+                                          "0,-inf,-0,1,unstable"]
+        assert text.splitlines()[4].startswith("-0,-0,")
+
+    def test_equal_values_of_other_types_keep_their_cells(self):
+        # 1.0 == 1 == True and 1e13 == 10**13, but their cells differ.
+        values = [1.0, True, 1, 1e13, 10**13, 1.0, True, 1e13]
+        result = hand_built([[v, v, v, v, ""] for v in values])
+        text = result.to_csv()
+        assert text == reference_csv(result)
+        assert [line.split(",")[0] for line in text.splitlines()[1:]] == [
+            "1", "True", "1", "1e+13", "10000000000000", "1", "True", "1e+13"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(AXIS_CELLS, min_size=2, max_size=2).flatmap(
+               lambda axes: st.lists(OUTPUT_CELLS, min_size=3, max_size=3).map(
+                   lambda outputs: axes + outputs)), max_size=30),
+           chunk=st.integers(1, 8))
+    def test_any_cells_match_the_row_writer(self, rows, chunk):
+        result = hand_built(rows)
+        with mock.patch.object(sweep, "CSV_CHUNK_ROWS", chunk):
+            assert result.to_csv() == reference_csv(result)
+
+    def test_ragged_rows_are_refused(self):
+        with pytest.raises(ValueError):
+            hand_built([[0.0, 0.0, 1, 2, ""], [0.0, 0.0, 1, ""]]).to_csv()
+
+    def test_axis_cache_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(sweep, "CSV_CHUNK_ROWS", 8)
+        formatted = {}
+        for start in range(0, 100, 8):
+            values = [float(v) for v in range(start + 1, start + 9)]
+            assert sweep._format_axis_cells(values, formatted) == [
+                f"{v:.12g}" for v in values]
+            assert len(formatted) <= 16
 
 
 class TestFigurePresets:
