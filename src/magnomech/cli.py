@@ -112,14 +112,15 @@ def _json_line(obj) -> str:
 
 
 def _matrix_csv(matrix: np.ndarray) -> str:
-    return "\n".join(",".join(f"{v:.12g}" for v in row) for row in matrix) + "\n"
+    return "".join(",".join(_sweep._format_cells(row)) + "\n"
+                   for row in matrix.tolist())
 
 
 def _kv_csv(*objs: dict) -> str:
-    """Header from the first object's keys, then one row per object."""
+    """Header from the first object's keys, then one row per object, with
+    the cells of a sweep CSV."""
     lines = [",".join(objs[0].keys())]
-    lines.extend(",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
-                          for v in obj.values()) for obj in objs)
+    lines.extend(",".join(_sweep._format_cells(obj.values())) for obj in objs)
     return "\n".join(lines) + "\n"
 
 

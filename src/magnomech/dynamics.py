@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (EigenSolveError, ParameterError, alive, lapack_stack,
-                     no_failures, raise_failure, record_failures)
+                     no_failures, raise_failure, record_failures,
+                     share_failures)
 from .model import SystemParams
 from .steady_state import WorkingPoint
 
@@ -177,7 +178,27 @@ def diffusion_from_params(params: SystemParams,
                             n_a, n_m, n_b, gain_noise=gain_noise)
 
 
-def stability_batch(a: np.ndarray, failures: np.ndarray
+def equal_groups(keys: np.ndarray, points: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Group ``points`` by bit-identical ``keys`` (a row or a value per point
+    of the batch). Returns where in ``points`` the first point of each group
+    sits, in order of appearance, and the group of each point."""
+    rows = np.ascontiguousarray(keys.reshape(len(keys), -1)[points])
+    rows = rows.view(np.dtype((np.void, rows.strides[0]))).ravel().tolist()
+    if len(set(rows)) == len(rows):  # each point its own group
+        return np.arange(len(rows)), np.arange(len(rows))
+    index: dict[bytes, int] = {}
+    first, group = [], []
+    for i, row in enumerate(rows):
+        j = index.setdefault(row, len(first))
+        if j == len(first):
+            first.append(i)
+        group.append(j)
+    return np.array(first, dtype=np.intp), np.array(group, dtype=np.intp)
+
+
+def stability_batch(a: np.ndarray, failures: np.ndarray,
+                    groups: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues (N, 6), maximal Lyapunov exponents and verdicts of N drifts.
 
@@ -185,12 +206,24 @@ def stability_batch(a: np.ndarray, failures: np.ndarray
     -STABILITY_REL_TOL * omega_b, with omega_b read from each drift's (4, 5)
     entry. Points that already failed are skipped (NaN); an eigenvalue
     failure is recorded.
+
+    ``groups``, if given, labels each point; points with one label have
+    bit-identical drifts. Only the first live point of each label is
+    eigen-solved, and the others share its eigenvalues, or a copy of its
+    failure.
     """
     eigenvalues = np.full(a.shape[:-1], np.nan, dtype=complex)
     live = np.flatnonzero(alive(failures))
-    eigenvalues[live] = lapack_stack(
-        np.linalg.eigvals, (a[live],), eigenvalues[live], failures, live,
+    solved = live
+    if groups is not None:
+        first, position = equal_groups(groups, live)
+        solved = live[first]
+    eigenvalues[solved] = lapack_stack(
+        np.linalg.eigvals, (a[solved],), eigenvalues[solved], failures, solved,
         EigenSolveError, "eigenvalue computation failed")
+    if groups is not None:
+        eigenvalues[live] = eigenvalues[solved[position]]
+        share_failures(failures, live, solved[position])
     record_failures(failures, ~np.isfinite(eigenvalues).all(axis=-1),
                     lambda k: EigenSolveError(
                         "eigenvalue computation returned non-finite values"))

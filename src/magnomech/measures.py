@@ -14,9 +14,9 @@ import numpy as np
 from .errors import (CrossCheckMismatchError, NonFiniteDeterminantError,
                      NonPhysicalCMError, ParameterError, SingularSolveError,
                      UnstableSystemError, alive, lapack_stack, no_failures,
-                     raise_failure, record_failures)
+                     raise_failure, record_failures, share_failures)
 from .dynamics import (STABILITY_REL_TOL, DiffusionMatrix, QuadratureDrift,
-                       read_only, stability)
+                       equal_groups, read_only, stability)
 
 #: Mode pairs by label, first listed mode first: photon-magnon, phonon-magnon,
 #: photon-phonon.
@@ -111,36 +111,79 @@ def _max_abs(m: np.ndarray) -> np.ndarray:
     return np.abs(m).max(axis=(-2, -1)).astype(np.float64)
 
 
+def _solve_shared(lhs: np.ndarray, rhs: np.ndarray, position: np.ndarray,
+                  failures: np.ndarray, systems: np.ndarray) -> np.ndarray:
+    """Solutions (n, 36, 1) of the right-hand sides ``rhs`` (n, 36, 1), where
+    rhs[i] belongs to system lhs[position[i]]. System j is that of point
+    ``systems[j]``, which fails if LAPACK rejects the system.
+
+    Each system is factored once: the systems with m right-hand sides each are
+    one stacked solve, with those as columns.
+    """
+    x = np.zeros(rhs.shape)
+    counts = np.bincount(position)
+    members = np.split(np.argsort(position, kind="stable"),
+                       np.cumsum(counts)[:-1])
+    for size in sorted(set(counts.tolist())):
+        chosen = np.flatnonzero(counts == size)
+        columns = np.array([members[j] for j in chosen.tolist()])
+        b = rhs[columns, :, 0].swapaxes(1, 2)
+        x[columns, :, 0] = lapack_stack(
+            np.linalg.solve, (lhs[chosen], b), np.zeros(b.shape), failures,
+            systems[chosen], SingularSolveError,
+            "vectorized Lyapunov solve failed").swapaxes(1, 2)
+    return x
+
+
 def lyapunov_batch(a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray,
-                   failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   failures: np.ndarray, groups: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Solve A V + V A^T = -D for N stable drifts at once.
 
     ``a`` and ``d`` are (N, 6, 6) and ``eigenvalues`` (N, 6) is the spectrum
     of each drift. The vectorized 36x36 systems
     (I (x) A + A (x) I) vec(V) = -vec(D) are solved densely, as one stack. A
     point gets a SingularSolveError when its eigenvalues pair up to
-    (numerically) zero, LAPACK finds its system singular, or its solution is
-    not finite. Returns V (N, 6, 6) and the residual max|A V + V A^T + D|
-    (N,), NaN at points that failed.
+    (numerically) zero, its D is not finite, LAPACK finds its system
+    singular, or its solution is not finite. Returns V (N, 6, 6) and the
+    residual max|A V + V A^T + D| (N,), NaN at points that failed.
+
+    ``groups``, if given, labels each point; points with one label have
+    bit-identical drifts and so one 36x36 system, built and factored once
+    for all of the label's live points (see :func:`_solve_shared`). The
+    refinement and the residual stay per point.
     """
     pair_sums = np.abs(eigenvalues[:, :, None] + eigenvalues[:, None, :])
     scale = np.maximum(np.abs(eigenvalues).max(axis=-1), 1e-300)
     record_failures(failures, pair_sums.min(axis=(1, 2)) < 1e-14 * scale,
                     lambda k: SingularSolveError(
                         "eigenvalue pair sums to zero; Lyapunov system singular"))
+    if not np.isfinite(d).all():  # occupations near 1e308 K overflow D
+        record_failures(failures, ~np.isfinite(d).all(axis=(1, 2)),
+                        lambda k: SingularSolveError(
+                            "non-finite diffusion matrix; no finite solution"))
     live = np.flatnonzero(alive(failures))
     # Build the live systems only: masking a full stack of them copies it.
     a, d = a[live], d[live]
-    flat = a.reshape(-1, 36)
-    lhs = np.zeros((live.size, 36 * 36))
+    systems, position = a, np.arange(live.size)
+    if groups is not None:
+        first, position = equal_groups(groups, live)
+        systems = a[first]
+    flat = systems.reshape(-1, 36)
+    lhs = np.zeros((len(systems), 36 * 36))
     lhs[:, _KRON_TARGETS[0]] = flat[:, _KRON_SOURCES[0]]
     lhs[:, _KRON_TARGETS[1]] += flat[:, _KRON_SOURCES[1]]
     lhs = lhs.reshape(-1, 36, 36)
     # (n, 36, 1) right-hand sides, which NumPy 1.x and 2.x read alike.
-    x = lapack_stack(np.linalg.solve, (lhs, -d.reshape(-1, 36, 1)),
-                     np.zeros((live.size, 36, 1)), failures, live,
-                     SingularSolveError, "vectorized Lyapunov solve failed")
-    if not np.isfinite(x).all():  # occupations near 1e308 K overflow D, and V
+    rhs = -d.reshape(-1, 36, 1)
+    if groups is None:
+        x = lapack_stack(np.linalg.solve, (lhs, rhs), np.zeros(rhs.shape),
+                         failures, live, SingularSolveError,
+                         "vectorized Lyapunov solve failed")
+    else:
+        x = _solve_shared(lhs, rhs, position, failures, live[first])
+        share_failures(failures, live, live[first[position]])
+    if not np.isfinite(x).all():  # a finite D can still overflow V
         bad = ~np.isfinite(x).all(axis=(1, 2))
         for k in live[bad].tolist():
             failures[k] = SingularSolveError(
@@ -164,7 +207,7 @@ def lyapunov_batch(a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray,
         if not act.size:
             break
         r = resid[act].astype(np.float64).reshape(-1, 36, 1)
-        corr = np.linalg.solve(lhs[act], -r)
+        corr = np.linalg.solve(lhs[position[act]], -r)
         corr = corr.reshape(-1, 6, 6).astype(np.longdouble)
         v_next = vl[act] + 0.5 * (corr + corr.swapaxes(-1, -2))
         resid_next = _residual_matrices(al[act], v_next, d[act])

@@ -14,10 +14,10 @@ from . import measures as _measures
 from . import model as _model
 from .config import build_params, default_config
 from .dynamics import (check_gain_noise, diffusion_matrices, drift_matrices,
-                       stability_batch)
+                       equal_groups, stability_batch)
 from .errors import (BracketInvalidError, MagnomechError, ParameterError,
                      UnstableSystemError, alive, no_failures, raise_failure,
-                     record_failures, store_failure)
+                     record_failures, share_failures, store_failure)
 from .model import SystemParams, parameter_violations, pt_classify
 from .steady_state import working_point
 
@@ -189,14 +189,9 @@ def _working_points(columns: dict, failures: np.ndarray
     g_eff, delta_m_eff = np.zeros(len(failures)), np.zeros(len(failures))
     keys = np.array([col for name, col in columns.items()
                      if col is not None and name != "temperature"]).T
-    first: dict[bytes, int] = {}
-    for k in np.flatnonzero(alive(failures)).tolist():
-        j = first.setdefault(keys[k].tobytes(), k)
-        if j != k:
-            if failures[j] is not None:
-                failures[k] = type(failures[j])(*failures[j].args)
-            g_eff[k], delta_m_eff[k] = g_eff[j], delta_m_eff[j]
-            continue
+    live = np.flatnonzero(alive(failures))
+    first, group = equal_groups(keys, live)
+    for k in live[first].tolist():
         try:
             wp = working_point(SystemParams(**{
                 name: None if col is None else float(col[k])
@@ -205,7 +200,22 @@ def _working_points(columns: dict, failures: np.ndarray
             store_failure(failures, k, exc)
             continue
         g_eff[k], delta_m_eff[k] = wp.G, wp.delta_m_eff
+    source = live[first[group]]
+    g_eff[live], delta_m_eff[live] = g_eff[source], delta_m_eff[source]
+    share_failures(failures, live, source)
     return g_eff, delta_m_eff
+
+
+def _drift_groups(a: np.ndarray, failures: np.ndarray) -> np.ndarray | None:
+    """A label per point, equal for live points with bit-identical drifts
+    (-1 at failed points), or None when no two live points share a drift."""
+    live = np.flatnonzero(alive(failures))
+    first, group = equal_groups(a.reshape(len(a), 36), live)
+    if len(first) == len(live):
+        return None
+    groups = np.full(len(a), -1)
+    groups[live] = group
+    return groups
 
 
 def _diffusions(columns: dict, rows: np.ndarray, gain_noise: str,
@@ -265,15 +275,17 @@ def _evaluate(columns: dict, failures: np.ndarray, outputs: tuple[str, ...],
         columns["gamma_b"], columns["omega_b"], columns["g_ma"], g_eff)
     record_failures(failures, ~finite, lambda k: ParameterError(
         "quadrature_drift: non-finite input"))
-    eigenvalues, max_lyapunov, stable = stability_batch(a, failures)
+    covariance = any(kind != "report" for kind in kinds)
+    groups = _drift_groups(a, failures) if covariance and len(a) > 1 else None
+    eigenvalues, max_lyapunov, stable = stability_batch(a, failures, groups)
     reported = alive(failures)
-    solved = np.flatnonzero(reported & stable
-                            & any(kind != "report" for kind in kinds))
+    solved = np.flatnonzero(reported & stable & covariance)
     if solved.size:
         sub_failures = failures[solved]
         d = _diffusions(columns, solved, gain_noise, sub_failures)
         v, residual = _measures.lyapunov_batch(
-            a[solved], d, eigenvalues[solved], sub_failures)
+            a[solved], d, eigenvalues[solved], sub_failures,
+            None if groups is None else groups[solved])
         failures[solved] = sub_failures
         ok = alive(sub_failures)
         solved, v, residual = solved[ok], v[ok], residual[ok]
@@ -487,7 +499,8 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
     whichever way each step goes, are solved as one batch: the first such
     tree together with the two ends. The search walks the path the
     one-at-a-time bisection takes through them, so it returns the same
-    temperature, and only a point on that path can raise.
+    temperature, and only a point on that path can raise. The points of a
+    search share one drift, so each batch factors one Lyapunov system.
     """
     outputs = ("stable", "max_lyapunov", f"E_N({pair})")
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from magnomech import (Axis, SweepSpec, build_params, default_config,
@@ -196,6 +197,14 @@ class TestSinglePointCsv:
                     assert float(cell) == pytest.approx(value, rel=1e-11)
                 else:
                     assert cell == str(value)
+
+    def test_cells_follow_the_sweep_rule(self):
+        # One cell rule for every CSV: None is an empty cell, as in a sweep.
+        assert cli._kv_csv({"a": None, "b": 0.1 + 0.2, "c": True, "d": 3},
+                           {"a": 1.5, "b": None, "c": "x", "d": None}) == (
+            "a,b,c,d\n,0.3,True,3\n1.5,,x,\n")
+        assert cli._matrix_csv(np.array([[1.0, -0.0], [1 / 3, 2e-300]])) == (
+            "1,-0\n0.333333333333,2e-300\n")
 
 
 class TestPrecedence:

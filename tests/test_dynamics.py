@@ -164,6 +164,39 @@ class TestStability:
                 eigenvalues[k], stability(QuadratureDrift(a=a[k])).eigenvalues)
             assert max_lyapunov[k] == eigenvalues[k].real.max()
 
+    def test_shared_drift_is_solved_once(self, monkeypatch):
+        # Points 0, 2 and 4 share a drift, and 1 and 3 a rejected one. Each
+        # label is eigen-solved once, at its first live point (4 failed
+        # already), and its points share the answer or a copy of its failure.
+        rng = np.random.default_rng(11)
+        good = quadrature_drift(**_random_rates(rng)).a
+        bad = np.full((6, 6), np.nan)
+        a = np.stack([good, bad, good, bad, good])
+        failures = no_failures(5)
+        failures[4] = ParameterError("failed earlier")
+        stacks = []
+        eigvals = np.linalg.eigvals
+
+        def counted(m):
+            stacks.append(len(m))
+            return eigvals(m)
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        eigenvalues, max_lyapunov, stable = stability_batch(
+            a, failures, np.array([0, 1, 0, 1, 0]))
+        assert stacks[0] == 2  # one stack of the two labels' drifts
+        alone = stability(QuadratureDrift(a=good))
+        for k in (0, 2):
+            assert failures[k] is None
+            assert np.array_equal(eigenvalues[k], alone.eigenvalues)
+            assert max_lyapunov[k] == alone.max_lyapunov
+            assert stable[k] == alone.stable
+        assert failures[1] is not failures[3]
+        for k in (1, 3):
+            assert isinstance(failures[k], EigenSolveError)
+            assert np.isnan(eigenvalues[k]).all() and not stable[k]
+        assert type(failures[4]) is ParameterError
+        assert np.isnan(eigenvalues[4]).all() and not stable[4]
+
     def test_eigenvalues_conjugate_closed(self):
         rng = np.random.default_rng(9)
         for _ in range(100):

@@ -226,6 +226,31 @@ class TestLyapunovSolve:
             assert alone[0] is None
             assert np.array_equal(v[k], v_k[0])
             assert residual[k] == residual_k[0]
+        # Shared drifts: the singular one fails both of its points, each
+        # with its own exception, and the good one, shared by two points
+        # with different D, gives what a batch of those two alone gives.
+        shared = [0, 1, 0, 1]
+        d_shared = d[shared] * np.array([1.0, 1.0, 2.0, 1.0])[:, None, None]
+        failures = no_failures(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, residual = lyapunov_batch(a[shared], d_shared,
+                                         eigenvalues[shared], failures,
+                                         np.array(shared))
+        assert failures[0] is None and failures[2] is None
+        assert failures[1] is not failures[3]
+        for k in (1, 3):
+            assert isinstance(failures[k], SingularSolveError)
+            assert "Singular matrix" in str(failures[k])
+            assert np.isnan(v[k]).all() and np.isnan(residual[k])
+        pair = no_failures(2)
+        v_pair, residual_pair = lyapunov_batch(
+            a[[0, 0]], d_shared[[0, 2]], eigenvalues[[0, 0]], pair,
+            np.array([0, 0]))
+        assert pair[0] is None and pair[1] is None
+        assert np.array_equal(v[[0, 2]], v_pair)
+        assert np.array_equal(residual[[0, 2]], residual_pair)
+        assert not np.array_equal(v[0], v[2])
 
 
 def _rates(lo, hi):

@@ -587,6 +587,122 @@ class TestRunSweep:
         assert run_sweep(spec).column("error") == ["parameter_error"] * 2
 
 
+def count_linalg(monkeypatch) -> dict[str, list[int]]:
+    """Stack sizes of the 36x36 Lyapunov systems passed to np.linalg.solve
+    and of the 6x6 drifts passed to np.linalg.eigvals, one entry per call."""
+    stacks = {"solve": [], "eigvals": []}
+    solve, eigvals = np.linalg.solve, np.linalg.eigvals
+
+    def counted_solve(a, b):
+        if a.shape[-1] == 36:
+            stacks["solve"].append(math.prod(a.shape[:-2]))
+        return solve(a, b)
+
+    def counted_eigvals(a):
+        if a.shape[-1] == 6:
+            stacks["eigvals"].append(math.prod(a.shape[:-2]))
+        return eigvals(a)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    return stacks
+
+
+def assert_rows_close(rows: list[list], expected: list[list]) -> None:
+    """Equal rows, except that floats may differ by 1e-12 relative."""
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        assert [type(cell) for cell in row] == [type(cell) for cell in want]
+        for cell, value in zip(row, want):
+            if isinstance(cell, float):
+                assert abs(cell - value) <= 1e-12 * max(abs(cell), abs(value))
+            else:
+                assert cell == value
+
+
+def temperature_batch(base, temperatures, outputs) -> list[list]:
+    """Rows of one batch of ``base`` at the given temperatures."""
+    n = len(temperatures)
+    columns, failures = sweep._columns(base, n), no_failures(n)
+    columns["temperature"] = np.array(temperatures)
+    sweep._check_columns(columns, failures)
+    return sweep._evaluate(columns, failures, outputs, "vacuum")
+
+
+class TestSharedDrifts:
+    """Points of a batch with bit-identical drifts share one eigen-solve and
+    one Lyapunov factorization; a temperature axis is the usual case."""
+
+    def test_temperature_axis_solves_once_per_batch_and_series(
+            self, monkeypatch):
+        stacks = count_linalg(monkeypatch)
+        run_sweep(figure_preset("fig6b"))
+        batches = 2 * -(-251 // BATCH_SIZE)
+        assert stacks == {"solve": [1] * batches, "eigvals": [1] * batches}
+
+    def test_distinct_drifts_solve_once_per_point(self, monkeypatch):
+        spec = figure_preset("fig3a")
+        stacks = count_linalg(monkeypatch)
+        result = run_sweep(spec)
+        stable = sum(result.column("stable", series.label).count(1)
+                     for series in spec.series)
+        assert sum(stacks["eigvals"]) == len(result.rows) * len(spec.series)
+        assert sum(stacks["solve"]) == stable > 0
+
+    def test_search_factors_one_system_per_batch(self, monkeypatch):
+        base, t_lo, t_hi, noise = TestVanishingTemperature.SEARCHES[1]
+        stacks = count_linalg(monkeypatch)
+        vanishing_temperature(base, "am", t_lo, t_hi, noise)
+        assert stacks == {"solve": [1] * 4, "eigvals": [1] * 4}
+
+    def test_bad_temperatures_fail_only_their_points(self, monkeypatch):
+        # T < 0 fails the parameter check, and the occupations overflow D
+        # at 5e307 and 1e308 K (the Lyapunov solve's pre-check) and V at
+        # 1e300 K (its post-check). The others share one factorization.
+        temperatures = [0.01, -0.01, 0.02, 1e308, 0.03, -1.0, 5e307, 1e300]
+        outputs = ("stable", "E_N(am)", "physicality_margin")
+        stacks = count_linalg(monkeypatch)
+        rows = temperature_batch(default_params(), temperatures, outputs)
+        assert stacks == {"solve": [1], "eigvals": [1]}
+        assert [row[-1] for row in rows] == [
+            "", "parameter_error", "", "singular_solve", "",
+            "parameter_error", "singular_solve", "singular_solve"]
+        assert_rows_close(rows, [
+            temperature_batch(default_params(), [t], outputs)[0]
+            for t in temperatures])
+
+    def test_failed_point_never_represents_a_group(self):
+        # omega_a enters only D: the three points with omega_a <= 0 fail the
+        # parameter check, and the first of them must not stand for the
+        # drift that the two valid points share.
+        spec = SweepSpec(base=default_params(),
+                         axes=(Axis("omega_a", -OMEGA_B, OMEGA_B, 5),),
+                         outputs=("stable", "E_N(bm)", "physicality_margin"))
+        result = run_sweep(spec)
+        assert result.column("error") == ["parameter_error"] * 3 + [""] * 2
+        assert_rows_close(result.rows, point_rows(spec))
+        columns, failures = sweep._columns(spec.base, 5), no_failures(5)
+        columns.update(omega_a=spec.grid()[:, 0])
+        sweep._check_columns(columns, failures)
+        a = np.zeros((5, 6, 6))
+        assert sweep._drift_groups(a, failures).tolist() == [-1, -1, -1, 0, 0]
+
+    def test_distinct_drifts_are_not_grouped(self):
+        rng = np.random.default_rng(3)
+        assert sweep._drift_groups(rng.normal(size=(4, 6, 6)),
+                                   no_failures(4)) is None
+        a = rng.normal(size=(4, 6, 6))
+        a[3] = a[1]
+        assert sweep._drift_groups(a, no_failures(4)).tolist() == [0, 1, 2, 1]
+
+    @pytest.mark.parametrize("gain_noise", ["vacuum", "reversed"])
+    def test_shared_rows_equal_single_points_within_tolerance(self,
+                                                              gain_noise):
+        # One right-hand side and several take different LAPACK kernels, so
+        # a shared-drift row matches its single point to rounding, not bits.
+        spec = figure_preset("fig6a", gain_noise)
+        assert_rows_close(run_sweep(spec).rows, point_rows(spec))
+
+
 def reference_csv(result: SweepResult) -> str:
     """``result.to_csv()`` written one row and one cell at a time."""
     def cell(value) -> str:
