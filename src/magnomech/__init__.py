@@ -14,9 +14,9 @@ from .dynamics import (DiffusionMatrix, QuadratureDrift, StabilityReport,
                        drift_from_params, quadrature_drift, stability)
 from .errors import (BracketInvalidError, ConfigError,
                      CrossCheckMismatchError, DegenerateDenominatorError,
-                     EigenSolveError, MagnomechError, NonConvergenceError,
-                     NonFiniteDeterminantError, NonPhysicalCMError,
-                     ParameterError, SingularSolveError, UnstableSystemError)
+                     EigenSolveError, MagnomechError, NonFiniteDeterminantError,
+                     NonPhysicalCMError, ParameterError, SingularSolveError,
+                     UnstableSystemError)
 from .measures import (CovarianceMatrix, PairMeasures, log_negativity,
                        pair_measures, physicality_margin,
                        ppt_symplectic_eigenvalues, solve_lyapunov, steering,
@@ -24,8 +24,7 @@ from .measures import (CovarianceMatrix, PairMeasures, log_negativity,
 from .model import (GYROMAGNETIC_RATIO, PTPhase, PTRegime, SystemParams,
                     pt_classify, rabi_frequency, thermal_occupation,
                     two_mode_eigenfrequencies)
-from .steady_state import (WorkingPoint, self_consistent_working_point,
-                           steady_magnon_amplitude, working_point)
+from .steady_state import WorkingPoint, steady_magnon_amplitude, working_point
 from .sweep import (Axis, Series, SweepResult, SweepSpec, default_params,
                     evaluate_point, figure_preset, run_sweep,
                     vanishing_temperature)

@@ -142,7 +142,7 @@ def _cmd_steady_state(args, params: SystemParams) -> str:
     obj = {
         "m_s_re": wp.m_s.real, "m_s_im": wp.m_s.imag, "m_s_abs": abs(wp.m_s),
         "x_s": wp.x_s, "delta_m_eff_rad_s": wp.delta_m_eff, "G_rad_s": wp.G,
-        "converged": bool(wp.converged), "iterations": wp.iterations,
+        "iterations": wp.iterations,
     }
     return _json_line(obj) if args.format == "json" else _kv_csv(obj)
 

@@ -35,11 +35,6 @@ class DegenerateDenominatorError(MagnomechError):
     code = "degenerate_denominator"
 
 
-class NonConvergenceError(MagnomechError):
-    """Fixed-point iteration failed to converge (bistable or oscillatory)."""
-    code = "non_convergence"
-
-
 class UnstableSystemError(MagnomechError):
     """Drift matrix has a non-negative Lyapunov exponent; no steady state."""
 

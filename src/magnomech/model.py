@@ -206,6 +206,16 @@ class SystemParams:
     def derive_from_drive(self) -> bool:
         return self.G_eff is None
 
+    def columns(self, n: int = 1) -> dict:
+        """The fields as batch columns: None or an n-vector per field."""
+        given = {name: value for name, value in vars(self).items()
+                 if value is not None}
+        block = np.repeat(np.array(list(given.values()), dtype=np.float64)[:, None],
+                          n, axis=1)
+        columns = dict.fromkeys(vars(self))
+        columns.update(zip(given, block))
+        return columns
+
     def pt_phase(self) -> PTPhase:
         return pt_classify(self.g_ma, self.kappa_a, self.kappa_m)
 

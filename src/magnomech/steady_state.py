@@ -4,16 +4,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateDenominatorError, NonConvergenceError, ParameterError
+import numpy as np
+
+from .errors import (DegenerateDenominatorError, EigenSolveError, ParameterError,
+                     alive, lapack_stack, no_failures, raise_failure,
+                     record_failures)
 from .model import SystemParams
 
 #: Relative threshold below which the response denominator counts as degenerate.
 DEGENERATE_REL_TOL = 1e-12
 
-#: Relative convergence target for the fixed-point iteration on |m_s|.
-FIXED_POINT_TOL = 1e-10
-
-MAX_ITERATIONS = 10_000
+#: Newton steps that polish each root of the working-point cubic.
+NEWTON_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -24,27 +26,97 @@ class WorkingPoint:
     x_s: float
     delta_m_eff: float
     G: float
-    converged: bool = True
     iterations: int = 0
 
 
-def steady_magnon_amplitude(params: SystemParams, delta_m_eff: float) -> complex:
-    """Steady magnon amplitude of the driven, linearly coupled pair.
+def _denominator(v: dict, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re and Im of D = g_ma^2 + (i*Delta_a - kappa_a)(i*delta + kappa_m)."""
+    da, ka, km = v["delta_a"], v["kappa_a"], v["kappa_m"]
+    return v["g_ma"]**2 - ka * km - da * delta, da * km - ka * delta
 
-    m_s = eps_d * (i*Delta_a - kappa_a)
-          / [g_ma^2 + (i*Delta_a - kappa_a) * (i*delta_m_eff + kappa_m)]
+
+def _lower_root(v: dict, gain: np.ndarray, failures: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest root n of n * |D(delta_m - k*n)|^2 = gain, k = g_mb^2/omega_b,
+    and the Newton steps taken, per point.
+
+    D is linear in n, so this is a real cubic f(n) = 0, and f(n) <= -gain
+    for n <= 0: every real root is positive. One stack of 3x3 companion
+    matrices gives the roots of all points; the smallest real one gets
+    NEWTON_STEPS Newton steps. Points with gain = 0 have n = 0.
     """
+    k = v["g_mb"]**2 / v["omega_b"]
+    ar, ai = _denominator(v, v["delta_m"])
+    n, steps = np.zeros(len(gain)), np.zeros(len(gain), dtype=int)
+    solved = np.flatnonzero(alive(failures) & (gain > 0.0))
+    if not solved.size:
+        return n, steps
+    ar, ai, br, bi, gain = (x[solved] for x in (
+        ar, ai, v["delta_a"] * k, v["kappa_a"] * k, gain))
+    q2, q1, q0 = br**2 + bi**2, 2.0 * (ar * br + ai * bi), ar**2 + ai**2
+    companion = np.zeros((len(solved), 3, 3))
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    companion[:, 0, 2], companion[:, 1, 2], companion[:, 2, 2] = (
+        gain / q2, -q0 / q2, -q1 / q2)
+    roots = lapack_stack(np.linalg.eigvals, (companion,),
+                         np.zeros((len(solved), 3), complex), failures, solved,
+                         EigenSolveError, "working-point cubic")
+    # LAPACK returns a real eigenvalue of a real matrix with zero imaginary
+    # part. One below 0 is rounding, of a root far below the others: with no
+    # real eigenvalue >= 0 left, the Newton steps start at 0.
+    real = np.where((roots.imag == 0.0) & (roots.real >= 0.0), roots.real, np.inf)
+    root = real.min(axis=-1)
+    root[root == np.inf] = 0.0
+    for _ in range(NEWTON_STEPS):
+        root = root - (((q2 * root + q1) * root + q0) * root - gain) / (
+            (3.0 * q2 * root + 2.0 * q1) * root + q0)
+    n[solved], steps[solved] = root, NEWTON_STEPS
+    return n, steps
+
+
+def working_point_batch(v: dict, failures: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The WorkingPoint fields (m_s, x_s, delta_m_eff, G, iterations) of N
+    drive-mode points, one N-vector each; failed points read 0.
+
+    ``v`` maps each SystemParams field to None or an N-vector. The magnon
+    amplitude is m_s = eps_d * (i*Delta_a - kappa_a) / D(delta_m_eff), and
+    fails with DegenerateDenominatorError where |D| < DEGENERATE_REL_TOL *
+    scale^2. A self-consistent delta_m_eff (None) is delta_m + g_mb * x_s,
+    x_s = -g_mb * n / omega_b, on the lower branch n of :func:`_lower_root`.
+    """
+    size = len(failures)
+    if v["G_eff"] is not None:
+        record_failures(failures, alive(failures), lambda k: ParameterError(
+            "G_eff given but delta_m_eff marked self-consistent"))
+        return tuple(np.zeros(size, t) for t in (complex, float, float, float, int))
+    da, ka, eps = v["delta_a"], v["kappa_a"], v["epsilon_d"]
+    gain = eps**2 * (da**2 + ka**2)
+    if v["delta_m_eff"] is None:
+        n, steps = _lower_root(v, gain, failures)
+        delta = v["delta_m"] - v["g_mb"]**2 / v["omega_b"] * n
+    else:
+        delta, steps = v["delta_m_eff"], np.zeros(size, dtype=int)
+    dr, di = _denominator(v, delta)
+    d2 = dr**2 + di**2
+    scale = np.max([np.abs(da), np.abs(ka), np.abs(delta), v["kappa_m"],
+                    v["g_ma"], v["omega_b"]], axis=0)
+    record_failures(failures, np.sqrt(d2) < DEGENERATE_REL_TOL * scale**2,
+                    lambda k: DegenerateDenominatorError(
+                        f"steady-state denominator {complex(dr[k], di[k])!r} "
+                        f"below {DEGENERATE_REL_TOL} * scale^2"))
+    with np.errstate(all="ignore"):  # the 0/0 or x/0 of failed points
+        m2 = gain / d2
+        fields = (eps / d2 * ((da * di - ka * dr) + 1j * (da * dr + ka * di)),
+                  -v["g_mb"] * m2 / v["omega_b"], delta, v["g_mb"] * np.sqrt(m2), steps)
+    ok = alive(failures)
+    return tuple(np.where(ok, field, 0) for field in fields)
+
+
+def steady_magnon_amplitude(params: SystemParams, delta_m_eff: float) -> complex:
+    """m_s of :func:`working_point_batch` at a given effective magnon detuning."""
     if params.epsilon_d is None:
         raise ParameterError("steady_magnon_amplitude requires drive mode (epsilon_d)")
-    da, ka = params.delta_a, params.kappa_a
-    km, g = params.kappa_m, params.g_ma
-    cavity = 1j * da - ka
-    denom = g**2 + cavity * (1j * delta_m_eff + km)
-    scale = max(abs(da), abs(ka), abs(delta_m_eff), km, g, params.omega_b)
-    if abs(denom) < DEGENERATE_REL_TOL * scale**2:
-        raise DegenerateDenominatorError(
-            f"steady-state denominator {denom!r} below {DEGENERATE_REL_TOL} * scale^2")
-    return params.epsilon_d * cavity / denom
+    return working_point(params.replace(delta_m_eff=delta_m_eff)).m_s
 
 
 def working_point_from_preset(params: SystemParams) -> WorkingPoint:
@@ -58,64 +130,11 @@ def working_point_from_preset(params: SystemParams) -> WorkingPoint:
                         delta_m_eff=params.delta_m_eff, G=params.G_eff)
 
 
-def self_consistent_working_point(params: SystemParams) -> WorkingPoint:
-    """Fixed point of m_s -> x_s = -g_mb |m_s|^2 / omega_b -> delta_m_eff -> m_s.
-
-    The effective detuning uses the signed displacement shift,
-    delta_m_eff = delta_m + g_mb * x_s. Raises NonConvergenceError after
-    MAX_ITERATIONS without the successive |m_s| change dropping below
-    FIXED_POINT_TOL (relative), which signals a bistable or oscillatory
-    fixed point. The next iterate depends on |m_s| alone, so once |m_s|
-    repeats bit for bit the orbit is periodic and every later step would
-    repeat a test that has already failed: the error is then raised at
-    once, naming the period.
-    """
-    if not params.derive_from_drive:
-        raise ParameterError("self-consistent working point needs drive mode")
-    if params.delta_m is None:
-        raise ParameterError("self-consistent mode requires delta_m")
-    g_mb, wb, dm = params.g_mb, params.omega_b, params.delta_m
-
-    if params.epsilon_d == 0.0:
-        return WorkingPoint(m_s=0j, x_s=0.0, delta_m_eff=dm, G=0.0,
-                            converged=True, iterations=1)
-
-    m_s = steady_magnon_amplitude(params, dm)
-    # Brent's cycle check on |m_s|: one saved value, re-saved after each
-    # power-of-two run of steps.
-    saved, power, period = abs(m_s), 1, 0
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        x_s = -g_mb * abs(m_s) ** 2 / wb
-        delta_eff = dm + g_mb * x_s
-        m_next = steady_magnon_amplitude(params, delta_eff)
-        change = abs(abs(m_next) - abs(m_s))
-        m_s = m_next
-        if change <= FIXED_POINT_TOL * max(abs(m_s), 1e-300):
-            x_s = -g_mb * abs(m_s) ** 2 / wb
-            delta_eff = dm + g_mb * x_s
-            return WorkingPoint(m_s=m_s, x_s=x_s, delta_m_eff=delta_eff,
-                                G=g_mb * abs(m_s), converged=True,
-                                iterations=iteration)
-        period += 1
-        if abs(m_s) == saved:
-            raise NonConvergenceError(
-                f"fixed-point iteration cycles with period {period}: |m_s| "
-                f"repeats exactly at step {iteration}")
-        if period == power:
-            saved, power, period = abs(m_s), 2 * power, 0
-    raise NonConvergenceError(
-        f"fixed-point iteration did not converge in {MAX_ITERATIONS} steps")
-
-
 def working_point(params: SystemParams) -> WorkingPoint:
-    """Dispatch to preset or self-consistent evaluation based on the params."""
+    """The preset working point, or a batch of one of :func:`working_point_batch`."""
     if params.G_eff is not None and params.delta_m_eff is not None:
         return working_point_from_preset(params)
-    if params.derive_from_drive:
-        if params.self_consistent:
-            return self_consistent_working_point(params)
-        m_s = steady_magnon_amplitude(params, params.delta_m_eff)
-        x_s = -params.g_mb * abs(m_s) ** 2 / params.omega_b
-        return WorkingPoint(m_s=m_s, x_s=x_s, delta_m_eff=params.delta_m_eff,
-                            G=params.g_mb * abs(m_s))
-    raise ParameterError("G_eff given but delta_m_eff marked self-consistent")
+    failures = no_failures(1)
+    fields = working_point_batch(params.columns(), failures)
+    raise_failure(failures)
+    return WorkingPoint(*(field[0].item() for field in fields))

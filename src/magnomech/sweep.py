@@ -17,9 +17,9 @@ from .dynamics import (check_gain_noise, diffusion_matrices, drift_matrices,
                        equal_groups, stability_batch)
 from .errors import (BracketInvalidError, MagnomechError, ParameterError,
                      UnstableSystemError, alive, no_failures, raise_failure,
-                     record_failures, share_failures, store_failure)
+                     record_failures, store_failure)
 from .model import SystemParams, parameter_violations, pt_classify
-from .steady_state import working_point
+from .steady_state import working_point_batch
 
 #: Absolute tolerance (K) of the vanishing-temperature bisection.
 VANISHING_TEMPERATURE_TOL = 1e-4
@@ -145,8 +145,10 @@ class SweepSpec:
         if len(self.axes) not in (1, 2):
             raise ParameterError("a sweep needs 1 or 2 axes")
         check_gain_noise(self.gain_noise)
-        for axis in self.axes:
-            _check_parameter_name(axis.name)
+        names = [axis.name for axis in self.axes]
+        names += [name for series in self.series for name, _ in series.overrides]
+        for name in names:
+            _check_parameter_name(name)
         object.__setattr__(self, "outputs", tuple(self.outputs))
         _check_outputs(self.outputs)
 
@@ -154,17 +156,6 @@ class SweepSpec:
         """Grid points (one row each, one column per axis), first axis outermost."""
         mesh = np.meshgrid(*(axis.values() for axis in self.axes), indexing="ij")
         return np.stack(mesh, axis=-1).reshape(-1, len(self.axes))
-
-
-def _columns(params: SystemParams, n: int = 1) -> dict:
-    """``params`` as batch columns: None or an n-vector per field."""
-    given = {name: value for name, value in vars(params).items()
-             if value is not None}
-    block = np.repeat(np.array(list(given.values()), dtype=np.float64)[:, None],
-                      n, axis=1)
-    columns = dict.fromkeys(vars(params))
-    columns.update(zip(given, block))
-    return columns
 
 
 def _check_columns(columns: dict, failures: np.ndarray) -> None:
@@ -179,30 +170,14 @@ def _working_points(columns: dict, failures: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Effective coupling and magnon detuning per point.
 
-    Preset points read both off their columns. Drive-mode points solve for
-    them with :func:`working_point`, once per distinct set of the fields
-    other than the temperature, which the working point does not depend on;
-    a point that repeats an earlier one copies its result or its failure.
+    Preset points read both off their columns. The drive-mode points of a
+    batch are solved together by :func:`working_point_batch`; failed points
+    read 0.
     """
     if columns["G_eff"] is not None and columns["delta_m_eff"] is not None:
         return columns["G_eff"], columns["delta_m_eff"]
-    g_eff, delta_m_eff = np.zeros(len(failures)), np.zeros(len(failures))
-    keys = np.array([col for name, col in columns.items()
-                     if col is not None and name != "temperature"]).T
-    live = np.flatnonzero(alive(failures))
-    first, group = equal_groups(keys, live)
-    for k in live[first].tolist():
-        try:
-            wp = working_point(SystemParams(**{
-                name: None if col is None else float(col[k])
-                for name, col in columns.items()}))
-        except MagnomechError as exc:
-            store_failure(failures, k, exc)
-            continue
-        g_eff[k], delta_m_eff[k] = wp.G, wp.delta_m_eff
-    source = live[first[group]]
-    g_eff[live], delta_m_eff[live] = g_eff[source], delta_m_eff[source]
-    share_failures(failures, live, source)
+    with np.errstate(all="ignore"):  # failed points may hold any value
+        _, _, delta_m_eff, g_eff, _ = working_point_batch(columns, failures)
     return g_eff, delta_m_eff
 
 
@@ -334,7 +309,7 @@ def evaluate_point(params: SystemParams, outputs: tuple[str, ...],
     never zeros. Per-point failures are reported in the "error" entry.
     """
     try:
-        *values, error = _evaluate(_columns(params), no_failures(1),
+        *values, error = _evaluate(params.columns(), no_failures(1),
                                    tuple(outputs), gain_noise)[0]
     except ParameterError as exc:  # an unknown output or gain_noise
         values, error = [None] * len(outputs), exc.code
@@ -346,7 +321,7 @@ def _evaluate_batch(spec: "SweepSpec", points: np.ndarray) -> list[list]:
     rows = points.tolist()
     n = len(points)
     for series in spec.series:
-        columns, failures = _columns(spec.base, n), no_failures(n)
+        columns, failures = spec.base.columns(n), no_failures(n)
         steps = [(name, np.full(n, value)) for name, value in series.overrides]
         steps += [(axis.name, points[:, i]) for i, axis in enumerate(spec.axes)]
         with np.errstate(all="ignore"):
@@ -507,7 +482,7 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
     def solve(temperatures: list[float]):
         """E_N(k) at the k-th temperature, which raises that point's failure."""
         n = len(temperatures)
-        columns, failures = _columns(base, n), no_failures(n)
+        columns, failures = base.columns(n), no_failures(n)
         columns["temperature"] = np.array(temperatures)
         _check_columns(columns, failures)
         rows = _evaluate(columns, failures, outputs, gain_noise)

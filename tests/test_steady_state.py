@@ -1,43 +1,51 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from magnomech import (DegenerateDenominatorError, MagnomechError,
-                       NonConvergenceError, ParameterError, SystemParams,
-                       default_params, steady_magnon_amplitude, working_point)
+from magnomech import (DegenerateDenominatorError, EigenSolveError,
+                       ParameterError, SystemParams, default_params,
+                       steady_magnon_amplitude, working_point)
 from magnomech import steady_state
-from magnomech.steady_state import (FIXED_POINT_TOL, MAX_ITERATIONS,
-                                    WorkingPoint, self_consistent_working_point,
+from magnomech.errors import no_failures
+from magnomech.steady_state import (NEWTON_STEPS, WorkingPoint,
+                                    working_point_batch,
                                     working_point_from_preset)
 
 TWO_PI = 2.0 * math.pi
 OMEGA_B = TWO_PI * 10e6
 
+#: Step budget and relative convergence target of the reference iteration.
+REFERENCE_STEPS = 10_000
+REFERENCE_TOL = 1e-10
 
-def reference_working_point(params: SystemParams) -> WorkingPoint:
-    """The fixed-point iteration without its cycle exit: a point that does
-    not converge runs all MAX_ITERATIONS steps."""
+
+def _amplitude(params: SystemParams, delta_m_eff: float) -> complex:
+    """m_s in Python complex arithmetic, independent of the kernel."""
+    cavity = 1j * params.delta_a - params.kappa_a
+    return params.epsilon_d * cavity / (
+        params.g_ma**2 + cavity * (1j * delta_m_eff + params.kappa_m))
+
+
+def reference_working_point(params: SystemParams) -> WorkingPoint | None:
+    """The fixed-point iteration m_s -> x_s -> delta_m_eff -> m_s from
+    delta_m_eff = delta_m, or None if it does not converge in
+    REFERENCE_STEPS steps. Where it contracts, it reaches the lower branch."""
     g_mb, wb, dm = params.g_mb, params.omega_b, params.delta_m
-    if params.epsilon_d == 0.0:
-        return WorkingPoint(m_s=0j, x_s=0.0, delta_m_eff=dm, G=0.0,
-                            converged=True, iterations=1)
-    m_s = steady_magnon_amplitude(params, dm)
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        x_s = -g_mb * abs(m_s) ** 2 / wb
-        delta_eff = dm + g_mb * x_s
-        m_next = steady_magnon_amplitude(params, delta_eff)
+    m_s = _amplitude(params, dm)
+    for iteration in range(1, REFERENCE_STEPS + 1):
+        m_next = _amplitude(params, dm - g_mb**2 * abs(m_s) ** 2 / wb)
         change = abs(abs(m_next) - abs(m_s))
         m_s = m_next
-        if change <= FIXED_POINT_TOL * max(abs(m_s), 1e-300):
+        if change <= REFERENCE_TOL * max(abs(m_s), 1e-300):
             x_s = -g_mb * abs(m_s) ** 2 / wb
-            delta_eff = dm + g_mb * x_s
-            return WorkingPoint(m_s=m_s, x_s=x_s, delta_m_eff=delta_eff,
-                                G=g_mb * abs(m_s), converged=True,
-                                iterations=iteration)
-    raise NonConvergenceError(
-        f"fixed-point iteration did not converge in {MAX_ITERATIONS} steps")
+            return WorkingPoint(m_s=m_s, x_s=x_s, delta_m_eff=dm + g_mb * x_s,
+                                G=g_mb * abs(m_s), iterations=iteration)
+    return None
 
 
 def _drive_spec_params(delta_m: float, epsilon_d: float) -> SystemParams:
@@ -45,25 +53,6 @@ def _drive_spec_params(delta_m: float, epsilon_d: float) -> SystemParams:
     omega_b = default_params().omega_b
     return default_params().replace(delta_m_eff=None, delta_m=delta_m * omega_b,
                                     G_eff=None, epsilon_d=epsilon_d)
-
-
-def _result(compute, params):
-    try:
-        return compute(params)
-    except MagnomechError as exc:
-        return type(exc)
-
-
-def _count_steps(monkeypatch) -> list:
-    """Count the amplitude evaluations, one more than the steps taken."""
-    calls = []
-    amplitude = steady_state.steady_magnon_amplitude
-
-    def counted(params, delta_m_eff):
-        calls.append(delta_m_eff)
-        return amplitude(params, delta_m_eff)
-    monkeypatch.setattr(steady_state, "steady_magnon_amplitude", counted)
-    return calls
 
 
 def _drive_params(**overrides):
@@ -74,6 +63,54 @@ def _drive_params(**overrides):
                     epsilon_d=1e14, temperature=20e-3)
     defaults.update(overrides)
     return SystemParams(**defaults)
+
+
+def _columns(points: list[SystemParams]) -> dict:
+    """Batch columns of drive-mode points with the same fields set."""
+    return {name: None if getattr(points[0], name) is None
+            else np.array([getattr(p, name) for p in points])
+            for name in vars(points[0])}
+
+
+def _cubic(params: SystemParams):
+    """Exact f(x) = x * |D(delta_m - g_mb^2 x / omega_b)|^2 - eps_d^2 |c|^2
+    of a self-consistent point, its coefficients (x^3, x^2, x) and gain."""
+    da, ka, km, g, dm, eps = map(Fraction, (
+        params.delta_a, params.kappa_a, params.kappa_m, params.g_ma,
+        params.delta_m, params.epsilon_d))
+    k = Fraction(params.g_mb) ** 2 / Fraction(params.omega_b)
+    ar, ai = g * g - ka * km - da * dm, da * km - ka * dm
+    br, bi = da * k, ka * k
+    gain = eps**2 * (da**2 + ka**2)
+
+    def f(x: Fraction) -> Fraction:
+        return x * ((ar + br * x) ** 2 + (ai + bi * x) ** 2) - gain
+    return f, (br**2 + bi**2, 2 * (ar * br + ai * bi), ar**2 + ai**2), gain
+
+
+#: drive_spec's epsilon_d axis at delta_m = -0.95 omega_b, and a denser one at
+#: -0.7 omega_b. The iteration converges at 17 of the 52 points, 8 of which
+#: have three positive roots; the others cycle or never repeat.
+ITERATION_GRID = ([(-0.95, e) for e in np.linspace(8.6e13, 9.4e13, 9).tolist()]
+                  + [(-0.7, e) for e in np.linspace(8e13, 5e14, 43).tolist()])
+
+
+def _random_drive_points(count: int) -> list[SystemParams]:
+    """Seeded drive-mode points, half of them near the bistable edge."""
+    rng = np.random.default_rng(16)
+    base = default_params()
+    wb, km = base.omega_b, base.kappa_m
+    points = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            delta_m, epsilon_d = rng.uniform(-1.5, -0.5), 10.0 ** rng.uniform(12.5, 14.7)
+        else:
+            delta_m, epsilon_d = rng.uniform(-1.05, -0.95), rng.uniform(0.6e14, 1.4e14)
+        points.append(base.replace(
+            G_eff=None, delta_m_eff=None, delta_m=delta_m * wb, epsilon_d=epsilon_d,
+            kappa_a=rng.uniform(-0.3, 0.3) * km, g_ma=rng.uniform(0.3, 1.5) * wb,
+            delta_a=rng.uniform(-1.5, 0.0) * wb))
+    return points
 
 
 class TestSteadyMagnonAmplitude:
@@ -131,9 +168,8 @@ class TestPresetWorkingPoint:
 class TestSelfConsistentWorkingPoint:
     def test_fixed_point_relations(self):
         p = _drive_params()
-        wp = self_consistent_working_point(p)
-        assert wp.converged
-        # The returned point closes the loop it was iterated on.
+        wp = working_point(p)
+        # The returned point closes the loop m_s -> x_s -> delta_m_eff -> m_s.
         x_s = -p.g_mb * abs(wp.m_s) ** 2 / p.omega_b
         assert wp.x_s == pytest.approx(x_s, rel=1e-9)
         assert wp.delta_m_eff == pytest.approx(p.delta_m + p.g_mb * wp.x_s,
@@ -152,48 +188,127 @@ class TestSelfConsistentWorkingPoint:
 
         u0 = abs(steady_magnon_amplitude(p, p.delta_m))
         root = brentq(residual, 0.5 * u0, 2.0 * u0, xtol=1e-6)
-        wp = self_consistent_working_point(p)
+        wp = working_point(p)
         assert abs(wp.m_s) == pytest.approx(root, rel=1e-6)
 
     def test_zero_drive(self):
-        wp = self_consistent_working_point(_drive_params(epsilon_d=0.0))
-        assert wp.m_s == 0 and wp.G == 0.0
+        wp = working_point(_drive_params(epsilon_d=0.0))
+        assert wp.m_s == 0 and wp.G == 0.0 and wp.iterations == 0
 
     def test_dispatcher_routes_by_fields(self):
-        assert working_point(_drive_params()).iterations >= 1
+        assert working_point(_drive_params()).iterations == NEWTON_STEPS
         direct = _drive_params(delta_m=None, delta_m_eff=-OMEGA_B)
         wp = working_point(direct)
         assert wp.iterations == 0
         assert wp.delta_m_eff == -OMEGA_B
 
 
-class TestCycleExit:
-    # drive_spec's epsilon_d axis at delta_m = -0.95 omega_b, and a denser one
-    # at -0.7 omega_b that holds converging points, cycles of several periods
-    # and orbits that never repeat.
-    GRID = ([(-0.95, e) for e in np.linspace(8.6e13, 9.4e13, 9).tolist()]
-            + [(-0.7, e) for e in np.linspace(8e13, 5e14, 43).tolist()])
+class TestCubicWorkingPoint:
+    def test_matches_the_iteration_where_it_converges(self):
+        points = [_drive_spec_params(*point) for point in ITERATION_GRID]
+        points += _random_drive_points(200)
+        converged = 0
+        for p in points:
+            expected = reference_working_point(p)
+            got = working_point(p)
+            if expected is None:
+                continue
+            converged += 1
+            assert got.G == pytest.approx(expected.G, rel=1e-9, abs=0.0)
+            assert got.delta_m_eff == pytest.approx(expected.delta_m_eff,
+                                                    rel=1e-9, abs=0.0)
+        assert 17 < converged < len(points)
 
-    def test_matches_full_iteration(self):
-        outcomes = set()
-        for delta_m, epsilon_d in self.GRID:
-            params = _drive_spec_params(delta_m, epsilon_d)
-            expected = _result(reference_working_point, params)
-            got = _result(self_consistent_working_point, params)
-            # repr() prints every float exactly, so this compares bit for bit.
-            assert repr(got) == repr(expected), (delta_m, epsilon_d)
-            outcomes.add(expected if isinstance(expected, type) else "converged")
-        assert outcomes == {"converged", NonConvergenceError}
+    def test_lower_branch_of_three_roots(self):
+        # Three positive roots where the iteration converges: it reaches the
+        # smallest, and so does the cubic.
+        bistable = 0
+        for point in ITERATION_GRID:
+            p = _drive_spec_params(*point)
+            _, coefficients, gain = _cubic(p)
+            roots = np.roots([*map(float, coefficients), -float(gain)])
+            real = np.sort(roots.real[np.abs(roots.imag) <= 1e-9 * np.abs(roots)])
+            if len(real) == 3 and reference_working_point(p) is not None:
+                bistable += 1
+                n = -working_point(p).x_s * p.omega_b / p.g_mb
+                assert n == pytest.approx(real[0], rel=1e-9)
+        assert bistable == 8
 
-    def test_cycling_point_exits_early(self, monkeypatch):
-        calls = _count_steps(monkeypatch)
-        with pytest.raises(NonConvergenceError, match="period 2"):
-            self_consistent_working_point(_drive_spec_params(-0.95, 9.2e13))
-        assert len(calls) - 1 < MAX_ITERATIONS
+    def test_points_the_iteration_never_settles_are_solved(self):
+        # At delta_m = -0.95 omega_b, eps_d = 9.2e13 rad/s the iteration falls
+        # into a period-2 cycle around the cubic's only root.
+        p = _drive_spec_params(-0.95, 9.2e13)
+        assert reference_working_point(p) is None
+        wp = working_point(p)
+        m_back = steady_magnon_amplitude(p, wp.delta_m_eff)
+        assert abs(m_back - wp.m_s) <= 1e-9 * abs(wp.m_s)
+        assert wp.delta_m_eff == pytest.approx(
+            p.delta_m - p.g_mb**2 * abs(wp.m_s) ** 2 / p.omega_b, rel=1e-12)
 
-    def test_orbit_that_never_repeats_runs_every_step(self, monkeypatch):
-        calls = _count_steps(monkeypatch)
-        with pytest.raises(NonConvergenceError,
-                           match=f"did not converge in {MAX_ITERATIONS} steps"):
-            self_consistent_working_point(_drive_spec_params(-0.7, 2.5e14))
-        assert len(calls) - 1 == MAX_ITERATIONS
+    def test_batch_equals_single_points(self):
+        points = [_drive_spec_params(*point) for point in ITERATION_GRID]
+        points += _random_drive_points(20)
+        failures = no_failures(len(points))
+        fields = working_point_batch(_columns(points), failures)
+        assert all(failure is None for failure in failures)
+        for k, p in enumerate(points):
+            assert WorkingPoint(*(field[k].item() for field in fields)) \
+                == working_point(p)
+
+    def test_degenerate_denominator_fails_its_point(self):
+        points = [_drive_params(), _drive_params(g_ma=0.0, kappa_a=0.0, delta_a=0.0)]
+        failures = no_failures(2)
+        m_s, _, delta_m_eff, g, steps = working_point_batch(_columns(points), failures)
+        assert failures[0] is None
+        assert type(failures[1]) is DegenerateDenominatorError
+        assert (m_s[1], delta_m_eff[1], g[1], steps[1]) == (0, 0.0, 0.0, 0)
+        with pytest.raises(DegenerateDenominatorError, match="denominator"):
+            working_point(points[1])
+
+    def test_rejected_cubic_fails_its_point(self):
+        # g_mb^2 / omega_b underflows to 0, so the companion matrix is not
+        # finite and LAPACK rejects it.
+        points = [_drive_params(), _drive_params(g_mb=1e-170)]
+        failures = no_failures(2)
+        with np.errstate(all="ignore"):
+            _, _, _, g, _ = working_point_batch(_columns(points), failures)
+        assert failures[0] is None and g[0] == working_point(points[0]).G
+        assert type(failures[1]) is EigenSolveError
+        assert "working-point cubic" in str(failures[1])
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    # Roots 1e51 apart: LAPACK returns the smallest as 0.0 and the others as
+    # a negative pair.
+    @example(delta_a=2.220446049250313e-16, kappa_a=0.0, kappa_m=0.25,
+             g_ma=0.5502700670679241, delta_m=0.5, log_drive=12.0, g_mb=1.0)
+    @given(delta_a=st.floats(-2.0, 2.0), kappa_a=st.floats(-0.3, 0.3),
+           kappa_m=st.floats(0.01, 0.3), g_ma=st.floats(0.0, 1.5),
+           delta_m=st.floats(-2.0, 2.0), log_drive=st.floats(12.0, 15.0),
+           g_mb=st.floats(0.05, 5.0))
+    def test_root_is_the_smallest_root_of_the_cubic(
+            self, delta_a, kappa_a, kappa_m, g_ma, delta_m, log_drive, g_mb):
+        p = _drive_params(delta_a=delta_a * OMEGA_B, kappa_a=kappa_a * OMEGA_B,
+                          kappa_m=kappa_m * OMEGA_B, g_ma=g_ma * OMEGA_B,
+                          delta_m=delta_m * OMEGA_B, epsilon_d=10.0**log_drive,
+                          g_mb=TWO_PI * g_mb)
+        # A cavity rate |i*Delta_a - kappa_a| some 1e140 times below the
+        # others leaves double precision: the companion matrix overflows
+        # (EigenSolveError) or n underflows.
+        assume(delta_a == kappa_a == 0.0 or math.hypot(delta_a, kappa_a) > 1e-100)
+        v, failures = _columns([p]), no_failures(1)
+        working_point_batch(v, failures)
+        # A vanishing denominator (here |D| < 1e-12 * scale^2) has no root.
+        assume(type(failures[0]) is not DegenerateDenominatorError)
+        assert failures[0] is None
+        gain = v["epsilon_d"] ** 2 * (v["delta_a"] ** 2 + v["kappa_a"] ** 2)
+        n, _ = steady_state._lower_root(v, gain, failures)
+        f, (a3, a2, a1), exact_gain = _cubic(p)
+        x = Fraction(float(n[0]))
+        assert abs(f(x)) <= Fraction(1e-12) * exact_gain
+        # f(0) = -gain < 0, so f < 0 on [0, n) unless f's local maximum lies
+        # in [0, n) and is not below 0.
+        discriminant = a2 * a2 - 3 * a3 * a1
+        if discriminant > 0:
+            peak = (-float(a2) - math.sqrt(discriminant)) / (3 * float(a3))
+            if 0.0 <= peak < x:
+                assert f(Fraction(peak)) < 0

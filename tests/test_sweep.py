@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnomech import (Axis, BracketInvalidError, MagnomechError,
-                       NonConvergenceError, ParameterError, Series,
+from magnomech import (Axis, BracketInvalidError, DegenerateDenominatorError,
+                       MagnomechError, ParameterError, Series,
                        SingularSolveError, SweepSpec, UnstableSystemError,
                        default_params, diffusion_from_params,
                        drift_from_params, evaluate_point, figure_preset,
@@ -38,12 +38,20 @@ def ep_crossing_spec() -> SweepSpec:
         gain_noise="reversed")
 
 
+#: Overrides that zero the drive-mode response denominator
+#: g_ma^2 + (i*Delta_a - kappa_a)(i*delta_m_eff + kappa_m) at every point.
+DEGENERATE = (("g_ma", 0.0), ("kappa_a", 0.0), ("delta_a", 0.0))
+
+
 def drive_spec() -> SweepSpec:
-    """Drive-mode (self-consistent) points, most of which do not converge."""
+    """Drive-mode (self-consistent) points, at most of which a fixed-point
+    iteration from delta_m never settles, and a series whose every point
+    fails with a degenerate denominator."""
     drive = default_params().replace(
         delta_m_eff=None, delta_m=-0.95 * OMEGA_B, G_eff=None, epsilon_d=9.2e13)
     return SweepSpec(base=drive, axes=(Axis("epsilon_d", 8.6e13, 9.4e13, 9),),
-                     outputs=("stable", "E_N(bm)", "S(b->m)"))
+                     outputs=("stable", "E_N(bm)", "S(b->m)"),
+                     series=(Series(), Series("degenerate", DEGENERATE)))
 
 
 def fig4b_edge_spec() -> SweepSpec:
@@ -67,9 +75,14 @@ def all_outputs_spec() -> SweepSpec:
         "physicality_margin"))
 
 
-def drive_temperature_spec(epsilon_d: float) -> SweepSpec:
-    """A drive-mode temperature sweep: one working point for all 251 points."""
-    return SweepSpec(base=drive_spec().base.replace(epsilon_d=epsilon_d),
+def drive_temperature_spec(epsilon_d: float, degenerate: bool = False
+                           ) -> SweepSpec:
+    """A drive-mode temperature sweep: one working point for all 251 points,
+    with a degenerate denominator if asked."""
+    base = drive_spec().base.replace(epsilon_d=epsilon_d)
+    if degenerate:
+        base = base.replace(**dict(DEGENERATE))
+    return SweepSpec(base=base,
                      axes=(Axis("temperature", 0.0, 0.25, 251),),
                      outputs=("E_N(am)", "stable"))
 
@@ -210,6 +223,13 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             SweepSpec(base=default_params(), axes=axes, outputs=("stable",))
 
+    @pytest.mark.parametrize("axis, series", [
+        ("bogus", Series()), ("G_over_omega_b", Series("x", (("bogus", 1.0),)))])
+    def test_unknown_parameter_name(self, axis, series):
+        with pytest.raises(ParameterError, match="unknown sweep parameter 'bogus'"):
+            SweepSpec(base=default_params(), axes=(Axis(axis, 0.1, 0.2, 2),),
+                      outputs=("stable",), series=(series,))
+
     def test_unknown_output(self):
         with pytest.raises(ParameterError):
             SweepSpec(base=default_params(),
@@ -343,7 +363,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("make_spec, codes", [
         (ep_crossing_spec, {""}),
-        (drive_spec, {"", "non_convergence"}),
+        (drive_spec, {"", "degenerate_denominator"}),
         (fig4b_edge_spec, {"", "cross_check_mismatch"}),
         (unstable_spec, {""}),
         (covariance_failure_spec, {"", "singular_solve"}),
@@ -376,17 +396,17 @@ class TestRunSweep:
             stopped.add(spec.outputs[2 + taken] if error else None)
         assert stopped == {None, "E_N(bm)", "E_N(ab)"}
 
-    @pytest.mark.parametrize("epsilon_d, code", [(8.6e13, ""),
-                                                  (9.2e13, "non_convergence")])
+    @pytest.mark.parametrize("epsilon_d, code", [
+        (8.6e13, ""), (8.6e13, "degenerate_denominator")])
     def test_working_point_is_solved_once_per_batch(self, monkeypatch,
                                                      epsilon_d, code):
-        # The working point does not depend on temperature. A stability-only
-        # sweep of the same 251 points is one batch.
-        spec = drive_temperature_spec(epsilon_d)
+        # All live points of a batch go to one working-point call. A
+        # stability-only sweep of the same 251 points is one batch.
+        spec = drive_temperature_spec(epsilon_d, degenerate=bool(code))
         stability = dataclasses.replace(spec, outputs=("stable",))
         expected = point_rows(spec)
         expected_stability = point_rows(stability)
-        calls = count_calls(monkeypatch, "working_point")
+        calls = count_calls(monkeypatch, "working_point_batch")
         result = run_sweep(spec)
         assert len(calls) == -(-len(expected) // BATCH_SIZE)
         assert result.rows == expected
@@ -396,14 +416,14 @@ class TestRunSweep:
         assert len(calls) == 1
 
     def test_repeated_failures_are_separate_copies(self):
-        spec = drive_temperature_spec(9.2e13)
-        columns = sweep._columns(spec.base, 3)
+        spec = drive_temperature_spec(9.2e13, degenerate=True)
+        columns = spec.base.columns(3)
         columns["temperature"] = np.array([0.0, 0.1, 0.2])
         failures = no_failures(3)
         sweep._working_points(columns, failures)
         assert len({id(failure) for failure in failures}) == 3
         for failure in failures:
-            assert type(failure) is type(failures[0]) is NonConvergenceError
+            assert type(failure) is type(failures[0]) is DegenerateDenominatorError
             assert failure.args == failures[0].args
             assert failure.__traceback__ is None
 
@@ -411,14 +431,15 @@ class TestRunSweep:
         # The cycle collector cannot see into the object arrays that hold
         # per-point failures, so a failure that kept its traceback would keep
         # its frames, and the array, alive for good.
-        drive = drive_spec().base
+        drive = drive_spec().base.replace(**dict(DEGENERATE))
 
         def live_failures():
             gc.collect()
             return sum(isinstance(o, MagnomechError) for o in gc.get_objects())
 
         def fail_twice():
-            assert evaluate_point(drive, ("stable",))["error"] == "non_convergence"
+            assert evaluate_point(drive, ("stable",))["error"] == \
+                "degenerate_denominator"
             with pytest.raises(MagnomechError):
                 vanishing_temperature(drive, "am", 0.0, 0.35)
 
@@ -457,7 +478,7 @@ class TestRunSweep:
     def test_each_invalid_point_gets_its_first_broken_rule(self):
         # As SystemParams would reject that point alone.
         base = default_params()
-        columns = sweep._columns(base, 4)
+        columns = base.columns(4)
         columns["G_eff"] = np.array([0.1, math.inf, -0.1, 0.2]) * OMEGA_B
         columns["g_ma"] = np.array([0.1, 0.1, -0.1, 0.1]) * OMEGA_B
         failures = no_failures(4)
@@ -577,13 +598,16 @@ class TestRunSweep:
                           "stable[gain],error[gain]")
 
     def test_failed_points_carry_error_codes(self):
-        drive = default_params().replace(
-            delta_m_eff=None, delta_m=-0.95 * OMEGA_B, G_eff=None,
-            epsilon_d=9.2e13)
-        assert evaluate_point(drive, ("stable",))["error"] == "non_convergence"
+        drive = drive_spec().base.replace(**dict(DEGENERATE))
+        assert evaluate_point(drive, ("stable",))["error"] == \
+            "degenerate_denominator"
         # A G_eff axis over a drive-mode base gives no valid parameter set.
         spec = SweepSpec(base=drive, axes=(Axis("G_over_omega_b", 0.1, 0.2, 2),),
                          outputs=("stable",))
+        assert run_sweep(spec).column("error") == ["parameter_error"] * 2
+        # Nor does a given G_eff with a self-consistent detuning.
+        spec = dataclasses.replace(spec, base=default_params().replace(
+            delta_m_eff=None, delta_m=-OMEGA_B))
         assert run_sweep(spec).column("error") == ["parameter_error"] * 2
 
 
@@ -622,7 +646,7 @@ def assert_rows_close(rows: list[list], expected: list[list]) -> None:
 def temperature_batch(base, temperatures, outputs) -> list[list]:
     """Rows of one batch of ``base`` at the given temperatures."""
     n = len(temperatures)
-    columns, failures = sweep._columns(base, n), no_failures(n)
+    columns, failures = base.columns(n), no_failures(n)
     columns["temperature"] = np.array(temperatures)
     sweep._check_columns(columns, failures)
     return sweep._evaluate(columns, failures, outputs, "vacuum")
@@ -680,7 +704,7 @@ class TestSharedDrifts:
         result = run_sweep(spec)
         assert result.column("error") == ["parameter_error"] * 3 + [""] * 2
         assert_rows_close(result.rows, point_rows(spec))
-        columns, failures = sweep._columns(spec.base, 5), no_failures(5)
+        columns, failures = spec.base.columns(5), no_failures(5)
         columns.update(omega_a=spec.grid()[:, 0])
         sweep._check_columns(columns, failures)
         a = np.zeros((5, 6, 6))
