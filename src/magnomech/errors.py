@@ -92,16 +92,6 @@ def record_failures(failures: np.ndarray, mask, make) -> None:
             failures[k] = make(k)
 
 
-def share_failures(failures: np.ndarray, points: np.ndarray,
-                   sources: np.ndarray) -> None:
-    """Give each of ``points`` that has not failed a copy of the failure of
-    the point in ``sources`` at the same position, if that one failed: each
-    point keeps an exception object of its own."""
-    for k, j in zip(points.tolist(), sources.tolist()):
-        if failures[j] is not None and failures[k] is None:
-            failures[k] = type(failures[j])(*failures[j].args)
-
-
 def lapack_stack(func, stacks: tuple, out, failures, points, error, what):
     """``func(*stacks)`` in one LAPACK call; entry j is point ``points[j]``.
     Only if LAPACK rejects the stacks does ``func`` run point by point, into

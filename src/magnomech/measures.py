@@ -14,9 +14,9 @@ import numpy as np
 from .errors import (CrossCheckMismatchError, NonFiniteDeterminantError,
                      NonPhysicalCMError, ParameterError, SingularSolveError,
                      UnstableSystemError, alive, lapack_stack, no_failures,
-                     raise_failure, record_failures, share_failures)
+                     raise_failure, record_failures)
 from .dynamics import (STABILITY_REL_TOL, DiffusionMatrix, QuadratureDrift,
-                       equal_groups, read_only, stability)
+                       read_only, stability)
 
 #: Mode pairs by label, first listed mode first: photon-magnon, phonon-magnon,
 #: photon-phonon.
@@ -80,8 +80,9 @@ def physicality_margins(v: np.ndarray) -> np.ndarray:
 
 
 def physicality_margin(v: np.ndarray) -> float:
-    """Smallest eigenvalue of V + i*Omega/2 as a Hermitian matrix."""
-    return float(physicality_margins(np.asarray(v, dtype=np.float64)))
+    """Smallest eigenvalue of V + i*Omega/2 of one, two or three modes."""
+    return float(physicality_margins(_square(v, tuple(_HALF_I_OMEGA),
+                                             "2x2, 4x4 or 6x6")))
 
 
 def check_stable(max_lyapunov: float, stable: bool) -> None:
@@ -111,48 +112,13 @@ def _max_abs(m: np.ndarray) -> np.ndarray:
     return np.abs(m).max(axis=(-2, -1)).astype(np.float64)
 
 
-def _solve_shared(lhs: np.ndarray, rhs: np.ndarray, position: np.ndarray,
-                  failures: np.ndarray, systems: np.ndarray) -> np.ndarray:
-    """Solutions (n, 36, 1) of the right-hand sides ``rhs`` (n, 36, 1), where
-    rhs[i] belongs to system lhs[position[i]]. System j is that of point
-    ``systems[j]``, which fails if LAPACK rejects the system.
-
-    Each system is factored once: the systems with m right-hand sides each are
-    one stacked solve, with those as columns.
-    """
-    x = np.zeros(rhs.shape)
-    counts = np.bincount(position)
-    members = np.split(np.argsort(position, kind="stable"),
-                       np.cumsum(counts)[:-1])
-    for size in sorted(set(counts.tolist())):
-        chosen = np.flatnonzero(counts == size)
-        columns = np.array([members[j] for j in chosen.tolist()])
-        b = rhs[columns, :, 0].swapaxes(1, 2)
-        x[columns, :, 0] = lapack_stack(
-            np.linalg.solve, (lhs[chosen], b), np.zeros(b.shape), failures,
-            systems[chosen], SingularSolveError,
-            "vectorized Lyapunov solve failed").swapaxes(1, 2)
-    return x
+_NON_FINITE = "vectorized Lyapunov solve gave a non-finite solution"
 
 
-def lyapunov_batch(a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray,
-                   failures: np.ndarray, groups: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve A V + V A^T = -D for N stable drifts at once.
-
-    ``a`` and ``d`` are (N, 6, 6) and ``eigenvalues`` (N, 6) is the spectrum
-    of each drift. The vectorized 36x36 systems
-    (I (x) A + A (x) I) vec(V) = -vec(D) are solved densely, as one stack. A
-    point gets a SingularSolveError when its eigenvalues pair up to
-    (numerically) zero, its D is not finite, LAPACK finds its system
-    singular, or its solution is not finite. Returns V (N, 6, 6) and the
-    residual max|A V + V A^T + D| (N,), NaN at points that failed.
-
-    ``groups``, if given, labels each point; points with one label have
-    bit-identical drifts and so one 36x36 system, built and factored once
-    for all of the label's live points (see :func:`_solve_shared`). The
-    refinement and the residual stay per point.
-    """
+def _check_solvable(eigenvalues: np.ndarray, d: np.ndarray,
+                    failures: np.ndarray) -> None:
+    """Fail each point whose Lyapunov system cannot have a finite solution:
+    its eigenvalues pair up to (numerically) zero, or its D is not finite."""
     pair_sums = np.abs(eigenvalues[:, :, None] + eigenvalues[:, None, :])
     scale = np.maximum(np.abs(eigenvalues).max(axis=-1), 1e-300)
     record_failures(failures, pair_sums.min(axis=(1, 2)) < 1e-14 * scale,
@@ -162,32 +128,44 @@ def lyapunov_batch(a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray,
         record_failures(failures, ~np.isfinite(d).all(axis=(1, 2)),
                         lambda k: SingularSolveError(
                             "non-finite diffusion matrix; no finite solution"))
+
+
+def lyapunov_batch(a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray,
+                   failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve A V + V A^T = -D for N stable drifts at once.
+
+    ``a`` and ``d`` are (N, 6, 6) and ``eigenvalues`` (N, 6) is the spectrum
+    of each drift. The vectorized 36x36 systems
+    (I (x) A + A (x) I) vec(V) = -vec(D) are solved densely, as one stack. A
+    point gets a SingularSolveError when its eigenvalues pair up to
+    (numerically) zero, its D is not finite, LAPACK finds its system
+    singular, or its solution is not finite. Returns V (N, 6, 6) and the
+    residual max|A V + V A^T + D| (N,), NaN at points that failed.
+    """
+    _check_solvable(eigenvalues, d, failures)
     live = np.flatnonzero(alive(failures))
     # Build the live systems only: masking a full stack of them copies it.
     a, d = a[live], d[live]
-    systems, position = a, np.arange(live.size)
-    if groups is not None:
-        first, position = equal_groups(groups, live)
-        systems = a[first]
-    flat = systems.reshape(-1, 36)
-    lhs = np.zeros((len(systems), 36 * 36))
+    flat = a.reshape(-1, 36)
+    lhs = np.zeros((len(a), 36 * 36))
     lhs[:, _KRON_TARGETS[0]] = flat[:, _KRON_SOURCES[0]]
     lhs[:, _KRON_TARGETS[1]] += flat[:, _KRON_SOURCES[1]]
     lhs = lhs.reshape(-1, 36, 36)
-    # (n, 36, 1) right-hand sides, which NumPy 1.x and 2.x read alike.
-    rhs = -d.reshape(-1, 36, 1)
-    if groups is None:
-        x = lapack_stack(np.linalg.solve, (lhs, rhs), np.zeros(rhs.shape),
-                         failures, live, SingularSolveError,
-                         "vectorized Lyapunov solve failed")
-    else:
-        x = _solve_shared(lhs, rhs, position, failures, live[first])
-        share_failures(failures, live, live[first[position]])
+    # (n, 36, 1) right-hand sides, which NumPy 1.x and 2.x read alike. They
+    # are -vec(D) / s, with s the largest power of two up to max|D|: that is
+    # exact, and no step of the solve overflows unless V itself does.
+    d_max = np.abs(d).max(axis=(1, 2))[:, None, None]
+    scale = np.ldexp(1.0, np.frexp(d_max)[1] - 1)
+    rhs = -(d / scale).reshape(-1, 36, 1)
+    x = lapack_stack(np.linalg.solve, (lhs, rhs), np.zeros(rhs.shape),
+                     failures, live, SingularSolveError,
+                     "vectorized Lyapunov solve failed")
+    with np.errstate(over="ignore"):
+        x = x * scale
     if not np.isfinite(x).all():  # a finite D can still overflow V
         bad = ~np.isfinite(x).all(axis=(1, 2))
         for k in live[bad].tolist():
-            failures[k] = SingularSolveError(
-                "vectorized Lyapunov solve gave a non-finite solution")
+            failures[k] = SingularSolveError(_NON_FINITE)
         x[bad] = 0.0  # not refined, but keeps their residual quiet
     solved = alive(failures[live])
     # Mixed-precision iterative refinement. The residual of any double-stored
@@ -200,14 +178,14 @@ def lyapunov_batch(a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray,
     vl = 0.5 * (vl + vl.swapaxes(-1, -2))
     resid = _residual_matrices(al, vl, d)
     res = _max_abs(resid)
-    target = RESIDUAL_REL_TARGET * np.abs(d).max(axis=(-2, -1))
+    target = RESIDUAL_REL_TARGET * d_max[:, 0, 0]
     active = solved & ~(res <= target)
     for _ in range(MAX_REFINEMENTS):
         act = np.flatnonzero(active)
         if not act.size:
             break
         r = resid[act].astype(np.float64).reshape(-1, 36, 1)
-        corr = np.linalg.solve(lhs[position[act]], -r)
+        corr = np.linalg.solve(lhs[act], -r)
         corr = corr.reshape(-1, 6, 6).astype(np.longdouble)
         v_next = vl[act] + 0.5 * (corr + corr.swapaxes(-1, -2))
         resid_next = _residual_matrices(al[act], v_next, d[act])
@@ -222,6 +200,60 @@ def lyapunov_batch(a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray,
     v[live[solved]] = vl[solved]
     residual[live[solved]] = res[solved]
     return v, residual
+
+
+#: Unit noise P of the cavity, magnon and mechanical channels, which the
+#: diagonal entries 0, 2 and 5 of D scale: D = D00 P_a + D22 P_m + D55 P_b.
+_CHANNEL_NOISE = read_only([np.diag([1.0, 1, 0, 0, 0, 0]), np.diag([0.0, 0, 1, 1, 0, 0]),
+                            np.diag([0.0, 0, 0, 0, 0, 1])])
+
+
+def channel_covariances(a: np.ndarray, eigenvalues: np.ndarray) -> tuple:
+    """Solutions W (3, 6, 6) of A W + W A^T = -P for each channel's unit
+    noise P, with one drift ``a`` (6, 6) of spectrum ``eigenvalues`` (6,), as
+    a batch of three of :func:`lyapunov_batch`. V is linear in D, so
+    V = D00 W_a + D22 W_m + D55 W_b. Also returns the first channel's
+    failure, or None."""
+    failures = no_failures(3)
+    w, _ = lyapunov_batch(np.broadcast_to(a, (3, 6, 6)), _CHANNEL_NOISE,
+                          np.broadcast_to(eigenvalues, (3, 6)), failures)
+    return w, next((f for f in failures if f is not None), None)
+
+
+def combine_channels(channels: tuple, eigenvalues: np.ndarray, d: np.ndarray,
+                     failures: np.ndarray) -> np.ndarray:
+    """V (N, 6, 6) of N points with their own D (N, 6, 6) that share the
+    drift of ``channels`` and its spectrum ``eigenvalues`` (N, 6). A point
+    fails as in :func:`lyapunov_batch`, or with a copy of the channels'
+    failure; V is NaN at failed points."""
+    _check_solvable(eigenvalues, d, failures)
+    w, failure = channels
+    if failure is not None:
+        record_failures(failures, alive(failures),
+                        lambda k: type(failure)(*failure.args))
+    c = d[:, [0, 2, 5], [0, 2, 5], None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = c[:, 0] * w[0] + c[:, 1] * w[1] + c[:, 2] * w[2]
+    record_failures(failures, ~np.isfinite(v).all(axis=(1, 2)),
+                    lambda k: SingularSolveError(_NON_FINITE))
+    v[~alive(failures)] = np.nan
+    return v
+
+
+def shared_lyapunov_batch(a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray,
+                          failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`lyapunov_batch` of N points whose drifts are all equal. If two
+    or more pass the checks before the solve, each V combines the drift's
+    three channel solutions, and its residual is taken in extended
+    precision. A lone point takes :func:`lyapunov_batch`."""
+    _check_solvable(eigenvalues, d, failures)
+    live = np.flatnonzero(alive(failures))
+    if live.size < 2:
+        return lyapunov_batch(a, d, eigenvalues, failures)
+    channels = channel_covariances(a[live[0]], eigenvalues[live[0]])
+    v = combine_channels(channels, eigenvalues, d, failures)
+    return v, _max_abs(_residual_matrices(a[live[0]].astype(np.longdouble),
+                                          v.astype(np.longdouble), d))
 
 
 def solve_lyapunov(drift: QuadratureDrift,
@@ -258,8 +290,8 @@ _PAIR_OF_MODES = {**{(pair[0], pair[1]): (pair, True) for pair in PAIRS},
 
 
 def _matrix(cm: CovarianceMatrix | np.ndarray) -> np.ndarray:
-    return np.asarray(cm.v if isinstance(cm, CovarianceMatrix) else cm,
-                      dtype=np.float64)
+    return _square(cm.v if isinstance(cm, CovarianceMatrix) else cm, (6,),
+                   "6x6 three-mode")
 
 
 #: Rows and columns of the 2x2 blocks A, B and C in a two-mode matrix.
@@ -322,11 +354,16 @@ def _ppt_spectrum(sub: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(eig.real), axis=-1)[..., ::2]  # each value appears as +/- a pair
 
 
-def _two_mode(v) -> np.ndarray:
+def _square(v, sizes: tuple[int, ...], what: str) -> np.ndarray:
+    """``v`` as a float64 n x n matrix with n in ``sizes``, or ParameterError."""
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (4, 4):
-        raise ParameterError(f"need a 4x4 two-mode matrix, got shape {v.shape}")
+    if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] not in sizes:
+        raise ParameterError(f"need a {what} matrix, got shape {v.shape}")
     return v
+
+
+def _two_mode(v) -> np.ndarray:
+    return _square(v, (4,), "4x4 two-mode")
 
 
 def ppt_symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:

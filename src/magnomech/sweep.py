@@ -14,7 +14,7 @@ from . import measures as _measures
 from . import model as _model
 from .config import build_params, default_config
 from .dynamics import (check_gain_noise, diffusion_matrices, drift_matrices,
-                       equal_groups, stability_batch)
+                       stability_batch)
 from .errors import (BracketInvalidError, MagnomechError, ParameterError,
                      UnstableSystemError, alive, no_failures, raise_failure,
                      record_failures, store_failure)
@@ -23,11 +23,6 @@ from .steady_state import working_point_batch
 
 #: Absolute tolerance (K) of the vanishing-temperature bisection.
 VANISHING_TEMPERATURE_TOL = 1e-4
-
-#: Bisection steps whose midpoints are solved together as one batch. A batch
-#: of a few points costs little more than one point, but each level doubles
-#: the points, and the deepest ones are mostly off the path taken.
-VANISHING_TREE_DEPTH = 3
 
 #: Grid points evaluated together as one stack of arrays when an output
 #: needs the covariance matrix: the (N, 36, 36) Lyapunov systems grow peak
@@ -116,8 +111,9 @@ class Axis:
     count: int
 
     def __post_init__(self) -> None:
-        if self.count < 2:
-            raise ParameterError("axis count must be >= 2")
+        if not isinstance(self.count, (int, np.integer)) or self.count < 2:
+            raise ParameterError(
+                f"axis count must be an integer >= 2, got {self.count!r}")
         if not self.lo < self.hi:
             raise ParameterError("axis requires lo < hi")
 
@@ -144,11 +140,20 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if len(self.axes) not in (1, 2):
             raise ParameterError("a sweep needs 1 or 2 axes")
+        labels = [series.label for series in self.series]
+        if not labels or len(set(labels)) < len(labels):
+            raise ParameterError(
+                f"a sweep needs series with distinct labels, got {labels}")
         check_gain_noise(self.gain_noise)
         names = [axis.name for axis in self.axes]
         names += [name for series in self.series for name, _ in series.overrides]
         for name in names:
             _check_parameter_name(name)
+        fields = [set(_DERIVED_PARAMS.get(axis.name, ((axis.name,),))[0])
+                  for axis in self.axes]
+        if len(fields) == 2 and fields[0] & fields[1]:
+            raise ParameterError(f"axes {names[0]!r} and {names[1]!r} set the "
+                                 f"same field {sorted(fields[0] & fields[1])}")
         object.__setattr__(self, "outputs", tuple(self.outputs))
         _check_outputs(self.outputs)
 
@@ -166,31 +171,23 @@ def _check_columns(columns: dict, failures: np.ndarray) -> None:
                             lambda k: ParameterError(message))
 
 
-def _working_points(columns: dict, failures: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Effective coupling and magnon detuning per point.
+def _drifts(columns: dict, failures: np.ndarray) -> np.ndarray:
+    """Drift matrices (N, 6, 6); a point whose drift is not finite fails.
 
-    Preset points read both off their columns. The drive-mode points of a
-    batch are solved together by :func:`working_point_batch`; failed points
-    read 0.
+    Preset points read G_eff and delta_m_eff off their columns. The
+    drive-mode points of a batch are solved together by
+    :func:`working_point_batch`; failed points read 0.
     """
-    if columns["G_eff"] is not None and columns["delta_m_eff"] is not None:
-        return columns["G_eff"], columns["delta_m_eff"]
-    with np.errstate(all="ignore"):  # failed points may hold any value
-        _, _, delta_m_eff, g_eff, _ = working_point_batch(columns, failures)
-    return g_eff, delta_m_eff
-
-
-def _drift_groups(a: np.ndarray, failures: np.ndarray) -> np.ndarray | None:
-    """A label per point, equal for live points with bit-identical drifts
-    (-1 at failed points), or None when no two live points share a drift."""
-    live = np.flatnonzero(alive(failures))
-    first, group = equal_groups(a.reshape(len(a), 36), live)
-    if len(first) == len(live):
-        return None
-    groups = np.full(len(a), -1)
-    groups[live] = group
-    return groups
+    g_eff, delta_m_eff = columns["G_eff"], columns["delta_m_eff"]
+    if g_eff is None or delta_m_eff is None:
+        with np.errstate(all="ignore"):  # failed points may hold any value
+            _, _, delta_m_eff, g_eff, _ = working_point_batch(columns, failures)
+    a, finite = drift_matrices(
+        columns["delta_a"], delta_m_eff, columns["kappa_a"], columns["kappa_m"],
+        columns["gamma_b"], columns["omega_b"], columns["g_ma"], g_eff)
+    record_failures(failures, ~finite, lambda k: ParameterError(
+        "quadrature_drift: non-finite input"))
+    return a
 
 
 def _diffusions(columns: dict, rows: np.ndarray, gain_noise: str,
@@ -244,23 +241,29 @@ def _evaluate(columns: dict, failures: np.ndarray, outputs: tuple[str, ...],
     check_gain_noise(gain_noise)
     _check_outputs(outputs)
     kinds = [_OUTPUTS[out][0] for out in outputs]
-    g_eff, delta_m_eff = _working_points(columns, failures)
-    a, finite = drift_matrices(
-        columns["delta_a"], delta_m_eff, columns["kappa_a"], columns["kappa_m"],
-        columns["gamma_b"], columns["omega_b"], columns["g_ma"], g_eff)
-    record_failures(failures, ~finite, lambda k: ParameterError(
-        "quadrature_drift: non-finite input"))
+    a = _drifts(columns, failures)
     covariance = any(kind != "report" for kind in kinds)
-    groups = _drift_groups(a, failures) if covariance and len(a) > 1 else None
-    eigenvalues, max_lyapunov, stable = stability_batch(a, failures, groups)
+    live = np.flatnonzero(alive(failures)) if covariance and len(a) > 1 else []
+    # A covariance batch whose live points all share one drift (a
+    # temperature axis) solves that drift once.
+    shared = len(live) > 1 and bool((a[live] == a[live[0]]).all())
+    if shared:  # as a batch of its first live point, failure and all
+        first = failures[live[:1]]
+        verdict = stability_batch(a[live[:1]], first)
+        record_failures(failures, np.repeat(~alive(first), len(a)),
+                        lambda k: type(first[0])(*first[0].args))
+        eigenvalues, max_lyapunov, stable = (np.repeat(x, len(a), axis=0)
+                                             for x in verdict)
+    else:
+        eigenvalues, max_lyapunov, stable = stability_batch(a, failures)
     reported = alive(failures)
     solved = np.flatnonzero(reported & stable & covariance)
     if solved.size:
         sub_failures = failures[solved]
         d = _diffusions(columns, solved, gain_noise, sub_failures)
-        v, residual = _measures.lyapunov_batch(
-            a[solved], d, eigenvalues[solved], sub_failures,
-            None if groups is None else groups[solved])
+        solve = (_measures.shared_lyapunov_batch if shared
+                 else _measures.lyapunov_batch)
+        v, residual = solve(a[solved], d, eigenvalues[solved], sub_failures)
         failures[solved] = sub_failures
         ok = alive(sub_failures)
         solved, v, residual = solved[ok], v[ok], residual[ok]
@@ -468,63 +471,58 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
 
     Requires E_N > 0 at ``t_lo`` and E_N = 0 at ``t_hi`` with the system
     stable across the bracket; returns the midpoint of the final bracket,
-    within VANISHING_TEMPERATURE_TOL kelvin.
+    within VANISHING_TEMPERATURE_TOL kelvin. That assumes one crossing:
+    under "vacuum" noise E_N is nonincreasing in T, as a hotter bath adds
+    positive semidefinite noise to D and so to V (a local operation), but
+    "reversed" noise gives no such guarantee.
 
-    The midpoints of the next VANISHING_TREE_DEPTH bisection steps,
-    whichever way each step goes, are solved as one batch: the first such
-    tree together with the two ends. The search walks the path the
-    one-at-a-time bisection takes through them, so it returns the same
-    temperature, and only a point on that path can raise. The points of a
-    search share one drift, so each batch factors one Lyapunov system.
+    T enters only D, so the working point, drift, eigenvalues and three
+    channel systems (:func:`measures.channel_covariances`) are solved once.
+    Each step then takes three occupations, a combination of the channels
+    and one pair's measures, and raises what a single point would.
     """
-    outputs = ("stable", "max_lyapunov", f"E_N({pair})")
-
-    def solve(temperatures: list[float]):
-        """E_N(k) at the k-th temperature, which raises that point's failure."""
-        n = len(temperatures)
-        columns, failures = base.columns(n), no_failures(n)
-        columns["temperature"] = np.array(temperatures)
-        _check_columns(columns, failures)
-        rows = _evaluate(columns, failures, outputs, gain_noise)
-
-        def e_n(k: int) -> float:
-            raise_failure(failures[k:k + 1])
-            stable, max_lyapunov, value, _ = rows[k]
-            _measures.check_stable(max_lyapunov, bool(stable))
-            return value
-        return e_n
-
-    def tree(lo: float, hi: float) -> list[float]:
-        """Heap-ordered midpoints: node k bisects brackets[k], and nodes
-        2k+1 and 2k+2 bisect its lower and upper half."""
-        brackets, mids = [(lo, hi)], []
-        for a, b in brackets:
-            mids.append(0.5 * (a + b))
-            if len(brackets) < 2**VANISHING_TREE_DEPTH - 1:
-                brackets += [(a, mids[-1]), (mids[-1], b)]
-        return mids
-
     if not t_lo < t_hi:
         raise BracketInvalidError("need t_lo < t_hi")
-    mids = tree(t_lo, t_hi)
-    e_n = solve([*mids, t_lo, t_hi])
+    check_gain_noise(gain_noise)
+    _check_outputs((f"E_N({pair})",))
+    failures = no_failures(1)
+    a = _drifts(base.columns(), failures)
+    eigenvalues, max_lyapunov, stable = stability_batch(a, failures)
+    channels = (_measures.channel_covariances(a[0], eigenvalues[0])
+                if failures[0] is None and stable[0] else None)
+
+    def e_n(temperature: float) -> float:
+        raise_failure(failures)
+        occupations = [_model.thermal_occupation(omega, temperature)
+                       for omega in (base.omega_a, base.omega_m, base.omega_b)]
+        _measures.check_stable(max_lyapunov[0], bool(stable[0]))
+        point = no_failures(1)
+        with np.errstate(over="ignore"):  # the combination fails such points
+            d = diffusion_matrices(base.kappa_a, base.kappa_m, base.gamma_b,
+                                   *occupations, gain_noise)
+        v = _measures.combine_channels(channels, eigenvalues, d[None], point)
+        raise_failure(point)
+        batch = _measures.PairBatch(v, (pair,), checked=(pair,))
+        raise_failure(batch.failures)
+        return float(batch.e_n[0, 0])
+
     try:
-        lo_val, hi_val = e_n(len(mids)), e_n(len(mids) + 1)
+        # An invalid end fails as the SystemParams holding it would.
+        lo_val = e_n(base.replace(temperature=t_lo).temperature)
+        hi_val = e_n(base.replace(temperature=t_hi).temperature)
     except UnstableSystemError as exc:
         raise BracketInvalidError(f"system unstable inside bracket: {exc}") from exc
     if lo_val <= 0.0:
         raise BracketInvalidError(f"E_N({pair}) = 0 already at {t_lo} K")
     if hi_val > 0.0:
         raise BracketInvalidError(f"E_N({pair}) = {hi_val:.3g} > 0 still at {t_hi} K")
-    lo, hi, node = t_lo, t_hi, 0
+    lo, hi = t_lo, t_hi
     while hi - lo > VANISHING_TEMPERATURE_TOL:
-        if node >= len(mids):
-            mids, node = tree(lo, hi), 0
-            e_n = solve(mids)
-        if e_n(node) > 0.0:
-            lo, node = mids[node], 2 * node + 2
+        mid = 0.5 * (lo + hi)
+        if e_n(mid) > 0.0:
+            lo = mid
         else:
-            hi, node = mids[node], 2 * node + 1
+            hi = mid
     return 0.5 * (lo + hi)
 
 

@@ -289,6 +289,15 @@ class TestSweepAndFigure:
                              "--output", "stable")
         assert code == 2
 
+    @pytest.mark.parametrize("axes", [("G_over_omega_b:0.1:0.3:2", "G_eff:1:2:2"),
+                                      ("delta_over_omega_b:-1:0:2",
+                                       "delta_a:-1:0:2")])
+    def test_axes_on_one_field_exit_2(self, capsys, axes):
+        code, out, err = run_cli(capsys, "sweep", "--axis", axes[0],
+                                 "--axis", axes[1], "--output", "stable")
+        assert code == 2 and out == ""
+        assert "set the same field" in err
+
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "t.csv"
         code, out, _ = run_cli(capsys, "figure", "fig2d", "--format", "csv",

@@ -17,7 +17,8 @@ from magnomech import (CrossCheckMismatchError, NonFiniteDeterminantError,
 from magnomech import dynamics, measures
 from magnomech.dynamics import DiffusionMatrix
 from magnomech.errors import no_failures
-from magnomech.measures import MODE_INDICES, lyapunov_batch
+from magnomech.measures import (MODE_INDICES, lyapunov_batch,
+                                shared_lyapunov_batch)
 
 TWO_PI = 2.0 * math.pi
 OMEGA_B = TWO_PI * 10e6
@@ -226,31 +227,65 @@ class TestLyapunovSolve:
             assert alone[0] is None
             assert np.array_equal(v[k], v_k[0])
             assert residual[k] == residual_k[0]
-        # Shared drifts: the singular one fails both of its points, each
-        # with its own exception, and the good one, shared by two points
-        # with different D, gives what a batch of those two alone gives.
-        shared = [0, 1, 0, 1]
-        d_shared = d[shared] * np.array([1.0, 1.0, 2.0, 1.0])[:, None, None]
-        failures = no_failures(4)
+        # A shared singular drift fails each point with its own exception.
+        failures = no_failures(3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            v, residual = lyapunov_batch(a[shared], d_shared,
-                                         eigenvalues[shared], failures,
-                                         np.array(shared))
-        assert failures[0] is None and failures[2] is None
-        assert failures[1] is not failures[3]
-        for k in (1, 3):
+            v, residual = shared_lyapunov_batch(a[[1, 1, 1]], d, eigenvalues[[1, 1, 1]],
+                                                failures)
+        assert len({id(failure) for failure in failures}) == 3
+        for k in range(3):
             assert isinstance(failures[k], SingularSolveError)
             assert "Singular matrix" in str(failures[k])
             assert np.isnan(v[k]).all() and np.isnan(residual[k])
-        pair = no_failures(2)
-        v_pair, residual_pair = lyapunov_batch(
-            a[[0, 0]], d_shared[[0, 2]], eigenvalues[[0, 0]], pair,
-            np.array([0, 0]))
-        assert pair[0] is None and pair[1] is None
-        assert np.array_equal(v[[0, 2]], v_pair)
-        assert np.array_equal(residual[[0, 2]], residual_pair)
-        assert not np.array_equal(v[0], v[2])
+
+    @pytest.mark.parametrize("solve", [lyapunov_batch, shared_lyapunov_batch])
+    def test_only_an_overflowing_solution_fails(self, solve):
+        # V = D / 0.02: it overflows at D = 1e308, and at 1e306 both V and
+        # every step of the solve that leads to it stay finite.
+        a = np.stack([-0.01 * np.eye(6)] * 2)
+        eigenvalues = np.full((2, 6), -0.01 + 0j)
+        d = np.stack([np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 1.0]) * x
+                      for x in (1e308, 1e306)])
+        failures = no_failures(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, residual = solve(a, d, eigenvalues, failures)
+        assert isinstance(failures[0], SingularSolveError)
+        assert "non-finite solution" in str(failures[0])
+        assert np.isnan(v[0]).all() and np.isnan(residual[0])
+        assert failures[1] is None
+        assert np.abs(v[1] - 50.0 * d[1]).max() <= 1e-12 * 5e307
+
+    def test_shared_drift_combines_its_noise_channels(self):
+        # V is linear in the diagonal D: three channel solves give every
+        # point of a shared drift, to rounding, with a residual below target.
+        rng = np.random.default_rng(81)
+        a = np.stack([_stable_drift(rng).a] * 4)
+        eigenvalues = np.stack([np.linalg.eigvals(a[0])] * 4)
+        rates = rng.uniform(0.1, 3.0, size=(4, 3)) * OMEGA_B
+        d = np.stack([np.diag(r[[0, 0, 1, 1]].tolist() + [0.0, r[2]])
+                      for r in rates])
+        d[2, 5, 5] = np.inf  # fails before the solve
+        failures = no_failures(4)
+        v, residual = shared_lyapunov_batch(a, d, eigenvalues, failures)
+        assert isinstance(failures[2], SingularSolveError)
+        assert np.isnan(v[2]).all() and np.isnan(residual[2])
+        for k in (0, 1, 3):
+            alone = no_failures(1)
+            v_k, _ = lyapunov_batch(a[k:k + 1], d[k:k + 1], eigenvalues[k:k + 1],
+                                    alone)
+            assert failures[k] is None and alone[0] is None
+            assert np.abs(v[k] - v_k[0]).max() <= 1e-12 * np.abs(v_k[0]).max()
+            assert residual[k] <= measures.RESIDUAL_REL_TARGET * np.abs(d[k]).max()
+        # A point left alone by the checks takes the one-column solve.
+        d[[0, 1], 0, 0] = np.inf
+        failures = no_failures(4)
+        v, residual = shared_lyapunov_batch(a, d, eigenvalues, failures)
+        alone = no_failures(1)
+        v_3, residual_3 = lyapunov_batch(a[3:], d[3:], eigenvalues[3:], alone)
+        assert [failure is None for failure in failures] == [False] * 3 + [True]
+        assert np.array_equal(v[3], v_3[0]) and residual[3] == residual_3[0]
 
 
 def _rates(lo, hi):
@@ -299,6 +334,19 @@ class TestReductions:
             pair_measures(v, "xx")
         with pytest.raises(ParameterError):
             steering_between(v, "a", "a")
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 6), (1, 6, 6), (8, 8)])
+    def test_margin_takes_a_matrix_of_one_to_three_modes(self, shape):
+        with pytest.raises(ParameterError, match="2x2, 4x4 or 6x6"):
+            physicality_margin(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 6), (4, 4)])
+    def test_three_mode_measures_take_a_6x6_matrix(self, shape):
+        v = 0.5 * np.eye(6)[:shape[0], :shape[1]]
+        with pytest.raises(ParameterError, match="6x6"):
+            pair_measures(v, "am")
+        with pytest.raises(ParameterError, match="6x6"):
+            steering_between(v, "a", "m")
 
     def test_two_mode_helpers_take_a_4x4_matrix(self):
         v = 0.5 * np.eye(6)

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magnomech import (Axis, BracketInvalidError, DegenerateDenominatorError,
@@ -19,9 +19,10 @@ from magnomech import (Axis, BracketInvalidError, DegenerateDenominatorError,
                        vanishing_temperature, working_point)
 from magnomech import model, sweep
 from magnomech.errors import no_failures
+from magnomech.measures import RESIDUAL_REL_TARGET
 from magnomech.sweep import (BATCH_SIZE, CSV_CHUNK_ROWS, FIGURE_NAMES,
                              STABILITY_BATCH_SIZE, SweepResult,
-                             VANISHING_TEMPERATURE_TOL, VANISHING_TREE_DEPTH,
+                             VANISHING_TEMPERATURE_TOL,
                              apply_parameter)
 
 OMEGA_B = default_params().omega_b
@@ -230,6 +231,32 @@ class TestSpecValidation:
             SweepSpec(base=default_params(), axes=(Axis(axis, 0.1, 0.2, 2),),
                       outputs=("stable",), series=(series,))
 
+    def test_non_integer_axis_count(self):
+        with pytest.raises(ParameterError, match="an integer >= 2"):
+            Axis("G_over_omega_b", 0.1, 0.2, 2.5)
+
+    @pytest.mark.parametrize("first, second", [
+        ("G_over_omega_b", "G_eff"), ("G_eff", "G_over_gma"),
+        ("delta_over_omega_b", "delta_a"), ("delta_m_eff", "delta_over_omega_b")])
+    def test_axes_that_set_one_field(self, first, second):
+        # The second axis would overwrite the first one's value at every point.
+        axes = (Axis(first, 0.1, 0.3, 2), Axis(second, 0.1, 0.3, 2))
+        with pytest.raises(ParameterError, match="set the same field"):
+            SweepSpec(base=default_params(), axes=axes, outputs=("stable",))
+
+    def test_duplicate_series_labels(self):
+        with pytest.raises(ParameterError, match="distinct labels"):
+            SweepSpec(base=default_params(),
+                      axes=(Axis("G_over_omega_b", 0.1, 0.2, 2),),
+                      outputs=("stable",),
+                      series=(Series("x"), Series("x", (("g_ma", 1.0),))))
+
+    def test_no_series(self):
+        with pytest.raises(ParameterError, match="distinct labels"):
+            SweepSpec(base=default_params(),
+                      axes=(Axis("G_over_omega_b", 0.1, 0.2, 2),),
+                      outputs=("stable",), series=())
+
     def test_unknown_output(self):
         with pytest.raises(ParameterError):
             SweepSpec(base=default_params(),
@@ -420,7 +447,7 @@ class TestRunSweep:
         columns = spec.base.columns(3)
         columns["temperature"] = np.array([0.0, 0.1, 0.2])
         failures = no_failures(3)
-        sweep._working_points(columns, failures)
+        sweep._drifts(columns, failures)
         assert len({id(failure) for failure in failures}) == 3
         for failure in failures:
             assert type(failure) is type(failures[0]) is DegenerateDenominatorError
@@ -653,15 +680,16 @@ def temperature_batch(base, temperatures, outputs) -> list[list]:
 
 
 class TestSharedDrifts:
-    """Points of a batch with bit-identical drifts share one eigen-solve and
-    one Lyapunov factorization; a temperature axis is the usual case."""
+    """A covariance batch whose live points all share one drift (a
+    temperature axis) makes one eigen-solve and one solve of the drift's three
+    noise-channel systems; any other batch solves each point."""
 
     def test_temperature_axis_solves_once_per_batch_and_series(
             self, monkeypatch):
         stacks = count_linalg(monkeypatch)
         run_sweep(figure_preset("fig6b"))
         batches = 2 * -(-251 // BATCH_SIZE)
-        assert stacks == {"solve": [1] * batches, "eigvals": [1] * batches}
+        assert stacks == {"solve": [3] * batches, "eigvals": [1] * batches}
 
     def test_distinct_drifts_solve_once_per_point(self, monkeypatch):
         spec = figure_preset("fig3a")
@@ -673,50 +701,97 @@ class TestSharedDrifts:
         assert sum(stacks["solve"]) == stable > 0
 
     def test_search_factors_one_system_per_batch(self, monkeypatch):
+        # A search shares one drift, so all 14 of its temperatures take one
+        # eigen-solve and one stack of the three channel systems, none of
+        # which needs refining here.
         base, t_lo, t_hi, noise = TestVanishingTemperature.SEARCHES[1]
         stacks = count_linalg(monkeypatch)
         vanishing_temperature(base, "am", t_lo, t_hi, noise)
-        assert stacks == {"solve": [1] * 4, "eigvals": [1] * 4}
+        assert stacks == {"solve": [3], "eigvals": [1]}
 
     def test_bad_temperatures_fail_only_their_points(self, monkeypatch):
         # T < 0 fails the parameter check, and the occupations overflow D
-        # at 5e307 and 1e308 K (the Lyapunov solve's pre-check) and V at
-        # 1e300 K (its post-check). The others share one factorization.
+        # at 5e307 and 1e308 K (the Lyapunov solve's pre-check). At 1e300 K
+        # D and V (about 4e300) are finite, but the two-mode determinants
+        # overflow. The others share one channel solve.
         temperatures = [0.01, -0.01, 0.02, 1e308, 0.03, -1.0, 5e307, 1e300]
         outputs = ("stable", "E_N(am)", "physicality_margin")
         stacks = count_linalg(monkeypatch)
         rows = temperature_batch(default_params(), temperatures, outputs)
-        assert stacks == {"solve": [1], "eigvals": [1]}
+        assert stacks == {"solve": [3], "eigvals": [1]}
         assert [row[-1] for row in rows] == [
             "", "parameter_error", "", "singular_solve", "",
-            "parameter_error", "singular_solve", "singular_solve"]
+            "parameter_error", "singular_solve", "nonfinite_determinant"]
         assert_rows_close(rows, [
             temperature_batch(default_params(), [t], outputs)[0]
             for t in temperatures])
 
-    def test_failed_point_never_represents_a_group(self):
+    def test_failed_point_never_represents_a_group(self, monkeypatch):
         # omega_a enters only D: the three points with omega_a <= 0 fail the
         # parameter check, and the first of them must not stand for the
         # drift that the two valid points share.
         spec = SweepSpec(base=default_params(),
                          axes=(Axis("omega_a", -OMEGA_B, OMEGA_B, 5),),
                          outputs=("stable", "E_N(bm)", "physicality_margin"))
+        stacks = count_linalg(monkeypatch)
         result = run_sweep(spec)
+        assert stacks == {"solve": [3], "eigvals": [1]}
         assert result.column("error") == ["parameter_error"] * 3 + [""] * 2
         assert_rows_close(result.rows, point_rows(spec))
-        columns, failures = spec.base.columns(5), no_failures(5)
-        columns.update(omega_a=spec.grid()[:, 0])
-        sweep._check_columns(columns, failures)
-        a = np.zeros((5, 6, 6))
-        assert sweep._drift_groups(a, failures).tolist() == [-1, -1, -1, 0, 0]
 
-    def test_distinct_drifts_are_not_grouped(self):
-        rng = np.random.default_rng(3)
-        assert sweep._drift_groups(rng.normal(size=(4, 6, 6)),
-                                   no_failures(4)) is None
-        a = rng.normal(size=(4, 6, 6))
-        a[3] = a[1]
-        assert sweep._drift_groups(a, no_failures(4)).tolist() == [0, 1, 2, 1]
+    def test_shared_eigen_failure_fails_each_point(self, monkeypatch):
+        # The one eigen-solve of a shared drift fails: every live point gets
+        # a copy of its failure, and an earlier failure stays.
+        def rejected(a):
+            raise np.linalg.LinAlgError("injected")
+        monkeypatch.setattr(np.linalg, "eigvals", rejected)
+        columns, failures = default_params().columns(4), no_failures(4)
+        columns["temperature"] = np.array([0.01, -1.0, 0.02, 0.03])
+        sweep._check_columns(columns, failures)
+        rows = sweep._evaluate(columns, failures, ("stable", "E_N(am)"),
+                               "vacuum")
+        assert [row[-1] for row in rows] == [
+            "eigen_solve", "parameter_error", "eigen_solve", "eigen_solve"]
+        assert len({id(failure) for failure in failures}) == 4
+        for k in (0, 2, 3):
+            assert str(failures[k]) == \
+                "eigenvalue computation failed: injected"
+            assert rows[k][:2] == [None, None]
+
+    def test_mixed_drift_batch_matches_single_points(self, monkeypatch):
+        # Drifts that repeat, but not all alike, take the one-column path:
+        # one eigen-solve and one system per point, and the bits of single
+        # points.
+        spec = SweepSpec(base=default_params(),
+                         axes=(Axis("G_over_omega_b", 0.1, 0.2, 2),
+                               Axis("temperature", 0.01, 0.03, 3)),
+                         outputs=("stable", "E_N(am)", "S(m->b)", "residual"),
+                         gain_noise="reversed")
+        stacks = count_linalg(monkeypatch)
+        result = run_sweep(spec)
+        assert stacks == {"solve": [6], "eigvals": [6]}
+        assert result.rows == point_rows(spec)
+
+    @pytest.mark.parametrize("name", ["fig6a", "fig6b"])
+    @pytest.mark.parametrize("gain_noise", ["vacuum", "reversed"])
+    def test_channel_residuals_meet_the_target(self, name, gain_noise):
+        preset = figure_preset(name, gain_noise)
+        spec = dataclasses.replace(preset, outputs=("residual", "stable"))
+        result = run_sweep(spec)
+        checked = 0
+        for series in spec.series:
+            base = spec.base
+            for override in series.overrides:
+                base = apply_parameter(base, *override)
+            for (temperature,), residual in zip(
+                    spec.grid().tolist(), result.column("residual", series.label)):
+                if residual is None:
+                    continue
+                d = diffusion_from_params(base.replace(temperature=temperature),
+                                          gain_noise).d
+                assert residual <= RESIDUAL_REL_TARGET * np.abs(d).max()
+                checked += 1
+        assert checked > 200
 
     @pytest.mark.parametrize("gain_noise", ["vacuum", "reversed"])
     def test_shared_rows_equal_single_points_within_tolerance(self,
@@ -977,7 +1052,7 @@ class TestVanishingTemperature:
         assert from_sub_mk == pytest.approx(from_zero, abs=2e-4)
 
     # Criterion 8's two searches, one on a drive-mode point, and a bracket
-    # whose walk ends inside a tree.
+    # that starts above 0 K under vacuum noise.
     SEARCHES = [
         (default_params().replace(G_eff=0.25 * OMEGA_B), 0.0, 0.35, "reversed"),
         (default_params().replace(kappa_a=-0.02 * OMEGA_B, G_eff=0.25 * OMEGA_B),
@@ -987,13 +1062,9 @@ class TestVanishingTemperature:
          1.1e-3, 0.2, "vacuum")]
 
     def test_matches_sequential_bisection(self):
-        steps = []
         for base, t_lo, t_hi, noise in self.SEARCHES:
-            visited = []
-            expected = sequential_bisection(base, "am", t_lo, t_hi, noise, visited)
+            expected = sequential_bisection(base, "am", t_lo, t_hi, noise)
             assert vanishing_temperature(base, "am", t_lo, t_hi, noise) == expected
-            steps.append(len(visited) - 2)
-        assert steps[-1] % VANISHING_TREE_DEPTH != 0
 
     @staticmethod
     def _fail_at(monkeypatch, bad_temperatures):
@@ -1014,19 +1085,8 @@ class TestVanishingTemperature:
     def test_only_the_walked_path_can_raise(self, monkeypatch):
         base, t_lo, t_hi, noise = self.SEARCHES[-1]
         visited = []
-        expected = sequential_bisection(base, "am", t_lo, t_hi, noise, visited)
-        # The first midpoint's lower-half child and upper-half child: the
-        # bisection visits one of them as its second midpoint.
-        first = visited[2]
-        children = (0.5 * (t_lo + first), 0.5 * (first + t_hi))
-        assert visited[3] in children
-        off_path = children[1] if visited[3] == children[0] else children[0]
-        seen = self._fail_at(monkeypatch, {off_path})
-        assert vanishing_temperature(base, "am", t_lo, t_hi, noise) == expected
-        assert off_path in seen
-
-        on_path = {visited[4]}
-        self._fail_at(monkeypatch, on_path)
+        sequential_bisection(base, "am", t_lo, t_hi, noise, visited)
+        self._fail_at(monkeypatch, {visited[4]})
         with pytest.raises(MagnomechError) as reference:
             sequential_bisection(base, "am", t_lo, t_hi, noise)
         with pytest.raises(MagnomechError) as got:
@@ -1034,33 +1094,58 @@ class TestVanishingTemperature:
         assert type(got.value) is type(reference.value) is SingularSolveError
         assert str(got.value) == str(reference.value)
 
-    def test_off_path_failures_in_the_first_batch_do_not_raise(self, monkeypatch):
-        # The ends share a batch with the first tree's midpoints: a failure
-        # at any of those the walk passes by must not raise.
-        base, t_lo, t_hi, noise = self.SEARCHES[-1]
-        visited = []
-        expected = sequential_bisection(base, "am", t_lo, t_hi, noise, visited)
-        brackets, first_tree = [(t_lo, t_hi)], []
-        for a, b in brackets:
-            first_tree.append(0.5 * (a + b))
-            if len(brackets) < 2**VANISHING_TREE_DEPTH - 1:
-                brackets += [(a, first_tree[-1]), (first_tree[-1], b)]
-        off_path = set(first_tree) - set(visited)
-        assert len(off_path) == len(first_tree) - VANISHING_TREE_DEPTH
-        seen = self._fail_at(monkeypatch, off_path)
-        batches = count_calls(monkeypatch, "_evaluate")
-        assert vanishing_temperature(base, "am", t_lo, t_hi, noise) == expected
-        assert off_path <= set(seen)
-        first_batch = batches[0][0]["temperature"].tolist()
-        assert off_path | {t_lo, t_hi} <= set(first_batch)
+    @pytest.mark.parametrize("t_hi", [1e300, 1e308])
+    def test_overflowing_end_fails_as_the_reference(self, t_hi):
+        # D overflows at 1e308 K; at 1e300 K V is finite, its determinants
+        # are not.
+        base, t_lo, _, noise = self.SEARCHES[1]
+        with pytest.raises(MagnomechError) as reference:
+            sequential_bisection(base, "am", t_lo, t_hi, noise)
+        with pytest.raises(MagnomechError) as got:
+            vanishing_temperature(base, "am", t_lo, t_hi, noise)
+        assert type(got.value) is type(reference.value)
+        assert str(got.value) == str(reference.value)
 
-    def test_search_takes_four_batches(self, monkeypatch):
-        # [0, 0.35] K takes 12 bisection levels: the ends with the first
-        # three levels, then three trees of three.
+    def test_visits_the_reference_temperatures(self, monkeypatch):
+        # Each visited temperature takes the occupations of the cavity, the
+        # magnon and the phonon, in the reference's order.
+        for base, t_lo, t_hi, noise in self.SEARCHES:
+            visited = []
+            sequential_bisection(base, "am", t_lo, t_hi, noise, visited)
+            seen = self._fail_at(monkeypatch, set())
+            vanishing_temperature(base, "am", t_lo, t_hi, noise)
+            assert seen == [t for t in visited for _ in range(3)]
+
+    def test_search_makes_no_evaluate_batch(self, monkeypatch):
+        # Each step combines the solved channels itself; no temperature of
+        # the search goes through a sweep batch.
         base, t_lo, t_hi, noise = self.SEARCHES[1]
-        batches = count_calls(monkeypatch, "_evaluate")
+        calls = count_calls(monkeypatch, "_evaluate")
         vanishing_temperature(base, "am", t_lo, t_hi, noise)
-        assert [len(args[1]) for args in batches] == [9, 7, 7, 7]
+        assert calls == []
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(g=st.floats(0.0, 0.5), g_ma=st.floats(0.2, 1.5),
+           ratio=st.floats(-1.0, 1.0), delta=st.floats(-1.5, -0.5),
+           t_max=st.floats(0.01, 1.0))
+    def test_vacuum_entanglement_never_rises_with_temperature(
+            self, g, g_ma, ratio, delta, t_max):
+        # The search's premise of one crossing: a hotter bath adds positive
+        # semidefinite noise to D, and so to V, which is a local operation.
+        base = default_params()
+        base = base.replace(G_eff=g * OMEGA_B, g_ma=g_ma * OMEGA_B,
+                            kappa_a=ratio * base.kappa_m,
+                            delta_a=delta * OMEGA_B, delta_m_eff=delta * OMEGA_B)
+        pairs = tuple(f"E_N({pair})" for pair in ("am", "bm", "ab"))
+        result = run_sweep(SweepSpec(
+            base=base, axes=(Axis("temperature", 0.0, t_max, 8),),
+            outputs=("stable", *pairs)))
+        assume(result.column("stable")[0] == 1)
+        assume(not any(result.column("error")))
+        for output in pairs:
+            e_n = result.column(output)
+            for colder, hotter in zip(e_n, e_n[1:]):
+                assert hotter <= colder * (1.0 + 1e-9)
 
     def test_low_end_fails_before_high_end(self, monkeypatch):
         base, t_lo, t_hi, noise = self.SEARCHES[-1]
