@@ -16,13 +16,17 @@ from .config import build_params, default_config
 from .dynamics import (check_gain_noise, diffusion_matrices, drift_matrices,
                        stability_batch)
 from .errors import (BracketInvalidError, MagnomechError, ParameterError,
-                     UnstableSystemError, alive, no_failures, raise_failure,
+                     UnstableSystemError, alive, no_failures,
                      record_failures, store_failure)
 from .model import SystemParams, parameter_violations, pt_classify
 from .steady_state import working_point_batch
 
 #: Absolute tolerance (K) of the vanishing-temperature bisection.
 VANISHING_TEMPERATURE_TOL = 1e-4
+
+#: Bisection levels whose midpoints the vanishing-temperature search
+#: evaluates as one batch: 7 temperatures per round, 9 in the first.
+_SEARCH_LEVELS = 3
 
 #: Grid points evaluated together as one stack of arrays when an output
 #: needs the covariance matrix: the (N, 36, 36) Lyapunov systems grow peak
@@ -84,6 +88,11 @@ def _check_outputs(outputs: tuple[str, ...]) -> None:
     for output in outputs:
         if output not in _OUTPUTS:
             raise ParameterError(f"unknown sweep output {output!r}")
+
+
+def _fields_set(name: str) -> set:
+    """The SystemParams fields that sweep parameter ``name`` sets."""
+    return set(_DERIVED_PARAMS.get(name, ((name,),))[0])
 
 
 def _parameter_changes(values, name: str, value) -> dict:
@@ -149,11 +158,19 @@ class SweepSpec:
         names += [name for series in self.series for name, _ in series.overrides]
         for name in names:
             _check_parameter_name(name)
-        fields = [set(_DERIVED_PARAMS.get(axis.name, ((axis.name,),))[0])
-                  for axis in self.axes]
+        fields = [_fields_set(axis.name) for axis in self.axes]
         if len(fields) == 2 and fields[0] & fields[1]:
             raise ParameterError(f"axes {names[0]!r} and {names[1]!r} set the "
                                  f"same field {sorted(fields[0] & fields[1])}")
+        # The axes are applied after a series' overrides and would overwrite them.
+        swept = set().union(*fields)
+        for series in self.series:
+            for name, _ in series.overrides:
+                clash = _fields_set(name) & swept
+                if clash:
+                    raise ParameterError(
+                        f"series {series.label!r} override {name!r} sets the "
+                        f"field {sorted(clash)} of an axis")
         object.__setattr__(self, "outputs", tuple(self.outputs))
         _check_outputs(self.outputs)
 
@@ -478,8 +495,12 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
 
     T enters only D, so the working point, drift, eigenvalues and three
     channel systems (:func:`measures.channel_covariances`) are solved once.
-    Each step then takes three occupations, a combination of the channels
-    and one pair's measures, and raises what a single point would.
+    The bisection then walks _SEARCH_LEVELS levels per round: one round
+    takes the midpoints of those levels below the current bracket (and, the
+    first time, both ends) as one batch of occupations, channel combinations
+    and pair measures. Only the temperatures the walk visits can raise, and
+    each raises what a single point would, in the order a one-at-a-time
+    bisection would.
     """
     if not t_lo < t_hi:
         raise BracketInvalidError("need t_lo < t_hi")
@@ -491,25 +512,57 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
     channels = (_measures.channel_covariances(a[0], eigenvalues[0])
                 if failures[0] is None and stable[0] else None)
 
-    def e_n(temperature: float) -> float:
-        raise_failure(failures)
-        occupations = [_model.thermal_occupation(omega, temperature)
-                       for omega in (base.omega_a, base.omega_m, base.omega_b)]
-        _measures.check_stable(max_lyapunov[0], bool(stable[0]))
-        point = no_failures(1)
-        with np.errstate(over="ignore"):  # the combination fails such points
-            d = diffusion_matrices(base.kappa_a, base.kappa_m, base.gamma_b,
-                                   *occupations, gain_noise)
-        v = _measures.combine_channels(channels, eigenvalues, d[None], point)
-        raise_failure(point)
+    def e_n(temperatures: list) -> dict:
+        """Each temperature's E_N, or the first error of its one-point step:
+        the drift's, an occupation's, instability, then the combination's
+        and the pair measures'."""
+        n = len(temperatures)
+        if failures[0] is not None:
+            return dict.fromkeys(temperatures, failures[0])
+        columns, point = base.columns(n), no_failures(n)
+        columns["temperature"] = np.array(temperatures)
+        d = _diffusions(columns, np.arange(n), gain_noise, point)
+        if channels is None:
+            try:
+                _measures.check_stable(max_lyapunov[0], bool(stable[0]))
+            except UnstableSystemError as exc:
+                record_failures(point, alive(point),
+                                lambda k: exc.with_traceback(None))
+            return dict(zip(temperatures, point))
+        v = _measures.combine_channels(
+            channels, np.broadcast_to(eigenvalues, (n, 6)), d, point)
         batch = _measures.PairBatch(v, (pair,), checked=(pair,))
-        raise_failure(batch.failures)
-        return float(batch.e_n[0, 0])
+        measured = batch.failures[:, 0]
+        record_failures(point, ~alive(measured), lambda k: measured[k])
+        return {temperature: value if failure is None else failure
+                for temperature, failure, value
+                in zip(temperatures, point, batch.e_n[:, 0].tolist())}
 
+    def outcome(temperature: float) -> float:
+        value = outcomes[temperature]
+        if isinstance(value, MagnomechError):
+            raise type(value)(*value.args)
+        return value
+
+    def midpoints(lo: float, hi: float) -> list:
+        """The midpoints of _SEARCH_LEVELS bisection levels below [lo, hi],
+        level by level, each from the walk's own 0.5 * (lo + hi)."""
+        brackets, found = [(lo, hi)], []
+        for _ in range(_SEARCH_LEVELS):
+            mids = [0.5 * (low + high) for low, high in brackets]
+            found += mids
+            brackets = [half for (low, high), mid in zip(brackets, mids)
+                        for half in ((low, mid), (mid, high))]
+        return found
+
+    # An invalid end fails as the SystemParams holding it would, and the
+    # high end only after the low end's own failure.
+    base.replace(temperature=t_lo)
+    outcomes = e_n([t_lo, t_hi, *midpoints(t_lo, t_hi)])
     try:
-        # An invalid end fails as the SystemParams holding it would.
-        lo_val = e_n(base.replace(temperature=t_lo).temperature)
-        hi_val = e_n(base.replace(temperature=t_hi).temperature)
+        lo_val = outcome(t_lo)
+        base.replace(temperature=t_hi)
+        hi_val = outcome(t_hi)
     except UnstableSystemError as exc:
         raise BracketInvalidError(f"system unstable inside bracket: {exc}") from exc
     if lo_val <= 0.0:
@@ -519,7 +572,9 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
     lo, hi = t_lo, t_hi
     while hi - lo > VANISHING_TEMPERATURE_TOL:
         mid = 0.5 * (lo + hi)
-        if e_n(mid) > 0.0:
+        if mid not in outcomes:  # off-path outcomes are dropped
+            outcomes = e_n(midpoints(lo, hi))
+        if outcome(mid) > 0.0:
             lo = mid
         else:
             hi = mid

@@ -17,8 +17,9 @@ from magnomech import (Axis, BracketInvalidError, DegenerateDenominatorError,
                        drift_from_params, evaluate_point, figure_preset,
                        pair_measures, run_sweep, solve_lyapunov,
                        vanishing_temperature, working_point)
-from magnomech import model, sweep
-from magnomech.errors import no_failures
+from magnomech import measures, model, sweep
+from magnomech.dynamics import diffusion_matrices, stability_batch
+from magnomech.errors import no_failures, raise_failure
 from magnomech.measures import RESIDUAL_REL_TARGET
 from magnomech.sweep import (BATCH_SIZE, CSV_CHUNK_ROWS, FIGURE_NAMES,
                              STABILITY_BATCH_SIZE, SweepResult,
@@ -178,6 +179,53 @@ def sequential_bisection(base, pair, t_lo, t_hi, gain_noise="vacuum",
     return 0.5 * (lo + hi)
 
 
+def channel_bisection(base, pair, t_lo, t_hi, gain_noise="vacuum"):
+    """The bisection of sequential_bisection on the search's own kernels:
+    one drift and its three channel covariances, then at each temperature
+    visited, one at a time, a combination of the channels and a one-pair
+    PairBatch. Raises in the single-point chain's order."""
+    failures = no_failures(1)
+    a = sweep._drifts(base.columns(), failures)
+    eigenvalues, max_lyapunov, stable = stability_batch(a, failures)
+    channels = (measures.channel_covariances(a[0], eigenvalues[0])
+                if failures[0] is None and stable[0] else None)
+
+    def e_n(temperature):
+        base.replace(temperature=temperature)
+        raise_failure(failures)
+        occupations = [model.thermal_occupation(omega, temperature)
+                       for omega in (base.omega_a, base.omega_m, base.omega_b)]
+        measures.check_stable(max_lyapunov[0], bool(stable[0]))
+        point = no_failures(1)
+        with np.errstate(over="ignore"):
+            d = diffusion_matrices(base.kappa_a, base.kappa_m, base.gamma_b,
+                                   *occupations, gain_noise)
+        v = measures.combine_channels(channels, eigenvalues, d[None], point)
+        raise_failure(point)
+        batch = measures.PairBatch(v, (pair,), checked=(pair,))
+        raise_failure(batch.failures)
+        return float(batch.e_n[0, 0])
+
+    if not t_lo < t_hi:
+        raise BracketInvalidError("need t_lo < t_hi")
+    try:
+        lo_val, hi_val = e_n(t_lo), e_n(t_hi)
+    except UnstableSystemError as exc:
+        raise BracketInvalidError(f"system unstable inside bracket: {exc}") from exc
+    if lo_val <= 0.0:
+        raise BracketInvalidError(f"E_N({pair}) = 0 already at {t_lo} K")
+    if hi_val > 0.0:
+        raise BracketInvalidError(f"E_N({pair}) = {hi_val:.3g} > 0 still at {t_hi} K")
+    lo, hi = t_lo, t_hi
+    while hi - lo > VANISHING_TEMPERATURE_TOL:
+        mid = 0.5 * (lo + hi)
+        if e_n(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestApplyParameter:
     def test_ratio_parameters(self):
         base = default_params()
@@ -243,6 +291,28 @@ class TestSpecValidation:
         axes = (Axis(first, 0.1, 0.3, 2), Axis(second, 0.1, 0.3, 2))
         with pytest.raises(ParameterError, match="set the same field"):
             SweepSpec(base=default_params(), axes=axes, outputs=("stable",))
+
+    @pytest.mark.parametrize("axis, override", [
+        ("G_over_omega_b", ("G_eff", 0.05 * OMEGA_B)),
+        ("G_eff", ("G_over_gma", 0.2)),
+        ("delta_over_omega_b", ("delta_m_eff", -OMEGA_B)),
+        ("temperature", ("temperature", 0.1))])
+    def test_series_override_of_an_axis_field(self, axis, override):
+        # The axis is applied after the override and would overwrite it, so
+        # the series would repeat the curve of no override.
+        with pytest.raises(ParameterError, match="of an axis"):
+            SweepSpec(base=default_params(), axes=(Axis(axis, 0.1, 0.3, 2),),
+                      outputs=("max_lyapunov",),
+                      series=(Series(), Series("x", (override,))))
+
+    def test_series_override_of_a_reference_field(self):
+        # kappa_m is the axis's reference, not a field it sets: the override
+        # rescales the axis.
+        spec = SweepSpec(base=default_params(),
+                         axes=(Axis("kappa_a_over_kappa_m", 0.1, 0.3, 2),),
+                         outputs=("stable",),
+                         series=(Series("x", (("kappa_m", 1e7),)),))
+        assert run_sweep(spec).column("error", "x") == ["", ""]
 
     def test_duplicate_series_labels(self):
         with pytest.raises(ParameterError, match="distinct labels"):
@@ -442,17 +512,24 @@ class TestRunSweep:
         assert run_sweep(stability).rows == expected_stability
         assert len(calls) == 1
 
-    def test_repeated_failures_are_separate_copies(self):
+    def test_repeated_failures_are_separate_copies(self, monkeypatch):
         spec = drive_temperature_spec(9.2e13, degenerate=True)
         columns = spec.base.columns(3)
         columns["temperature"] = np.array([0.0, 0.1, 0.2])
         failures = no_failures(3)
         sweep._drifts(columns, failures)
-        assert len({id(failure) for failure in failures}) == 3
-        for failure in failures:
-            assert type(failure) is type(failures[0]) is DegenerateDenominatorError
-            assert failure.args == failures[0].args
-            assert failure.__traceback__ is None
+        # Three points fail at the same occupation.
+        columns["temperature"] = np.array([0.1, 0.1, 0.1])
+        TestVanishingTemperature._fail_at(monkeypatch, {0.1})
+        occupation_failures = no_failures(3)
+        sweep._diffusions(columns, np.arange(3), "vacuum", occupation_failures)
+        for expected, batch in ((DegenerateDenominatorError, failures),
+                                (SingularSolveError, occupation_failures)):
+            assert len({id(failure) for failure in batch}) == 3
+            for failure in batch:
+                assert type(failure) is type(batch[0]) is expected
+                assert failure.args == batch[0].args
+                assert failure.__traceback__ is None
 
     def test_failed_points_leave_no_garbage(self):
         # The cycle collector cannot see into the object arrays that hold
@@ -1094,10 +1171,11 @@ class TestVanishingTemperature:
         assert type(got.value) is type(reference.value) is SingularSolveError
         assert str(got.value) == str(reference.value)
 
-    @pytest.mark.parametrize("t_hi", [1e300, 1e308])
+    @pytest.mark.parametrize("t_hi", [1e300, 1e308, math.inf])
     def test_overflowing_end_fails_as_the_reference(self, t_hi):
         # D overflows at 1e308 K; at 1e300 K V is finite, its determinants
-        # are not.
+        # are not. An infinite end fails as a SystemParams, not as an
+        # occupation, although the search evaluates it first.
         base, t_lo, _, noise = self.SEARCHES[1]
         with pytest.raises(MagnomechError) as reference:
             sequential_bisection(base, "am", t_lo, t_hi, noise)
@@ -1106,15 +1184,98 @@ class TestVanishingTemperature:
         assert type(got.value) is type(reference.value)
         assert str(got.value) == str(reference.value)
 
-    def test_visits_the_reference_temperatures(self, monkeypatch):
-        # Each visited temperature takes the occupations of the cavity, the
-        # magnon and the phonon, in the reference's order.
+    @staticmethod
+    def _three_levels(lo, hi):
+        """The 7 midpoints of three bisection levels below [lo, hi],
+        breadth first."""
+        level, mids = [(lo, hi)], []
+        for _ in range(3):
+            mids += [0.5 * (a + b) for a, b in level]
+            level = [half for a, b in level
+                     for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
+        return mids
+
+    def _evaluated(self, t_lo, t_hi, path):
+        """The temperatures a search evaluates along the reference ``path``
+        of midpoints: both ends, then the 7 midpoints of three levels below
+        the bracket at every third step."""
+        evaluated, lo, hi = [t_lo, t_hi], t_lo, t_hi
+        for step, mid in enumerate(path):
+            if step % 3 == 0:
+                evaluated += self._three_levels(lo, hi)
+            assert mid == 0.5 * (lo + hi)
+            if step + 1 < len(path) and path[step + 1] > mid:
+                lo = mid
+            else:
+                hi = mid
+        return evaluated
+
+    def test_evaluates_three_levels_per_round(self, monkeypatch):
+        # Each evaluated temperature takes the occupations of the cavity,
+        # the magnon and the phonon, in that order.
+        calls, occupation = [], model.thermal_occupation
+        monkeypatch.setattr(model, "thermal_occupation", lambda omega, t: (
+            calls.append((omega, t)) or occupation(omega, t)))
         for base, t_lo, t_hi, noise in self.SEARCHES:
             visited = []
             sequential_bisection(base, "am", t_lo, t_hi, noise, visited)
-            seen = self._fail_at(monkeypatch, set())
+            calls.clear()
             vanishing_temperature(base, "am", t_lo, t_hi, noise)
-            assert seen == [t for t in visited for _ in range(3)]
+            omegas = (base.omega_a, base.omega_m, base.omega_b)
+            expected = self._evaluated(t_lo, t_hi, visited[2:])
+            assert calls == [(omega, t) for t in expected for omega in omegas]
+            assert set(visited) <= set(expected)
+
+    def test_off_path_failures_do_not_raise(self, monkeypatch):
+        base, t_lo, t_hi, noise = self.SEARCHES[-1]
+        visited = []
+        expected = sequential_bisection(base, "am", t_lo, t_hi, noise, visited)
+        evaluated = self._evaluated(t_lo, t_hi, visited[2:])
+        off_path = [t for t in evaluated if t not in visited]
+        assert len(off_path) == len(evaluated) - len(visited) > 0
+        # A failure in the first round, and one in the last.
+        seen = self._fail_at(monkeypatch, {off_path[0], off_path[-1]})
+        assert vanishing_temperature(base, "am", t_lo, t_hi, noise) == expected
+        assert off_path[0] in seen and off_path[-1] in seen
+
+    def test_search_builds_four_pair_batches(self, monkeypatch):
+        # [0, 0.35] K takes 12 steps: both ends and three levels, then
+        # three rounds of three levels.
+        base, t_lo, t_hi, noise = self.SEARCHES[1]
+        sizes = []
+        pair_batch = measures.PairBatch
+
+        def counted(v, *args, **kwargs):
+            sizes.append(len(v))
+            return pair_batch(v, *args, **kwargs)
+        monkeypatch.setattr(measures, "PairBatch", counted)
+        vanishing_temperature(base, "am", t_lo, t_hi, noise)
+        assert sizes == [9, 7, 7, 7]
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(g=st.floats(0.0, 0.35), g_ma=st.floats(0.5, 1.5),
+           ratio=st.floats(-1.0, 1.0), delta=st.floats(-1.2, -0.8),
+           t_lo=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+           width=st.floats(1e-5, 0.5), pair=st.sampled_from(("am", "bm", "ab")),
+           noise=st.sampled_from(("vacuum", "reversed")))
+    def test_matches_a_one_at_a_time_walk(
+            self, g, g_ma, ratio, delta, t_lo, width, pair, noise):
+        # The same value bit for bit, or an error of the same type and
+        # message, as the same kernels visited one temperature at a time.
+        # sequential_bisection is not the oracle here: at G = 0 or
+        # kappa_a = 0 its direct Lyapunov solve and the channel combination
+        # can disagree on whether E_N > 0.
+        base = default_params()
+        base = base.replace(G_eff=g * OMEGA_B, g_ma=g_ma * OMEGA_B,
+                            kappa_a=ratio * base.kappa_m,
+                            delta_a=delta * OMEGA_B, delta_m_eff=delta * OMEGA_B)
+
+        def outcome(search):
+            try:
+                return search(base, pair, t_lo, t_lo + width, noise)
+            except MagnomechError as exc:
+                return type(exc), str(exc)
+        assert outcome(vanishing_temperature) == outcome(channel_bisection)
 
     def test_search_makes_no_evaluate_batch(self, monkeypatch):
         # Each step combines the solved channels itself; no temperature of
