@@ -10,7 +10,7 @@ stability (:mod:`magnomech.dynamics`), covariance-matrix measures
 
 from .config import build_params, default_config, load_config, merge_layers
 from .dynamics import (DiffusionMatrix, QuadratureDrift, StabilityReport,
-                       complex_drift, diffusion_from_params, diffusion_matrix,
+                       diffusion_from_params, diffusion_matrix,
                        drift_from_params, quadrature_drift, stability)
 from .errors import (BracketInvalidError, ConfigError,
                      CrossCheckMismatchError, DegenerateDenominatorError,
@@ -24,7 +24,7 @@ from .measures import (CovarianceMatrix, PairMeasures, log_negativity,
 from .model import (GYROMAGNETIC_RATIO, PTPhase, PTRegime, SystemParams,
                     pt_classify, rabi_frequency, thermal_occupation,
                     two_mode_eigenfrequencies)
-from .steady_state import WorkingPoint, steady_magnon_amplitude, working_point
+from .steady_state import WorkingPoint, working_point
 from .sweep import (Axis, Series, SweepResult, SweepSpec, default_params,
                     evaluate_point, figure_preset, run_sweep,
                     vanishing_temperature)

@@ -109,30 +109,6 @@ def drift_from_params(params: SystemParams, wp: WorkingPoint) -> QuadratureDrift
                             params.g_ma, wp.G)
 
 
-# Map (dX1,dX2,dY1,dY2,dx,dp) -> (da,da+,dm,dm+,dx,dp): da=(dX1+i dX2)/sqrt2.
-_MODE_BLOCK = np.array([[1.0, 1.0j], [1.0, -1.0j]]) / np.sqrt(2.0)
-_QUAD_TO_MODE = np.zeros((6, 6), dtype=complex)
-_QUAD_TO_MODE[0:2, 0:2] = _MODE_BLOCK
-_QUAD_TO_MODE[2:4, 2:4] = _MODE_BLOCK
-_QUAD_TO_MODE[4:6, 4:6] = np.eye(2)
-_QUAD_TO_MODE = read_only(_QUAD_TO_MODE)
-_MODE_TO_QUAD = read_only(np.linalg.inv(_QUAD_TO_MODE))
-del _MODE_BLOCK
-
-
-def complex_drift(delta_a: float, delta_m_eff: float, kappa_a: float,
-                  kappa_m: float, gamma_b: float, omega_b: float,
-                  g_ma: float, g_eff: float) -> np.ndarray:
-    """Drift in the (da, da+, dm, dm+, dx, dp) basis.
-
-    Built as a similarity transform of the quadrature drift, so both share
-    one spectrum by construction.
-    """
-    a = quadrature_drift(delta_a, delta_m_eff, kappa_a, kappa_m, gamma_b,
-                         omega_b, g_ma, g_eff).a
-    return _QUAD_TO_MODE @ a @ _MODE_TO_QUAD
-
-
 #: Flat entries of the diffusion matrix's nonzero diagonal: the position row
 #: (4, 4) is exactly zero.
 _DIFFUSION_ENTRIES = read_only([0, 7, 14, 21, 35])

@@ -198,14 +198,6 @@ class SystemParams:
     def replace(self, **changes) -> "SystemParams":
         return replace(self, **changes)
 
-    @property
-    def self_consistent(self) -> bool:
-        return self.delta_m_eff is None
-
-    @property
-    def derive_from_drive(self) -> bool:
-        return self.G_eff is None
-
     def columns(self, n: int = 1) -> dict:
         """The fields as batch columns: None or an n-vector per field."""
         given = {name: value for name, value in vars(self).items()

@@ -112,13 +112,6 @@ def working_point_batch(v: dict, failures: np.ndarray) -> tuple[np.ndarray, ...]
     return tuple(np.where(ok, field, 0) for field in fields)
 
 
-def steady_magnon_amplitude(params: SystemParams, delta_m_eff: float) -> complex:
-    """m_s of :func:`working_point_batch` at a given effective magnon detuning."""
-    if params.epsilon_d is None:
-        raise ParameterError("steady_magnon_amplitude requires drive mode (epsilon_d)")
-    return working_point(params.replace(delta_m_eff=delta_m_eff)).m_s
-
-
 def working_point_from_preset(params: SystemParams) -> WorkingPoint:
     """Working point when delta_m_eff and G_eff are both prescribed directly."""
     if params.G_eff is None or params.delta_m_eff is None:

@@ -28,15 +28,11 @@ VANISHING_TEMPERATURE_TOL = 1e-4
 #: evaluates as one batch: 7 temperatures per round, 9 in the first.
 _SEARCH_LEVELS = 3
 
-#: Grid points evaluated together as one stack of arrays when an output
-#: needs the covariance matrix: the (N, 36, 36) Lyapunov systems grow peak
-#: memory with N, and larger batches of them run no faster.
-BATCH_SIZE = 64
-
-#: Grid points per batch when every output is read off the stability
-#: verdict. Such a batch holds only (N, 6, 6) stacks, and at BATCH_SIZE its
-#: per-batch setup took a quarter to a third of a stability map's compute.
-STABILITY_BATCH_SIZE = 1024
+#: Grid points evaluated together as one stack of arrays, whatever the
+#: outputs. A covariance point adds a 36x36 Lyapunov system, about 10 KB, to
+#: the batch's (N, 36, 36) stack: a full batch of them raises peak memory by
+#: about 14 MB (fig4b, fig4d).
+BATCH_SIZE = 1024
 
 #: Rows that ``SweepResult.to_csv`` formats together, one column at a time.
 #: The chunk's columns and cells are the writer's only transient lists.
@@ -455,9 +451,7 @@ def _result_columns(spec: SweepSpec) -> list[str]:
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
-    """Evaluate the grid in batches of BATCH_SIZE points, or of
-    STABILITY_BATCH_SIZE points when every output is read off the stability
-    verdict.
+    """Evaluate the grid in batches of BATCH_SIZE points.
 
     Up to ``jobs`` worker processes, never more than there are batches,
     share the batches; results are identical for any worker count.
@@ -465,10 +459,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     if jobs < 1:
         raise ParameterError("jobs must be >= 1")
     grid = spec.grid()
-    size = (STABILITY_BATCH_SIZE
-            if all(_OUTPUTS[out][0] == "report" for out in spec.outputs)
-            else BATCH_SIZE)
-    batches = [grid[s:s + size] for s in range(0, len(grid), size)]
+    batches = [grid[s:s + BATCH_SIZE] for s in range(0, len(grid), BATCH_SIZE)]
     workers = min(jobs, len(batches))
     if workers == 1:
         parts = [_evaluate_batch(spec, points) for points in batches]

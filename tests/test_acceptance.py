@@ -25,15 +25,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from magnomech import (Axis, BracketInvalidError, SweepSpec, complex_drift,
-                       default_params, figure_preset, log_negativity,
-                       pt_classify, quadrature_drift, run_sweep, steering,
+from magnomech import (Axis, BracketInvalidError, SweepSpec, default_params,
+                       figure_preset, log_negativity, pt_classify,
+                       quadrature_drift, run_sweep, steering,
                        vanishing_temperature)
 from magnomech.cli import main as cli_main
 from magnomech.dynamics import diffusion_from_params
 from magnomech.model import PTRegime
 from magnomech.measures import ppt_symplectic_eigenvalues
-from magnomech.sweep import apply_parameter, evaluate_point
+from magnomech.sweep import BATCH_SIZE, apply_parameter, evaluate_point
+from test_dynamics import mode_drift, spectra_agree
 
 TWO_PI = 2.0 * math.pi
 OMEGA_B = default_params().omega_b
@@ -173,11 +174,8 @@ def test_criterion_03_basis_consistency(report):
                       omega_b=OMEGA_B,
                       g_ma=rng.uniform(0, 2) * OMEGA_B,
                       g_eff=rng.uniform(0, 1) * OMEGA_B)
-        quad = np.linalg.eigvals(quadrature_drift(**kwargs).a)
-        mode = np.linalg.eigvals(complex_drift(**kwargs))
-        scale = max(np.abs(quad).max(), 1.0)
-        dist = np.abs(quad[:, None] - mode[None, :])
-        if max(dist.min(axis=0).max(), dist.min(axis=1).max()) > 1e-9 * scale:
+        if not spectra_agree(np.linalg.eigvals(quadrature_drift(**kwargs).a),
+                             np.linalg.eigvals(mode_drift(**kwargs))):
             ok = False
             break
     report(3, ok)
@@ -380,10 +378,12 @@ def test_criterion_11_steering_implies_entanglement(presets, report):
 
 
 def test_criterion_12_determinism_across_workers(tmp_path, report):
+    # fig4d's 9,696 covariance points make 10 batches, shared by 4 workers.
+    assert len(figure_preset("fig4d").grid()) > 4 * BATCH_SIZE
     out1 = tmp_path / "j1.csv"
-    out8 = tmp_path / "j8.csv"
-    assert cli_main(["figure", "fig3a", "--format", "csv", "--jobs", "1",
+    out4 = tmp_path / "j4.csv"
+    assert cli_main(["figure", "fig4d", "--format", "csv", "--jobs", "1",
                      "--out", str(out1)]) == 0
-    assert cli_main(["figure", "fig3a", "--format", "csv", "--jobs", "8",
-                     "--out", str(out8)]) == 0
-    report(12, out1.read_bytes() == out8.read_bytes(), noise="vacuum")
+    assert cli_main(["figure", "fig4d", "--format", "csv", "--jobs", "4",
+                     "--out", str(out4)]) == 0
+    report(12, out1.read_bytes() == out4.read_bytes(), noise="vacuum")

@@ -355,12 +355,13 @@ def test_process_pool_is_imported_only_for_a_pool():
             "import magnomech\n"
             "print('multiprocessing' in sys.modules)\n")
     assert run_fresh(code) == "False"
+    # fig2a's 10,201 points make 10 batches, so --jobs 2 runs a pool.
     code = ("import io, sys\n"
             "from magnomech import cli\n"
             "sys.stdout = io.StringIO()\n"
-            "assert cli.main(['figure', 'fig3a', '--format', 'csv']) == 0\n"
+            "assert cli.main(['figure', 'fig2a', '--format', 'csv']) == 0\n"
             "before = 'multiprocessing' in sys.modules\n"
-            "assert cli.main(['figure', 'fig3a', '--jobs', '2']) == 0\n"
+            "assert cli.main(['figure', 'fig2a', '--jobs', '2']) == 0\n"
             "sys.stdout = sys.__stdout__\n"
             "print(before, 'multiprocessing' in sys.modules)\n")
     assert run_fresh(code) == "False True"

@@ -415,8 +415,6 @@ SHARED_TABLES = [
     ("dynamics._DRIFT_TARGETS", dynamics._DRIFT_TARGETS),
     ("dynamics._DRIFT_SOURCES", dynamics._DRIFT_SOURCES),
     ("dynamics._DIFFUSION_ENTRIES", dynamics._DIFFUSION_ENTRIES),
-    ("dynamics._QUAD_TO_MODE", dynamics._QUAD_TO_MODE),
-    ("dynamics._MODE_TO_QUAD", dynamics._MODE_TO_QUAD),
     ("measures._PPT_FLIP", measures._PPT_FLIP),
     ("measures._I_OMEGA_2", measures._I_OMEGA_2),
     *((f"measures._HALF_I_OMEGA[{size}]", table)

@@ -165,8 +165,7 @@ class TestSystemParams:
     def test_requires_delta_m_when_self_consistent(self):
         with pytest.raises(ParameterError):
             _params(delta_m_eff=None)
-        p = _params(delta_m_eff=None, delta_m=-OMEGA_B)
-        assert p.self_consistent
+        assert _params(delta_m_eff=None, delta_m=-OMEGA_B).delta_m_eff is None
 
     def test_rejects_nonpositive_rates(self):
         for bad in (dict(kappa_m=0.0), dict(gamma_b=-1.0), dict(omega_b=0.0),

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from magnomech import (DegenerateDenominatorError, EigenSolveError,
-                       ParameterError, SystemParams, default_params,
-                       steady_magnon_amplitude, working_point)
+                       SystemParams, default_params, working_point)
 from magnomech import steady_state
 from magnomech.errors import no_failures
 from magnomech.steady_state import (NEWTON_STEPS, WorkingPoint,
@@ -125,27 +124,21 @@ class TestSteadyMagnonAmplitude:
                 g_ma=rng.uniform(0.1, 2.0) * OMEGA_B,
                 epsilon_d=rng.uniform(1e12, 1e15))
             dm = rng.uniform(-2, 2) * OMEGA_B
-            m_s = steady_magnon_amplitude(p, dm)
+            m_s = working_point(p.replace(delta_m_eff=dm)).m_s
             cavity = 1j * p.delta_a - p.kappa_a
             lhs = (p.g_ma**2 + cavity * (1j * dm + p.kappa_m)) * m_s
             rhs = p.epsilon_d * cavity
             assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
 
     def test_zero_drive(self):
-        assert steady_magnon_amplitude(
-            _drive_params(epsilon_d=0.0), -OMEGA_B) == 0.0
+        p = _drive_params(epsilon_d=0.0)
+        assert working_point(p.replace(delta_m_eff=-OMEGA_B)).m_s == 0.0
 
     def test_degenerate_denominator(self):
         # g_ma = 0, kappa_a = 0, delta_a = 0 zeroes the response denominator.
         p = _drive_params(g_ma=0.0, kappa_a=0.0, delta_a=0.0)
         with pytest.raises(DegenerateDenominatorError):
-            steady_magnon_amplitude(p, -OMEGA_B)
-
-    def test_requires_drive_mode(self):
-        preset = _drive_params().replace(epsilon_d=None,
-                                         G_eff=0.2 * OMEGA_B)
-        with pytest.raises(ParameterError):
-            steady_magnon_amplitude(preset, -OMEGA_B)
+            working_point(p.replace(delta_m_eff=-OMEGA_B))
 
 
 class TestPresetWorkingPoint:
@@ -174,7 +167,7 @@ class TestSelfConsistentWorkingPoint:
         assert wp.x_s == pytest.approx(x_s, rel=1e-9)
         assert wp.delta_m_eff == pytest.approx(p.delta_m + p.g_mb * wp.x_s,
                                                rel=1e-9)
-        m_back = steady_magnon_amplitude(p, wp.delta_m_eff)
+        m_back = working_point(p.replace(delta_m_eff=wp.delta_m_eff)).m_s
         assert abs(m_back - wp.m_s) <= 1e-8 * abs(wp.m_s)
         assert wp.G == pytest.approx(p.g_mb * abs(wp.m_s), rel=1e-12)
 
@@ -184,9 +177,10 @@ class TestSelfConsistentWorkingPoint:
 
         def residual(u):
             shift = -p.g_mb**2 * u**2 / p.omega_b
-            return abs(steady_magnon_amplitude(p, p.delta_m + shift)) - u
+            shifted = p.replace(delta_m_eff=p.delta_m + shift)
+            return abs(working_point(shifted).m_s) - u
 
-        u0 = abs(steady_magnon_amplitude(p, p.delta_m))
+        u0 = abs(working_point(p.replace(delta_m_eff=p.delta_m)).m_s)
         root = brentq(residual, 0.5 * u0, 2.0 * u0, xtol=1e-6)
         wp = working_point(p)
         assert abs(wp.m_s) == pytest.approx(root, rel=1e-6)
@@ -240,7 +234,7 @@ class TestCubicWorkingPoint:
         p = _drive_spec_params(-0.95, 9.2e13)
         assert reference_working_point(p) is None
         wp = working_point(p)
-        m_back = steady_magnon_amplitude(p, wp.delta_m_eff)
+        m_back = working_point(p.replace(delta_m_eff=wp.delta_m_eff)).m_s
         assert abs(m_back - wp.m_s) <= 1e-9 * abs(wp.m_s)
         assert wp.delta_m_eff == pytest.approx(
             p.delta_m - p.g_mb**2 * abs(wp.m_s) ** 2 / p.omega_b, rel=1e-12)

@@ -22,15 +22,20 @@ from magnomech.dynamics import diffusion_matrices, stability_batch
 from magnomech.errors import no_failures, raise_failure
 from magnomech.measures import RESIDUAL_REL_TARGET
 from magnomech.sweep import (BATCH_SIZE, CSV_CHUNK_ROWS, FIGURE_NAMES,
-                             STABILITY_BATCH_SIZE, SweepResult,
+                             SweepResult,
                              VANISHING_TEMPERATURE_TOL,
                              apply_parameter)
 
 OMEGA_B = default_params().omega_b
 
+#: A batch size that cuts the 1-D presets and the small specs below into
+#: several batches, for tests of what happens across batches.
+SMALL_BATCH = 64
+
 
 def ep_crossing_spec() -> SweepSpec:
-    """A g_ma sweep across (kappa_a + kappa_m)/2 = 0.06 omega_b, two batches."""
+    """A g_ma sweep across (kappa_a + kappa_m)/2 = 0.06 omega_b, two batches
+    of SMALL_BATCH."""
     return SweepSpec(
         base=default_params().replace(G_eff=0.05 * OMEGA_B),
         axes=(Axis("gma_over_omega_b", 0.0, 0.12, 101),),
@@ -380,8 +385,11 @@ class TestRunSweep:
         line = csv_text.splitlines()[1]
         assert line.split(",")[1] == ""  # empty cell, not "0"
 
-    def test_worker_count_does_not_change_bytes(self):
+    def test_worker_count_does_not_change_bytes(self, monkeypatch):
+        # Two batches each, so that three workers share them.
+        monkeypatch.setattr(sweep, "BATCH_SIZE", SMALL_BATCH)
         for spec in (figure_preset("fig3a"), ep_crossing_spec()):
+            assert len(spec.grid()) > SMALL_BATCH
             a = run_sweep(spec, jobs=1).to_csv()
             b = run_sweep(spec, jobs=3).to_csv()
             assert a == b
@@ -407,7 +415,7 @@ class TestRunSweep:
                             RecordingPool)
         spec = SweepSpec(base=default_params(),
                          axes=(Axis("G_over_omega_b", 0.0, 0.5,
-                                    2 * STABILITY_BATCH_SIZE + 1),),
+                                    2 * BATCH_SIZE + 1),),
                          outputs=("stable",))
         serial = run_sweep(spec, jobs=1).rows
         assert max_workers_seen == []
@@ -415,21 +423,6 @@ class TestRunSweep:
         assert max_workers_seen == [3]
         run_sweep(spec, jobs=2)
         assert max_workers_seen == [3, 2]
-
-    @pytest.mark.parametrize("outputs, batches", [
-        (("stable", "pt_phase", "max_lyapunov"), 3),
-        (("stable", "pt_phase", "E_N(am)"), -(-(2 * STABILITY_BATCH_SIZE + 1)
-                                              // BATCH_SIZE))])
-    def test_batch_size_follows_the_outputs(self, monkeypatch, outputs,
-                                            batches):
-        # Only outputs that need a covariance matrix keep the small batches.
-        spec = SweepSpec(base=default_params(),
-                         axes=(Axis("G_over_omega_b", 0.0, 0.5,
-                                    2 * STABILITY_BATCH_SIZE + 1),),
-                         outputs=outputs)
-        calls = count_calls(monkeypatch, "_evaluate_batch")
-        run_sweep(spec)
-        assert len(calls) == batches
 
     def test_stability_rows_do_not_depend_on_the_batch_size(self, monkeypatch):
         # Two of every seven points fail with parameter_error (T < 0), one of
@@ -439,20 +432,20 @@ class TestRunSweep:
                                Axis("temperature", -0.02, 0.04, 7)),
                          outputs=("stable", "max_lyapunov", "pt_phase"),
                          series=sweep._GAIN_LOSS)
-        assert len(spec.grid()) > STABILITY_BATCH_SIZE
+        assert len(spec.grid()) > BATCH_SIZE
         expected = point_rows(spec)
         calls = count_calls(monkeypatch, "_evaluate_batch")
         result = run_sweep(spec)
-        monkeypatch.setattr(sweep, "STABILITY_BATCH_SIZE", BATCH_SIZE)
+        monkeypatch.setattr(sweep, "BATCH_SIZE", SMALL_BATCH)
         small = run_sweep(spec).rows
         assert [len(args[1]) for args in calls] == [
-            STABILITY_BATCH_SIZE, 453, *[BATCH_SIZE] * 23, 5]
+            BATCH_SIZE, 453, *[SMALL_BATCH] * 23, 5]
         assert result.rows == expected
         assert small == expected
         cells = {name: [result.column(name, series.label)
                         for series in spec.series]
                  for name in ("stable", "error")}
-        assert cells["error"][0][STABILITY_BATCH_SIZE - 1] == "parameter_error"
+        assert cells["error"][0][BATCH_SIZE - 1] == "parameter_error"
         assert {code for column in cells["error"] for code in column} == {
             "", "parameter_error"}
         assert {value for column in cells["stable"] for value in column} == {
@@ -497,20 +490,21 @@ class TestRunSweep:
         (8.6e13, ""), (8.6e13, "degenerate_denominator")])
     def test_working_point_is_solved_once_per_batch(self, monkeypatch,
                                                      epsilon_d, code):
-        # All live points of a batch go to one working-point call. A
-        # stability-only sweep of the same 251 points is one batch.
+        # All live points of a batch go to one working-point call, whatever
+        # the outputs: the 251 points make 4 batches of SMALL_BATCH.
         spec = drive_temperature_spec(epsilon_d, degenerate=bool(code))
         stability = dataclasses.replace(spec, outputs=("stable",))
         expected = point_rows(spec)
         expected_stability = point_rows(stability)
+        monkeypatch.setattr(sweep, "BATCH_SIZE", SMALL_BATCH)
         calls = count_calls(monkeypatch, "working_point_batch")
         result = run_sweep(spec)
-        assert len(calls) == -(-len(expected) // BATCH_SIZE)
+        assert len(calls) == -(-len(expected) // SMALL_BATCH) == 4
         assert result.rows == expected
         assert set(result.column("error")) == {code}
         calls.clear()
         assert run_sweep(stability).rows == expected_stability
-        assert len(calls) == 1
+        assert len(calls) == 4
 
     def test_repeated_failures_are_separate_copies(self, monkeypatch):
         spec = drive_temperature_spec(9.2e13, degenerate=True)
