@@ -141,6 +141,7 @@ def apply_overrides(entries: dict[str, tuple[float, str]],
 _ALTERNATIVES = (
     (("G_eff",), ("epsilon_d", "b0"), "G_eff or a drive (epsilon_d / b0)"),
     (("delta_m_eff",), ("delta_m",), "delta_m_eff or delta_m"),
+    (("b0",), ("epsilon_d",), "b0 or epsilon_d"),
 )
 
 
@@ -148,10 +149,10 @@ def merge_layers(layers: list[dict[str, tuple[float, str]]]) -> dict[str, tuple[
     """Merge config layers, later layers winning.
 
     A later layer that fixes a quantity one way supersedes the other way from
-    earlier layers: the effective coupling ``G_eff`` against a drive
-    (``epsilon_d``/``b0``), and the prescribed ``delta_m_eff`` against the
-    bare ``delta_m`` of the self-consistent working point. Giving both ways
-    within one layer is an error.
+    earlier layers: ``G_eff`` against a drive (``epsilon_d``/``b0``), the
+    prescribed ``delta_m_eff`` against the bare ``delta_m`` of the
+    self-consistent working point, and ``b0`` against ``epsilon_d``. Giving
+    both ways within one layer is an error.
     """
     merged: dict[str, tuple[float, str]] = {}
     for layer in layers:

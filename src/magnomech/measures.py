@@ -240,20 +240,10 @@ def combine_channels(channels: tuple, eigenvalues: np.ndarray, d: np.ndarray,
     return v
 
 
-def shared_lyapunov_batch(a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray,
-                          failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`lyapunov_batch` of N points whose drifts are all equal. If two
-    or more pass the checks before the solve, each V combines the drift's
-    three channel solutions, and its residual is taken in extended
-    precision. A lone point takes :func:`lyapunov_batch`."""
-    _check_solvable(eigenvalues, d, failures)
-    live = np.flatnonzero(alive(failures))
-    if live.size < 2:
-        return lyapunov_batch(a, d, eigenvalues, failures)
-    channels = channel_covariances(a[live[0]], eigenvalues[live[0]])
-    v = combine_channels(channels, eigenvalues, d, failures)
-    return v, _max_abs(_residual_matrices(a[live[0]].astype(np.longdouble),
-                                          v.astype(np.longdouble), d))
+def lyapunov_residuals(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """max|A V + V A^T + D| (N,) of N solutions, in extended precision."""
+    return _max_abs(_residual_matrices(a.astype(np.longdouble),
+                                       v.astype(np.longdouble), d))
 
 
 def solve_lyapunov(drift: QuadratureDrift,
@@ -418,8 +408,7 @@ class PairBatch:
     def __init__(self, v: np.ndarray, pairs: tuple[str, ...],
                  checked: tuple[str, ...] = ()) -> None:
         for pair in pairs:
-            if pair not in PAIRS:
-                raise ParameterError(f"unknown pair {pair!r}; valid: {PAIRS}")
+            check_pair(pair)
         sub = v.reshape(len(v), 36)[:, _PAIR_ENTRIES[pairs]]
         shape = sub.shape[:2]
         self.steering_failures = no_failures(shape)
@@ -443,6 +432,12 @@ class PairBatch:
                 f"symplectic {float(eta_ppt[k])!r}"))
         record_failures(self.failures, ~alive(self.steering_failures),
                         lambda k: self.steering_failures[k])
+
+
+def check_pair(pair: str) -> None:
+    """Raise ParameterError unless ``pair`` is one of PAIRS."""
+    if pair not in PAIRS:
+        raise ParameterError(f"unknown pair {pair!r}; valid: {PAIRS}")
 
 
 def pair_of_modes(source: str, target: str) -> tuple[str, bool]:

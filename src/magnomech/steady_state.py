@@ -76,19 +76,28 @@ def _lower_root(v: dict, gain: np.ndarray, failures: np.ndarray
 
 def working_point_batch(v: dict, failures: np.ndarray) -> tuple[np.ndarray, ...]:
     """The WorkingPoint fields (m_s, x_s, delta_m_eff, G, iterations) of N
-    drive-mode points, one N-vector each; failed points read 0.
+    points, one N-vector each; failed points read 0.
 
-    ``v`` maps each SystemParams field to None or an N-vector. The magnon
-    amplitude is m_s = eps_d * (i*Delta_a - kappa_a) / D(delta_m_eff), and
-    fails with DegenerateDenominatorError where |D| < DEGENERATE_REL_TOL *
-    scale^2. A self-consistent delta_m_eff (None) is delta_m + g_mb * x_s,
-    x_s = -g_mb * n / omega_b, on the lower branch n of :func:`_lower_root`.
+    ``v`` maps each SystemParams field to None or an N-vector, and x_s =
+    -g_mb * |m_s|^2 / omega_b. A preset point (G_eff and delta_m_eff given)
+    has m_s = G_eff / g_mb, or 0 when g_mb = 0. In drive mode m_s = eps_d *
+    (i*Delta_a - kappa_a) / D(delta_m_eff), which fails with
+    DegenerateDenominatorError where |D| < DEGENERATE_REL_TOL * scale^2. A
+    self-consistent delta_m_eff (None) is delta_m + g_mb * x_s, on the lower
+    branch |m_s|^2 of :func:`_lower_root`.
     """
     size = len(failures)
-    if v["G_eff"] is not None:
+    if v["G_eff"] is not None and v["delta_m_eff"] is None:
         record_failures(failures, alive(failures), lambda k: ParameterError(
             "G_eff given but delta_m_eff marked self-consistent"))
         return tuple(np.zeros(size, t) for t in (complex, float, float, float, int))
+    if v["G_eff"] is not None:
+        g_mb = v["g_mb"]
+        m_abs = np.divide(v["G_eff"], g_mb, out=np.zeros(size), where=g_mb > 0.0)
+        ok = alive(failures)
+        return tuple(np.where(ok, field, 0) for field in (
+            m_abs.astype(complex), -g_mb * m_abs**2 / v["omega_b"],
+            v["delta_m_eff"], v["G_eff"], np.zeros(size, dtype=int)))
     da, ka, eps = v["delta_a"], v["kappa_a"], v["epsilon_d"]
     gain = eps**2 * (da**2 + ka**2)
     if v["delta_m_eff"] is None:
@@ -112,21 +121,8 @@ def working_point_batch(v: dict, failures: np.ndarray) -> tuple[np.ndarray, ...]
     return tuple(np.where(ok, field, 0) for field in fields)
 
 
-def working_point_from_preset(params: SystemParams) -> WorkingPoint:
-    """Working point when delta_m_eff and G_eff are both prescribed directly."""
-    if params.G_eff is None or params.delta_m_eff is None:
-        raise ParameterError("preset working point needs G_eff and delta_m_eff")
-    g_mb = params.g_mb
-    m_abs = params.G_eff / g_mb if g_mb > 0.0 else 0.0
-    x_s = -g_mb * m_abs**2 / params.omega_b
-    return WorkingPoint(m_s=complex(m_abs), x_s=x_s,
-                        delta_m_eff=params.delta_m_eff, G=params.G_eff)
-
-
 def working_point(params: SystemParams) -> WorkingPoint:
-    """The preset working point, or a batch of one of :func:`working_point_batch`."""
-    if params.G_eff is not None and params.delta_m_eff is not None:
-        return working_point_from_preset(params)
+    """A batch of one of :func:`working_point_batch`."""
     failures = no_failures(1)
     fields = working_point_batch(params.columns(), failures)
     raise_failure(failures)

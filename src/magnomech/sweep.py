@@ -186,11 +186,8 @@ def _check_columns(columns: dict, failures: np.ndarray) -> None:
 
 def _drifts(columns: dict, failures: np.ndarray) -> np.ndarray:
     """Drift matrices (N, 6, 6); a point whose drift is not finite fails.
-
-    Preset points read G_eff and delta_m_eff off their columns. The
-    drive-mode points of a batch are solved together by
-    :func:`working_point_batch`; failed points read 0.
-    """
+    Presets read G_eff and delta_m_eff off their columns, cheaper for a lone
+    point than :func:`working_point_batch`, which solves the others."""
     g_eff, delta_m_eff = columns["G_eff"], columns["delta_m_eff"]
     if g_eff is None or delta_m_eff is None:
         with np.errstate(all="ignore"):  # failed points may hold any value
@@ -220,6 +217,14 @@ def _diffusions(columns: dict, rows: np.ndarray, gain_noise: str,
         return diffusion_matrices(
             columns["kappa_a"][rows], columns["kappa_m"][rows],
             columns["gamma_b"][rows], *np.array(occupations).T, gain_noise)
+
+
+def _shared_drift(a: np.ndarray, failures: np.ndarray) -> tuple:
+    """stability_batch of a drift (1, 6, 6), then channel_covariances if stable."""
+    eigenvalues, max_lyapunov, stable = stability_batch(a, failures)
+    channels = (_measures.channel_covariances(a[0], eigenvalues[0])
+                if failures[0] is None and stable[0] else None)
+    return eigenvalues, max_lyapunov, stable, channels
 
 
 @functools.lru_cache(maxsize=1024)
@@ -262,7 +267,7 @@ def _evaluate(columns: dict, failures: np.ndarray, outputs: tuple[str, ...],
     shared = len(live) > 1 and bool((a[live] == a[live[0]]).all())
     if shared:  # as a batch of its first live point, failure and all
         first = failures[live[:1]]
-        verdict = stability_batch(a[live[:1]], first)
+        *verdict, channels = _shared_drift(a[live[:1]], first)
         record_failures(failures, np.repeat(~alive(first), len(a)),
                         lambda k: type(first[0])(*first[0].args))
         eigenvalues, max_lyapunov, stable = (np.repeat(x, len(a), axis=0)
@@ -274,9 +279,14 @@ def _evaluate(columns: dict, failures: np.ndarray, outputs: tuple[str, ...],
     if solved.size:
         sub_failures = failures[solved]
         d = _diffusions(columns, solved, gain_noise, sub_failures)
-        solve = (_measures.shared_lyapunov_batch if shared
-                 else _measures.lyapunov_batch)
-        v, residual = solve(a[solved], d, eigenvalues[solved], sub_failures)
+        if shared:  # a combination's residual is taken only if asked for
+            v = _measures.combine_channels(channels, eigenvalues[solved], d,
+                                           sub_failures)
+            residual = (_measures.lyapunov_residuals(a[solved], v, d)
+                        if "residual" in outputs else np.full(len(v), np.nan))
+        else:
+            v, residual = _measures.lyapunov_batch(a[solved], d, eigenvalues[solved],
+                                                   sub_failures)
         failures[solved] = sub_failures
         ok = alive(sub_failures)
         solved, v, residual = solved[ok], v[ok], residual[ok]
@@ -484,24 +494,21 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
     positive semidefinite noise to D and so to V (a local operation), but
     "reversed" noise gives no such guarantee.
 
-    T enters only D, so the working point, drift, eigenvalues and three
-    channel systems (:func:`measures.channel_covariances`) are solved once.
-    The bisection then walks _SEARCH_LEVELS levels per round: one round
-    takes the midpoints of those levels below the current bracket (and, the
-    first time, both ends) as one batch of occupations, channel combinations
-    and pair measures. Only the temperatures the walk visits can raise, and
-    each raises what a single point would, in the order a one-at-a-time
-    bisection would.
+    T enters only D, so the working point and :func:`_shared_drift` (drift,
+    eigenvalues, channel systems) are solved once. The bisection then walks
+    _SEARCH_LEVELS levels per round: one round takes the midpoints of those
+    levels below the current bracket (and, the first time, both ends) as one
+    batch of occupations, channel combinations and pair measures. Only the
+    temperatures the walk visits can raise, and each raises what a single
+    point would, in the order a one-at-a-time bisection would.
     """
     if not t_lo < t_hi:
         raise BracketInvalidError("need t_lo < t_hi")
     check_gain_noise(gain_noise)
-    _check_outputs((f"E_N({pair})",))
+    _measures.check_pair(pair)
     failures = no_failures(1)
     a = _drifts(base.columns(), failures)
-    eigenvalues, max_lyapunov, stable = stability_batch(a, failures)
-    channels = (_measures.channel_covariances(a[0], eigenvalues[0])
-                if failures[0] is None and stable[0] else None)
+    eigenvalues, max_lyapunov, stable, channels = _shared_drift(a, failures)
 
     def e_n(temperatures: list) -> dict:
         """Each temperature's E_N, or the first error of its one-point step:

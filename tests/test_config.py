@@ -5,6 +5,7 @@ import pytest
 from magnomech import ConfigError, build_params, default_config, default_params
 from magnomech.config import (apply_overrides, load_config, merge_layers,
                               parse_entries, parse_value, read_config_text)
+from magnomech.model import rabi_frequency
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,6 +110,25 @@ class TestOverridesAndLayers:
                                   parse_entries([("delta_m_eff", "-1 omega_b")])])
         assert "delta_m_eff" in effective and "delta_m" not in effective
 
+    def test_field_layer_supersedes_drive(self):
+        drive = parse_entries([("epsilon_d", "1e13 rad_s"), ("delta_m", "-1 omega_b")])
+        field = parse_entries([("b0", "1e-5 t"), ("sphere_diameter", "250e-6"),
+                               ("spin_density", "4.22e27")])
+        merged = merge_layers([default_config(), drive, field])
+        assert "epsilon_d" not in merged and "b0" in merged
+        params = build_params(merged)
+        assert params.G_eff is None
+        assert params.epsilon_d == rabi_frequency(1e-5, 250e-6, 4.22e27)
+
+    def test_drive_layer_supersedes_field(self):
+        field = parse_entries([("b0", "1e-5 t"), ("sphere_diameter", "250e-6"),
+                               ("spin_density", "4.22e27"), ("delta_m", "-1 omega_b")])
+        merged = merge_layers([default_config(), field,
+                               parse_entries([("epsilon_d", "1e13 rad_s")])])
+        assert "b0" not in merged
+        params = build_params(merged)
+        assert params.G_eff is None and params.epsilon_d == 1e13
+
     def test_both_in_one_layer_rejected(self):
         with pytest.raises(ConfigError):
             merge_layers([parse_entries([("G_eff", "0.2 omega_b"),
@@ -116,6 +136,9 @@ class TestOverridesAndLayers:
         with pytest.raises(ConfigError, match="delta_m"):
             merge_layers([parse_entries([("delta_m", "-1 omega_b"),
                                          ("delta_m_eff", "-1 omega_b")])])
+        with pytest.raises(ConfigError, match="give either b0 or epsilon_d, not both"):
+            merge_layers([default_config(),
+                          parse_entries([("b0", "1e-5 t"), ("epsilon_d", "1e13 rad_s")])])
 
 
 class TestBuildParams:

@@ -17,8 +17,7 @@ from magnomech import (CrossCheckMismatchError, NonFiniteDeterminantError,
 from magnomech import dynamics, measures
 from magnomech.dynamics import DiffusionMatrix
 from magnomech.errors import no_failures
-from magnomech.measures import (MODE_INDICES, lyapunov_batch,
-                                shared_lyapunov_batch)
+from magnomech.measures import MODE_INDICES, lyapunov_batch
 
 TWO_PI = 2.0 * math.pi
 OMEGA_B = TWO_PI * 10e6
@@ -157,6 +156,15 @@ def _stable_drift(rng):
             return drift
 
 
+def channel_combination(a, d, eigenvalues, failures):
+    """V and residual of N points that share the drift ``a[0]``: a
+    combination of its three channel solutions, and the residual of each
+    combination in extended precision."""
+    channels = measures.channel_covariances(a[0], eigenvalues[0])
+    v = measures.combine_channels(channels, eigenvalues, d, failures)
+    return v, measures.lyapunov_residuals(a, v, d)
+
+
 class TestLyapunovSolve:
     def test_against_scipy(self):
         rng = np.random.default_rng(77)
@@ -231,15 +239,15 @@ class TestLyapunovSolve:
         failures = no_failures(3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            v, residual = shared_lyapunov_batch(a[[1, 1, 1]], d, eigenvalues[[1, 1, 1]],
-                                                failures)
+            v, residual = channel_combination(a[[1, 1, 1]], d, eigenvalues[[1, 1, 1]],
+                                              failures)
         assert len({id(failure) for failure in failures}) == 3
         for k in range(3):
             assert isinstance(failures[k], SingularSolveError)
             assert "Singular matrix" in str(failures[k])
             assert np.isnan(v[k]).all() and np.isnan(residual[k])
 
-    @pytest.mark.parametrize("solve", [lyapunov_batch, shared_lyapunov_batch])
+    @pytest.mark.parametrize("solve", [lyapunov_batch, channel_combination])
     def test_only_an_overflowing_solution_fails(self, solve):
         # V = D / 0.02: it overflows at D = 1e308, and at 1e306 both V and
         # every step of the solve that leads to it stay finite.
@@ -259,16 +267,17 @@ class TestLyapunovSolve:
 
     def test_shared_drift_combines_its_noise_channels(self):
         # V is linear in the diagonal D: three channel solves give every
-        # point of a shared drift, to rounding, with a residual below target.
+        # point of a shared drift, to rounding, with an extended-precision
+        # residual below target. A bad D fails only its own point.
         rng = np.random.default_rng(81)
         a = np.stack([_stable_drift(rng).a] * 4)
         eigenvalues = np.stack([np.linalg.eigvals(a[0])] * 4)
         rates = rng.uniform(0.1, 3.0, size=(4, 3)) * OMEGA_B
         d = np.stack([np.diag(r[[0, 0, 1, 1]].tolist() + [0.0, r[2]])
                       for r in rates])
-        d[2, 5, 5] = np.inf  # fails before the solve
+        d[2, 5, 5] = np.inf  # fails before the combination
         failures = no_failures(4)
-        v, residual = shared_lyapunov_batch(a, d, eigenvalues, failures)
+        v, residual = channel_combination(a, d, eigenvalues, failures)
         assert isinstance(failures[2], SingularSolveError)
         assert np.isnan(v[2]).all() and np.isnan(residual[2])
         for k in (0, 1, 3):
@@ -278,14 +287,8 @@ class TestLyapunovSolve:
             assert failures[k] is None and alone[0] is None
             assert np.abs(v[k] - v_k[0]).max() <= 1e-12 * np.abs(v_k[0]).max()
             assert residual[k] <= measures.RESIDUAL_REL_TARGET * np.abs(d[k]).max()
-        # A point left alone by the checks takes the one-column solve.
-        d[[0, 1], 0, 0] = np.inf
-        failures = no_failures(4)
-        v, residual = shared_lyapunov_batch(a, d, eigenvalues, failures)
-        alone = no_failures(1)
-        v_3, residual_3 = lyapunov_batch(a[3:], d[3:], eigenvalues[3:], alone)
-        assert [failure is None for failure in failures] == [False] * 3 + [True]
-        assert np.array_equal(v[3], v_3[0]) and residual[3] == residual_3[0]
+            al, vl = a[k].astype(np.longdouble), v[k].astype(np.longdouble)
+            assert residual[k] == np.abs(al @ vl + vl @ al.T + d[k]).max()
 
 
 def _rates(lo, hi):

@@ -12,8 +12,7 @@ from magnomech import (DegenerateDenominatorError, EigenSolveError,
 from magnomech import steady_state
 from magnomech.errors import no_failures
 from magnomech.steady_state import (NEWTON_STEPS, WorkingPoint,
-                                    working_point_batch,
-                                    working_point_from_preset)
+                                    working_point_batch)
 
 TWO_PI = 2.0 * math.pi
 OMEGA_B = TWO_PI * 10e6
@@ -154,8 +153,8 @@ class TestPresetWorkingPoint:
     def test_zero_coupling_rate(self):
         p = _drive_params(g_mb=0.0, epsilon_d=None, G_eff=0.0,
                           delta_m_eff=-OMEGA_B)
-        wp = working_point_from_preset(p)
-        assert wp.G == 0.0 and wp.x_s == 0.0
+        wp = working_point(p)
+        assert wp.G == 0.0 and wp.x_s == 0.0 and wp.m_s == 0.0
 
 
 class TestSelfConsistentWorkingPoint:

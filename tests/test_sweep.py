@@ -616,7 +616,9 @@ class TestRunSweep:
         result = run_sweep(spec)
         assert result.column("error")[-1] == "singular_solve"
         assert result.column("error")[0] == ""
-        assert result.rows == point_rows(spec)
+        # The lone surviving row is a combination of the shared drift's
+        # channels, and its single point a direct solve.
+        assert_rows_close(result.rows, point_rows(spec))
 
     @pytest.mark.parametrize("g_ma", [1.0, 0.06])  # stable, unstable
     def test_unknown_gain_noise_fails_before_any_stage(self, g_ma):
@@ -864,6 +866,33 @@ class TestSharedDrifts:
                 checked += 1
         assert checked > 200
 
+    def test_residual_is_taken_only_if_asked(self, monkeypatch):
+        # A combination needs no residual: a shared batch takes one, in
+        # extended precision, only for a residual output.
+        base = default_params()
+        temperatures = [0.0, 0.01, -1.0, 0.02]
+        calls = []
+        residuals = measures.lyapunov_residuals
+        monkeypatch.setattr(measures, "lyapunov_residuals",
+                            lambda *args: calls.append(args) or residuals(*args))
+        temperature_batch(base, temperatures, ("E_N(am)", "physicality_margin"))
+        assert calls == []
+        rows = temperature_batch(base, temperatures, ("residual", "E_N(am)"))
+        assert len(calls) == 1
+        assert [row[-1] for row in rows] == ["", "", "parameter_error", ""]
+        for row, temperature in zip(rows, temperatures):
+            if temperature < 0.0:
+                continue
+            params = base.replace(temperature=temperature)
+            a = drift_from_params(params, working_point(params)).a
+            d = diffusion_from_params(params).d
+            v = measures.combine_channels(
+                measures.channel_covariances(a, np.linalg.eigvals(a)),
+                np.linalg.eigvals(a)[None], d[None], no_failures(1))[0]
+            al, vl = a.astype(np.longdouble), v.astype(np.longdouble)
+            assert row[0] == float(np.abs(al @ vl + vl @ al.T + d).max())
+            assert row[0] <= RESIDUAL_REL_TARGET * np.abs(d).max()
+
     @pytest.mark.parametrize("gain_noise", ["vacuum", "reversed"])
     def test_shared_rows_equal_single_points_within_tolerance(self,
                                                               gain_noise):
@@ -1096,6 +1125,13 @@ class TestVanishingTemperature:
     def test_invalid_bracket_ordering(self):
         with pytest.raises(BracketInvalidError):
             vanishing_temperature(default_params(), "am", 0.2, 0.1)
+
+    def test_unknown_pair_fails_before_any_solve(self, monkeypatch):
+        stacks = count_linalg(monkeypatch)
+        with pytest.raises(ParameterError) as exc:
+            vanishing_temperature(default_params(), "xy", 0.0, 0.35)
+        assert str(exc.value) == "unknown pair 'xy'; valid: ('am', 'bm', 'ab')"
+        assert stacks == {"solve": [], "eigvals": []}
 
     def test_conventional_case_boundary(self):
         base = default_params().replace(kappa_a=-0.02 * OMEGA_B,
