@@ -124,7 +124,12 @@ def _check_solvable(eigenvalues: np.ndarray, d: np.ndarray,
     record_failures(failures, pair_sums.min(axis=(1, 2)) < 1e-14 * scale,
                     lambda k: SingularSolveError(
                         "eigenvalue pair sums to zero; Lyapunov system singular"))
-    if not np.isfinite(d).all():  # occupations near 1e308 K overflow D
+    _check_diffusion(d, failures)
+
+
+def _check_diffusion(d: np.ndarray, failures: np.ndarray) -> None:
+    """Fail each point whose D is not finite, as no finite V solves it."""
+    if not np.isfinite(d).all():  # occupations near 1e308 K or tiny omega
         record_failures(failures, ~np.isfinite(d).all(axis=(1, 2)),
                         lambda k: SingularSolveError(
                             "non-finite diffusion matrix; no finite solution"))
@@ -220,17 +225,17 @@ def channel_covariances(a: np.ndarray, eigenvalues: np.ndarray) -> tuple:
     return w, next((f for f in failures if f is not None), None)
 
 
-def combine_channels(channels: tuple, eigenvalues: np.ndarray, d: np.ndarray,
+def combine_channels(channels: tuple, d: np.ndarray,
                      failures: np.ndarray) -> np.ndarray:
     """V (N, 6, 6) of N points with their own D (N, 6, 6) that share the
-    drift of ``channels`` and its spectrum ``eigenvalues`` (N, 6). A point
-    fails as in :func:`lyapunov_batch`, or with a copy of the channels'
-    failure; V is NaN at failed points."""
-    _check_solvable(eigenvalues, d, failures)
+    drift of ``channels``. A point fails with a copy of the channels'
+    failure, which covers their drift's spectrum, else where its D or V is
+    not finite; V is NaN at failed points."""
     w, failure = channels
     if failure is not None:
         record_failures(failures, alive(failures),
                         lambda k: type(failure)(*failure.args))
+    _check_diffusion(d, failures)
     c = d[:, [0, 2, 5], [0, 2, 5], None, None]
     with np.errstate(over="ignore", invalid="ignore"):
         v = c[:, 0] * w[0] + c[:, 1] * w[1] + c[:, 2] * w[2]

@@ -61,7 +61,9 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     ``omega`` is angular (rad/s), ``temperature`` in kelvin. Returns 0 at T=0
     and below ~1.8e-301 K, where k_B*T underflows to 0. Once exp(x) overflows
     a double (x > ~709.78), the occupation is exp(-x) to working precision,
-    which underflows toward 0 as T goes to 0.
+    which underflows toward 0 as T goes to 0. Where x underflows to 0 at
+    T > 0 (omega below ~5e-290 rad/s), k_B*T/(hbar*omega) exceeds every
+    double and the occupation is inf.
     """
     if not (math.isfinite(omega) and math.isfinite(temperature)):
         raise ParameterError("thermal_occupation: non-finite input")
@@ -72,6 +74,8 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     if k_B * temperature == 0.0:
         return 0.0
     x = hbar * omega / (k_B * temperature)
+    if x == 0.0:
+        return math.inf
     try:
         return 1.0 / math.expm1(x)
     except OverflowError:

@@ -76,7 +76,8 @@ def _lower_root(v: dict, gain: np.ndarray, failures: np.ndarray
 
 def working_point_batch(v: dict, failures: np.ndarray) -> tuple[np.ndarray, ...]:
     """The WorkingPoint fields (m_s, x_s, delta_m_eff, G, iterations) of N
-    points, one N-vector each; failed points read 0.
+    points, one N-vector each; a failed point's fields are unspecified: read
+    ``failures``.
 
     ``v`` maps each SystemParams field to None or an N-vector, and x_s =
     -g_mb * |m_s|^2 / omega_b. A preset point (G_eff and delta_m_eff given)
@@ -94,10 +95,8 @@ def working_point_batch(v: dict, failures: np.ndarray) -> tuple[np.ndarray, ...]
     if v["G_eff"] is not None:
         g_mb = v["g_mb"]
         m_abs = np.divide(v["G_eff"], g_mb, out=np.zeros(size), where=g_mb > 0.0)
-        ok = alive(failures)
-        return tuple(np.where(ok, field, 0) for field in (
-            m_abs.astype(complex), -g_mb * m_abs**2 / v["omega_b"],
-            v["delta_m_eff"], v["G_eff"], np.zeros(size, dtype=int)))
+        return (m_abs.astype(complex), -g_mb * m_abs**2 / v["omega_b"],
+                v["delta_m_eff"], v["G_eff"], np.zeros(size, dtype=int))
     da, ka, eps = v["delta_a"], v["kappa_a"], v["epsilon_d"]
     gain = eps**2 * (da**2 + ka**2)
     if v["delta_m_eff"] is None:
@@ -115,10 +114,8 @@ def working_point_batch(v: dict, failures: np.ndarray) -> tuple[np.ndarray, ...]
                         f"below {DEGENERATE_REL_TOL} * scale^2"))
     with np.errstate(all="ignore"):  # the 0/0 or x/0 of failed points
         m2 = gain / d2
-        fields = (eps / d2 * ((da * di - ka * dr) + 1j * (da * dr + ka * di)),
-                  -v["g_mb"] * m2 / v["omega_b"], delta, v["g_mb"] * np.sqrt(m2), steps)
-    ok = alive(failures)
-    return tuple(np.where(ok, field, 0) for field in fields)
+        return (eps / d2 * ((da * di - ka * dr) + 1j * (da * dr + ka * di)),
+                -v["g_mb"] * m2 / v["omega_b"], delta, v["g_mb"] * np.sqrt(m2), steps)
 
 
 def working_point(params: SystemParams) -> WorkingPoint:

@@ -16,7 +16,7 @@ from .config import build_params, default_config
 from .dynamics import (check_gain_noise, diffusion_matrices, drift_matrices,
                        stability_batch)
 from .errors import (BracketInvalidError, MagnomechError, ParameterError,
-                     UnstableSystemError, alive, no_failures,
+                     UnstableSystemError, alive, no_failures, raise_failure,
                      record_failures, store_failure)
 from .model import SystemParams, parameter_violations, pt_classify
 from .steady_state import working_point_batch
@@ -185,13 +185,9 @@ def _check_columns(columns: dict, failures: np.ndarray) -> None:
 
 
 def _drifts(columns: dict, failures: np.ndarray) -> np.ndarray:
-    """Drift matrices (N, 6, 6); a point whose drift is not finite fails.
-    Presets read G_eff and delta_m_eff off their columns, cheaper for a lone
-    point than :func:`working_point_batch`, which solves the others."""
-    g_eff, delta_m_eff = columns["G_eff"], columns["delta_m_eff"]
-    if g_eff is None or delta_m_eff is None:
-        with np.errstate(all="ignore"):  # failed points may hold any value
-            _, _, delta_m_eff, g_eff, _ = working_point_batch(columns, failures)
+    """Drift matrices (N, 6, 6); a point whose drift is not finite fails."""
+    with np.errstate(all="ignore"):  # failed points may hold any value
+        _, _, delta_m_eff, g_eff, _ = working_point_batch(columns, failures)
     a, finite = drift_matrices(
         columns["delta_a"], delta_m_eff, columns["kappa_a"], columns["kappa_m"],
         columns["gamma_b"], columns["omega_b"], columns["g_ma"], g_eff)
@@ -220,11 +216,11 @@ def _diffusions(columns: dict, rows: np.ndarray, gain_noise: str,
 
 
 def _shared_drift(a: np.ndarray, failures: np.ndarray) -> tuple:
-    """stability_batch of a drift (1, 6, 6), then channel_covariances if stable."""
+    """Verdict of a drift (1, 6, 6), then channel_covariances if it is stable."""
     eigenvalues, max_lyapunov, stable = stability_batch(a, failures)
     channels = (_measures.channel_covariances(a[0], eigenvalues[0])
                 if failures[0] is None and stable[0] else None)
-    return eigenvalues, max_lyapunov, stable, channels
+    return max_lyapunov, stable, channels
 
 
 @functools.lru_cache(maxsize=1024)
@@ -270,8 +266,7 @@ def _evaluate(columns: dict, failures: np.ndarray, outputs: tuple[str, ...],
         *verdict, channels = _shared_drift(a[live[:1]], first)
         record_failures(failures, np.repeat(~alive(first), len(a)),
                         lambda k: type(first[0])(*first[0].args))
-        eigenvalues, max_lyapunov, stable = (np.repeat(x, len(a), axis=0)
-                                             for x in verdict)
+        max_lyapunov, stable = (np.repeat(x, len(a)) for x in verdict)
     else:
         eigenvalues, max_lyapunov, stable = stability_batch(a, failures)
     reported = alive(failures)
@@ -280,8 +275,7 @@ def _evaluate(columns: dict, failures: np.ndarray, outputs: tuple[str, ...],
         sub_failures = failures[solved]
         d = _diffusions(columns, solved, gain_noise, sub_failures)
         if shared:  # a combination's residual is taken only if asked for
-            v = _measures.combine_channels(channels, eigenvalues[solved], d,
-                                           sub_failures)
+            v = _measures.combine_channels(channels, d, sub_failures)
             residual = (_measures.lyapunov_residuals(a[solved], v, d)
                         if "residual" in outputs else np.full(len(v), np.nan))
         else:
@@ -498,9 +492,11 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
     eigenvalues, channel systems) are solved once. The bisection then walks
     _SEARCH_LEVELS levels per round: one round takes the midpoints of those
     levels below the current bracket (and, the first time, both ends) as one
-    batch of occupations, channel combinations and pair measures. Only the
-    temperatures the walk visits can raise, and each raises what a single
-    point would, in the order a one-at-a-time bisection would.
+    batch of occupations, channel combinations and pair measures. The
+    drift's failure and instability are raised once, as the low end's.
+    Past them only the temperatures the walk visits can raise, and each
+    raises what a single point would, in the order a one-at-a-time
+    bisection would.
     """
     if not t_lo < t_hi:
         raise BracketInvalidError("need t_lo < t_hi")
@@ -508,27 +504,27 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
     _measures.check_pair(pair)
     failures = no_failures(1)
     a = _drifts(base.columns(), failures)
-    eigenvalues, max_lyapunov, stable, channels = _shared_drift(a, failures)
+    max_lyapunov, stable, channels = _shared_drift(a, failures)
+    # A one-point step fails at the drift, an occupation, instability, the
+    # combination or the pair measures, in that order. A valid temperature's
+    # occupation cannot fail, so once the low end is valid the drift's
+    # failure and instability are those of every step, the low end's first.
+    base.replace(temperature=t_lo)
+    raise_failure(failures)
+    try:
+        _measures.check_stable(max_lyapunov[0], bool(stable[0]))
+    except UnstableSystemError as exc:
+        raise BracketInvalidError(f"system unstable inside bracket: {exc}") from exc
 
     def e_n(temperatures: list) -> dict:
-        """Each temperature's E_N, or the first error of its one-point step:
-        the drift's, an occupation's, instability, then the combination's
-        and the pair measures'."""
+        """Each temperature's E_N, or the first error of its one-point step
+        past the shared drift: an occupation's, the combination's, then the
+        pair measures'."""
         n = len(temperatures)
-        if failures[0] is not None:
-            return dict.fromkeys(temperatures, failures[0])
         columns, point = base.columns(n), no_failures(n)
         columns["temperature"] = np.array(temperatures)
         d = _diffusions(columns, np.arange(n), gain_noise, point)
-        if channels is None:
-            try:
-                _measures.check_stable(max_lyapunov[0], bool(stable[0]))
-            except UnstableSystemError as exc:
-                record_failures(point, alive(point),
-                                lambda k: exc.with_traceback(None))
-            return dict(zip(temperatures, point))
-        v = _measures.combine_channels(
-            channels, np.broadcast_to(eigenvalues, (n, 6)), d, point)
+        v = _measures.combine_channels(channels, d, point)
         batch = _measures.PairBatch(v, (pair,), checked=(pair,))
         measured = batch.failures[:, 0]
         record_failures(point, ~alive(measured), lambda k: measured[k])
@@ -555,14 +551,10 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
 
     # An invalid end fails as the SystemParams holding it would, and the
     # high end only after the low end's own failure.
-    base.replace(temperature=t_lo)
     outcomes = e_n([t_lo, t_hi, *midpoints(t_lo, t_hi)])
-    try:
-        lo_val = outcome(t_lo)
-        base.replace(temperature=t_hi)
-        hi_val = outcome(t_hi)
-    except UnstableSystemError as exc:
-        raise BracketInvalidError(f"system unstable inside bracket: {exc}") from exc
+    lo_val = outcome(t_lo)
+    base.replace(temperature=t_hi)
+    hi_val = outcome(t_hi)
     if lo_val <= 0.0:
         raise BracketInvalidError(f"E_N({pair}) = 0 already at {t_lo} K")
     if hi_val > 0.0:

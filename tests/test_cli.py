@@ -121,6 +121,13 @@ class TestMeasures:
         assert code == 2 and out == ""
         assert "non-finite" in err
 
+    def test_underflowing_quantum_energy_exits_2(self, capsys):
+        # hbar*omega/(k_B*T) underflows to 0: the cavity occupation is
+        # infinite, and so is D.
+        code, out, err = run_cli(capsys, "measures", "--set", "omega_a=1e-300rad_s")
+        assert code == 2 and out == ""
+        assert "non-finite diffusion matrix" in err
+
     def test_unknown_key_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "measures", "--set", "bogus=1.0")
         assert code == 2

@@ -161,7 +161,7 @@ def channel_combination(a, d, eigenvalues, failures):
     combination of its three channel solutions, and the residual of each
     combination in extended precision."""
     channels = measures.channel_covariances(a[0], eigenvalues[0])
-    v = measures.combine_channels(channels, eigenvalues, d, failures)
+    v = measures.combine_channels(channels, d, failures)
     return v, measures.lyapunov_residuals(a, v, d)
 
 

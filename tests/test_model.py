@@ -68,6 +68,14 @@ class TestThermalOccupation:
         for temp in (1e-310, 5e-324):
             assert thermal_occupation(OMEGA_B, temp) == 0.0
 
+    def test_underflowing_quantum_energy_is_infinite(self):
+        # hbar*omega/(k_B*T) underflows to 0 below omega ~ 5e-290 rad/s:
+        # k_B*T/(hbar*omega) exceeds every double, so the occupation is inf.
+        for omega in (5e-324, 1e-300):
+            assert hbar * omega / k_B == 0.0
+            assert thermal_occupation(omega, 1.0) == math.inf
+            assert thermal_occupation(omega, 0.0) == 0.0
+
     def test_invalid_inputs(self):
         with pytest.raises(ParameterError):
             thermal_occupation(-1.0, 0.1)

@@ -205,7 +205,7 @@ def channel_bisection(base, pair, t_lo, t_hi, gain_noise="vacuum"):
         with np.errstate(over="ignore"):
             d = diffusion_matrices(base.kappa_a, base.kappa_m, base.gamma_b,
                                    *occupations, gain_noise)
-        v = measures.combine_channels(channels, eigenvalues, d[None], point)
+        v = measures.combine_channels(channels, d[None], point)
         raise_failure(point)
         batch = measures.PairBatch(v, (pair,), checked=(pair,))
         raise_failure(batch.failures)
@@ -487,12 +487,17 @@ class TestRunSweep:
         assert stopped == {None, "E_N(bm)", "E_N(ab)"}
 
     @pytest.mark.parametrize("epsilon_d, code", [
-        (8.6e13, ""), (8.6e13, "degenerate_denominator")])
+        (8.6e13, ""), (8.6e13, "degenerate_denominator"), (None, "")])
     def test_working_point_is_solved_once_per_batch(self, monkeypatch,
                                                      epsilon_d, code):
-        # All live points of a batch go to one working-point call, whatever
-        # the outputs: the 251 points make 4 batches of SMALL_BATCH.
-        spec = drive_temperature_spec(epsilon_d, degenerate=bool(code))
+        # All live points of a batch go to one working-point call, in drive
+        # mode and at a preset point (epsilon_d None: fig6a's) alike,
+        # whatever the outputs: the 251 points make 4 batches of SMALL_BATCH.
+        if epsilon_d is None:
+            spec = dataclasses.replace(figure_preset("fig6a"),
+                                       outputs=("E_N(am)", "stable"))
+        else:
+            spec = drive_temperature_spec(epsilon_d, degenerate=bool(code))
         stability = dataclasses.replace(spec, outputs=("stable",))
         expected = point_rows(spec)
         expected_stability = point_rows(stability)
@@ -500,7 +505,10 @@ class TestRunSweep:
         calls = count_calls(monkeypatch, "working_point_batch")
         result = run_sweep(spec)
         assert len(calls) == -(-len(expected) // SMALL_BATCH) == 4
-        assert result.rows == expected
+        if epsilon_d is None:  # a shared drift's E_N matches to rounding
+            assert_rows_close(result.rows, expected)
+        else:
+            assert result.rows == expected
         assert set(result.column("error")) == {code}
         calls.clear()
         assert run_sweep(stability).rows == expected_stability
@@ -618,6 +626,14 @@ class TestRunSweep:
         assert result.column("error")[0] == ""
         # The lone surviving row is a combination of the shared drift's
         # channels, and its single point a direct solve.
+        assert_rows_close(result.rows, point_rows(spec))
+        # Below omega ~ 5e-290 rad/s, hbar*omega/(k_B*T) underflows: at any
+        # T > 0 the occupation is infinite, and so is D; 0 K still solves.
+        spec = dataclasses.replace(spec, base=base.replace(omega_a=1e-300),
+                                   axes=(Axis("temperature", 0.0, 0.02, 3),))
+        result = run_sweep(spec)
+        assert result.column("error") == ["", "singular_solve", "singular_solve"]
+        assert result.column("stable") == [1, 1, 1]
         assert_rows_close(result.rows, point_rows(spec))
 
     @pytest.mark.parametrize("g_ma", [1.0, 0.06])  # stable, unstable
@@ -888,7 +904,7 @@ class TestSharedDrifts:
             d = diffusion_from_params(params).d
             v = measures.combine_channels(
                 measures.channel_covariances(a, np.linalg.eigvals(a)),
-                np.linalg.eigvals(a)[None], d[None], no_failures(1))[0]
+                d[None], no_failures(1))[0]
             al, vl = a.astype(np.longdouble), v.astype(np.longdouble)
             assert row[0] == float(np.abs(al @ vl + vl @ al.T + d).max())
             assert row[0] <= RESIDUAL_REL_TARGET * np.abs(d).max()
@@ -1115,6 +1131,22 @@ class TestStabilityMap:
         assert result.column("stable") == [1, 1]
 
 
+def search_edges() -> list:
+    """Searches whose bracket has a failing end: the loss point of criterion
+    8 up to overflowing temperatures, then an unstable bracket and a
+    drive-mode point whose working point fails, each on an infinite, a
+    negative and an overflowing end."""
+    loss = default_params().replace(kappa_a=-0.02 * OMEGA_B, G_eff=0.25 * OMEGA_B)
+    unstable = default_params().replace(g_ma=0.06 * OMEGA_B, G_eff=0.25 * OMEGA_B)
+    degenerate = drive_spec().base.replace(epsilon_d=8e13, **dict(DEGENERATE))
+    cases = [pytest.param(loss, 0.0, t_hi, id=str(t_hi))
+             for t_hi in (1e300, 1e308, math.inf)]
+    return cases + [
+        pytest.param(base, t_lo, t_hi, id=f"{name}-{t_lo:g}-{t_hi:g}")
+        for name, base in (("unstable", unstable), ("degenerate", degenerate))
+        for t_lo, t_hi in ((0.0, math.inf), (-1.0, 0.3), (0.0, 1e308))]
+
+
 class TestVanishingTemperature:
     def test_invalid_bracket_when_already_zero(self):
         # Gain cavity with vacuum noise holds no photon-magnon entanglement.
@@ -1201,12 +1233,14 @@ class TestVanishingTemperature:
         assert type(got.value) is type(reference.value) is SingularSolveError
         assert str(got.value) == str(reference.value)
 
-    @pytest.mark.parametrize("t_hi", [1e300, 1e308, math.inf])
-    def test_overflowing_end_fails_as_the_reference(self, t_hi):
+    @pytest.mark.parametrize("base, t_lo, t_hi", search_edges())
+    def test_overflowing_end_fails_as_the_reference(self, base, t_lo, t_hi):
         # D overflows at 1e308 K; at 1e300 K V is finite, its determinants
         # are not. An infinite end fails as a SystemParams, not as an
-        # occupation, although the search evaluates it first.
-        base, t_lo, _, noise = self.SEARCHES[1]
+        # occupation, although the search evaluates it first. The drift's
+        # failure and instability, raised once, come after an invalid low
+        # end and before an invalid or overflowing high end.
+        noise = self.SEARCHES[1][3]
         with pytest.raises(MagnomechError) as reference:
             sequential_bisection(base, "am", t_lo, t_hi, noise)
         with pytest.raises(MagnomechError) as got:
