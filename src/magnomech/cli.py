@@ -100,11 +100,8 @@ def _emit(text: str, out: str) -> None:
     if out in ("-", "stdout"):
         sys.stdout.write(text)
         return
-    try:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise IOError(str(exc)) from exc
+    with open(out, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def _json_line(obj) -> str:
@@ -249,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": "unstable", "detail": str(exc)}),
               file=sys.stderr)
         return EXIT_UNSTABLE
-    except IOError as exc:
+    except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
     except MagnomechError as exc:  # ConfigError, ParameterError and the rest

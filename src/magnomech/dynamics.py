@@ -114,6 +114,7 @@ def drift_from_params(params: SystemParams, wp: WorkingPoint) -> QuadratureDrift
 _DIFFUSION_ENTRIES = read_only([0, 7, 14, 21, 35])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite D fails later
 def diffusion_matrices(kappa_a, kappa_m, gamma_b, n_a, n_m, n_b,
                        gain_noise: str = "vacuum") -> np.ndarray:
     """Diffusion matrices of numbers, shape (6, 6), or of N-vectors of

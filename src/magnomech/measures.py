@@ -294,6 +294,7 @@ _BLOCK_ROWS = read_only(np.array([[0, 1], [2, 3], [0, 1]])[:, :, None])
 _BLOCK_COLS = read_only(np.array([[0, 1], [2, 3], [2, 3]])[:, None, :])
 
 
+@np.errstate(all="ignore")
 def _determinants(sub: np.ndarray) -> tuple[np.ndarray, ...]:
     """det A, det B, det C and det V of (..., 4, 4) two-mode matrices.
 
@@ -306,6 +307,7 @@ def _determinants(sub: np.ndarray) -> tuple[np.ndarray, ...]:
     return blocks[..., 0], blocks[..., 1], blocks[..., 2], np.linalg.det(sub)
 
 
+@np.errstate(all="ignore")
 def _log_negativity(dets, failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(E_N, eta^-) per matrix; records NonFiniteDeterminantError where the
     determinants overflow and NonPhysicalCMError where E_N does not exist."""
@@ -328,6 +330,7 @@ def _log_negativity(dets, failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.fmax(0.0, -np.log(2.0 * eta_minus)), eta_minus
 
 
+@np.errstate(all="ignore")
 def _steering(dets, failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward and backward steering per matrix; records
     NonFiniteDeterminantError where a determinant overflowed and
@@ -377,8 +380,7 @@ def log_negativity(v: np.ndarray) -> tuple[float, float]:
     Sigma = det A + det B - 2 det C; E_N = max(0, -ln 2 eta^-).
     """
     failures = no_failures(1)
-    with np.errstate(all="ignore"):
-        e_n, eta_minus = _log_negativity(_determinants(_two_mode(v)[None]), failures)
+    e_n, eta_minus = _log_negativity(_determinants(_two_mode(v)[None]), failures)
     raise_failure(failures)
     return float(e_n[0]), float(eta_minus[0])
 
@@ -393,8 +395,7 @@ def steering(v: np.ndarray, direction: str = "forward") -> float:
     if direction not in ("forward", "backward"):
         raise ParameterError("direction must be 'forward' or 'backward'")
     failures = no_failures(1)
-    with np.errstate(all="ignore"):
-        s_12, s_21 = _steering(_determinants(_two_mode(v)[None]), failures)
+    s_12, s_21 = _steering(_determinants(_two_mode(v)[None]), failures)
     raise_failure(failures)
     return float((s_12 if direction == "forward" else s_21)[0])
 
@@ -418,10 +419,9 @@ class PairBatch:
         shape = sub.shape[:2]
         self.steering_failures = no_failures(shape)
         self.failures = no_failures(shape)
-        with np.errstate(all="ignore"):
-            dets = _determinants(sub)
-            self.s_12, self.s_21 = _steering(dets, self.steering_failures)
-            self.e_n, self.eta_minus = _log_negativity(dets, self.failures)
+        dets = _determinants(sub)
+        self.s_12, self.s_21 = _steering(dets, self.steering_failures)
+        self.e_n, self.eta_minus = _log_negativity(dets, self.failures)
         # eta^- is computed twice: from the determinant formula and from the
         # partially transposed symplectic spectrum. The two must agree to
         # CROSS_CHECK_TOL relative.

@@ -74,6 +74,7 @@ def _lower_root(v: dict, gain: np.ndarray, failures: np.ndarray
     return n, steps
 
 
+@np.errstate(all="ignore")  # failed or extreme points divide by 0 or overflow
 def working_point_batch(v: dict, failures: np.ndarray) -> tuple[np.ndarray, ...]:
     """The WorkingPoint fields (m_s, x_s, delta_m_eff, G, iterations) of N
     points, one N-vector each; a failed point's fields are unspecified: read
@@ -112,10 +113,9 @@ def working_point_batch(v: dict, failures: np.ndarray) -> tuple[np.ndarray, ...]
                     lambda k: DegenerateDenominatorError(
                         f"steady-state denominator {complex(dr[k], di[k])!r} "
                         f"below {DEGENERATE_REL_TOL} * scale^2"))
-    with np.errstate(all="ignore"):  # the 0/0 or x/0 of failed points
-        m2 = gain / d2
-        return (eps / d2 * ((da * di - ka * dr) + 1j * (da * dr + ka * di)),
-                -v["g_mb"] * m2 / v["omega_b"], delta, v["g_mb"] * np.sqrt(m2), steps)
+    m2 = gain / d2
+    return (eps / d2 * ((da * di - ka * dr) + 1j * (da * dr + ka * di)),
+            -v["g_mb"] * m2 / v["omega_b"], delta, v["g_mb"] * np.sqrt(m2), steps)
 
 
 def working_point(params: SystemParams) -> WorkingPoint:

@@ -186,8 +186,7 @@ def _check_columns(columns: dict, failures: np.ndarray) -> None:
 
 def _drifts(columns: dict, failures: np.ndarray) -> np.ndarray:
     """Drift matrices (N, 6, 6); a point whose drift is not finite fails."""
-    with np.errstate(all="ignore"):  # failed points may hold any value
-        _, _, delta_m_eff, g_eff, _ = working_point_batch(columns, failures)
+    _, _, delta_m_eff, g_eff, _ = working_point_batch(columns, failures)
     a, finite = drift_matrices(
         columns["delta_a"], delta_m_eff, columns["kappa_a"], columns["kappa_m"],
         columns["gamma_b"], columns["omega_b"], columns["g_ma"], g_eff)
@@ -209,10 +208,9 @@ def _diffusions(columns: dict, rows: np.ndarray, gain_noise: str,
         except MagnomechError as exc:
             store_failure(failures, i, exc)
             occupations.append([0.0, 0.0, 0.0])
-    with np.errstate(over="ignore"):  # the Lyapunov solve fails such points
-        return diffusion_matrices(
-            columns["kappa_a"][rows], columns["kappa_m"][rows],
-            columns["gamma_b"][rows], *np.array(occupations).T, gain_noise)
+    return diffusion_matrices(
+        columns["kappa_a"][rows], columns["kappa_m"][rows],
+        columns["gamma_b"][rows], *np.array(occupations).T, gain_noise)
 
 
 def _shared_drift(a: np.ndarray, failures: np.ndarray) -> tuple:
@@ -352,7 +350,7 @@ def _evaluate_batch(spec: "SweepSpec", points: np.ndarray) -> list[list]:
                     for k in np.flatnonzero(alive(failures)):
                         store_failure(failures, k, exc)
                     break
-                _check_columns(columns, failures)
+        _check_columns(columns, failures)
         for row, cells in zip(rows, _evaluate(columns, failures, spec.outputs,
                                               spec.gain_noise)):
             row.extend(cells)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,23 @@ class TestMeasures:
         code, _, err = run_cli(capsys, "measures", "--set", "bogus=1.0")
         assert code == 2
         assert "omega_b" in err  # lists valid keys
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("steady-state", "--set", "G_eff=1e300rad_s"), 0),
+        (("stability", "--set", "G_eff=1e300rad_s"), 0),
+        (("measures", "--set", "G_eff=1e300rad_s"), 4),
+        (("stability", "--set", "epsilon_d=1e300rad_s",
+          "--set", "delta_m=-1omega_b"), 2),
+        (("measures", "--set", "temperature=5e306k"), 2),
+        (("measures", "--set", "temperature=1e308k", "--set", "kappa_a=0"), 2)])
+    def test_overflowing_point_prints_no_warning(self, capsys, argv, expected):
+        # The working point, drift, diffusion or determinants of these
+        # points overflow; each command still exits with its code.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, *argv)
+        assert code == expected
+        assert (code, out) == run_cli(capsys, *argv)[:2]
 
 
 class TestSinglePointChain:
@@ -313,9 +331,11 @@ class TestSweepAndFigure:
         assert out_path.read_text().startswith("g_ma/G,")
 
     def test_unwritable_out_exits_3(self, capsys):
-        code, _, _ = run_cli(capsys, "stability",
-                             "--out", "/nonexistent/dir/x.json")
+        code, _, err = run_cli(capsys, "stability",
+                               "--out", "/nonexistent/dir/x.json")
         assert code == 3
+        assert err == ("io error: [Errno 2] No such file or directory: "
+                       "'/nonexistent/dir/x.json'\n")
 
 
 class TestVanishTemp:

@@ -262,8 +262,7 @@ class TestCubicWorkingPoint:
         # finite and LAPACK rejects it.
         points = [_drive_params(), _drive_params(g_mb=1e-170)]
         failures = no_failures(2)
-        with np.errstate(all="ignore"):
-            _, _, _, g, _ = working_point_batch(_columns(points), failures)
+        _, _, _, g, _ = working_point_batch(_columns(points), failures)
         assert failures[0] is None and g[0] == working_point(points[0]).G
         assert type(failures[1]) is EigenSolveError
         assert "working-point cubic" in str(failures[1])

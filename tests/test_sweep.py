@@ -128,18 +128,42 @@ def covariance_failure_spec() -> SweepSpec:
                      outputs=("stable", "max_lyapunov", "E_N(am)", "residual"))
 
 
+def repeated_override_spec() -> SweepSpec:
+    """A series whose second override replaces the invalid G_eff of its
+    first: every final point is valid and stable, with E_N(am) = 0."""
+    return SweepSpec(base=default_params(),
+                     axes=(Axis("temperature", 0.0, 0.02, 3),),
+                     outputs=("E_N(am)", "stable"),
+                     series=(Series("x", (("G_eff", -OMEGA_B),
+                                          ("G_over_omega_b", 0.2))),))
+
+
+def repaired_override_spec() -> SweepSpec:
+    """A drive-mode base that a series gives a G_eff too. Only the g_mb = 0
+    row, where the drive no longer sets the coupling, is a valid (preset)
+    point; the other two give both."""
+    return SweepSpec(base=default_params().replace(G_eff=None, epsilon_d=9.2e13),
+                     axes=(Axis("g_mb", 0.0, 1.0, 3),),
+                     outputs=("E_N(am)", "stable"),
+                     series=(Series("x", (("G_over_omega_b", 0.2),)),))
+
+
 def point_rows(spec: SweepSpec) -> list[list]:
-    """The rows of ``spec`` evaluated one point at a time."""
+    """The rows of ``spec`` evaluated one point at a time. A point's
+    overrides, then its axis values, apply in order, and only the
+    SystemParams they end at is validated."""
     rows = []
     for point in spec.grid().tolist():
         row = list(point)
         for series in spec.series:
+            steps = [*series.overrides,
+                     *((axis.name, value) for axis, value in zip(spec.axes, point))]
+            changes = {}
             try:
-                params = spec.base
-                for name, value in series.overrides:
-                    params = apply_parameter(params, name, value)
-                for axis, value in zip(spec.axes, point):
-                    params = apply_parameter(params, axis.name, value)
+                for name, value in steps:
+                    changes.update(sweep._parameter_changes(
+                        {**vars(spec.base), **changes}, name, value))
+                params = spec.base.replace(**changes)
             except ParameterError as exc:
                 values = dict.fromkeys(spec.outputs)
                 values["error"] = exc.code
@@ -202,9 +226,8 @@ def channel_bisection(base, pair, t_lo, t_hi, gain_noise="vacuum"):
                        for omega in (base.omega_a, base.omega_m, base.omega_b)]
         measures.check_stable(max_lyapunov[0], bool(stable[0]))
         point = no_failures(1)
-        with np.errstate(over="ignore"):
-            d = diffusion_matrices(base.kappa_a, base.kappa_m, base.gamma_b,
-                                   *occupations, gain_noise)
+        d = diffusion_matrices(base.kappa_a, base.kappa_m, base.gamma_b,
+                               *occupations, gain_noise)
         v = measures.combine_channels(channels, d[None], point)
         raise_failure(point)
         batch = measures.PairBatch(v, (pair,), checked=(pair,))
@@ -457,7 +480,9 @@ class TestRunSweep:
         (fig4b_edge_spec, {"", "cross_check_mismatch"}),
         (unstable_spec, {""}),
         (covariance_failure_spec, {"", "singular_solve"}),
-        (all_outputs_spec, {"", "cross_check_mismatch"})])
+        (all_outputs_spec, {"", "cross_check_mismatch"}),
+        (repeated_override_spec, {""}),
+        (repaired_override_spec, {"", "parameter_error"})])
     def test_batched_rows_match_single_points(self, make_spec, codes):
         spec = make_spec()
         result = run_sweep(spec)
@@ -615,26 +640,36 @@ class TestRunSweep:
     def test_extreme_temperatures_fail_with_codes(self):
         # Below ~1.8e-301 K, k_B*T underflows: the point is at 0 K. Near
         # 1e308 K the occupations overflow, and the solve fails that point.
-        base = default_params()
-        outputs = ("stable", "E_N(ab)", "physicality_margin")
-        assert evaluate_point(base.replace(temperature=1e-310), outputs) == \
-            evaluate_point(base.replace(temperature=0.0), outputs)
-        spec = SweepSpec(base=base, axes=(Axis("temperature", 1.0, 1e308, 3),),
-                         outputs=outputs)
-        result = run_sweep(spec)
-        assert result.column("error")[-1] == "singular_solve"
-        assert result.column("error")[0] == ""
-        # The lone surviving row is a combination of the shared drift's
-        # channels, and its single point a direct solve.
-        assert_rows_close(result.rows, point_rows(spec))
-        # Below omega ~ 5e-290 rad/s, hbar*omega/(k_B*T) underflows: at any
-        # T > 0 the occupation is infinite, and so is D; 0 K still solves.
-        spec = dataclasses.replace(spec, base=base.replace(omega_a=1e-300),
-                                   axes=(Axis("temperature", 0.0, 0.02, 3),))
-        result = run_sweep(spec)
-        assert result.column("error") == ["", "singular_solve", "singular_solve"]
-        assert result.column("stable") == [1, 1, 1]
-        assert_rows_close(result.rows, point_rows(spec))
+        # No such point prints a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = default_params()
+            outputs = ("stable", "E_N(ab)", "physicality_margin")
+            assert evaluate_point(base.replace(temperature=1e-310), outputs) == \
+                evaluate_point(base.replace(temperature=0.0), outputs)
+            spec = SweepSpec(base=base, axes=(Axis("temperature", 1.0, 1e308, 3),),
+                             outputs=outputs)
+            result = run_sweep(spec)
+            assert result.column("error")[-1] == "singular_solve"
+            assert result.column("error")[0] == ""
+            # The lone surviving row is a combination of the shared drift's
+            # channels, and its single point a direct solve.
+            assert_rows_close(result.rows, point_rows(spec))
+            # Below omega ~ 5e-290 rad/s, hbar*omega/(k_B*T) underflows: at any
+            # T > 0 the occupation is infinite, and so is D; 0 K still solves.
+            spec = dataclasses.replace(spec, base=base.replace(omega_a=1e-300),
+                                       axes=(Axis("temperature", 0.0, 0.02, 3),))
+            result = run_sweep(spec)
+            assert result.column("error") == ["", "singular_solve", "singular_solve"]
+            assert result.column("stable") == [1, 1, 1]
+            assert_rows_close(result.rows, point_rows(spec))
+            # Without cavity loss, an infinite cavity occupation times the zero
+            # rate is NaN: D is not finite, and the solve fails every point.
+            spec = dataclasses.replace(spec, base=base.replace(kappa_a=0.0),
+                                       axes=(Axis("temperature", 1e307, 1e308, 3),))
+            result = run_sweep(spec)
+            assert result.column("error") == ["singular_solve"] * 3
+            assert result.rows == point_rows(spec)
 
     @pytest.mark.parametrize("g_ma", [1.0, 0.06])  # stable, unstable
     def test_unknown_gain_noise_fails_before_any_stage(self, g_ma):
