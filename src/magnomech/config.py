@@ -124,16 +124,14 @@ def default_config() -> dict[str, tuple[float, str]]:
 
 def apply_overrides(entries: dict[str, tuple[float, str]],
                     overrides: list[str]) -> dict[str, tuple[float, str]]:
-    """Apply ``key=value`` override strings on top of parsed entries."""
-    merged = dict(entries)
+    """Layer ``key=value`` override strings over ``entries``: merge_layers."""
     pairs = []
     for override in overrides:
         if "=" not in override:
             raise ConfigError(f"override must look like key=value: {override!r}")
         key, _, value = override.partition("=")
         pairs.append((key.strip(), value.strip()))
-    merged.update(parse_entries(pairs))
-    return merged
+    return merge_layers([entries, parse_entries(pairs)])
 
 
 #: Two ways of fixing one quantity: (keys of one way, keys of the other, what
@@ -175,13 +173,10 @@ def build_params(entries: dict[str, tuple[float, str]]) -> SystemParams:
     if category == "omega_b_ratio":
         raise ConfigError("omega_b cannot itself be given in omega_b units")
 
-    values: dict[str, float] = {}
-    for key, (magnitude, cat) in entries.items():
-        values[key] = magnitude * omega_b if cat == "omega_b_ratio" else magnitude
-
+    # A layer of one is a copy that refuses a quantity given two ways.
+    values = {key: magnitude * omega_b if cat == "omega_b_ratio" else magnitude
+              for key, (magnitude, cat) in merge_layers([entries]).items()}
     if "b0" in values:
-        if "epsilon_d" in values:
-            raise ConfigError("give either b0 or epsilon_d, not both")
         missing = [k for k in ("sphere_diameter", "spin_density") if k not in values]
         if missing:
             raise ConfigError(f"b0 requires {', '.join(missing)}")
@@ -191,8 +186,6 @@ def build_params(entries: dict[str, tuple[float, str]]) -> SystemParams:
     for key in ("sphere_diameter", "spin_density"):
         values.pop(key, None)
 
-    if "G_eff" in values and "epsilon_d" in values:
-        raise ConfigError("give either G_eff or a drive (epsilon_d / b0), not both")
     try:
         return SystemParams(**values)
     except TypeError as exc:

@@ -11,8 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EigenSolveError, ParameterError, alive, lapack_stack,
-                     no_failures, raise_failure, record_failures)
+from . import model as _model
+from .errors import (EigenSolveError, MagnomechError, ParameterError, alive,
+                     lapack_stack, no_failures, raise_failure, record_failures,
+                     store_failure)
 from .model import SystemParams
 from .steady_state import WorkingPoint
 
@@ -81,24 +83,24 @@ _DRIFT_SOURCES = read_only([source + 8 * (sign < 0)
 
 
 def drift_matrices(delta_a, delta_m_eff, kappa_a, kappa_m, gamma_b, omega_b,
-                   g_ma, g_eff) -> tuple[np.ndarray, np.ndarray]:
+                   g_ma, g_eff) -> np.ndarray:
     """Drift matrices of numbers, shape (6, 6), or of N-vectors of points,
-    shape (N, 6, 6), and the mask of those whose entries (so all inputs) are
-    finite."""
+    shape (N, 6, 6)."""
     values = np.array((delta_a, delta_m_eff, kappa_a, kappa_m, gamma_b,
                        omega_b, g_ma, g_eff), dtype=np.float64)
     a = np.zeros(values.shape[1:] + (36,))
     a[..., _DRIFT_TARGETS] = np.concatenate((values, -values))[_DRIFT_SOURCES].T
-    return a.reshape(values.shape[1:] + (6, 6)), np.isfinite(values).all(axis=0)
+    return a.reshape(values.shape[1:] + (6, 6))
 
 
 def quadrature_drift(delta_a: float, delta_m_eff: float, kappa_a: float,
                      kappa_m: float, gamma_b: float, omega_b: float,
                      g_ma: float, g_eff: float) -> QuadratureDrift:
     """Drift matrix of the linearized dynamics in the quadrature basis."""
-    a, finite = drift_matrices(delta_a, delta_m_eff, kappa_a, kappa_m, gamma_b,
-                               omega_b, g_ma, g_eff)
-    if not finite:
+    # Every input is an entry of the drift, so the drift is finite iff they are.
+    a = drift_matrices(delta_a, delta_m_eff, kappa_a, kappa_m, gamma_b, omega_b,
+                       g_ma, g_eff)
+    if not np.isfinite(a).all():
         raise ParameterError("quadrature_drift: non-finite input")
     return QuadratureDrift(a=a)
 
@@ -147,11 +149,32 @@ def diffusion_matrix(kappa_a: float, kappa_m: float, gamma_b: float,
         kappa_a, kappa_m, gamma_b, n_a, n_m, n_b, gain_noise))
 
 
+def diffusion_batch(columns: dict, rows: np.ndarray, gain_noise: str,
+                    failures: np.ndarray) -> np.ndarray:
+    """Diffusion matrices (len(rows), 6, 6) of the points ``rows`` of a batch,
+    ``failures`` one per row. Each takes the thermal occupations of the cavity,
+    the magnon and the phonon, in that order; the first that raises fails it."""
+    omegas = [columns[name].tolist() for name in ("omega_a", "omega_m", "omega_b")]
+    temperatures = columns["temperature"].tolist()
+    occupations = []
+    for i, k in enumerate(rows.tolist()):
+        try:
+            occupations.append([_model.thermal_occupation(omega[k], temperatures[k])
+                                for omega in omegas])
+        except MagnomechError as exc:
+            store_failure(failures, i, exc)
+            occupations.append([0.0, 0.0, 0.0])
+    rates = (columns[name][rows] for name in ("kappa_a", "kappa_m", "gamma_b"))
+    return diffusion_matrices(*rates, *np.array(occupations).T, gain_noise)
+
+
 def diffusion_from_params(params: SystemParams,
                           gain_noise: str = "vacuum") -> DiffusionMatrix:
-    n_a, n_m, n_b = params.occupations()
-    return diffusion_matrix(params.kappa_a, params.kappa_m, params.gamma_b,
-                            n_a, n_m, n_b, gain_noise=gain_noise)
+    """A batch of one of :func:`diffusion_batch`."""
+    failures = no_failures(1)
+    d = diffusion_batch(params.columns(), np.arange(1), gain_noise, failures)
+    raise_failure(failures)
+    return DiffusionMatrix(d=d[0])
 
 
 def stability_batch(a: np.ndarray, failures: np.ndarray

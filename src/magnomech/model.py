@@ -214,9 +214,3 @@ class SystemParams:
 
     def pt_phase(self) -> PTPhase:
         return pt_classify(self.g_ma, self.kappa_a, self.kappa_m)
-
-    def occupations(self) -> tuple[float, float, float]:
-        """Thermal occupations (n_a, n_m, n_b) at the bath temperature."""
-        return (thermal_occupation(self.omega_a, self.temperature),
-                thermal_occupation(self.omega_m, self.temperature),
-                thermal_occupation(self.omega_b, self.temperature))

@@ -43,12 +43,12 @@ def _lower_root(v: dict, gain: np.ndarray, failures: np.ndarray
     D is linear in n, so this is a real cubic f(n) = 0, and f(n) <= -gain
     for n <= 0: every real root is positive. One stack of 3x3 companion
     matrices gives the roots of all points; the smallest real one gets
-    NEWTON_STEPS Newton steps. Points with gain = 0 have n = 0.
+    NEWTON_STEPS Newton steps. Points with gain = 0 or gain = inf have n = 0.
     """
     k = v["g_mb"]**2 / v["omega_b"]
     ar, ai = _denominator(v, v["delta_m"])
     n, steps = np.zeros(len(gain)), np.zeros(len(gain), dtype=int)
-    solved = np.flatnonzero(alive(failures) & (gain > 0.0))
+    solved = np.flatnonzero(alive(failures) & (0.0 < gain) & (gain < np.inf))
     if not solved.size:
         return n, steps
     ar, ai, br, bi, gain = (x[solved] for x in (
@@ -86,36 +86,45 @@ def working_point_batch(v: dict, failures: np.ndarray) -> tuple[np.ndarray, ...]
     (i*Delta_a - kappa_a) / D(delta_m_eff), which fails with
     DegenerateDenominatorError where |D| < DEGENERATE_REL_TOL * scale^2. A
     self-consistent delta_m_eff (None) is delta_m + g_mb * x_s, on the lower
-    branch |m_s|^2 of :func:`_lower_root`.
+    branch |m_s|^2 of :func:`_lower_root`. In every mode a point whose m_s,
+    x_s, delta_m_eff or G overflows fails with ParameterError.
     """
     size = len(failures)
-    if v["G_eff"] is not None and v["delta_m_eff"] is None:
-        record_failures(failures, alive(failures), lambda k: ParameterError(
-            "G_eff given but delta_m_eff marked self-consistent"))
-        return tuple(np.zeros(size, t) for t in (complex, float, float, float, int))
     if v["G_eff"] is not None:
-        g_mb = v["g_mb"]
+        g_mb, delta = v["g_mb"], v["delta_m_eff"]
+        if delta is None:
+            record_failures(failures, alive(failures), lambda k: ParameterError(
+                "G_eff given but delta_m_eff marked self-consistent"))
+            delta = np.zeros(size)
         m_abs = np.divide(v["G_eff"], g_mb, out=np.zeros(size), where=g_mb > 0.0)
-        return (m_abs.astype(complex), -g_mb * m_abs**2 / v["omega_b"],
-                v["delta_m_eff"], v["G_eff"], np.zeros(size, dtype=int))
-    da, ka, eps = v["delta_a"], v["kappa_a"], v["epsilon_d"]
-    gain = eps**2 * (da**2 + ka**2)
-    if v["delta_m_eff"] is None:
-        n, steps = _lower_root(v, gain, failures)
-        delta = v["delta_m"] - v["g_mb"]**2 / v["omega_b"] * n
+        fields = (m_abs.astype(complex), -g_mb * m_abs**2 / v["omega_b"], delta,
+                  v["G_eff"], np.zeros(size, dtype=int))
     else:
-        delta, steps = v["delta_m_eff"], np.zeros(size, dtype=int)
-    dr, di = _denominator(v, delta)
-    d2 = dr**2 + di**2
-    scale = np.max([np.abs(da), np.abs(ka), np.abs(delta), v["kappa_m"],
-                    v["g_ma"], v["omega_b"]], axis=0)
-    record_failures(failures, np.sqrt(d2) < DEGENERATE_REL_TOL * scale**2,
-                    lambda k: DegenerateDenominatorError(
-                        f"steady-state denominator {complex(dr[k], di[k])!r} "
-                        f"below {DEGENERATE_REL_TOL} * scale^2"))
-    m2 = gain / d2
-    return (eps / d2 * ((da * di - ka * dr) + 1j * (da * dr + ka * di)),
-            -v["g_mb"] * m2 / v["omega_b"], delta, v["g_mb"] * np.sqrt(m2), steps)
+        da, ka, eps = v["delta_a"], v["kappa_a"], v["epsilon_d"]
+        gain = eps**2 * (da**2 + ka**2)
+        if v["delta_m_eff"] is None:
+            n, steps = _lower_root(v, gain, failures)
+            delta = v["delta_m"] - v["g_mb"]**2 / v["omega_b"] * n
+        else:
+            delta, steps = v["delta_m_eff"], np.zeros(size, dtype=int)
+        dr, di = _denominator(v, delta)
+        d2 = dr**2 + di**2
+        scale = np.max([np.abs(da), np.abs(ka), np.abs(delta), v["kappa_m"],
+                        v["g_ma"], v["omega_b"]], axis=0)
+        record_failures(failures, np.sqrt(d2) < DEGENERATE_REL_TOL * scale**2,
+                        lambda k: DegenerateDenominatorError(
+                            f"steady-state denominator {complex(dr[k], di[k])!r} "
+                            f"below {DEGENERATE_REL_TOL} * scale^2"))
+        m2 = gain / d2
+        fields = (eps / d2 * ((da * di - ka * dr) + 1j * (da * dr + ka * di)),
+                  -v["g_mb"] * m2 / v["omega_b"], delta, v["g_mb"] * np.sqrt(m2),
+                  steps)
+    m_s, x_s, delta, g, _ = fields
+    finite = np.isfinite(m_s) & np.isfinite(x_s) & np.isfinite(delta) & np.isfinite(g)
+    record_failures(failures, ~finite, lambda k: ParameterError(
+        f"working point overflows: m_s = {m_s[k]}, x_s = {x_s[k]}, "
+        f"delta_m_eff = {delta[k]}, G = {g[k]}"))
+    return fields
 
 
 def working_point(params: SystemParams) -> WorkingPoint:

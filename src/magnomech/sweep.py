@@ -11,13 +11,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import measures as _measures
-from . import model as _model
 from .config import build_params, default_config
-from .dynamics import (check_gain_noise, diffusion_matrices, drift_matrices,
+from .dynamics import (check_gain_noise, diffusion_batch, drift_matrices,
                        stability_batch)
 from .errors import (BracketInvalidError, MagnomechError, ParameterError,
                      UnstableSystemError, alive, no_failures, raise_failure,
-                     record_failures, store_failure)
+                     record_failures)
 from .model import SystemParams, parameter_violations, pt_classify
 from .steady_state import working_point_batch
 
@@ -121,6 +120,8 @@ class Axis:
                 f"axis count must be an integer >= 2, got {self.count!r}")
         if not self.lo < self.hi:
             raise ParameterError("axis requires lo < hi")
+        if not math.isfinite(self.hi - self.lo):
+            raise ParameterError("axis bounds and their span must be finite")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)
@@ -185,32 +186,11 @@ def _check_columns(columns: dict, failures: np.ndarray) -> None:
 
 
 def _drifts(columns: dict, failures: np.ndarray) -> np.ndarray:
-    """Drift matrices (N, 6, 6); a point whose drift is not finite fails."""
+    """Drift matrices (N, 6, 6); a failed point's drift is unspecified."""
     _, _, delta_m_eff, g_eff, _ = working_point_batch(columns, failures)
-    a, finite = drift_matrices(
+    return drift_matrices(
         columns["delta_a"], delta_m_eff, columns["kappa_a"], columns["kappa_m"],
         columns["gamma_b"], columns["omega_b"], columns["g_ma"], g_eff)
-    record_failures(failures, ~finite, lambda k: ParameterError(
-        "quadrature_drift: non-finite input"))
-    return a
-
-
-def _diffusions(columns: dict, rows: np.ndarray, gain_noise: str,
-                failures: np.ndarray) -> np.ndarray:
-    """Diffusion matrices (len(rows), 6, 6) at the given points."""
-    omegas = [columns[name].tolist() for name in ("omega_a", "omega_m", "omega_b")]
-    temperatures = columns["temperature"].tolist()
-    occupations = []
-    for i, k in enumerate(rows.tolist()):
-        try:
-            occupations.append([_model.thermal_occupation(omega[k], temperatures[k])
-                                for omega in omegas])
-        except MagnomechError as exc:
-            store_failure(failures, i, exc)
-            occupations.append([0.0, 0.0, 0.0])
-    return diffusion_matrices(
-        columns["kappa_a"][rows], columns["kappa_m"][rows],
-        columns["gamma_b"][rows], *np.array(occupations).T, gain_noise)
 
 
 def _shared_drift(a: np.ndarray, failures: np.ndarray) -> tuple:
@@ -271,7 +251,7 @@ def _evaluate(columns: dict, failures: np.ndarray, outputs: tuple[str, ...],
     solved = np.flatnonzero(reported & stable & covariance)
     if solved.size:
         sub_failures = failures[solved]
-        d = _diffusions(columns, solved, gain_noise, sub_failures)
+        d = diffusion_batch(columns, solved, gain_noise, sub_failures)
         if shared:  # a combination's residual is taken only if asked for
             v = _measures.combine_channels(channels, d, sub_failures)
             residual = (_measures.lyapunov_residuals(a[solved], v, d)
@@ -347,8 +327,8 @@ def _evaluate_batch(spec: "SweepSpec", points: np.ndarray) -> list[list]:
                 try:
                     columns.update(_parameter_changes(columns, name, value))
                 except ParameterError as exc:
-                    for k in np.flatnonzero(alive(failures)):
-                        store_failure(failures, k, exc)
+                    record_failures(failures, alive(failures),
+                                    lambda k: type(exc)(*exc.args))
                     break
         _check_columns(columns, failures)
         for row, cells in zip(rows, _evaluate(columns, failures, spec.outputs,
@@ -521,7 +501,7 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
         n = len(temperatures)
         columns, point = base.columns(n), no_failures(n)
         columns["temperature"] = np.array(temperatures)
-        d = _diffusions(columns, np.arange(n), gain_noise, point)
+        d = diffusion_batch(columns, np.arange(n), gain_noise, point)
         v = _measures.combine_channels(channels, d, point)
         batch = _measures.PairBatch(v, (pair,), checked=(pair,))
         measured = batch.failures[:, 0]

@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magnomech import (Axis, SweepSpec, build_params, default_config,
-                       default_params, diffusion_from_params,
-                       drift_from_params, figure_preset, merge_layers,
-                       pair_measures, run_sweep, solve_lyapunov, stability,
-                       two_mode_eigenfrequencies, working_point)
+from magnomech import (Axis, ParameterError, SweepSpec, build_params,
+                       default_config, default_params, diffusion_from_params,
+                       drift_from_params, evaluate_point, figure_preset,
+                       merge_layers, pair_measures, run_sweep, solve_lyapunov,
+                       stability, two_mode_eigenfrequencies, working_point)
 from magnomech import cli
 from magnomech.cli import main
 from magnomech.config import apply_overrides
@@ -135,9 +135,9 @@ class TestMeasures:
         assert "omega_b" in err  # lists valid keys
 
     @pytest.mark.parametrize("argv, expected", [
-        (("steady-state", "--set", "G_eff=1e300rad_s"), 0),
-        (("stability", "--set", "G_eff=1e300rad_s"), 0),
-        (("measures", "--set", "G_eff=1e300rad_s"), 4),
+        (("steady-state", "--set", "G_eff=1e300rad_s"), 2),
+        (("stability", "--set", "G_eff=1e300rad_s"), 2),
+        (("measures", "--set", "G_eff=1e300rad_s"), 2),
         (("stability", "--set", "epsilon_d=1e300rad_s",
           "--set", "delta_m=-1omega_b"), 2),
         (("measures", "--set", "temperature=5e306k"), 2),
@@ -150,6 +150,42 @@ class TestMeasures:
             code, out, _ = run_cli(capsys, *argv)
         assert code == expected
         assert (code, out) == run_cli(capsys, *argv)[:2]
+
+    # Both drive modes, and the preset, at points whose working point
+    # overflows: the drive term eps_d^2 * |i*Delta_a - kappa_a|^2 from about
+    # 2.2e146 rad/s, x_s at G_eff = 1e300 rad/s.
+    OVERFLOWING = [("epsilon_d=1e300rad_s", "delta_m=-1omega_b"),
+                   ("epsilon_d=1e300rad_s", "delta_m_eff=-1omega_b"),
+                   ("epsilon_d=1e152rad_s", "delta_m=-1omega_b"),
+                   ("epsilon_d=1e152rad_s", "delta_m_eff=-1omega_b"),
+                   ("G_eff=1e300rad_s",)]
+
+    @pytest.mark.parametrize("overrides", OVERFLOWING)
+    def test_overflowing_working_point_is_a_parameter_error(self, capsys,
+                                                            overrides):
+        params = build_params(merge_layers(
+            [default_config(), apply_overrides({}, list(overrides))]))
+        with pytest.raises(ParameterError, match="working point overflows"):
+            working_point(params)
+        assert evaluate_point(params, ("stable",)) == {
+            "stable": None, "error": "parameter_error"}
+        sets = [arg for text in overrides for arg in ("--set", text)]
+        for command in ("steady-state", "drift", "stability", "measures"):
+            code, out, err = run_cli(capsys, command, *sets)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: working point overflows: ")
+
+    def test_steady_state_json_is_standard(self, capsys):
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+        for overrides in [(), ("g_mb=0hz",), ("g_mb=1e-300rad_s",),
+                          ("epsilon_d=9.2e13rad_s", "delta_m=-0.95omega_b"),
+                          *self.OVERFLOWING]:
+            sets = [arg for text in overrides for arg in ("--set", text)]
+            code, out, _ = run_cli(capsys, "steady-state", *sets)
+            assert code in (0, 2)
+            for line in out.splitlines():
+                json.loads(line, parse_constant=refuse)
 
 
 class TestSinglePointChain:
@@ -313,6 +349,17 @@ class TestSweepAndFigure:
         code, _, _ = run_cli(capsys, "sweep", "--axis", "nope:0:1:5",
                              "--output", "stable")
         assert code == 2
+
+    @pytest.mark.parametrize("axis", ["temperature:-1e308:1e308:3",
+                                      "temperature:0:inf:3"])
+    def test_axis_without_a_finite_span_exits_2(self, capsys, axis):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sweep", "--axis", axis,
+                                     "--output", "stable", "--format", "csv")
+        assert code == 2 and out == ""
+        assert err == (f"error: bad axis {axis!r}: "
+                       "axis bounds and their span must be finite\n")
 
     @pytest.mark.parametrize("axes", [("G_over_omega_b:0.1:0.3:2", "G_eff:1:2:2"),
                                       ("delta_over_omega_b:-1:0:2",

@@ -1,8 +1,10 @@
+import json
 import math
 
 import pytest
 
-from magnomech import ConfigError, build_params, default_config, default_params
+from magnomech import (ConfigError, build_params, cli, default_config,
+                       default_params, working_point)
 from magnomech.config import (apply_overrides, load_config, merge_layers,
                               parse_entries, parse_value, read_config_text)
 from magnomech.model import rabi_frequency
@@ -165,3 +167,39 @@ class TestBuildParams:
         with pytest.raises(ConfigError, match="sphere_diameter"):
             build_params(merge_layers([default_config(),
                                        parse_entries([("b0", "1e-4 t")])]))
+
+
+class TestLibraryLayersMatchTheCli:
+    """build_params and apply_overrides accept and refuse what the CLI's
+    --config and --set layers do, with the same message."""
+
+    #: Files that give one quantity two ways, and the error they all raise.
+    TWO_WAYS = [
+        (("delta_m_eff = -1 omega_b", "delta_m = -1 omega_b"),
+         "give either delta_m_eff or delta_m, not both"),
+        (("G_eff = 0.2 omega_b", "epsilon_d = 1e13 rad_s"),
+         "give either G_eff or a drive (epsilon_d / b0), not both"),
+        (("b0 = 1e-5 t", "epsilon_d = 1e13 rad_s"),
+         "give either b0 or epsilon_d, not both")]
+
+    def test_file_giving_one_quantity_two_ways(self, tmp_path, capsys):
+        path = tmp_path / "both.conf"
+        for lines, message in self.TWO_WAYS:
+            path.write_text("\n".join(("omega_b = 10 mhz", *lines)) + "\n")
+            with pytest.raises(ConfigError) as exc:
+                build_params(load_config(str(path)))
+            assert str(exc.value) == message
+            assert cli.main(["steady-state", "--config", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_overrides_replace_the_other_way(self, capsys):
+        overrides = ["epsilon_d=9.2e13rad_s", "delta_m=-0.95omega_b"]
+        params = build_params(apply_overrides(default_config(), overrides))
+        assert params.G_eff is None and params.delta_m_eff is None
+        assert params == build_params(merge_layers(
+            [default_config(), apply_overrides({}, overrides)]))
+        wp = working_point(params)
+        argv = [arg for text in overrides for arg in ("--set", text)]
+        assert cli.main(["steady-state", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["G_rad_s"] == wp.G
+

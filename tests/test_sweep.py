@@ -18,7 +18,8 @@ from magnomech import (Axis, BracketInvalidError, DegenerateDenominatorError,
                        pair_measures, run_sweep, solve_lyapunov,
                        vanishing_temperature, working_point)
 from magnomech import measures, model, sweep
-from magnomech.dynamics import diffusion_matrices, stability_batch
+from magnomech.dynamics import (diffusion_batch, diffusion_matrices,
+                                stability_batch)
 from magnomech.errors import no_failures, raise_failure
 from magnomech.measures import RESIDUAL_REL_TARGET
 from magnomech.sweep import (BATCH_SIZE, CSV_CHUNK_ROWS, FIGURE_NAMES,
@@ -294,6 +295,9 @@ class TestSpecValidation:
             Axis("G_over_omega_b", 0.5, 0.1, 10)
         with pytest.raises(ParameterError):
             Axis("G_over_omega_b", 0.0, 1.0, 1)
+        for lo, hi in ((-1e308, 1e308), (0.0, math.inf), (-math.inf, 0.0)):
+            with pytest.raises(ParameterError, match="must be finite"):
+                Axis("temperature", lo, hi, 3)
 
     def test_axis_count(self):
         axes = tuple(Axis("G_over_omega_b", 0.1, 0.2, 2) for _ in range(3))
@@ -549,9 +553,21 @@ class TestRunSweep:
         columns["temperature"] = np.array([0.1, 0.1, 0.1])
         TestVanishingTemperature._fail_at(monkeypatch, {0.1})
         occupation_failures = no_failures(3)
-        sweep._diffusions(columns, np.arange(3), "vacuum", occupation_failures)
+        diffusion_batch(columns, np.arange(3), "vacuum", occupation_failures)
+        # Three points miss the reference field of their axis.
+        evaluated = []
+        evaluate = sweep._evaluate
+
+        def recording(columns, failures, *args):
+            evaluated.append(failures.copy())
+            return evaluate(columns, failures, *args)
+        monkeypatch.setattr(sweep, "_evaluate", recording)
+        run_sweep(SweepSpec(base=drive_spec().base,
+                            axes=(Axis("gma_over_G", 0.5, 5.0, 3),),
+                            outputs=("stable",)))
         for expected, batch in ((DegenerateDenominatorError, failures),
-                                (SingularSolveError, occupation_failures)):
+                                (SingularSolveError, occupation_failures),
+                                (ParameterError, *evaluated)):
             assert len({id(failure) for failure in batch}) == 3
             for failure in batch:
                 assert type(failure) is type(batch[0]) is expected
