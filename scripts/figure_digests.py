@@ -1,32 +1,35 @@
-"""Compare the 30 figure CSVs of two checkouts, byte for byte or within tolerance.
+"""Digest this checkout's 30 figure CSVs, or compare its CLI with another's.
 
     python3 scripts/figure_digests.py > digests.txt
     python3 scripts/figure_digests.py --against ../other-checkout
 
-Runs ``magnomech figure <preset> --format csv --jobs 1`` in-process for each
-of the 15 presets under both gain-noise conventions (30 CSVs). The library is
-imported from the ``src/`` of the checkout that holds this script.
+Each output is that of ``python -m magnomech <args>`` with a checkout's
+``src/`` on ``PYTHONPATH``. The 30 figure CSVs are ``figure <preset> --format
+csv --jobs 1`` for the 15 presets under both gain-noise conventions.
 
 Without ``--against``, prints one ``<sha256>  <preset>-<convention>.csv`` line
-each, so running it in two checkouts and diffing the output tells whether any
-figure byte moved.
+each: diff the output of two checkouts to see whether a figure byte moved.
 
-With ``--against <checkout>``, runs that checkout's CLI in a subprocess for
-the same 30 CSVs and prints, per CSV, how many cells moved and their largest
-absolute and relative deviation, then every cell that fails. A cell fails
-when it changes kind (empty or not, an error code, ``stable``, ``pt_phase``
-or any other column compared exactly) or when a numeric cell leaves the
-tolerances of ``perfbench/checks.py``. Exits 1 if any cell fails.
+With ``--against <checkout>``, prints per figure CSV how many cells moved,
+their largest absolute and relative deviation and every failing cell: one
+that changes kind (empty or not, an error code, ``stable``, ``pt_phase`` or
+any other column compared exactly) or leaves the tolerances of
+``perfbench/checks.py``. Then it runs the 80 single-point commands (each of
+``COMMANDS`` at each of ``POINTS``, in json and csv) and the 14 ``vanish-temp``
+``SEARCHES`` in both checkouts and names, with a diff, each whose merged
+stdout and stderr or exit code differ by a byte. Exits 1 if a cell fails or
+a command differs.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
+import difflib
 import hashlib
 import io
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -36,34 +39,79 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from checks import _cell_atol, close  # noqa: E402
-from magnomech.cli import main  # noqa: E402
 from magnomech.dynamics import GAIN_NOISE_MODES  # noqa: E402
 from magnomech.sweep import FIGURE_NAMES  # noqa: E402
 
+#: The single-point commands, each run at every point in json and csv.
+COMMANDS = ("classify", "steady-state", "drift", "stability", "measures")
 
-def figure_args(name: str, gain_noise: str) -> list[str]:
-    return ["figure", name, "--format", "csv", "--jobs", "1",
-            "--gain-noise", gain_noise]
+#: The ``--set`` overrides of each single-point command's point.
+POINTS = (
+    (),  # the bundled point
+    ("g_mb=0hz",),
+    ("G_eff=0.3omega_b", "g_mb=3hz"),  # a preset point with a tiny g_mb
+    # Drive-mode points: self-consistent, at a given delta_m_eff, and one
+    # whose working point fails.
+    ("epsilon_d=9.2e13rad_s", "delta_m=-0.95omega_b"),
+    ("epsilon_d=9.2e13rad_s", "delta_m_eff=-0.95omega_b"),
+    ("epsilon_d=8e13rad_s", "delta_m=-0.95omega_b", "g_ma=0", "kappa_a=0",
+     "delta_a=0"),
+    ("G_eff=0.2omega_b", "delta_m=-1omega_b"),  # no effective detuning
+    ("kappa_a=0.02omega_b",),  # a gain cavity
+)
 
 
-def figure_csv(name: str, gain_noise: str) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        status = main(figure_args(name, gain_noise))
-    if status != 0:
-        raise SystemExit(f"figure {name} --gain-noise {gain_noise} exited {status}")
-    return out.getvalue()
+def _sets(*settings: str) -> list[str]:
+    return [arg for setting in settings for arg in ("--set", setting)]
 
 
-def other_figure_csv(checkout: Path, name: str, gain_noise: str) -> str:
+_LOSS = _sets("G_eff=0.25omega_b", "kappa_a=-0.02omega_b")
+_UNSTABLE = _sets("g_ma=0.06omega_b", "G_eff=0.25omega_b")
+_FAILING = _sets("epsilon_d=8e13rad_s", "delta_m=-0.95omega_b", "g_ma=0",
+                 "kappa_a=0", "delta_a=0")  # its drift fails
+
+#: The arguments of each ``vanish-temp`` search. A search that fails prints
+#: its error and exit code, which are compared too.
+SEARCHES = (
+    # Acceptance criterion 8's two searches, under both conventions.
+    *([*_sets("G_eff=0.25omega_b", f"kappa_a={kappa_a}omega_b"),
+       "--t-hi", "350 mk", "--gain-noise", noise]
+      for noise in GAIN_NOISE_MODES for kappa_a in ("0.02", "-0.02")),
+    [*_LOSS, "--t-lo", "1.1 mk", "--t-hi", "200 mk",
+     "--gain-noise", "vacuum"],  # a bracket above 0 K
+    [*_sets("epsilon_d=8e13rad_s", "delta_m=-0.95omega_b"),
+     "--t-hi", "350 mk", "--gain-noise", "reversed"],  # drive mode
+    [*_LOSS, "--t-lo", "200 mk", "--t-hi", "300 mk"],  # an invalid bracket
+    # An unstable bracket and a failing drift, also at a negative or an
+    # overflowing end, and the loss point on brackets whose ends overflow.
+    _UNSTABLE,
+    [*_UNSTABLE, "--t-hi", "1e308 k"],
+    _FAILING,
+    [*_FAILING, "--t-lo", "-1 k"],
+    [*_FAILING, "--t-hi", "1e308 k"],
+    [*_LOSS, "--t-hi", "1e300 k"],
+    [*_LOSS, "--t-lo", "1e307 k", "--t-hi", "1.7e308 k"],
+)
+
+
+def run(checkout: Path, args: list[str]) -> tuple[int, str]:
+    """Exit code and merged stdout and stderr of ``python -m magnomech
+    <args>`` on the ``src/`` of ``checkout``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    done = subprocess.run([sys.executable, "-m", "magnomech",
-                           *figure_args(name, gain_noise)],
-                          cwd=checkout, env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"{checkout}: figure {name} --gain-noise {gain_noise} "
-                         f"exited {done.returncode}\n{done.stderr}")
-    return done.stdout
+    done = subprocess.run([sys.executable, "-m", "magnomech", *args],
+                          cwd=checkout, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True)
+    return done.returncode, done.stdout
+
+
+def figure_csv(checkout: Path, name: str, gain_noise: str) -> str:
+    args = ["figure", name, "--format", "csv", "--jobs", "1",
+            "--gain-noise", gain_noise]
+    status, output = run(checkout, args)
+    if status != 0:
+        raise SystemExit(f"{checkout}: {shlex.join(args)} exited {status}\n"
+                         f"{output}")
+    return output
 
 
 def compare(text: str, ref_text: str) -> tuple[int, float, float, list[str]]:
@@ -99,23 +147,37 @@ def compare(text: str, ref_text: str) -> tuple[int, float, float, list[str]]:
 
 
 def against(checkout: Path) -> int:
-    total, worst = 0, 0.0
-    status = 0
+    total, worst, failed = 0, 0.0, 0
     for name in FIGURE_NAMES:
         for gain_noise in GAIN_NOISE_MODES:
             moved, max_abs, max_rel, failing = compare(
-                figure_csv(name, gain_noise),
-                other_figure_csv(checkout, name, gain_noise))
+                figure_csv(ROOT, name, gain_noise),
+                figure_csv(checkout, name, gain_noise))
             total, worst = total + moved, max(worst, max_abs)
+            failed += bool(failing)
             print(f"{name}-{gain_noise}.csv  moved {moved}  "
                   f"max abs {max_abs:.3g}  max rel {max_rel:.3g}  "
                   f"failing {len(failing)}")
             for where in failing:
                 print(f"    FAIL {where}")
-            status = status or int(bool(failing))
-    print(f"total moved {total}  max abs {worst:.3g}  "
-          f"{'FAIL' if status else 'PASS'}")
-    return status
+    commands = [[command, *_sets(*point), "--format", fmt] for point in POINTS
+                for command in COMMANDS for fmt in ("json", "csv")]
+    commands += [["vanish-temp", *search] for search in SEARCHES]
+    differ = 0
+    for args in commands:
+        other, this = run(checkout, args), run(ROOT, args)
+        if this != other:
+            differ += 1
+            print(f"DIFF magnomech {shlex.join(args)}")
+            print("\n".join(difflib.unified_diff(
+                *(f"{output}exit {status}\n".splitlines()
+                  for status, output in (other, this)),
+                "other", "this", lineterm="")))
+    figures = len(FIGURE_NAMES) * len(GAIN_NOISE_MODES)
+    print(f"total moved {total}  max abs {worst:.3g}  failing CSVs {failed} "
+          f"of {figures}  differing commands {differ} of {len(commands)}  "
+          f"{'FAIL' if failed or differ else 'PASS'}")
+    return int(bool(failed or differ))
 
 
 if __name__ == "__main__":
@@ -127,5 +189,6 @@ if __name__ == "__main__":
         sys.exit(against(args.against.resolve()))
     for name in FIGURE_NAMES:
         for gain_noise in GAIN_NOISE_MODES:
-            digest = hashlib.sha256(figure_csv(name, gain_noise).encode()).hexdigest()
+            digest = hashlib.sha256(
+                figure_csv(ROOT, name, gain_noise).encode()).hexdigest()
             print(f"{digest}  {name}-{gain_noise}.csv")

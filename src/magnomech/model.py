@@ -110,15 +110,18 @@ def pt_classify(g_ma: float, kappa_a: float, kappa_m: float) -> PTPhase:
     """
     if kappa_m <= 0.0:
         raise ParameterError("pt_classify: kappa_m must be positive")
-    total = kappa_a + kappa_m
-    margin = 2.0 * g_ma - total
+    # An overflowing kappa_a + kappa_m is compared halved: halving rates
+    # that large is exact.
+    scale = 1.0 if math.isfinite(kappa_a + kappa_m) else 0.5
+    total = scale * kappa_a + scale * kappa_m
+    margin = 2.0 * scale * g_ma - total
     if abs(margin) <= EP_REL_TOL * abs(total):
         regime = PTRegime.EXCEPTIONAL_POINT
     elif margin > 0.0:
         regime = PTRegime.UNBROKEN
     else:
         regime = PTRegime.BROKEN
-    return PTPhase(regime=regime, margin=margin)
+    return PTPhase(regime=regime, margin=margin / scale)
 
 
 def two_mode_eigenfrequencies(delta: float, kappa_a: float, kappa_m: float,
@@ -132,8 +135,16 @@ def two_mode_eigenfrequencies(delta: float, kappa_a: float, kappa_m: float,
         if not math.isfinite(val):
             raise ParameterError("two_mode_eigenfrequencies: non-finite input")
     base = -delta - 0.5j * (kappa_m - kappa_a)
-    root = cmath.sqrt(complex(g_ma**2 - 0.25 * (kappa_a + kappa_m) ** 2))
-    return base + root, base - root
+    try:
+        root = cmath.sqrt(complex(g_ma**2 - 0.25 * (kappa_a + kappa_m) ** 2))
+    except OverflowError:  # a finite float's square
+        root = complex(math.inf)
+    roots = base + root, base - root
+    if not all(map(cmath.isfinite, roots)):
+        raise ParameterError(
+            f"two_mode_eigenfrequencies: eigenfrequencies overflow at delta = "
+            f"{delta}, kappa_a = {kappa_a}, kappa_m = {kappa_m}, g_ma = {g_ma}")
+    return roots
 
 
 def parameter_violations(values):

@@ -58,6 +58,14 @@ def _lower_root(v: dict, gain: np.ndarray, failures: np.ndarray
     companion[:, 1, 0] = companion[:, 2, 1] = 1.0
     companion[:, 0, 2], companion[:, 1, 2], companion[:, 2, 2] = (
         gain / q2, -q0 / q2, -q1 / q2)
+    # Where q2 > 0 is so small that these overflow, solve the same cubic for
+    # w = s/n, s = gain/q0: w^3 - w^2 - (q1*s/q0)*w - q2*s^2/q0 = 0 is monic
+    # with bounded coefficients, and its largest real root gives the lower n.
+    scaled = (q2 > 0.0) & ~np.isfinite(companion[:, :, 2]).all(axis=-1)
+    if scaled.any():
+        s = gain[scaled] / q0[scaled]
+        companion[scaled, :, 2] = np.stack([q2[scaled] * s**2, q1[scaled] * s,
+                                            q0[scaled]], axis=-1) / q0[scaled, None]
     roots = lapack_stack(np.linalg.eigvals, (companion,),
                          np.zeros((len(solved), 3), complex), failures, solved,
                          EigenSolveError, "working-point cubic")
@@ -67,6 +75,9 @@ def _lower_root(v: dict, gain: np.ndarray, failures: np.ndarray
     real = np.where((roots.imag == 0.0) & (roots.real >= 0.0), roots.real, np.inf)
     root = real.min(axis=-1)
     root[root == np.inf] = 0.0
+    if scaled.any():
+        root[scaled] = s / np.where(roots[scaled].imag == 0.0,
+                                    roots[scaled].real, 0.0).max(axis=-1)
     for _ in range(NEWTON_STEPS):
         root = root - (((q2 * root + q1) * root + q0) * root - gain) / (
             (3.0 * q2 * root + 2.0 * q1) * root + q0)

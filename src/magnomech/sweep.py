@@ -90,6 +90,7 @@ def _fields_set(name: str) -> set:
     return set(_DERIVED_PARAMS.get(name, ((name,),))[0])
 
 
+@np.errstate(all="ignore")  # an overflowing product fails its point's check
 def _parameter_changes(values, name: str, value) -> dict:
     """Fields changed by one swept parameter, from the current ``values``
     (a SystemParams' fields or the columns of a batch)."""
@@ -170,6 +171,9 @@ class SweepSpec:
                         f"field {sorted(clash)} of an axis")
         object.__setattr__(self, "outputs", tuple(self.outputs))
         _check_outputs(self.outputs)
+        if len(set(self.outputs)) < len(self.outputs):
+            raise ParameterError(
+                f"a sweep needs distinct outputs, got {list(self.outputs)}")
 
     def grid(self) -> np.ndarray:
         """Grid points (one row each, one column per axis), first axis outermost."""
@@ -322,14 +326,13 @@ def _evaluate_batch(spec: "SweepSpec", points: np.ndarray) -> list[list]:
         columns, failures = spec.base.columns(n), no_failures(n)
         steps = [(name, np.full(n, value)) for name, value in series.overrides]
         steps += [(axis.name, points[:, i]) for i, axis in enumerate(spec.axes)]
-        with np.errstate(all="ignore"):
-            for name, value in steps:
-                try:
-                    columns.update(_parameter_changes(columns, name, value))
-                except ParameterError as exc:
-                    record_failures(failures, alive(failures),
-                                    lambda k: type(exc)(*exc.args))
-                    break
+        for name, value in steps:
+            try:
+                columns.update(_parameter_changes(columns, name, value))
+            except ParameterError as exc:
+                record_failures(failures, alive(failures),
+                                lambda k: type(exc)(*exc.args))
+                break
         _check_columns(columns, failures)
         for row, cells in zip(rows, _evaluate(columns, failures, spec.outputs,
                                               spec.gain_noise)):

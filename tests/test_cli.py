@@ -50,6 +50,17 @@ class TestClassify:
         assert obj["omega_plus_re"] == w_plus.real  # exact round trip
 
 
+    @pytest.mark.parametrize("sets", [
+        ("g_ma=1.4e154rad_s",),  # g_ma^2 overflows (1.3e154 does not)
+        ("kappa_m=1e308rad_s", "kappa_a=1e308rad_s")])  # so does their sum
+    def test_overflowing_eigenfrequencies_exit_2(self, capsys, sets):
+        code, out, err = run_cli(capsys, "classify",
+                                 *(arg for text in sets for arg in ("--set", text)))
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "error: two_mode_eigenfrequencies: eigenfrequencies overflow")
+
+
 class TestSteadyStateAndDrift:
     def test_steady_state_preset(self, capsys):
         code, out, _ = run_cli(capsys, "steady-state")
@@ -344,6 +355,36 @@ class TestSweepAndFigure:
             outputs=("E_N(bm)", "stable")))
         assert json.loads(out) == [dict(zip(result.columns, row))
                                    for row in result.rows]
+
+    def test_repeated_output_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep",
+                                 "--axis", "G_over_omega_b:0:0.1:2",
+                                 "--output", "E_N(am)", "--output", "E_N(am)")
+        assert (code, out) == (2, "")
+        assert "distinct outputs" in err
+
+    def test_overflowing_rate_sum_is_broken(self, capsys):
+        # kappa_a + kappa_m overflows, yet 2 g_ma < kappa_a + kappa_m.
+        code, out, _ = run_cli(capsys, "sweep", "--set", "kappa_m=1e308rad_s",
+                               "--set", "kappa_a=1e308rad_s",
+                               "--axis", "G_over_omega_b:0:0.1:2",
+                               "--output", "pt_phase", "--output", "stable",
+                               "--format", "csv")
+        assert code == 0
+        assert [row.split(",")[1] for row in out.splitlines()[1:]] == [
+            "Broken", "Broken"]
+
+    def test_overflowing_axis_value_fails_its_points(self, capsys):
+        # G_over_omega_b * omega_b overflows: each point fails its parameter
+        # check, and no RuntimeWarning escapes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "sweep",
+                                   "--axis", "G_over_omega_b:1e300:1e301:2",
+                                   "--output", "stable", "--format", "csv")
+        assert (code, out) == (0, "G/omega_b,stable,error\n"
+                               "1e+300,,parameter_error\n"
+                               "1e+301,,parameter_error\n")
 
     def test_bad_axis_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--axis", "nope:0:1:5",

@@ -125,8 +125,24 @@ class TestPTClassify:
     def test_margin_sign(self):
         assert pt_classify(1.0, 0.1, 0.1).margin == pytest.approx(1.8)
 
+    def test_overflowing_rate_sum_is_broken(self):
+        # kappa_a + kappa_m overflows, and so does the margin, but 2 g_ma
+        # is far below the sum: not an exceptional point.
+        phase = pt_classify(OMEGA_B, 1e308, 1e308)
+        assert phase.regime is PTRegime.BROKEN
+        assert phase.margin == -math.inf
+
 
 class TestTwoModeEigenfrequencies:
+    @pytest.mark.parametrize("kappa_a, kappa_m, g_ma", [
+        (0.02 * OMEGA_B, 0.1 * OMEGA_B, 1.4e154),  # g_ma^2 overflows
+        (1e308, 1e308, OMEGA_B),  # kappa_a + kappa_m overflows
+        (-1e308, 1e308, OMEGA_B)],  # kappa_m - kappa_a overflows
+        ids=["square", "sum", "difference"])
+    def test_overflow_is_a_parameter_error(self, kappa_a, kappa_m, g_ma):
+        with pytest.raises(ParameterError, match="eigenfrequencies overflow"):
+            two_mode_eigenfrequencies(-OMEGA_B, kappa_a, kappa_m, g_ma)
+
     def test_decoupled_limit(self):
         wp, wm = two_mode_eigenfrequencies(0.3, 0.1, 0.2, 0.0)
         assert wp == pytest.approx(-0.3 + 0.1j)

@@ -267,6 +267,21 @@ class TestCubicWorkingPoint:
         assert type(failures[1]) is EigenSolveError
         assert "working-point cubic" in str(failures[1])
 
+    @pytest.mark.parametrize("kappa_a", [1e-140, 1e-150])
+    def test_tiny_cavity_rate_takes_the_scaled_cubic(self, kappa_a):
+        # q2 = (kappa_a * g_mb^2 / omega_b)^2 is so small at the drive base
+        # that q0/q2 overflows the companion matrix; n is about 5e-284 and
+        # 5e-304.
+        p = default_params().replace(
+            G_eff=None, delta_m_eff=None, delta_m=-0.95 * OMEGA_B,
+            epsilon_d=9.2e13, delta_a=0.0, kappa_a=kappa_a)
+        v, failures = _columns([p]), no_failures(1)
+        m_s, _, _, _, _ = working_point_batch(v, failures)
+        assert failures[0] is None and m_s[0] == working_point(p).m_s
+        f, _, exact_gain = _cubic(p)
+        x = Fraction(abs(m_s[0]) ** 2)
+        assert 0 < x and abs(f(x)) <= Fraction(1e-12) * exact_gain
+
     @settings(derandomize=True, max_examples=200, deadline=None)
     # Roots 1e51 apart: LAPACK returns the smallest as 0.0 and the others as
     # a negative pair.

@@ -353,6 +353,14 @@ class TestSpecValidation:
                       outputs=("stable",),
                       series=(Series("x"), Series("x", (("g_ma", 1.0),))))
 
+    def test_duplicate_outputs(self):
+        # A repeated output would repeat a CSV column and collapse into one
+        # key of each JSON row.
+        with pytest.raises(ParameterError, match="distinct outputs"):
+            SweepSpec(base=default_params(),
+                      axes=(Axis("G_over_omega_b", 0.1, 0.2, 2),),
+                      outputs=("E_N(am)", "stable", "E_N(am)"))
+
     def test_no_series(self):
         with pytest.raises(ParameterError, match="distinct labels"):
             SweepSpec(base=default_params(),
