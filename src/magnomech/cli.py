@@ -243,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         text = _HANDLERS[args.command](args, params)
         _emit(text, args.out)
     except UnstableSystemError as exc:
-        print(json.dumps({"error": "unstable", "detail": str(exc)}),
+        print(json.dumps({"error": exc.code, "detail": str(exc)}),
               file=sys.stderr)
         return EXIT_UNSTABLE
     except OSError as exc:

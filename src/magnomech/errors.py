@@ -28,6 +28,7 @@ class ParameterError(MagnomechError, ValueError):
 
 class ConfigError(MagnomechError, ValueError):
     """Malformed parameter file or override string."""
+    code = "config_error"
 
 
 class DegenerateDenominatorError(MagnomechError):
@@ -37,6 +38,7 @@ class DegenerateDenominatorError(MagnomechError):
 
 class UnstableSystemError(MagnomechError):
     """Drift matrix has a non-negative Lyapunov exponent; no steady state."""
+    code = "unstable"
 
 
 class SingularSolveError(MagnomechError):
@@ -66,6 +68,7 @@ class CrossCheckMismatchError(MagnomechError):
 
 class BracketInvalidError(MagnomechError):
     """Bisection bracket does not straddle the sought boundary."""
+    code = "bracket_invalid"
 
 
 def no_failures(shape) -> np.ndarray:

@@ -118,10 +118,10 @@ _NON_FINITE = "vectorized Lyapunov solve gave a non-finite solution"
 def _check_solvable(eigenvalues: np.ndarray, d: np.ndarray,
                     failures: np.ndarray) -> None:
     """Fail each point whose Lyapunov system cannot have a finite solution:
-    its eigenvalues pair up to (numerically) zero, or its D is not finite."""
-    pair_sums = np.abs(eigenvalues[:, :, None] + eigenvalues[:, None, :])
-    scale = np.maximum(np.abs(eigenvalues).max(axis=-1), 1e-300)
-    record_failures(failures, pair_sums.min(axis=(1, 2)) < 1e-14 * scale,
+    its D is not finite, or its eigenvalues pair up to (numerically) zero:
+    on a stable real spectrum, the slowest one with its conjugate (or itself)."""
+    tol = 1e-14 * np.maximum(np.abs(eigenvalues).max(axis=-1), 1e-300)
+    record_failures(failures, 2.0 * np.abs(eigenvalues.real).min(axis=-1) < tol,
                     lambda k: SingularSolveError(
                         "eigenvalue pair sums to zero; Lyapunov system singular"))
     _check_diffusion(d, failures)

@@ -58,10 +58,10 @@ def _lower_root(v: dict, gain: np.ndarray, failures: np.ndarray
     companion[:, 1, 0] = companion[:, 2, 1] = 1.0
     companion[:, 0, 2], companion[:, 1, 2], companion[:, 2, 2] = (
         gain / q2, -q0 / q2, -q1 / q2)
-    # Where q2 > 0 is so small that these overflow, solve the same cubic for
-    # w = s/n, s = gain/q0: w^3 - w^2 - (q1*s/q0)*w - q2*s^2/q0 = 0 is monic
-    # with bounded coefficients, and its largest real root gives the lower n.
-    scaled = (q2 > 0.0) & ~np.isfinite(companion[:, :, 2]).all(axis=-1)
+    # Where q2 is so small (or 0) that these overflow, solve the same cubic
+    # for w = s/n, s = gain/q0: w^3 - w^2 - (q1*s/q0)*w - q2*s^2/q0 = 0 is
+    # monic with bounded coefficients; its largest real root gives the lower n.
+    scaled = ~np.isfinite(companion[:, :, 2]).all(axis=-1)
     if scaled.any():
         s = gain[scaled] / q0[scaled]
         companion[scaled, :, 2] = np.stack([q2[scaled] * s**2, q1[scaled] * s,

@@ -169,6 +169,16 @@ class SweepSpec:
                     raise ParameterError(
                         f"series {series.label!r} override {name!r} sets the "
                         f"field {sorted(clash)} of an axis")
+        # An axis must not change a reference an earlier step read its value from.
+        earlier = [(f"series {series.label!r} override", name)
+                   for series in self.series for name, _ in series.overrides]
+        for axis, axis_fields in zip(self.axes, fields):
+            for step, name in earlier:
+                ref = _DERIVED_PARAMS.get(name, (None, None))[1]
+                if ref in axis_fields:
+                    raise ParameterError(f"axis {axis.name!r} sets the reference "
+                                         f"{ref!r} of the earlier {step} {name!r}")
+            earlier.append(("axis", axis.name))
         object.__setattr__(self, "outputs", tuple(self.outputs))
         _check_outputs(self.outputs)
         if len(set(self.outputs)) < len(self.outputs):

@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magnomech import (Axis, ParameterError, SweepSpec, build_params,
-                       default_config, default_params, diffusion_from_params,
-                       drift_from_params, evaluate_point, figure_preset,
-                       merge_layers, pair_measures, run_sweep, solve_lyapunov,
-                       stability, two_mode_eigenfrequencies, working_point)
+from magnomech import (Axis, MagnomechError, ParameterError, SweepSpec,
+                       build_params, default_config, default_params,
+                       diffusion_from_params, drift_from_params, evaluate_point,
+                       figure_preset, merge_layers, pair_measures, run_sweep,
+                       solve_lyapunov, stability, two_mode_eigenfrequencies,
+                       working_point)
 from magnomech import cli
 from magnomech.cli import main
 from magnomech.config import apply_overrides
@@ -85,6 +86,19 @@ class TestSteadyStateAndDrift:
         code, _, err = run_cli(capsys, "steady-state", "--set", "delta_m=-1omega_b")
         assert code == 2 and "delta_m_eff" in err
 
+    def test_drive_point_with_an_underflowing_cubic_coefficient(self, capsys):
+        # At g_mb = 1e-100 rad/s the cubic's n^3 coefficient underflows to 0;
+        # the working point is that of g_mb = 1e-80 rad/s, where it does not.
+        drive = ["--set", "epsilon_d=9.2e13rad_s", "--set", "delta_m=-0.95omega_b"]
+        points = []
+        for g_mb in ("1e-80rad_s", "1e-100rad_s"):
+            code, out, _ = run_cli(capsys, "steady-state", *drive,
+                                   "--set", f"g_mb={g_mb}")
+            assert code == 0
+            points.append(json.loads(out))
+        for key in ("m_s_re", "m_s_im", "delta_m_eff_rad_s"):
+            assert points[0][key] == points[1][key]
+
     def test_stability_json(self, capsys):
         code, out, _ = run_cli(capsys, "stability")
         obj = json.loads(out)
@@ -109,6 +123,15 @@ class TestMeasures:
         assert code == 4
         assert out == ""
         assert json.loads(err)["error"] == "unstable"
+
+    def test_every_error_names_itself(self):
+        # A failure's code is what a sweep cell or the unstable JSON shows.
+        classes, codes = [MagnomechError], []
+        while classes:
+            subclasses = classes.pop().__subclasses__()
+            classes += subclasses
+            codes += [cls.code for cls in subclasses]
+        assert len(codes) == len(set(codes)) and "error" not in codes
 
     @pytest.mark.parametrize("argv", [
         ("classify", "--jobs", "2"), ("steady-state", "--jobs", "2"),
@@ -362,6 +385,20 @@ class TestSweepAndFigure:
                                  "--output", "E_N(am)", "--output", "E_N(am)")
         assert (code, out) == (2, "")
         assert "distinct outputs" in err
+
+    def test_axis_that_changes_an_earlier_reference_exits_2(self, capsys):
+        # G_eff would be set from the base g_ma before the second axis
+        # changes g_ma, so the row labelled G/g_ma = 0.1 would be at 0.2.
+        axes = ["G_over_gma:0.1:0.2:2", "gma_over_omega_b:0.5:1:2"]
+        code, out, err = run_cli(capsys, "sweep", "--axis", axes[0], "--axis",
+                                 axes[1], "--output", "stable", "--format", "csv")
+        assert (code, out) == (2, "")
+        assert err == ("error: axis 'gma_over_omega_b' sets the reference "
+                       "'g_ma' of the earlier axis 'G_over_gma'\n")
+        # In the other order each G_eff is set from its own point's g_ma.
+        code, out, _ = run_cli(capsys, "sweep", "--axis", axes[1], "--axis",
+                               axes[0], "--output", "stable", "--format", "csv")
+        assert code == 0 and out.startswith("g_ma/omega_b,G/g_ma,stable,error\n")
 
     def test_overflowing_rate_sum_is_broken(self, capsys):
         # kappa_a + kappa_m overflows, yet 2 g_ma < kappa_a + kappa_m.

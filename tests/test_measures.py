@@ -209,6 +209,27 @@ class TestLyapunovSolve:
         assert isinstance(failures[0], SingularSolveError)
         assert np.isnan(v).all() and np.isnan(residual).all()
 
+    def test_guard_flags_the_points_whose_pair_sums_vanish(self):
+        # Random stable real drifts whose slowest decay rate is 1e-17 to 0.1
+        # of their largest |lambda|, around the guard's 1e-14 on both sides.
+        # The reference is the smallest of all 36 pair sums |lambda_i + lambda_j|.
+        rng = np.random.default_rng(82)
+        a = rng.standard_normal((4000, 6, 6)) * 10.0 ** rng.uniform(-3, 3, (4000, 1, 1))
+        spectra = np.linalg.eigvals(a)
+        rates = 10.0 ** rng.uniform(-17, -1, 4000) * np.abs(spectra).max(axis=-1)
+        a -= (spectra.real.max(axis=-1) + rates)[:, None, None] * np.eye(6)
+        eigenvalues = np.linalg.eigvals(a).astype(complex)
+        eigenvalues = eigenvalues[eigenvalues.real.max(axis=-1) < 0.0]
+        pair_sums = np.abs(eigenvalues[:, :, None] + eigenvalues[:, None, :])
+        scale = np.maximum(np.abs(eigenvalues).max(axis=-1), 1e-300)
+        expected = pair_sums.min(axis=(1, 2)) < 1e-14 * scale
+        failures = no_failures(len(eigenvalues))
+        measures._check_solvable(eigenvalues, np.zeros((len(eigenvalues), 6, 6)),
+                                 failures)
+        flagged = [isinstance(failure, SingularSolveError) for failure in failures]
+        assert flagged == expected.tolist()
+        assert 100 < expected.sum() < len(expected) - 100
+
     def test_rejected_system_fails_only_its_own_point(self):
         # A zero drift handed to the solver with a made-up stable spectrum
         # passes the pair-sum guard, but its 36x36 system is exactly

@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -84,6 +85,22 @@ def _cubic(params: SystemParams):
     def f(x: Fraction) -> Fraction:
         return x * ((ar + br * x) ** 2 + (ai + bi * x) ** 2) - gain
     return f, (br**2 + bi**2, 2 * (ar * br + ai * bi), ar**2 + ai**2), gain
+
+
+def _nearest_lower_root(f) -> float:
+    """The float nearest the lowest positive root of f, where f(0) < 0. The
+    first power of two at which f > 0 brackets it; then exact bisection over
+    the bit patterns of the positive floats, which sort as the floats do."""
+    def at(bits: int) -> Fraction:
+        return Fraction(struct.unpack("<d", struct.pack("<q", bits))[0])
+    hi = math.ulp(0.0)
+    while f(Fraction(hi)) <= 0:
+        hi *= 2.0
+    lo, hi = (struct.unpack("<q", struct.pack("<d", x))[0] for x in (hi / 2, hi))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if f(at(mid)) <= 0 else (lo, mid)
+    return float(at(hi) if f((at(lo) + at(hi)) / 2) < 0 else at(lo))
 
 
 #: drive_spec's epsilon_d axis at delta_m = -0.95 omega_b, and a denser one at
@@ -258,9 +275,11 @@ class TestCubicWorkingPoint:
             working_point(points[1])
 
     def test_rejected_cubic_fails_its_point(self):
-        # g_mb^2 / omega_b underflows to 0, so the companion matrix is not
-        # finite and LAPACK rejects it.
-        points = [_drive_params(), _drive_params(g_mb=1e-170)]
+        # s = gain/q0 overflows (gain = 1e108, q0 = 1e-206), so even the
+        # scaled companion matrix is not finite and LAPACK rejects it.
+        points = [_drive_params(), _drive_params(
+            epsilon_d=1e154, delta_a=1e-100, kappa_a=0.0, g_ma=0.0,
+            kappa_m=1e-3, delta_m=0.0)]
         failures = no_failures(2)
         _, _, _, g, _ = working_point_batch(_columns(points), failures)
         assert failures[0] is None and g[0] == working_point(points[0]).G
@@ -281,6 +300,28 @@ class TestCubicWorkingPoint:
         f, _, exact_gain = _cubic(p)
         x = Fraction(abs(m_s[0]) ** 2)
         assert 0 < x and abs(f(x)) <= Fraction(1e-12) * exact_gain
+
+    @pytest.mark.parametrize("field, value", [
+        ("kappa_a", 1e-156), ("kappa_a", 1e-158), ("kappa_a", 1e-160),
+        ("g_mb", 1e-82), ("g_mb", 1e-170)])
+    def test_vanishing_cubic_term_takes_the_scaled_cubic(self, field, value):
+        # q2 = (kappa_a * g_mb^2 / omega_b)^2 underflows to 0 at the drive
+        # base, and with it the n^3 term. n is subnormal at these kappa_a and
+        # carries few bits, so it must be the float nearest the root, not
+        # just a root to a relative residual.
+        p = default_params().replace(
+            G_eff=None, delta_m_eff=None, delta_m=-0.95 * OMEGA_B,
+            epsilon_d=9.2e13, delta_a=0.0, **{field: value})
+        v, failures = _columns([p]), no_failures(1)
+        gain = v["epsilon_d"] ** 2 * (v["delta_a"] ** 2 + v["kappa_a"] ** 2)
+        with np.errstate(all="ignore"):
+            n, _ = steady_state._lower_root(v, gain, failures)
+        assert failures[0] is None
+        f, _, exact_gain = _cubic(p)
+        # The cubic handed to _lower_root: exact coefficients, its own gain.
+        assert n[0] == _nearest_lower_root(
+            lambda x: f(x) + exact_gain - Fraction(gain[0]))
+        working_point(p)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     # Roots 1e51 apart: LAPACK returns the smallest as 0.0 and the others as

@@ -346,6 +346,27 @@ class TestSpecValidation:
                          series=(Series("x", (("kappa_m", 1e7),)),))
         assert run_sweep(spec).column("error", "x") == ["", ""]
 
+    @pytest.mark.parametrize("axes, overrides, message", [
+        (("G_over_gma", "gma_over_omega_b"), (),
+         "axis 'gma_over_omega_b' sets the reference 'g_ma' of the earlier "
+         "axis 'G_over_gma'"),
+        (("gma_over_G", "G_eff"), (),
+         "axis 'G_eff' sets the reference 'G_eff' of the earlier axis 'gma_over_G'"),
+        (("delta_over_omega_b", "omega_b"), (),
+         "axis 'omega_b' sets the reference 'omega_b' of the earlier axis "
+         "'delta_over_omega_b'"),
+        (("g_ma",), (("G_over_gma", 0.2),),
+         "axis 'g_ma' sets the reference 'g_ma' of the earlier series 'x' "
+         "override 'G_over_gma'")])
+    def test_axis_that_changes_an_earlier_reference(self, axes, overrides,
+                                                    message):
+        # The earlier step's field was set from the reference the axis then
+        # changes: a point's label would not describe it.
+        with pytest.raises(ParameterError, match=message):
+            SweepSpec(base=default_params(),
+                      axes=tuple(Axis(name, 0.5, 1.0, 2) for name in axes),
+                      outputs=("stable",), series=(Series("x", overrides),))
+
     def test_duplicate_series_labels(self):
         with pytest.raises(ParameterError, match="distinct labels"):
             SweepSpec(base=default_params(),
