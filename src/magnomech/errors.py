@@ -11,7 +11,16 @@ batch of one that raises its point's failure.
 Stored exceptions carry no traceback. The cyclic garbage collector cannot see
 into NumPy object arrays, so a traceback whose frames hold the array that
 holds the exception would never be freed.
+
+A large stack of small matrices is solved in chunks, one per usable core
+(:func:`split_stack`). NumPy's linear-algebra functions release the GIL and
+solve each matrix of a stack on its own, so every matrix gets the same bits
+on any number of threads.
 """
+
+import contextvars
+import os
+import threading
 
 import numpy as np
 
@@ -95,12 +104,82 @@ def record_failures(failures: np.ndarray, mask, make) -> None:
             failures[k] = make(k)
 
 
-def lapack_stack(func, stacks: tuple, out, failures, points, error, what):
-    """``func(*stacks)`` in one LAPACK call; entry j is point ``points[j]``.
-    Only if LAPACK rejects the stacks does ``func`` run point by point, into
-    ``out``: each point it rejects fails with ``error(f"{what}: {reason}")``."""
+#: A stack splits only into chunks of at least this many matrices. Below a
+#: kernel's own size, handing a chunk to a thread costs more than it saves:
+#: on a 2-core VM, two threads beat one call from chunks of 256 companion
+#: 3x3 matrices, 128 complex 4x4, 96 real 6x6 and 32 36x36 systems.
+MIN_CHUNK = 256
+
+# The thread pool of split stacks, made on the first split.
+_pool = None
+_pool_lock = threading.Lock()
+# A forked child never splits. It has none of its parent's pool threads, so
+# a split there would wait forever; and a process pool's workers already
+# share the cores, where splitting measured no faster.
+_forked = False
+
+
+def _mark_forked() -> None:
+    global _forked
+    _forked = True
+
+
+if hasattr(os, "register_at_fork"):  # absent where processes never fork
+    os.register_at_fork(after_in_child=_mark_forked)
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity mask, where known."""
     try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this OS
+        return os.cpu_count() or 1
+
+
+def _thread_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # Imported here: importing the package loads no executor.
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1,
+                                       thread_name_prefix="magnomech-stack")
+        return _pool
+
+
+def split_stack(func, *stacks):
+    """``func(*stacks)`` for a NumPy linear-algebra function ``func`` over
+    stacks of matrices along axis 0, split into one chunk per usable core
+    while every chunk keeps MIN_CHUNK matrices. The calling thread solves
+    chunk 0; each other chunk runs in the caller's context, so its
+    ``np.errstate`` holds there too. A LinAlgError of any chunk is raised."""
+    n = len(stacks[0])
+    # Most stacks are small: they skip the affinity-mask system call.
+    parts = 1 if n < 2 * MIN_CHUNK or _forked else min(_usable_cores(),
+                                                       n // MIN_CHUNK)
+    if parts < 2:
         return func(*stacks)
+    bounds = [n * i // parts for i in range(parts + 1)]
+    chunks = [[stack[lo:hi] for stack in stacks]
+              for lo, hi in zip(bounds, bounds[1:])]
+    pool = _thread_pool()
+    from concurrent.futures import wait
+    futures = [pool.submit(contextvars.copy_context().run, func, *chunk)
+               for chunk in chunks[1:]]
+    try:
+        first = func(*chunks[0])
+    finally:
+        wait(futures)  # no thread still reads the stacks once this returns
+    return np.concatenate([first, *(future.result() for future in futures)])
+
+
+def lapack_stack(func, stacks: tuple, out, failures, points, error, what):
+    """``func(*stacks)`` through :func:`split_stack`; entry j is point
+    ``points[j]``. Only if LAPACK rejects the stacks does ``func`` run point
+    by point, into ``out``: each point it rejects fails with
+    ``error(f"{what}: {reason}")``."""
+    try:
+        return split_stack(func, *stacks)
     except np.linalg.LinAlgError:
         for j, k in enumerate(points.tolist()):
             try:

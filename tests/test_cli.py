@@ -505,8 +505,9 @@ def test_runtime_imports_no_scipy():
 def test_process_pool_is_imported_only_for_a_pool():
     code = ("import sys\n"
             "import magnomech\n"
-            "print('multiprocessing' in sys.modules)\n")
-    assert run_fresh(code) == "False"
+            "print('multiprocessing' in sys.modules,"
+            " 'concurrent.futures' in sys.modules)\n")
+    assert run_fresh(code) == "False False"
     # fig2a's 10,201 points make 10 batches, so --jobs 2 runs a pool.
     code = ("import io, sys\n"
             "from magnomech import cli\n"
@@ -517,6 +518,18 @@ def test_process_pool_is_imported_only_for_a_pool():
             "sys.stdout = sys.__stdout__\n"
             "print(before, 'multiprocessing' in sys.modules)\n")
     assert run_fresh(code) == "False True"
+
+
+def test_process_pool_after_split_stacks():
+    # The one-process sweep splits its eigenvalue stacks over a thread pool;
+    # the process pool forked after it must neither hang nor split.
+    code = ("from magnomech import errors, sweep\n"
+            "errors._usable_cores = lambda: 2\n"
+            "spec = sweep.figure_preset('fig2a')\n"
+            "one = sweep.run_sweep(spec, jobs=1).rows\n"
+            "split = errors._pool is not None\n"
+            "print(split, sweep.run_sweep(spec, jobs=2).rows == one)\n")
+    assert run_fresh(code) == "True True"
 
 
 class TestRepeatedCalls:
