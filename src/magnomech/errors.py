@@ -12,10 +12,12 @@ Stored exceptions carry no traceback. The cyclic garbage collector cannot see
 into NumPy object arrays, so a traceback whose frames hold the array that
 holds the exception would never be freed.
 
-A large stack of small matrices is solved in chunks, one per usable core
-(:func:`split_stack`). NumPy's linear-algebra functions release the GIL and
-solve each matrix of a stack on its own, so every matrix gets the same bits
-on any number of threads.
+The usable cores share a job in one of two ways. A job of several batches
+runs whole batches on one thread per usable core (:func:`map_batches`); a
+lone batch solves each large stack of small matrices in chunks, one per
+usable core (:func:`split_stack`). NumPy's linear-algebra functions release
+the GIL and solve each matrix of a stack on its own, so every matrix gets
+the same bits on any number of threads.
 """
 
 import contextvars
@@ -104,19 +106,24 @@ def record_failures(failures: np.ndarray, mask, make) -> None:
             failures[k] = make(k)
 
 
-#: A stack splits only into chunks of at least this many matrices. Below a
-#: kernel's own size, handing a chunk to a thread costs more than it saves:
-#: on a 2-core VM, two threads beat one call from chunks of 256 companion
-#: 3x3 matrices, 128 complex 4x4, 96 real 6x6 and 32 36x36 systems.
+#: A stack splits only into chunks of at least this many matrices, and a
+#: job's batches keep at least this many points each. Below a kernel's own
+#: size, handing a chunk to a thread costs more than it saves: on a 2-core
+#: VM, two threads beat one call from chunks of 256 companion 3x3 matrices,
+#: 128 complex 4x4, 96 real 6x6 and 32 36x36 systems.
 MIN_CHUNK = 256
 
-# The thread pool of split stacks, made on the first split.
+# The thread pool of split stacks and batch threads, made on first use.
 _pool = None
 _pool_lock = threading.Lock()
-# A forked child never splits. It has none of its parent's pool threads, so
-# a split there would wait forever; and a process pool's workers already
-# share the cores, where splitting measured no faster.
+# A forked child never splits a stack nor runs batch threads. It has none
+# of its parent's pool threads, so it would wait on them forever; and a
+# process pool's workers already share the cores, where splitting measured
+# no faster.
 _forked = False
+# Set in every thread that runs a job's batches: a stack there never splits.
+# Its chunks would queue behind the batches, and the cores are busy anyway.
+_in_batch = contextvars.ContextVar("in_batch", default=False)
 
 
 def _mark_forked() -> None:
@@ -134,6 +141,12 @@ def _usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this OS
         return os.cpu_count() or 1
+
+
+def batch_threads(n: int) -> int:
+    """Threads that share a job of ``n`` points: one per usable core, while
+    each keeps MIN_CHUNK points, and one in a forked child."""
+    return 1 if _forked else max(1, min(_usable_cores(), n // MIN_CHUNK))
 
 
 def _thread_pool():
@@ -155,8 +168,8 @@ def split_stack(func, *stacks):
     ``np.errstate`` holds there too. A LinAlgError of any chunk is raised."""
     n = len(stacks[0])
     # Most stacks are small: they skip the affinity-mask system call.
-    parts = 1 if n < 2 * MIN_CHUNK or _forked else min(_usable_cores(),
-                                                       n // MIN_CHUNK)
+    parts = (1 if n < 2 * MIN_CHUNK or _forked or _in_batch.get()
+             else min(_usable_cores(), n // MIN_CHUNK))
     if parts < 2:
         return func(*stacks)
     bounds = [n * i // parts for i in range(parts + 1)]
@@ -171,6 +184,48 @@ def split_stack(func, *stacks):
     finally:
         wait(futures)  # no thread still reads the stacks once this returns
     return np.concatenate([first, *(future.result() for future in futures)])
+
+
+def map_batches(func, batches: list, threads: int) -> list:
+    """``[func(batch) for batch in batches]`` on the calling thread and
+    ``threads - 1`` pool threads, each in a copy of the caller's context
+    (so its ``np.errstate`` holds there too) and each taking the next batch
+    until none is left. A lone batch runs as a plain call, and so may split
+    its stacks; in a job of several, no stack splits. The first error stops
+    the hand-out of further batches and is raised once every thread has
+    stopped."""
+    if threads < 2 or len(batches) < 2:
+        return [func(batch) for batch in batches]
+    results = [None] * len(batches)
+    pending = iter(range(len(batches)))
+    raised = []
+    lock = threading.Lock()
+
+    def work():
+        _in_batch.set(True)
+        while True:
+            with lock:
+                k = None if raised else next(pending, None)
+            if k is None:
+                return
+            try:
+                results[k] = func(batches[k])
+            except BaseException as exc:
+                with lock:
+                    raised.append(exc)
+                return
+
+    pool = _thread_pool()
+    from concurrent.futures import wait
+    helpers = [pool.submit(contextvars.copy_context().run, work)
+               for _ in range(threads - 1)]
+    contextvars.copy_context().run(work)
+    for helper in helpers:
+        helper.cancel()  # one still queued has no batch left to take
+    wait(helpers)
+    if raised:
+        raise raised[0]
+    return results
 
 
 def lapack_stack(func, stacks: tuple, out, failures, points, error, what):

@@ -15,8 +15,8 @@ from .config import build_params, default_config
 from .dynamics import (check_gain_noise, diffusion_batch, drift_matrices,
                        stability_batch)
 from .errors import (BracketInvalidError, MagnomechError, ParameterError,
-                     UnstableSystemError, alive, no_failures, raise_failure,
-                     record_failures)
+                     UnstableSystemError, alive, batch_threads, map_batches,
+                     no_failures, raise_failure, record_failures)
 from .model import SystemParams, parameter_violations, pt_classify
 from .steady_state import working_point_batch
 
@@ -27,7 +27,7 @@ VANISHING_TEMPERATURE_TOL = 1e-4
 #: evaluates as one batch: 7 temperatures per round, 9 in the first.
 _SEARCH_LEVELS = 3
 
-#: Grid points evaluated together as one stack of arrays, whatever the
+#: Most grid points evaluated together as one stack of arrays, whatever the
 #: outputs. A covariance point adds a 36x36 Lyapunov system, about 10 KB, to
 #: the batch's (N, 36, 36) stack: a full batch of them raises peak memory by
 #: about 14 MB (fig4b, fig4d).
@@ -230,9 +230,19 @@ def _pair_plan(outputs: tuple[str, ...]) -> tuple[tuple, tuple, tuple]:
                                  for j, pair, name, steering in measures)
 
 
+def _cells(n: int, points: np.ndarray, values) -> list:
+    """A column of n cells: ``values`` at ``points``, None elsewhere."""
+    if len(points) == n:
+        return values.tolist() if isinstance(values, np.ndarray) else values
+    column = np.full(n, None, dtype=object)
+    column[points] = values  # NumPy floats and ints become Python ones
+    return column.tolist()
+
+
 def _evaluate(columns: dict, failures: np.ndarray, outputs: tuple[str, ...],
               gain_noise: str) -> list[list]:
-    """Rows of output values plus the error code, one per point.
+    """One column per output, then the column of error codes, one cell per
+    point.
 
     Working point -> drift -> stability -> diffusion -> Lyapunov covariance
     -> measures. ``columns`` maps each SystemParams field to None or an
@@ -276,41 +286,36 @@ def _evaluate(columns: dict, failures: np.ndarray, outputs: tuple[str, ...],
         failures[solved] = sub_failures
         ok = alive(sub_failures)
         solved, v, residual = solved[ok], v[ok], residual[ok]
-    rows = [[None] * len(outputs) for _ in range(len(failures))]
-    reported = np.flatnonzero(reported).tolist()
-    solved = solved.tolist()
+    n = len(failures)
+    reported = np.flatnonzero(reported)
+    cells = [[None] * n for _ in outputs]
     for j, (out, kind) in enumerate(zip(outputs, kinds)):
         if out == "pt_phase":
-            g_ma, kappa_a, kappa_m = (columns[name].tolist()
+            g_ma, kappa_a, kappa_m = (columns[name][reported].tolist()
                                       for name in ("g_ma", "kappa_a", "kappa_m"))
-            for k in reported:
-                rows[k][j] = pt_classify(g_ma[k], kappa_a[k], kappa_m[k]).tag
+            cells[j] = _cells(n, reported, [pt_classify(*point).tag for point
+                                            in zip(g_ma, kappa_a, kappa_m)])
         elif kind == "report":
-            values = (stable.astype(int) if out == "stable"
-                      else max_lyapunov).tolist()
-            for k in reported:
-                rows[k][j] = values[k]
-        elif kind == "cm" and solved:
-            values = (residual if out == "residual"
-                      else _measures.physicality_margins(v))
-            for k, value in zip(solved, values.tolist()):
-                rows[k][j] = value
+            values = stable.astype(int) if out == "stable" else max_lyapunov
+            cells[j] = _cells(n, reported, values[reported])
+        elif kind == "cm" and solved.size:
+            cells[j] = _cells(n, solved, residual if out == "residual"
+                              else _measures.physicality_margins(v))
     pairs, checked, measures = _pair_plan(outputs)
-    if solved and measures:
+    if solved.size and measures:
         batch = _measures.PairBatch(v, pairs, checked=checked)
         tables = {name: getattr(batch, name).tolist() for _, name, _, _ in measures}
         stops = (batch.failures.tolist(), batch.steering_failures.tolist())
-        for i, k in enumerate(solved):
-            row = rows[k]
+        for i, k in enumerate(solved.tolist()):
             for j, name, col, steering in measures:
                 failure = stops[steering][i][col]
                 if failure is not None:  # stops the point's later measures
                     failures[k] = failure
                     break
-                row[j] = tables[name][i][col]
-    for row, failure in zip(rows, failures):
-        row.append(failure.code if failure is not None else "")
-    return rows
+                cells[j][k] = tables[name][i][col]
+    cells.append([failure.code if failure is not None else ""
+                  for failure in failures.tolist()])
+    return cells
 
 
 def evaluate_point(params: SystemParams, outputs: tuple[str, ...],
@@ -321,8 +326,8 @@ def evaluate_point(params: SystemParams, outputs: tuple[str, ...],
     never zeros. Per-point failures are reported in the "error" entry.
     """
     try:
-        *values, error = _evaluate(params.columns(), no_failures(1),
-                                   tuple(outputs), gain_noise)[0]
+        *values, error = (cells[0] for cells in _evaluate(
+            params.columns(), no_failures(1), tuple(outputs), gain_noise))
     except ParameterError as exc:  # an unknown output or gain_noise
         values, error = [None] * len(outputs), exc.code
     return {**dict(zip(outputs, values)), "error": error}
@@ -330,7 +335,7 @@ def evaluate_point(params: SystemParams, outputs: tuple[str, ...],
 
 def _evaluate_batch(spec: "SweepSpec", points: np.ndarray) -> list[list]:
     """Rows of a batch of grid points: axis values, then each series' cells."""
-    rows = points.tolist()
+    cells = points.T.tolist()
     n = len(points)
     for series in spec.series:
         columns, failures = spec.base.columns(n), no_failures(n)
@@ -344,10 +349,8 @@ def _evaluate_batch(spec: "SweepSpec", points: np.ndarray) -> list[list]:
                                 lambda k: type(exc)(*exc.args))
                 break
         _check_columns(columns, failures)
-        for row, cells in zip(rows, _evaluate(columns, failures, spec.outputs,
-                                              spec.gain_noise)):
-            row.extend(cells)
-    return rows
+        cells += _evaluate(columns, failures, spec.outputs, spec.gain_noise)
+    return list(map(list, zip(*cells)))
 
 
 @dataclass
@@ -445,19 +448,35 @@ def _result_columns(spec: SweepSpec) -> list[str]:
     return cols
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
-    """Evaluate the grid in batches of BATCH_SIZE points.
+def _batches(grid: np.ndarray, threads: int) -> list[np.ndarray]:
+    """The grid in ceil(n / BATCH_SIZE) batches, rounded up to a multiple of
+    ``threads`` when there are several, with sizes that differ by at most
+    one point: each round of batches then ends at about the same time."""
+    n = len(grid)
+    count = -(-n // BATCH_SIZE)
+    if count > 1:
+        count = -(-count // threads) * threads
+    return [grid[n * i // count:n * (i + 1) // count] for i in range(count)]
 
-    Up to ``jobs`` worker processes, never more than there are batches,
-    share the batches; results are identical for any worker count.
+
+def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
+    """Evaluate the grid in batches of at most BATCH_SIZE points.
+
+    At ``jobs`` 1, the batches of a grid of several run on one thread per
+    usable core, the calling thread included (``errors.map_batches``); a
+    grid of one batch splits its large stacks instead. Otherwise up to
+    ``jobs`` worker processes, never more than there are batches, share
+    the batches. Results are identical for any worker or thread count.
     """
     if jobs < 1:
         raise ParameterError("jobs must be >= 1")
     grid = spec.grid()
-    batches = [grid[s:s + BATCH_SIZE] for s in range(0, len(grid), BATCH_SIZE)]
+    threads = batch_threads(len(grid)) if jobs == 1 else 1
+    batches = _batches(grid, threads)
     workers = min(jobs, len(batches))
     if workers == 1:
-        parts = [_evaluate_batch(spec, points) for points in batches]
+        parts = map_batches(functools.partial(_evaluate_batch, spec), batches,
+                            threads)
     else:
         # Imported here: it loads multiprocessing, which one process never uses.
         from concurrent.futures import ProcessPoolExecutor

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -482,14 +483,23 @@ class TestVanishTemp:
 
 
 def run_fresh(code: str) -> str:
-    """Last stdout line of ``code`` run in a new interpreter on this src/."""
+    """Last stdout line of ``code`` run in a new interpreter on this src/.
+    The interpreter leads a process group of its own: on a timeout the
+    whole group is killed, process-pool workers it forked included."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1]
+    with subprocess.Popen([sys.executable, "-c", code], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as child:
+        try:
+            out, err = child.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            raise
+    assert child.returncode == 0, err
+    return out.splitlines()[-1]
 
 
 def test_runtime_imports_no_scipy():

@@ -1,8 +1,10 @@
-"""Split LAPACK stacks: the same bits and the same failures as one call."""
+"""Split LAPACK stacks: the same bits and the same failures as one call.
+Batch threads: every batch's result, in order, with no stack split."""
 
 import os
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -10,7 +12,8 @@ import pytest
 
 from magnomech import errors
 from magnomech.errors import (MIN_CHUNK, EigenSolveError, SingularSolveError,
-                              lapack_stack, no_failures, split_stack)
+                              lapack_stack, map_batches, no_failures,
+                              split_stack)
 from magnomech.measures import _I_OMEGA_2
 
 #: Chunk sizes, on four usable cores, of a stack one short of two chunks,
@@ -161,3 +164,94 @@ def test_concurrent_callers_share_one_pool(four_cores, monkeypatch):
     assert len(pools) == 1
     for stack, result in zip(stacks, results):
         _assert_same(result, np.linalg.eigvals(stack))
+
+
+def record_submissions(monkeypatch) -> list:
+    """The arguments of each task submitted to the thread pool: a batch
+    thread's are its one loop, a split chunk's the function and its
+    stacks."""
+    submitted = []
+    pool = errors._thread_pool()
+
+    class Recording:
+        def submit(self, fn, *args):
+            submitted.append(args)
+            return pool.submit(fn, *args)
+    monkeypatch.setattr(errors, "_thread_pool", Recording)
+    return submitted
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_batches_come_back_in_order(threads):
+    ran = set()
+
+    def func(batch):
+        time.sleep(0.01)  # long enough for every thread to take some
+        ran.add(threading.get_ident())
+        return batch * batch
+    assert map_batches(func, list(range(12)), threads) == [
+        k * k for k in range(12)]
+    assert len(ran) == threads
+
+
+def test_batch_threads_never_split(four_cores, monkeypatch):
+    submitted = record_submissions(monkeypatch)
+    stack = np.random.default_rng(7).standard_normal((2 * MIN_CHUNK, 6, 6))
+
+    def func(stack):
+        time.sleep(0.002)
+        return split_stack(np.linalg.eigvals, stack)
+    for result in map_batches(func, [stack] * 8, 4):
+        _assert_same(result, np.linalg.eigvals(stack))
+    assert [len(args) for args in submitted] == [1] * 3  # the helper loops
+    # A lone batch is a plain call, and its stack splits.
+    submitted.clear()
+    [result] = map_batches(func, [stack], 4)
+    _assert_same(result, np.linalg.eigvals(stack))
+    assert [len(args) for args in submitted] == [2]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_an_error_stops_the_hand_out(threads):
+    # Batch 4 fails at once while the others take 50 ms: batches already
+    # handed out finish, no later one starts, and no thread runs on.
+    bad, error = 4, EigenSolveError("injected")
+    lock = threading.Lock()
+    started, running = [], [0]
+
+    def func(k):
+        with lock:
+            started.append(k)
+            running[0] += 1
+        try:
+            if k == bad:
+                raise error
+            time.sleep(0.05)
+            return k
+        finally:
+            with lock:
+                running[0] -= 1
+    with pytest.raises(EigenSolveError) as info:
+        map_batches(func, list(range(12)), threads)
+    assert info.value is error
+    assert running == [0]
+    assert sorted(started) == list(range(len(started)))
+    assert bad in started and max(started) < bad + threads
+    count = len(started)
+    time.sleep(0.1)
+    assert len(started) == count
+
+
+def test_batch_threads_keep_the_callers_errstate():
+    ran = set()
+
+    def overflow(scale):
+        time.sleep(0.01)
+        ran.add(threading.get_ident())
+        return np.float64(1e300) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            results = map_batches(overflow, [np.float64(1e10)] * 12, 3)
+    assert np.isinf(results).all()
+    assert len(ran) == 3

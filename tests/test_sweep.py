@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import gc
 import math
+import threading
 import warnings
 from unittest import mock
 
@@ -17,7 +18,7 @@ from magnomech import (Axis, BracketInvalidError, DegenerateDenominatorError,
                        drift_from_params, evaluate_point, figure_preset,
                        pair_measures, run_sweep, solve_lyapunov,
                        vanishing_temperature, working_point)
-from magnomech import measures, model, sweep
+from magnomech import errors, measures, model, sweep
 from magnomech.dynamics import (diffusion_batch, diffusion_matrices,
                                 stability_batch)
 from magnomech.errors import no_failures, raise_failure
@@ -481,27 +482,30 @@ class TestRunSweep:
         assert max_workers_seen == [3, 2]
 
     def test_stability_rows_do_not_depend_on_the_batch_size(self, monkeypatch):
-        # Two of every seven points fail with parameter_error (T < 0), one of
-        # them just before the first batch boundary.
+        # Three of every seven points fail with parameter_error (T < 0), one
+        # of them just before the first batch boundary. On two cores the
+        # 1,477 points make 2 equal batches, and 24 of SMALL_BATCH at most.
+        monkeypatch.setattr(errors, "_usable_cores", lambda: 2)
         spec = SweepSpec(base=default_params().replace(G_eff=0.25 * OMEGA_B),
                          axes=(Axis("gma_over_omega_b", 0.0, 1.2, 211),
-                               Axis("temperature", -0.02, 0.04, 7)),
+                               Axis("temperature", -0.03, 0.03, 7)),
                          outputs=("stable", "max_lyapunov", "pt_phase"),
                          series=sweep._GAIN_LOSS)
         assert len(spec.grid()) > BATCH_SIZE
         expected = point_rows(spec)
         calls = count_calls(monkeypatch, "_evaluate_batch")
         result = run_sweep(spec)
+        assert sorted(len(args[1]) for args in calls) == [738, 739]
+        calls.clear()
         monkeypatch.setattr(sweep, "BATCH_SIZE", SMALL_BATCH)
         small = run_sweep(spec).rows
-        assert [len(args[1]) for args in calls] == [
-            BATCH_SIZE, 453, *[SMALL_BATCH] * 23, 5]
+        assert sorted(len(args[1]) for args in calls) == [61] * 11 + [62] * 13
         assert result.rows == expected
         assert small == expected
         cells = {name: [result.column(name, series.label)
                         for series in spec.series]
                  for name in ("stable", "error")}
-        assert cells["error"][0][BATCH_SIZE - 1] == "parameter_error"
+        assert cells["error"][0][737] == "parameter_error"
         assert {code for column in cells["error"] for code in column} == {
             "", "parameter_error"}
         assert {value for column in cells["stable"] for value in column} == {
@@ -807,6 +811,99 @@ class TestRunSweep:
         assert run_sweep(spec).column("error") == ["parameter_error"] * 2
 
 
+def thread_spec(n: int) -> SweepSpec:
+    """n points of a G axis, through the working point, the eigenvalues and
+    the Lyapunov solve."""
+    return SweepSpec(base=default_params(),
+                     axes=(Axis("G_over_omega_b", 0.0, 0.5, n),),
+                     outputs=("stable", "max_lyapunov", "E_N(am)", "pt_phase"))
+
+
+def two_series_map() -> SweepSpec:
+    """A 41 x 25 gain-and-loss map: 1,025 points, one past a batch."""
+    return SweepSpec(base=default_params(),
+                     axes=(Axis("gma_over_omega_b", 0.0, 1.2, 41),
+                           Axis("G_over_omega_b", 0.0, 0.6, 25)),
+                     outputs=("stable", "max_lyapunov", "E_N(bm)"),
+                     series=sweep._GAIN_LOSS)
+
+
+class TestBatchThreads:
+    """At jobs 1 a sweep of several batches runs them on one thread per
+    usable core, each unsplit; a sweep of one batch splits its stacks."""
+
+    @staticmethod
+    def serial_rows(monkeypatch, spec: SweepSpec) -> list[list]:
+        """The rows of the whole grid as one batch on one thread."""
+        monkeypatch.setattr(errors, "_usable_cores", lambda: 1)
+        return sweep._evaluate_batch(spec, spec.grid())
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("make_spec", [
+        lambda: thread_spec(2), lambda: thread_spec(BATCH_SIZE),
+        lambda: thread_spec(BATCH_SIZE + 1),
+        lambda: thread_spec(2 * BATCH_SIZE + 3), two_series_map])
+    def test_rows_are_the_serial_rows(self, monkeypatch, make_spec, cores):
+        spec = make_spec()
+        n = len(spec.grid())
+        expected = self.serial_rows(monkeypatch, spec)
+        monkeypatch.setattr(errors, "_usable_cores", lambda: cores)
+        calls = count_calls(monkeypatch, "_evaluate_batch")
+        assert run_sweep(spec).rows == expected
+        sizes = sorted(len(args[1]) for args in calls)
+        # Equal batches, in whole rounds of the threads, each of at least
+        # MIN_CHUNK points; a grid that fits one batch stays one.
+        threads = min(cores, n // errors.MIN_CHUNK)
+        assert sum(sizes) == n and sizes[-1] - sizes[0] <= 1
+        assert len(sizes) == 1 if n <= BATCH_SIZE else (
+            len(sizes) % threads == 0 and sizes[0] >= errors.MIN_CHUNK)
+        assert sizes[-1] <= BATCH_SIZE
+
+    def test_batch_threads_never_split(self, monkeypatch):
+        # Each batch of 2,051 points solves its eigenvalues as one stack of
+        # its own size; a lone batch splits its stack over the two cores.
+        monkeypatch.setattr(errors, "_usable_cores", lambda: 2)
+        stacks = count_linalg(monkeypatch)
+        run_sweep(thread_spec(2 * BATCH_SIZE + 3))
+        assert sorted(stacks["eigvals"]) == [512, 513, 513, 513]
+        stacks["eigvals"].clear()
+        run_sweep(thread_spec(BATCH_SIZE))
+        assert stacks["eigvals"] == [BATCH_SIZE // 2] * 2
+
+    def test_an_error_in_a_batch_reaches_the_caller(self, monkeypatch):
+        # The third of four batches fails; the caller gets its error.
+        monkeypatch.setattr(errors, "_usable_cores", lambda: 2)
+        spec = thread_spec(2 * BATCH_SIZE + 3)
+        evaluate, third = sweep._evaluate_batch, spec.grid()[1025:1538]
+
+        def failing(spec, points):
+            if np.array_equal(points, third):
+                raise SingularSolveError("injected")
+            return evaluate(spec, points)
+        monkeypatch.setattr(sweep, "_evaluate_batch", failing)
+        with pytest.raises(SingularSolveError, match="injected"):
+            run_sweep(spec)
+
+    def test_concurrent_sweeps_keep_their_rows(self, monkeypatch):
+        monkeypatch.setattr(errors, "_usable_cores", lambda: 2)
+        specs = [thread_spec(2 * BATCH_SIZE + 3), two_series_map()]
+        expected = [run_sweep(spec).rows for spec in specs]
+        results = [[] for _ in specs]
+
+        def work(i):
+            for _ in range(3):
+                results[i].append(run_sweep(specs[i]).rows)
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(specs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        for rows, want in zip(results, expected):
+            assert rows == [want] * 3
+
+
 def count_linalg(monkeypatch) -> dict[str, list[int]]:
     """Stack sizes of the 36x36 Lyapunov systems passed to np.linalg.solve
     and of the 6x6 drifts passed to np.linalg.eigvals, one entry per call."""
@@ -827,6 +924,11 @@ def count_linalg(monkeypatch) -> dict[str, list[int]]:
     return stacks
 
 
+def rows_of(cells: list[list]) -> list[list]:
+    """The rows of the columns that ``sweep._evaluate`` returns."""
+    return [list(row) for row in zip(*cells)]
+
+
 def assert_rows_close(rows: list[list], expected: list[list]) -> None:
     """Equal rows, except that floats may differ by 1e-12 relative."""
     assert len(rows) == len(expected)
@@ -845,7 +947,7 @@ def temperature_batch(base, temperatures, outputs) -> list[list]:
     columns, failures = base.columns(n), no_failures(n)
     columns["temperature"] = np.array(temperatures)
     sweep._check_columns(columns, failures)
-    return sweep._evaluate(columns, failures, outputs, "vacuum")
+    return rows_of(sweep._evaluate(columns, failures, outputs, "vacuum"))
 
 
 class TestSharedDrifts:
@@ -917,8 +1019,8 @@ class TestSharedDrifts:
         columns, failures = default_params().columns(4), no_failures(4)
         columns["temperature"] = np.array([0.01, -1.0, 0.02, 0.03])
         sweep._check_columns(columns, failures)
-        rows = sweep._evaluate(columns, failures, ("stable", "E_N(am)"),
-                               "vacuum")
+        rows = rows_of(sweep._evaluate(columns, failures,
+                                       ("stable", "E_N(am)"), "vacuum"))
         assert [row[-1] for row in rows] == [
             "eigen_solve", "parameter_error", "eigen_solve", "eigen_solve"]
         assert len({id(failure) for failure in failures}) == 4
