@@ -144,8 +144,8 @@ def _usable_cores() -> int:
 
 
 def batch_threads(n: int) -> int:
-    """Threads that share a job of ``n`` points: one per usable core, while
-    each keeps MIN_CHUNK points, and one in a forked child."""
+    """Threads that share ``n`` matrices or points: one per usable core,
+    while each keeps MIN_CHUNK, and one in a forked child."""
     return 1 if _forked else max(1, min(_usable_cores(), n // MIN_CHUNK))
 
 
@@ -168,8 +168,7 @@ def split_stack(func, *stacks):
     ``np.errstate`` holds there too. A LinAlgError of any chunk is raised."""
     n = len(stacks[0])
     # Most stacks are small: they skip the affinity-mask system call.
-    parts = (1 if n < 2 * MIN_CHUNK or _forked or _in_batch.get()
-             else min(_usable_cores(), n // MIN_CHUNK))
+    parts = 1 if n < 2 * MIN_CHUNK or _in_batch.get() else batch_threads(n)
     if parts < 2:
         return func(*stacks)
     bounds = [n * i // parts for i in range(parts + 1)]

@@ -33,6 +33,12 @@ _SEARCH_LEVELS = 3
 #: about 14 MB (fig4b, fig4d).
 BATCH_SIZE = 1024
 
+#: Most threads that share a sweep's batches at --jobs 1; a grid of several
+#: batches is cut into a multiple of this many, whatever the usable cores,
+#: so its rows never depend on them. Each thread keeps one batch in flight,
+#: and two threads are all that was measured (a 2-core VM).
+BATCH_THREADS = 2
+
 #: Rows that ``SweepResult.to_csv`` formats together, one column at a time.
 #: The chunk's columns and cells are the writer's only transient lists.
 CSV_CHUNK_ROWS = 1024
@@ -448,14 +454,16 @@ def _result_columns(spec: SweepSpec) -> list[str]:
     return cols
 
 
-def _batches(grid: np.ndarray, threads: int) -> list[np.ndarray]:
+def _batches(grid: np.ndarray) -> list[np.ndarray]:
     """The grid in ceil(n / BATCH_SIZE) batches, rounded up to a multiple of
-    ``threads`` when there are several, with sizes that differ by at most
-    one point: each round of batches then ends at about the same time."""
+    BATCH_THREADS when there are several, with sizes that differ by at most
+    one point: each round of batches then ends at about the same time. The
+    cut depends on n alone, because whether a batch's points share one
+    drift (a shared drift's floats differ) depends on where it falls."""
     n = len(grid)
     count = -(-n // BATCH_SIZE)
     if count > 1:
-        count = -(-count // threads) * threads
+        count = -(-count // BATCH_THREADS) * BATCH_THREADS
     return [grid[n * i // count:n * (i + 1) // count] for i in range(count)]
 
 
@@ -463,16 +471,17 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Evaluate the grid in batches of at most BATCH_SIZE points.
 
     At ``jobs`` 1, the batches of a grid of several run on one thread per
-    usable core, the calling thread included (``errors.map_batches``); a
-    grid of one batch splits its large stacks instead. Otherwise up to
-    ``jobs`` worker processes, never more than there are batches, share
-    the batches. Results are identical for any worker or thread count.
+    usable core, at most BATCH_THREADS, the calling thread included
+    (``errors.map_batches``); a grid of one batch splits its large stacks
+    instead. Otherwise up to ``jobs`` worker processes, never more than
+    there are batches, share the batches. The batches are the same for any
+    worker or thread count, and so are the results.
     """
     if jobs < 1:
         raise ParameterError("jobs must be >= 1")
     grid = spec.grid()
-    threads = batch_threads(len(grid)) if jobs == 1 else 1
-    batches = _batches(grid, threads)
+    threads = min(BATCH_THREADS, batch_threads(len(grid))) if jobs == 1 else 1
+    batches = _batches(grid)
     workers = min(jobs, len(batches))
     if workers == 1:
         parts = map_batches(functools.partial(_evaluate_batch, spec), batches,

@@ -182,16 +182,11 @@ def record_submissions(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
-def test_batches_come_back_in_order(threads):
-    ran = set()
-
-    def func(batch):
-        time.sleep(0.01)  # long enough for every thread to take some
-        ran.add(threading.get_ident())
-        return batch * batch
-    assert map_batches(func, list(range(12)), threads) == [
+def test_batches_come_back_in_order(threads, monkeypatch):
+    submitted = record_submissions(monkeypatch)
+    assert map_batches(lambda k: k * k, list(range(12)), threads) == [
         k * k for k in range(12)]
-    assert len(ran) == threads
+    assert len(submitted) == threads - 1  # the helper loops
 
 
 def test_batch_threads_never_split(four_cores, monkeypatch):
@@ -243,15 +238,18 @@ def test_an_error_stops_the_hand_out(threads):
 
 
 def test_batch_threads_keep_the_callers_errstate():
+    # Each of the two batches waits for the other: the caller runs one and
+    # the helper the other, on any number of CPUs.
+    both = threading.Barrier(2, timeout=30)
     ran = set()
 
     def overflow(scale):
-        time.sleep(0.01)
+        both.wait()
         ran.add(threading.get_ident())
         return np.float64(1e300) * scale
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore"):
-            results = map_batches(overflow, [np.float64(1e10)] * 12, 3)
+            results = map_batches(overflow, [np.float64(1e10)] * 2, 2)
     assert np.isinf(results).all()
-    assert len(ran) == 3
+    assert len(ran) == 2

@@ -476,16 +476,16 @@ class TestRunSweep:
                          outputs=("stable",))
         serial = run_sweep(spec, jobs=1).rows
         assert max_workers_seen == []
+        # 2,049 points make 4 equal batches.
         assert run_sweep(spec, jobs=5000).rows == serial
-        assert max_workers_seen == [3]
+        assert max_workers_seen == [4]
         run_sweep(spec, jobs=2)
-        assert max_workers_seen == [3, 2]
+        assert max_workers_seen == [4, 2]
 
     def test_stability_rows_do_not_depend_on_the_batch_size(self, monkeypatch):
         # Three of every seven points fail with parameter_error (T < 0), one
-        # of them just before the first batch boundary. On two cores the
-        # 1,477 points make 2 equal batches, and 24 of SMALL_BATCH at most.
-        monkeypatch.setattr(errors, "_usable_cores", lambda: 2)
+        # of them just before the first batch boundary. The 1,477 points
+        # make 2 equal batches, and 24 of SMALL_BATCH points at most.
         spec = SweepSpec(base=default_params().replace(G_eff=0.25 * OMEGA_B),
                          axes=(Axis("gma_over_omega_b", 0.0, 1.2, 211),
                                Axis("temperature", -0.03, 0.03, 7)),
@@ -839,11 +839,12 @@ class TestBatchThreads:
         return sweep._evaluate_batch(spec, spec.grid())
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
-    @pytest.mark.parametrize("make_spec", [
-        lambda: thread_spec(2), lambda: thread_spec(BATCH_SIZE),
-        lambda: thread_spec(BATCH_SIZE + 1),
-        lambda: thread_spec(2 * BATCH_SIZE + 3), two_series_map])
-    def test_rows_are_the_serial_rows(self, monkeypatch, make_spec, cores):
+    @pytest.mark.parametrize("make_spec, count", [
+        (lambda: thread_spec(2), 1), (lambda: thread_spec(BATCH_SIZE), 1),
+        (lambda: thread_spec(BATCH_SIZE + 1), 2),
+        (lambda: thread_spec(2 * BATCH_SIZE + 3), 4), (two_series_map, 2)])
+    def test_rows_are_the_serial_rows(self, monkeypatch, make_spec, count,
+                                      cores):
         spec = make_spec()
         n = len(spec.grid())
         expected = self.serial_rows(monkeypatch, spec)
@@ -851,13 +852,50 @@ class TestBatchThreads:
         calls = count_calls(monkeypatch, "_evaluate_batch")
         assert run_sweep(spec).rows == expected
         sizes = sorted(len(args[1]) for args in calls)
-        # Equal batches, in whole rounds of the threads, each of at least
-        # MIN_CHUNK points; a grid that fits one batch stays one.
-        threads = min(cores, n // errors.MIN_CHUNK)
-        assert sum(sizes) == n and sizes[-1] - sizes[0] <= 1
-        assert len(sizes) == 1 if n <= BATCH_SIZE else (
-            len(sizes) % threads == 0 and sizes[0] >= errors.MIN_CHUNK)
-        assert sizes[-1] <= BATCH_SIZE
+        # Equal batches, as many on any core count: a grid that fits one
+        # batch stays one, a larger one makes whole rounds of BATCH_THREADS.
+        assert len(sizes) == count and sum(sizes) == n
+        assert sizes[-1] - sizes[0] <= 1 and sizes[-1] <= BATCH_SIZE
+
+    def test_shared_drift_rows_do_not_depend_on_the_cores(self, monkeypatch):
+        # Two drifts of 1,025 temperatures each make 4 batches, each of one
+        # drift, whatever the cores. Cut into one batch per 1,024 points and
+        # thread, one core would make 3, the middle one holding both drifts:
+        # its points would be solved one by one, whose floats differ from a
+        # shared drift's.
+        base = default_params().replace(G_eff=0.25 * OMEGA_B,
+                                        kappa_a=-0.02 * OMEGA_B)
+        spec = SweepSpec(base=base,
+                         axes=(Axis("gma_over_omega_b", 0.5, 1.0, 2),
+                               Axis("temperature", 0.0, 0.25, 1025)),
+                         outputs=("E_N(am)",))
+        rows = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(errors, "_usable_cores", lambda: cores)
+            rows.append(run_sweep(spec).rows)
+        rows.append(run_sweep(spec, jobs=2).rows)
+        assert rows[1:] == rows[:1] * 3
+        assert sum(bool(row[2]) for row in rows[0][BATCH_SIZE:]) > 500
+
+    def test_batch_threads_stop_at_the_cap(self, monkeypatch):
+        # One thread per usable core up to BATCH_THREADS; a forked child
+        # takes its batches alone.
+        seen = []
+
+        def recording(func, batches, threads):
+            seen.append((len(batches), threads))
+            return errors.map_batches(func, batches, threads)
+        monkeypatch.setattr(sweep, "map_batches", recording)
+        spec = SweepSpec(base=default_params(), outputs=("stable",),
+                         axes=(Axis("G_over_omega_b", 0.0, 0.5,
+                                    2 * BATCH_SIZE + 3),))
+        for cores in (1, 2, 3, 64):
+            monkeypatch.setattr(errors, "_usable_cores", lambda: cores)
+            run_sweep(spec)
+        monkeypatch.setattr(errors, "_forked", True)
+        run_sweep(spec)
+        assert sweep.BATCH_THREADS == 2
+        assert seen == [(4, 1), (4, 2), (4, 2), (4, 2), (4, 1)]
 
     def test_batch_threads_never_split(self, monkeypatch):
         # Each batch of 2,051 points solves its eigenvalues as one stack of
