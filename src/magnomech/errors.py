@@ -12,9 +12,9 @@ Stored exceptions carry no traceback. The cyclic garbage collector cannot see
 into NumPy object arrays, so a traceback whose frames hold the array that
 holds the exception would never be freed.
 
-The usable cores share a job in one of two ways. A job of several batches
-runs whole batches on one thread per usable core (:func:`map_batches`); a
-lone batch solves each large stack of small matrices in chunks, one per
+The usable cores share a job in two ways. A job runs its batches, or a
+lone batch its series, on one thread per usable core (:func:`map_batches`);
+a lone batch solves each large stack of small matrices in chunks, one per
 usable core (:func:`split_stack`). NumPy's linear-algebra functions release
 the GIL and solve each matrix of a stack on its own, so every matrix gets
 the same bits on any number of threads.
@@ -106,12 +106,15 @@ def record_failures(failures: np.ndarray, mask, make) -> None:
             failures[k] = make(k)
 
 
-#: A stack splits only into chunks of at least this many matrices, and a
-#: job's batches keep at least this many points each. Below a kernel's own
-#: size, handing a chunk to a thread costs more than it saves: on a 2-core
-#: VM, two threads beat one call from chunks of 256 companion 3x3 matrices,
-#: 128 complex 4x4, 96 real 6x6 and 32 36x36 systems.
+#: A stack splits only into chunks of at least this many matrices. Below a
+#: kernel's own size, handing a chunk to a thread costs more than it saves:
+#: on a 2-core VM, two threads beat one call from chunks of 256 companion
+#: 3x3 matrices, 128 complex 4x4, 96 real 6x6 and 32 36x36 systems.
 MIN_CHUNK = 256
+
+#: Most threads of a map_batches call. Each keeps one batch in flight, and
+#: two threads are all that was measured (a 2-core VM).
+BATCH_THREADS = 2
 
 # The thread pool of split stacks and batch threads, made on first use.
 _pool = None
@@ -121,8 +124,8 @@ _pool_lock = threading.Lock()
 # process pool's workers already share the cores, where splitting measured
 # no faster.
 _forked = False
-# Set in every thread that runs a job's batches: a stack there never splits.
-# Its chunks would queue behind the batches, and the cores are busy anyway.
+# Set in every thread of a map_batches call: no stack or map_batches there
+# splits. Its work would queue behind the batches; the cores are busy anyway.
 _in_batch = contextvars.ContextVar("in_batch", default=False)
 
 
@@ -141,12 +144,6 @@ def _usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this OS
         return os.cpu_count() or 1
-
-
-def batch_threads(n: int) -> int:
-    """Threads that share ``n`` matrices or points: one per usable core,
-    while each keeps MIN_CHUNK, and one in a forked child."""
-    return 1 if _forked else max(1, min(_usable_cores(), n // MIN_CHUNK))
 
 
 def _thread_pool():
@@ -168,7 +165,8 @@ def split_stack(func, *stacks):
     ``np.errstate`` holds there too. A LinAlgError of any chunk is raised."""
     n = len(stacks[0])
     # Most stacks are small: they skip the affinity-mask system call.
-    parts = 1 if n < 2 * MIN_CHUNK or _in_batch.get() else batch_threads(n)
+    parts = (1 if n < 2 * MIN_CHUNK or _in_batch.get() or _forked
+             else min(_usable_cores(), n // MIN_CHUNK))
     if parts < 2:
         return func(*stacks)
     bounds = [n * i // parts for i in range(parts + 1)]
@@ -185,15 +183,19 @@ def split_stack(func, *stacks):
     return np.concatenate([first, *(future.result() for future in futures)])
 
 
-def map_batches(func, batches: list, threads: int) -> list:
-    """``[func(batch) for batch in batches]`` on the calling thread and
-    ``threads - 1`` pool threads, each in a copy of the caller's context
-    (so its ``np.errstate`` holds there too) and each taking the next batch
-    until none is left. A lone batch runs as a plain call, and so may split
-    its stacks; in a job of several, no stack splits. The first error stops
-    the hand-out of further batches and is raised once every thread has
-    stopped."""
-    if threads < 2 or len(batches) < 2:
+def map_batches(func, batches: list) -> list:
+    """``[func(batch) for batch in batches]`` on one thread per usable core,
+    at most BATCH_THREADS, the calling thread included, each in a copy of
+    the caller's context (so its ``np.errstate`` holds there too) and each
+    taking the next batch until none is left. A lone batch runs as a plain
+    call, and so may split its stacks. In a batch thread, where a nested
+    call would queue behind its own batch, or a forked child, whose pool has
+    no threads, the batches run one after the other and no stack splits.
+    The first error stops the hand-out of further batches and is raised
+    once every thread has stopped."""
+    threads = (1 if len(batches) < 2 or _in_batch.get() or _forked
+               else min(BATCH_THREADS, _usable_cores()))
+    if threads < 2:
         return [func(batch) for batch in batches]
     results = [None] * len(batches)
     pending = iter(range(len(batches)))

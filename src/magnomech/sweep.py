@@ -15,7 +15,7 @@ from .config import build_params, default_config
 from .dynamics import (check_gain_noise, diffusion_batch, drift_matrices,
                        stability_batch)
 from .errors import (BracketInvalidError, MagnomechError, ParameterError,
-                     UnstableSystemError, alive, batch_threads, map_batches,
+                     BATCH_THREADS, UnstableSystemError, alive, map_batches,
                      no_failures, raise_failure, record_failures)
 from .model import SystemParams, parameter_violations, pt_classify
 from .steady_state import working_point_batch
@@ -32,12 +32,6 @@ _SEARCH_LEVELS = 3
 #: the batch's (N, 36, 36) stack: a full batch of them raises peak memory by
 #: about 14 MB (fig4b, fig4d).
 BATCH_SIZE = 1024
-
-#: Most threads that share a sweep's batches at --jobs 1; a grid of several
-#: batches is cut into a multiple of this many, whatever the usable cores,
-#: so its rows never depend on them. Each thread keeps one batch in flight,
-#: and two threads are all that was measured (a 2-core VM).
-BATCH_THREADS = 2
 
 #: Rows that ``SweepResult.to_csv`` formats together, one column at a time.
 #: The chunk's columns and cells are the writer's only transient lists.
@@ -339,23 +333,31 @@ def evaluate_point(params: SystemParams, outputs: tuple[str, ...],
     return {**dict(zip(outputs, values)), "error": error}
 
 
-def _evaluate_batch(spec: "SweepSpec", points: np.ndarray) -> list[list]:
-    """Rows of a batch of grid points: axis values, then each series' cells."""
-    cells = points.T.tolist()
+def _series_cells(spec: "SweepSpec", points: np.ndarray,
+                  series: Series) -> list[list]:
+    """One series' columns at a batch of grid points, the errors last."""
     n = len(points)
-    for series in spec.series:
-        columns, failures = spec.base.columns(n), no_failures(n)
-        steps = [(name, np.full(n, value)) for name, value in series.overrides]
-        steps += [(axis.name, points[:, i]) for i, axis in enumerate(spec.axes)]
-        for name, value in steps:
-            try:
-                columns.update(_parameter_changes(columns, name, value))
-            except ParameterError as exc:
-                record_failures(failures, alive(failures),
-                                lambda k: type(exc)(*exc.args))
-                break
-        _check_columns(columns, failures)
-        cells += _evaluate(columns, failures, spec.outputs, spec.gain_noise)
+    columns, failures = spec.base.columns(n), no_failures(n)
+    steps = [(name, np.full(n, value)) for name, value in series.overrides]
+    steps += [(axis.name, points[:, i]) for i, axis in enumerate(spec.axes)]
+    for name, value in steps:
+        try:
+            columns.update(_parameter_changes(columns, name, value))
+        except ParameterError as exc:
+            record_failures(failures, alive(failures),
+                            lambda k: type(exc)(*exc.args))
+            break
+    _check_columns(columns, failures)
+    return _evaluate(columns, failures, spec.outputs, spec.gain_noise)
+
+
+def _evaluate_batch(spec: "SweepSpec", points: np.ndarray) -> list[list]:
+    """Rows of a batch of grid points: axis values, then each series' cells,
+    the series through ``errors.map_batches``."""
+    cells = points.T.tolist()
+    for part in map_batches(functools.partial(_series_cells, spec, points),
+                            spec.series):
+        cells += part
     return list(map(list, zip(*cells)))
 
 
@@ -472,20 +474,18 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
 
     At ``jobs`` 1, the batches of a grid of several run on one thread per
     usable core, at most BATCH_THREADS, the calling thread included
-    (``errors.map_batches``); a grid of one batch splits its large stacks
-    instead. Otherwise up to ``jobs`` worker processes, never more than
-    there are batches, share the batches. The batches are the same for any
-    worker or thread count, and so are the results.
+    (``errors.map_batches``); a grid of one batch, at any ``jobs``, runs its
+    series on them and splits its large stacks. Otherwise up to ``jobs``
+    worker processes, never more than there are batches, share the batches.
+    The batches are the same for any worker or thread count, and so are the
+    results.
     """
     if jobs < 1:
         raise ParameterError("jobs must be >= 1")
-    grid = spec.grid()
-    threads = min(BATCH_THREADS, batch_threads(len(grid))) if jobs == 1 else 1
-    batches = _batches(grid)
+    batches = _batches(spec.grid())
     workers = min(jobs, len(batches))
     if workers == 1:
-        parts = map_batches(functools.partial(_evaluate_batch, spec), batches,
-                            threads)
+        parts = map_batches(functools.partial(_evaluate_batch, spec), batches)
     else:
         # Imported here: it loads multiprocessing, which one process never uses.
         from concurrent.futures import ProcessPoolExecutor

@@ -1,5 +1,6 @@
 """Split LAPACK stacks: the same bits and the same failures as one call.
-Batch threads: every batch's result, in order, with no stack split."""
+Batch threads: every batch's result, in order, with no stack split and no
+nested thread."""
 
 import os
 import sys
@@ -181,35 +182,74 @@ def record_submissions(monkeypatch) -> list:
     return submitted
 
 
+def threads_at(monkeypatch, threads: int) -> None:
+    """Make map_batches run ``threads`` threads, on any machine."""
+    monkeypatch.setattr(errors, "_usable_cores", lambda: threads)
+    monkeypatch.setattr(errors, "BATCH_THREADS", max(threads, 2))
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_batches_come_back_in_order(threads, monkeypatch):
+    threads_at(monkeypatch, threads)
     submitted = record_submissions(monkeypatch)
-    assert map_batches(lambda k: k * k, list(range(12)), threads) == [
+    assert map_batches(lambda k: k * k, list(range(12))) == [
         k * k for k in range(12)]
     assert len(submitted) == threads - 1  # the helper loops
 
 
 def test_batch_threads_never_split(four_cores, monkeypatch):
+    monkeypatch.setattr(errors, "BATCH_THREADS", 4)
     submitted = record_submissions(monkeypatch)
     stack = np.random.default_rng(7).standard_normal((2 * MIN_CHUNK, 6, 6))
 
     def func(stack):
         time.sleep(0.002)
         return split_stack(np.linalg.eigvals, stack)
-    for result in map_batches(func, [stack] * 8, 4):
+    for result in map_batches(func, [stack] * 8):
         _assert_same(result, np.linalg.eigvals(stack))
     assert [len(args) for args in submitted] == [1] * 3  # the helper loops
     # A lone batch is a plain call, and its stack splits.
     submitted.clear()
-    [result] = map_batches(func, [stack], 4)
+    [result] = map_batches(func, [stack])
     _assert_same(result, np.linalg.eigvals(stack))
     assert [len(args) for args in submitted] == [2]
 
 
+def test_a_batch_thread_maps_serially(monkeypatch):
+    # A nested call runs its items on its own batch's thread, in order: on
+    # a pool thread it could queue behind its own batch.
+    threads_at(monkeypatch, 2)
+    submitted = record_submissions(monkeypatch)
+    both = threading.Barrier(2, timeout=30)
+
+    def outer(k):
+        both.wait()  # the caller takes one batch and the helper the other
+        return map_batches(lambda j: (k, j, threading.get_ident()), range(3))
+    results = map_batches(outer, [0, 1])
+    assert len(submitted) == 1  # the outer helper loop, nothing nested
+    assert [[item[:2] for item in result] for result in results] == [
+        [(k, j) for j in range(3)] for k in range(2)]
+    idents = [{item[2] for item in result} for result in results]
+    assert all(len(ident) == 1 for ident in idents)
+    assert idents[0] != idents[1]
+
+
+def test_a_forked_child_maps_serially(monkeypatch):
+    # A forked child's copy of the pool has no threads to run a helper.
+    threads_at(monkeypatch, 2)
+    monkeypatch.setattr(errors, "_forked", True)
+    submitted = record_submissions(monkeypatch)
+    caller = threading.get_ident()
+    assert map_batches(lambda k: (k, threading.get_ident()), list(range(4))) \
+        == [(k, caller) for k in range(4)]
+    assert submitted == []
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
-def test_an_error_stops_the_hand_out(threads):
+def test_an_error_stops_the_hand_out(threads, monkeypatch):
     # Batch 4 fails at once while the others take 50 ms: batches already
     # handed out finish, no later one starts, and no thread runs on.
+    threads_at(monkeypatch, threads)
     bad, error = 4, EigenSolveError("injected")
     lock = threading.Lock()
     started, running = [], [0]
@@ -227,7 +267,7 @@ def test_an_error_stops_the_hand_out(threads):
             with lock:
                 running[0] -= 1
     with pytest.raises(EigenSolveError) as info:
-        map_batches(func, list(range(12)), threads)
+        map_batches(func, list(range(12)))
     assert info.value is error
     assert running == [0]
     assert sorted(started) == list(range(len(started)))
@@ -237,9 +277,10 @@ def test_an_error_stops_the_hand_out(threads):
     assert len(started) == count
 
 
-def test_batch_threads_keep_the_callers_errstate():
+def test_batch_threads_keep_the_callers_errstate(monkeypatch):
     # Each of the two batches waits for the other: the caller runs one and
     # the helper the other, on any number of CPUs.
+    threads_at(monkeypatch, 2)
     both = threading.Barrier(2, timeout=30)
     ran = set()
 
@@ -250,6 +291,6 @@ def test_batch_threads_keep_the_callers_errstate():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore"):
-            results = map_batches(overflow, [np.float64(1e10)] * 2, 2)
+            results = map_batches(overflow, [np.float64(1e10)] * 2)
     assert np.isinf(results).all()
     assert len(ran) == 2

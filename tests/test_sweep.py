@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import math
 import threading
+import time
 import warnings
 from unittest import mock
 
@@ -27,6 +28,7 @@ from magnomech.sweep import (BATCH_SIZE, CSV_CHUNK_ROWS, FIGURE_NAMES,
                              SweepResult,
                              VANISHING_TEMPERATURE_TOL,
                              apply_parameter)
+from test_errors import record_submissions
 
 OMEGA_B = default_params().omega_b
 
@@ -830,7 +832,8 @@ def two_series_map() -> SweepSpec:
 
 class TestBatchThreads:
     """At jobs 1 a sweep of several batches runs them on one thread per
-    usable core, each unsplit; a sweep of one batch splits its stacks."""
+    usable core, each unsplit and each series after the other; a sweep of
+    one batch runs its series on them instead, and splits its stacks."""
 
     @staticmethod
     def serial_rows(monkeypatch, spec: SweepSpec) -> list[list]:
@@ -878,24 +881,27 @@ class TestBatchThreads:
         assert sum(bool(row[2]) for row in rows[0][BATCH_SIZE:]) > 500
 
     def test_batch_threads_stop_at_the_cap(self, monkeypatch):
-        # One thread per usable core up to BATCH_THREADS; a forked child
-        # takes its batches alone.
-        seen = []
-
-        def recording(func, batches, threads):
-            seen.append((len(batches), threads))
-            return errors.map_batches(func, batches, threads)
-        monkeypatch.setattr(sweep, "map_batches", recording)
+        # One thread per usable core up to BATCH_THREADS, so one helper loop
+        # from two cores up; a forked child takes its batches alone. The
+        # lone series of each batch thread starts no thread of its own.
+        submitted = record_submissions(monkeypatch)
+        calls = count_calls(monkeypatch, "map_batches")
         spec = SweepSpec(base=default_params(), outputs=("stable",),
                          axes=(Axis("G_over_omega_b", 0.0, 0.5,
                                     2 * BATCH_SIZE + 3),))
+        seen = []
         for cores in (1, 2, 3, 64):
             monkeypatch.setattr(errors, "_usable_cores", lambda: cores)
             run_sweep(spec)
+            seen.append(len(submitted))
+            submitted.clear()
         monkeypatch.setattr(errors, "_forked", True)
         run_sweep(spec)
+        seen.append(len(submitted))
         assert sweep.BATCH_THREADS == 2
-        assert seen == [(4, 1), (4, 2), (4, 2), (4, 2), (4, 1)]
+        assert seen == [0, 1, 1, 1, 0]
+        # Per sweep: one call over the 4 batches, one over each batch's series.
+        assert [len(args[1]) for args in calls] == [4, 1, 1, 1, 1] * 5
 
     def test_batch_threads_never_split(self, monkeypatch):
         # Each batch of 2,051 points solves its eigenvalues as one stack of
@@ -924,7 +930,8 @@ class TestBatchThreads:
 
     def test_concurrent_sweeps_keep_their_rows(self, monkeypatch):
         monkeypatch.setattr(errors, "_usable_cores", lambda: 2)
-        specs = [thread_spec(2 * BATCH_SIZE + 3), two_series_map()]
+        specs = [thread_spec(2 * BATCH_SIZE + 3), two_series_map(),
+                 gain_loss_line("temperature")]
         expected = [run_sweep(spec).rows for spec in specs]
         results = [[] for _ in specs]
 
@@ -940,6 +947,72 @@ class TestBatchThreads:
         assert not any(thread.is_alive() for thread in threads)
         for rows, want in zip(results, expected):
             assert rows == [want] * 3
+
+
+def gain_loss_line(axis: str) -> SweepSpec:
+    """A one-batch preset of two series: fig3a (101 values of G, a drift
+    each) or fig6b (251 temperatures, one shared drift)."""
+    return figure_preset({"G": "fig3a", "temperature": "fig6b"}[axis])
+
+
+class TestSeriesThreads:
+    """A sweep of one batch runs its series on one thread per usable core,
+    at most BATCH_THREADS, with the rows of one thread."""
+
+    @pytest.mark.parametrize("axis", ["G", "temperature"])
+    def test_rows_are_the_serial_rows(self, monkeypatch, axis):
+        spec = gain_loss_line(axis)
+        expected = TestBatchThreads.serial_rows(monkeypatch, spec)
+        rows = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(errors, "_usable_cores", lambda: cores)
+            rows.append(run_sweep(spec).rows)
+        rows.append(run_sweep(spec, jobs=2).rows)
+        assert rows == [expected] * 4
+
+    def test_a_lone_batch_hands_one_series_to_a_helper(self, monkeypatch):
+        monkeypatch.setattr(errors, "_usable_cores", lambda: 2)
+        submitted = record_submissions(monkeypatch)
+        spec = gain_loss_line("G")
+        assert len(spec.grid()) <= BATCH_SIZE and len(spec.series) == 2
+        run_sweep(spec)
+        assert [len(args) for args in submitted] == [1]  # one helper loop
+        # In a grid of two batches, the batch threads take the series in
+        # turn: one helper loop in all, for the batches.
+        submitted.clear()
+        run_sweep(two_series_map())
+        assert [len(args) for args in submitted] == [1]
+
+    def test_an_error_in_a_series_reaches_the_caller(self, monkeypatch):
+        # Both series start; the gain series fails at once while the loss
+        # series takes 50 ms: the error is raised once the loss series has
+        # stopped.
+        monkeypatch.setattr(errors, "_usable_cores", lambda: 2)
+        series_cells = sweep._series_cells
+        lock, both = threading.Lock(), threading.Barrier(2, timeout=30)
+        running, finished = [0], []
+
+        def failing(spec, points, series):
+            with lock:
+                running[0] += 1
+            try:
+                both.wait()
+                if series.label == "gain":
+                    raise SingularSolveError("injected")
+                time.sleep(0.05)
+                cells = series_cells(spec, points, series)
+                finished.append(series.label)
+                return cells
+            finally:
+                with lock:
+                    running[0] -= 1
+        monkeypatch.setattr(sweep, "_series_cells", failing)
+        for axis in ("G", "temperature"):
+            finished.clear()
+            with pytest.raises(SingularSolveError, match="injected"):
+                run_sweep(gain_loss_line(axis))
+            assert running == [0]
+            assert finished == ["loss"]
 
 
 def count_linalg(monkeypatch) -> dict[str, list[int]]:
