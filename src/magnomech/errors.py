@@ -12,12 +12,12 @@ Stored exceptions carry no traceback. The cyclic garbage collector cannot see
 into NumPy object arrays, so a traceback whose frames hold the array that
 holds the exception would never be freed.
 
-The usable cores share a job in two ways. A job runs its batches, or a
-lone batch its series, on one thread per usable core (:func:`map_batches`);
-a lone batch solves each large stack of small matrices in chunks, one per
-usable core (:func:`split_stack`). NumPy's linear-algebra functions release
-the GIL and solve each matrix of a stack on its own, so every matrix gets
-the same bits on any number of threads.
+A job's items (a sweep's batches and series) run on one thread per usable
+core, at most BATCH_THREADS, the calling thread included
+(:func:`map_batches`); each stacked LAPACK call runs whole on its item's
+thread. NumPy's linear-algebra functions release the GIL and solve each
+matrix of a stack on its own, so every item gets the same bits on any
+number of threads.
 """
 
 import contextvars
@@ -106,27 +106,17 @@ def record_failures(failures: np.ndarray, mask, make) -> None:
             failures[k] = make(k)
 
 
-#: A stack splits only into chunks of at least this many matrices. Below a
-#: kernel's own size, handing a chunk to a thread costs more than it saves:
-#: on a 2-core VM, two threads beat one call from chunks of 256 companion
-#: 3x3 matrices, 128 complex 4x4, 96 real 6x6 and 32 36x36 systems.
-MIN_CHUNK = 256
-
 #: Most threads of a map_batches call. Each keeps one batch in flight, and
 #: two threads are all that was measured (a 2-core VM).
 BATCH_THREADS = 2
 
-# The thread pool of split stacks and batch threads, made on first use.
+# The thread pool of map_batches, made on first use.
 _pool = None
 _pool_lock = threading.Lock()
-# A forked child never splits a stack nor runs batch threads. It has none
-# of its parent's pool threads, so it would wait on them forever; and a
-# process pool's workers already share the cores, where splitting measured
-# no faster.
+# A forked child runs no helper thread. It has none of its parent's pool
+# threads, so it would wait on them forever; and a process pool's workers
+# already share the cores.
 _forked = False
-# Set in every thread of a map_batches call: no stack or map_batches there
-# splits. Its work would queue behind the batches; the cores are busy anyway.
-_in_batch = contextvars.ContextVar("in_batch", default=False)
 
 
 def _mark_forked() -> None:
@@ -153,34 +143,8 @@ def _thread_pool():
             # Imported here: importing the package loads no executor.
             from concurrent.futures import ThreadPoolExecutor
             _pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1,
-                                       thread_name_prefix="magnomech-stack")
+                                       thread_name_prefix="magnomech")
         return _pool
-
-
-def split_stack(func, *stacks):
-    """``func(*stacks)`` for a NumPy linear-algebra function ``func`` over
-    stacks of matrices along axis 0, split into one chunk per usable core
-    while every chunk keeps MIN_CHUNK matrices. The calling thread solves
-    chunk 0; each other chunk runs in the caller's context, so its
-    ``np.errstate`` holds there too. A LinAlgError of any chunk is raised."""
-    n = len(stacks[0])
-    # Most stacks are small: they skip the affinity-mask system call.
-    parts = (1 if n < 2 * MIN_CHUNK or _in_batch.get() or _forked
-             else min(_usable_cores(), n // MIN_CHUNK))
-    if parts < 2:
-        return func(*stacks)
-    bounds = [n * i // parts for i in range(parts + 1)]
-    chunks = [[stack[lo:hi] for stack in stacks]
-              for lo, hi in zip(bounds, bounds[1:])]
-    pool = _thread_pool()
-    from concurrent.futures import wait
-    futures = [pool.submit(contextvars.copy_context().run, func, *chunk)
-               for chunk in chunks[1:]]
-    try:
-        first = func(*chunks[0])
-    finally:
-        wait(futures)  # no thread still reads the stacks once this returns
-    return np.concatenate([first, *(future.result() for future in futures)])
 
 
 def map_batches(func, batches: list) -> list:
@@ -188,12 +152,10 @@ def map_batches(func, batches: list) -> list:
     at most BATCH_THREADS, the calling thread included, each in a copy of
     the caller's context (so its ``np.errstate`` holds there too) and each
     taking the next batch until none is left. A lone batch runs as a plain
-    call, and so may split its stacks. In a batch thread, where a nested
-    call would queue behind its own batch, or a forked child, whose pool has
-    no threads, the batches run one after the other and no stack splits.
-    The first error stops the hand-out of further batches and is raised
-    once every thread has stopped."""
-    threads = (1 if len(batches) < 2 or _in_batch.get() or _forked
+    call; in a forked child, whose copy of the pool has no threads, the
+    batches run one after the other. The first error stops the hand-out of
+    further batches and is raised once every thread has stopped."""
+    threads = (1 if len(batches) < 2 or _forked
                else min(BATCH_THREADS, _usable_cores()))
     if threads < 2:
         return [func(batch) for batch in batches]
@@ -203,7 +165,6 @@ def map_batches(func, batches: list) -> list:
     lock = threading.Lock()
 
     def work():
-        _in_batch.set(True)
         while True:
             with lock:
                 k = None if raised else next(pending, None)
@@ -230,12 +191,11 @@ def map_batches(func, batches: list) -> list:
 
 
 def lapack_stack(func, stacks: tuple, out, failures, points, error, what):
-    """``func(*stacks)`` through :func:`split_stack`; entry j is point
-    ``points[j]``. Only if LAPACK rejects the stacks does ``func`` run point
-    by point, into ``out``: each point it rejects fails with
-    ``error(f"{what}: {reason}")``."""
+    """``func(*stacks)``; entry j is point ``points[j]``. Only if LAPACK
+    rejects the stacks does ``func`` run point by point, into ``out``: each
+    point it rejects fails with ``error(f"{what}: {reason}")``."""
     try:
-        return split_stack(func, *stacks)
+        return func(*stacks)
     except np.linalg.LinAlgError:
         for j, k in enumerate(points.tolist()):
             try:

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import (CrossCheckMismatchError, NonFiniteDeterminantError,
                      NonPhysicalCMError, ParameterError, SingularSolveError,
                      UnstableSystemError, alive, lapack_stack, no_failures,
-                     raise_failure, record_failures, split_stack)
+                     raise_failure, record_failures)
 from .dynamics import (STABILITY_REL_TOL, DiffusionMatrix, QuadratureDrift,
                        read_only, stability)
 
@@ -190,7 +190,7 @@ def lyapunov_batch(a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray,
         if not act.size:
             break
         r = resid[act].astype(np.float64).reshape(-1, 36, 1)
-        corr = split_stack(np.linalg.solve, lhs[act], -r)
+        corr = np.linalg.solve(lhs[act], -r)
         corr = corr.reshape(-1, 6, 6).astype(np.longdouble)
         v_next = vl[act] + 0.5 * (corr + corr.swapaxes(-1, -2))
         resid_next = _residual_matrices(al[act], v_next, d[act])
@@ -348,7 +348,7 @@ def _steering(dets, failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _ppt_spectrum(sub: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues, shape (..., 2), of partially transposed CMs."""
     v_tilde = _PPT_FLIP @ sub @ _PPT_FLIP
-    eig = split_stack(np.linalg.eigvals, _I_OMEGA_2 @ v_tilde)
+    eig = np.linalg.eigvals(_I_OMEGA_2 @ v_tilde)
     return np.sort(np.abs(eig.real), axis=-1)[..., ::2]  # each value appears as +/- a pair
 
 

@@ -79,6 +79,14 @@ def _check_parameter_name(name: str) -> None:
             f"{sorted({*_NUMERIC_FIELDS, *_DERIVED_PARAMS})}")
 
 
+def _output_names(outputs) -> tuple[str, ...]:
+    """``outputs`` as a tuple; a bare str would be read as its letters."""
+    if isinstance(outputs, str):
+        raise ParameterError(
+            f"outputs must be a sequence of output names, got the str {outputs!r}")
+    return tuple(outputs)
+
+
 def _check_outputs(outputs: tuple[str, ...]) -> None:
     for output in outputs:
         if output not in _OUTPUTS:
@@ -179,7 +187,7 @@ class SweepSpec:
                     raise ParameterError(f"axis {axis.name!r} sets the reference "
                                          f"{ref!r} of the earlier {step} {name!r}")
             earlier.append(("axis", axis.name))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+        object.__setattr__(self, "outputs", _output_names(self.outputs))
         _check_outputs(self.outputs)
         if len(set(self.outputs)) < len(self.outputs):
             raise ParameterError(
@@ -323,11 +331,13 @@ def evaluate_point(params: SystemParams, outputs: tuple[str, ...],
     """Evaluate all requested outputs at a single parameter point.
 
     Unstable points yield None for every covariance-based output (sentinel),
-    never zeros. Per-point failures are reported in the "error" entry.
+    never zeros. Per-point failures are reported in the "error" entry; a
+    bare str of outputs raises ParameterError.
     """
+    outputs = _output_names(outputs)
     try:
         *values, error = (cells[0] for cells in _evaluate(
-            params.columns(), no_failures(1), tuple(outputs), gain_noise))
+            params.columns(), no_failures(1), outputs, gain_noise))
     except ParameterError as exc:  # an unknown output or gain_noise
         values, error = [None] * len(outputs), exc.code
     return {**dict(zip(outputs, values)), "error": error}
@@ -349,16 +359,6 @@ def _series_cells(spec: "SweepSpec", points: np.ndarray,
             break
     _check_columns(columns, failures)
     return _evaluate(columns, failures, spec.outputs, spec.gain_noise)
-
-
-def _evaluate_batch(spec: "SweepSpec", points: np.ndarray) -> list[list]:
-    """Rows of a batch of grid points: axis values, then each series' cells,
-    the series through ``errors.map_batches``."""
-    cells = points.T.tolist()
-    for part in map_batches(functools.partial(_series_cells, spec, points),
-                            spec.series):
-        cells += part
-    return list(map(list, zip(*cells)))
 
 
 @dataclass
@@ -472,27 +472,33 @@ def _batches(grid: np.ndarray) -> list[np.ndarray]:
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Evaluate the grid in batches of at most BATCH_SIZE points.
 
-    At ``jobs`` 1, the batches of a grid of several run on one thread per
-    usable core, at most BATCH_THREADS, the calling thread included
-    (``errors.map_batches``); a grid of one batch, at any ``jobs``, runs its
-    series on them and splits its large stacks. Otherwise up to ``jobs``
-    worker processes, never more than there are batches, share the batches.
-    The batches are the same for any worker or thread count, and so are the
-    results.
+    Each batch and series is one item. At ``jobs`` 1, or on a grid of one
+    batch, the items run on one thread per usable core, at most
+    BATCH_THREADS, the calling thread included (``errors.map_batches``).
+    Otherwise up to ``jobs`` worker processes, never more than there are
+    batches, share the items. A batch's rows are its axis values, then each
+    series' cells. The batches are the same for any worker or thread count,
+    and so are the results.
     """
-    if jobs < 1:
-        raise ParameterError("jobs must be >= 1")
+    if not isinstance(jobs, (int, np.integer)) or jobs < 1:
+        raise ParameterError(f"jobs must be an integer >= 1, got {jobs!r}")
     batches = _batches(spec.grid())
     workers = min(jobs, len(batches))
+    items = [(points, series) for points in batches for series in spec.series]
     if workers == 1:
-        parts = map_batches(functools.partial(_evaluate_batch, spec), batches)
+        parts = map_batches(lambda item: _series_cells(spec, *item), items)
     else:
         # Imported here: it loads multiprocessing, which one process never uses.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_evaluate_batch, [spec] * len(batches), batches,
-                                  chunksize=math.ceil(len(batches) / (4 * workers))))
-    rows = [row for part in parts for row in part]
+            parts = list(pool.map(_series_cells, [spec] * len(items), *zip(*items),
+                                  chunksize=math.ceil(len(items) / (4 * workers))))
+    rows, parts = [], iter(parts)
+    for points in batches:
+        cells = points.T.tolist()
+        for _ in spec.series:
+            cells += next(parts)
+        rows += map(list, zip(*cells))
     return SweepResult(spec=spec, columns=_result_columns(spec), rows=rows)
 
 

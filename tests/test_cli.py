@@ -531,14 +531,14 @@ def test_process_pool_is_imported_only_for_a_pool():
 
 
 def test_process_pool_after_split_stacks():
-    # The one-process sweep splits its eigenvalue stacks over a thread pool;
-    # the process pool forked after it must neither hang nor split.
+    # The one-process sweep runs its batches on a thread pool; the process
+    # pool forked after it must neither hang nor change a row.
     code = ("from magnomech import errors, sweep\n"
             "errors._usable_cores = lambda: 2\n"
             "spec = sweep.figure_preset('fig2a')\n"
             "one = sweep.run_sweep(spec, jobs=1).rows\n"
-            "split = errors._pool is not None\n"
-            "print(split, sweep.run_sweep(spec, jobs=2).rows == one)\n")
+            "threaded = errors._pool is not None\n"
+            "print(threaded, sweep.run_sweep(spec, jobs=2).rows == one)\n")
     assert run_fresh(code) == "True True"
 
 

@@ -495,13 +495,14 @@ class TestRunSweep:
                          series=sweep._GAIN_LOSS)
         assert len(spec.grid()) > BATCH_SIZE
         expected = point_rows(spec)
-        calls = count_calls(monkeypatch, "_evaluate_batch")
+        calls = count_calls(monkeypatch, "_series_cells")
         result = run_sweep(spec)
-        assert sorted(len(args[1]) for args in calls) == [738, 739]
+        # One item per batch and series.
+        assert sorted(len(args[1]) for args in calls) == [738] * 2 + [739] * 2
         calls.clear()
         monkeypatch.setattr(sweep, "BATCH_SIZE", SMALL_BATCH)
         small = run_sweep(spec).rows
-        assert sorted(len(args[1]) for args in calls) == [61] * 11 + [62] * 13
+        assert sorted(len(args[1]) for args in calls) == [61] * 22 + [62] * 26
         assert result.rows == expected
         assert small == expected
         cells = {name: [result.column(name, series.label)
@@ -764,12 +765,33 @@ class TestRunSweep:
         assert evaluate_point(default_params(), ("stable", "E_N(zz)")) == {
             "stable": None, "E_N(zz)": None, "error": "parameter_error"}
 
+    def test_a_str_of_outputs_is_a_parameter_error(self):
+        # A bare str is not read as a sequence of one-letter outputs.
+        with pytest.raises(ParameterError, match="sequence of output names"):
+            evaluate_point(default_params(), "stable")
+        with pytest.raises(ParameterError, match="sequence of output names"):
+            SweepSpec(base=default_params(),
+                      axes=(Axis("G_over_omega_b", 0.1, 0.2, 2),),
+                      outputs="stable")
+
     def test_jobs_must_be_positive(self):
         spec = SweepSpec(base=default_params(),
                          axes=(Axis("G_over_omega_b", 0.1, 0.2, 2),),
                          outputs=("stable",))
         with pytest.raises(ParameterError, match="jobs"):
             run_sweep(spec, jobs=0)
+
+    @pytest.mark.parametrize("jobs", [2.5, 2.0, "2", None])
+    def test_jobs_must_be_an_integer(self, jobs, monkeypatch):
+        # Rejected before the grid is built.
+        spec = SweepSpec(base=default_params(),
+                         axes=(Axis("G_over_omega_b", 0.1, 0.2, 2),),
+                         outputs=("stable",))
+        calls = count_calls(monkeypatch, "_batches")
+        with pytest.raises(ParameterError, match="integer"):
+            run_sweep(spec, jobs=jobs)
+        assert calls == []
+        assert run_sweep(spec, jobs=np.int64(2)).rows == run_sweep(spec).rows
 
     def test_series_become_labeled_columns(self):
         spec = SweepSpec(base=default_params(),
@@ -831,15 +853,17 @@ def two_series_map() -> SweepSpec:
 
 
 class TestBatchThreads:
-    """At jobs 1 a sweep of several batches runs them on one thread per
-    usable core, each unsplit and each series after the other; a sweep of
-    one batch runs its series on them instead, and splits its stacks."""
+    """At jobs 1 a sweep runs its (batch, series) items on one thread per
+    usable core, at most BATCH_THREADS."""
 
     @staticmethod
-    def serial_rows(monkeypatch, spec: SweepSpec) -> list[list]:
+    def serial_rows(spec: SweepSpec) -> list[list]:
         """The rows of the whole grid as one batch on one thread."""
-        monkeypatch.setattr(errors, "_usable_cores", lambda: 1)
-        return sweep._evaluate_batch(spec, spec.grid())
+        points = spec.grid()
+        cells = points.T.tolist()
+        for series in spec.series:
+            cells += sweep._series_cells(spec, points, series)
+        return rows_of(cells)
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
     @pytest.mark.parametrize("make_spec, count", [
@@ -850,11 +874,13 @@ class TestBatchThreads:
                                       cores):
         spec = make_spec()
         n = len(spec.grid())
-        expected = self.serial_rows(monkeypatch, spec)
+        expected = self.serial_rows(spec)
         monkeypatch.setattr(errors, "_usable_cores", lambda: cores)
-        calls = count_calls(monkeypatch, "_evaluate_batch")
+        calls = count_calls(monkeypatch, "_series_cells")
         assert run_sweep(spec).rows == expected
-        sizes = sorted(len(args[1]) for args in calls)
+        assert len(calls) == count * len(spec.series)
+        sizes = sorted(len(points) for _, points, series in calls
+                       if series == spec.series[0])
         # Equal batches, as many on any core count: a grid that fits one
         # batch stays one, a larger one makes whole rounds of BATCH_THREADS.
         assert len(sizes) == count and sum(sizes) == n
@@ -882,8 +908,7 @@ class TestBatchThreads:
 
     def test_batch_threads_stop_at_the_cap(self, monkeypatch):
         # One thread per usable core up to BATCH_THREADS, so one helper loop
-        # from two cores up; a forked child takes its batches alone. The
-        # lone series of each batch thread starts no thread of its own.
+        # from two cores up; a forked child takes its items alone.
         submitted = record_submissions(monkeypatch)
         calls = count_calls(monkeypatch, "map_batches")
         spec = SweepSpec(base=default_params(), outputs=("stable",),
@@ -900,31 +925,21 @@ class TestBatchThreads:
         seen.append(len(submitted))
         assert sweep.BATCH_THREADS == 2
         assert seen == [0, 1, 1, 1, 0]
-        # Per sweep: one call over the 4 batches, one over each batch's series.
-        assert [len(args[1]) for args in calls] == [4, 1, 1, 1, 1] * 5
-
-    def test_batch_threads_never_split(self, monkeypatch):
-        # Each batch of 2,051 points solves its eigenvalues as one stack of
-        # its own size; a lone batch splits its stack over the two cores.
-        monkeypatch.setattr(errors, "_usable_cores", lambda: 2)
-        stacks = count_linalg(monkeypatch)
-        run_sweep(thread_spec(2 * BATCH_SIZE + 3))
-        assert sorted(stacks["eigvals"]) == [512, 513, 513, 513]
-        stacks["eigvals"].clear()
-        run_sweep(thread_spec(BATCH_SIZE))
-        assert stacks["eigvals"] == [BATCH_SIZE // 2] * 2
+        # Per sweep: one flat call over its 4 items (4 batches of one
+        # series), none nested.
+        assert [len(args[1]) for args in calls] == [4] * 5
 
     def test_an_error_in_a_batch_reaches_the_caller(self, monkeypatch):
         # The third of four batches fails; the caller gets its error.
         monkeypatch.setattr(errors, "_usable_cores", lambda: 2)
         spec = thread_spec(2 * BATCH_SIZE + 3)
-        evaluate, third = sweep._evaluate_batch, spec.grid()[1025:1538]
+        evaluate, third = sweep._series_cells, spec.grid()[1025:1538]
 
-        def failing(spec, points):
+        def failing(spec, points, series):
             if np.array_equal(points, third):
                 raise SingularSolveError("injected")
-            return evaluate(spec, points)
-        monkeypatch.setattr(sweep, "_evaluate_batch", failing)
+            return evaluate(spec, points, series)
+        monkeypatch.setattr(sweep, "_series_cells", failing)
         with pytest.raises(SingularSolveError, match="injected"):
             run_sweep(spec)
 
@@ -962,7 +977,7 @@ class TestSeriesThreads:
     @pytest.mark.parametrize("axis", ["G", "temperature"])
     def test_rows_are_the_serial_rows(self, monkeypatch, axis):
         spec = gain_loss_line(axis)
-        expected = TestBatchThreads.serial_rows(monkeypatch, spec)
+        expected = TestBatchThreads.serial_rows(spec)
         rows = []
         for cores in (1, 2, 3):
             monkeypatch.setattr(errors, "_usable_cores", lambda: cores)
@@ -977,8 +992,8 @@ class TestSeriesThreads:
         assert len(spec.grid()) <= BATCH_SIZE and len(spec.series) == 2
         run_sweep(spec)
         assert [len(args) for args in submitted] == [1]  # one helper loop
-        # In a grid of two batches, the batch threads take the series in
-        # turn: one helper loop in all, for the batches.
+        # A grid of two batches makes four items: still one helper loop in
+        # all, taking the next item until none is left.
         submitted.clear()
         run_sweep(two_series_map())
         assert [len(args) for args in submitted] == [1]
