@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import functools
-import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -32,10 +32,6 @@ _SEARCH_LEVELS = 3
 #: the batch's (N, 36, 36) stack: a full batch of them raises peak memory by
 #: about 14 MB (fig4b, fig4d).
 BATCH_SIZE = 1024
-
-#: Rows that ``SweepResult.to_csv`` formats together, one column at a time.
-#: The chunk's columns and cells are the writer's only transient lists.
-CSV_CHUNK_ROWS = 1024
 
 _NUMERIC_FIELDS = tuple(f.name for f in fields(SystemParams))
 
@@ -132,6 +128,7 @@ class Axis:
         if not math.isfinite(self.hi - self.lo):
             raise ParameterError("axis bounds and their span must be finite")
 
+    @np.errstate(over="ignore")  # only the last point overflows, and is set to hi
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)
 
@@ -363,13 +360,26 @@ def _series_cells(spec: "SweepSpec", points: np.ndarray,
 
 @dataclass
 class SweepResult:
+    """A sweep's cells by column: ``cells`` holds one list per column after
+    the axes, one cell per grid point in ``spec.grid()`` order. The axis
+    cells are ``spec``'s grid, and ``rows`` is built on each access."""
+
     spec: SweepSpec
     columns: list[str]
-    rows: list[list]
+    cells: list[list]
+
+    def _columns(self) -> list[list]:
+        """Every column's cells, the axes' from the grid first."""
+        return [*self.spec.grid().T.tolist(), *self.cells]
+
+    @property
+    def rows(self) -> list[list]:
+        """One list per grid point: its axis values, then its cells."""
+        return list(map(list, zip(*self._columns(), strict=True)))
 
     def column(self, name: str, series_label: str = "") -> list:
-        """Values of one output column for one series."""
-        return [row[self._column_index(name, series_label)] for row in self.rows]
+        """Values of one column for one series."""
+        return list(self._columns()[self._column_index(name, series_label)])
 
     def _column_index(self, name: str, series_label: str = "") -> int:
         target = _decorate(_column_names(self.spec).get(name, name), series_label)
@@ -386,24 +396,18 @@ class SweepResult:
         """Deterministic CSV: header plus one row per grid point, 12 significant
         digits for floats, empty cell for sentinel (unstable) values.
 
-        Cells are formatted a column at a time, CSV_CHUNK_ROWS rows at once.
-        An axis column repeats a few values across the grid, so each of its
-        distinct values is formatted once.
+        Each axis value and each column is formatted once; a row is its
+        axis values' cells, first axis outermost, then its cells.
         """
-        n_axes = len(self.spec.axes)
-        formatted = [{} for _ in range(n_axes)]
-        buf = io.StringIO()
-        buf.write(",".join(self.columns) + "\n")
-        for start in range(0, len(self.rows), CSV_CHUNK_ROWS):
-            chunk = zip(*self.rows[start:start + CSV_CHUNK_ROWS], strict=True)
-            cells = [_format_axis_cells(values, formatted[j]) if j < n_axes
-                     else _format_cells(values)
-                     for j, values in enumerate(chunk)]
-            buf.write("\n".join(map(",".join, zip(*cells))) + "\n")
-        return buf.getvalue()
+        axes = [_format_cells(axis.values().tolist()) for axis in self.spec.axes]
+        prefixes = map(",".join, itertools.product(*axes))
+        cells = [_format_cells(column) for column in self.cells]
+        return "\n".join([",".join(self.columns), *map(
+            ",".join, zip(prefixes, *cells, strict=True))]) + "\n"
 
     def to_json(self) -> str:
-        objs = [dict(zip(self.columns, row)) for row in self.rows]
+        objs = [dict(zip(self.columns, row))
+                for row in zip(*self._columns(), strict=True)]
         return json.dumps(objs, indent=None, separators=(",", ":")) + "\n"
 
 
@@ -412,25 +416,6 @@ def _format_cells(values) -> list[str]:
     of anything else."""
     return [f"{v:.12g}" if isinstance(v, float) else "" if v is None else str(v)
             for v in values]
-
-
-def _format_axis_cells(values, formatted: dict) -> list[str]:
-    """:func:`_format_cells` of a column whose values repeat, through
-    ``formatted``: the cell of each nonzero float seen so far. A zero
-    bypasses it (0.0 and -0.0 are one key but two cells), and so do NaN,
-    which misses every key, and anything that is not a float. The cache is
-    emptied once it holds more than CSV_CHUNK_ROWS cells."""
-    if len(formatted) > CSV_CHUNK_ROWS:
-        formatted.clear()
-    cells = []
-    for v in values:
-        cell = formatted.get(v) if type(v) is float and v else None
-        if cell is None:
-            [cell] = _format_cells((v,))
-            if type(v) is float and v and v == v:
-                formatted[v] = cell
-        cells.append(cell)
-    return cells
 
 
 def _column_names(spec: SweepSpec) -> dict[str, str]:
@@ -476,9 +461,9 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     batch, the items run on one thread per usable core, at most
     BATCH_THREADS, the calling thread included (``errors.map_batches``).
     Otherwise up to ``jobs`` worker processes, never more than there are
-    batches, share the items. A batch's rows are its axis values, then each
-    series' cells. The batches are the same for any worker or thread count,
-    and so are the results.
+    batches, share the items. Each column of a series' cells joins that
+    column of its items in batch order. The batches are the same for any
+    worker or thread count, and so are the results.
     """
     if not isinstance(jobs, (int, np.integer)) or jobs < 1:
         raise ParameterError(f"jobs must be an integer >= 1, got {jobs!r}")
@@ -493,13 +478,10 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_series_cells, [spec] * len(items), *zip(*items),
                                   chunksize=math.ceil(len(items) / (4 * workers))))
-    rows, parts = [], iter(parts)
-    for points in batches:
-        cells = points.T.tolist()
-        for _ in spec.series:
-            cells += next(parts)
-        rows += map(list, zip(*cells))
-    return SweepResult(spec=spec, columns=_result_columns(spec), rows=rows)
+    n = len(spec.series)  # item b * n + s is batch b's series s
+    cells = [list(itertools.chain.from_iterable(pieces)) for s in range(n)
+             for pieces in zip(*parts[s::n])]
+    return SweepResult(spec=spec, columns=_result_columns(spec), cells=cells)
 
 
 def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,

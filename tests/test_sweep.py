@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import gc
+import json
 import math
 import threading
 import time
@@ -24,8 +25,7 @@ from magnomech.dynamics import (diffusion_batch, diffusion_matrices,
                                 stability_batch)
 from magnomech.errors import no_failures, raise_failure
 from magnomech.measures import RESIDUAL_REL_TARGET
-from magnomech.sweep import (BATCH_SIZE, CSV_CHUNK_ROWS, FIGURE_NAMES,
-                             SweepResult,
+from magnomech.sweep import (BATCH_SIZE, FIGURE_NAMES, SweepResult,
                              VANISHING_TEMPERATURE_TOL,
                              apply_parameter)
 from test_errors import record_submissions
@@ -1240,86 +1240,160 @@ def reference_csv(result: SweepResult) -> str:
 
 
 def stability_map_spec() -> SweepSpec:
-    """A 13 x 11 stability map: 143 rows, a multiple of no chunk size used."""
+    """A 13 x 11 stability map: 143 rows, a multiple of no batch size used."""
     return SweepSpec(base=default_params(),
                      axes=(Axis("gma_over_omega_b", 0.0, 1.2, 13),
                            Axis("G_over_omega_b", 0.0, 0.6, 11)),
                      outputs=("stable", "max_lyapunov", "pt_phase"))
 
 
-def hand_built(rows: list[list]) -> SweepResult:
-    """A result of a 2-D spec with two axis and three output columns."""
-    return SweepResult(spec=stability_map_spec(),
-                       columns=["x", "y", "a", "b", "error"], rows=rows)
+def hand_built(*cells: list, axes: tuple[Axis, ...] = ()) -> SweepResult:
+    """A result whose columns after the axes are ``cells``, on ``axes`` or
+    else on one axis with a point per cell of the first column."""
+    axes = axes or (Axis("G_over_omega_b", -0.5, 0.5, len(cells[0])),)
+    spec = SweepSpec(base=default_params(), axes=axes, outputs=("stable",))
+    return SweepResult(spec=spec,
+                       columns=[*(f"axis{i}" for i in range(len(axes))),
+                                *(f"c{j}" for j in range(len(cells)))],
+                       cells=list(cells))
 
 
-#: Axis cells: few distinct values, among them both zeros, NaN, infinities
-#: and values that equal a float but are not one.
-AXIS_CELLS = (st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf,
-                               -math.inf, 0.1, 0.30000000000000004, 1.0,
-                               1e13, 10**13, 2 / 3, 1, True,
-                               np.float64(0.1), None, "x"])
-              | st.floats())
+#: Output cells: any value a cell can hold, and some it cannot.
 OUTPUT_CELLS = (st.none() | st.integers() | st.booleans() | st.floats()
                 | st.floats().map(np.float64) | st.text(max_size=6)
                 | st.sampled_from(["", "unstable", "singular_solve"]))
+
+#: Axis bounds lo < hi with a finite span; either may be a zero of any sign.
+AXIS_BOUNDS = st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                        st.floats(allow_nan=False, allow_infinity=False)
+                        ).filter(lambda b: b[0] < b[1]
+                                 and math.isfinite(b[1] - b[0]))
+
+
+@st.composite
+def hand_built_results(draw) -> SweepResult:
+    """A result of one or two drawn axes and one to three drawn columns."""
+    names = ("gma_over_omega_b", "G_over_omega_b")[:draw(st.integers(1, 2))]
+    axes = tuple(Axis(name, *draw(AXIS_BOUNDS), draw(st.integers(2, 5)))
+                 for name in names)
+    n = math.prod(axis.count for axis in axes)
+    column = st.lists(OUTPUT_CELLS, min_size=n, max_size=n)
+    return hand_built(*draw(st.lists(column, min_size=1, max_size=3)),
+                      axes=axes)
+
+
+def two_series_specs() -> list[SweepSpec]:
+    """Gain and loss over axes with a -0.0 end and negative ranges: a 1-D
+    grid whose points fail (G < 0) up to that end, and a 2-D stability map
+    with a failing G < 0 row."""
+    return [SweepSpec(base=default_params(),
+                      axes=(Axis("G_over_omega_b", -0.3, -0.0, 4),),
+                      outputs=("stable", "E_N(am)"), series=sweep._GAIN_LOSS),
+            SweepSpec(base=default_params(),
+                      axes=(Axis("delta_over_omega_b", -2.0, -0.0, 5),
+                            Axis("G_over_omega_b", -0.1, 0.3, 3)),
+                      outputs=("stable", "max_lyapunov"), series=sweep._GAIN_LOSS)]
 
 
 class TestCsvWriter:
     @pytest.mark.parametrize("make_spec", [
         lambda: figure_preset("fig3a"), stability_map_spec, unstable_spec,
         covariance_failure_spec, drive_spec, ep_crossing_spec])
-    @pytest.mark.parametrize("chunk", [CSV_CHUNK_ROWS, 7, 1])
-    def test_sweeps_match_the_row_writer(self, monkeypatch, make_spec, chunk):
+    @pytest.mark.parametrize("batch_size", [BATCH_SIZE, 7, 1])
+    def test_sweeps_match_the_row_writer(self, monkeypatch, make_spec,
+                                         batch_size):
+        # A column joins its series' items in batch order, however the grid
+        # is cut; none of these grids shares a drift, so no cell moves.
+        expected = run_sweep(make_spec()).to_csv()
+        monkeypatch.setattr(sweep, "BATCH_SIZE", batch_size)
         result = run_sweep(make_spec())
-        monkeypatch.setattr(sweep, "CSV_CHUNK_ROWS", chunk)
-        assert result.to_csv() == reference_csv(result)
+        assert result.to_csv() == reference_csv(result) == expected
 
-    @pytest.mark.parametrize("chunk", [CSV_CHUNK_ROWS, 3, 2])
-    def test_zeros_nan_and_infinities(self, monkeypatch, chunk):
-        rows = [[x, y, value, 1, code]
-                for x in (0.0, -0.0, math.nan, 0.5)
-                for y, value, code in ((-0.0, None, ""), (0.0, math.inf, "x"),
-                                       (-math.inf, -0.0, "unstable"))]
-        result = hand_built(rows)
-        monkeypatch.setattr(sweep, "CSV_CHUNK_ROWS", chunk)
+    def test_zeros_nan_and_infinities(self):
+        values = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, None,
+                  np.float64(-0.0)]
+        result = hand_built(values, values[::-1],
+                            ["", "x", "unstable", "", "", "", "", ""])
         text = result.to_csv()
         assert text == reference_csv(result)
-        assert text.splitlines()[1:4] == ["0,-0,,1,", "0,0,inf,1,x",
-                                          "0,-inf,-0,1,unstable"]
-        assert text.splitlines()[4].startswith("-0,-0,")
+        assert [line.split(",")[1:] for line in text.splitlines()[1:4]] == [
+            ["0", "-0", ""], ["-0", "", "x"], ["nan", "-inf", "unstable"]]
+        assert [line.split(",")[1] for line in text.splitlines()[4:]] == [
+            "nan", "inf", "-inf", "", "-0"]
 
     def test_equal_values_of_other_types_keep_their_cells(self):
         # 1.0 == 1 == True and 1e13 == 10**13, but their cells differ.
         values = [1.0, True, 1, 1e13, 10**13, 1.0, True, 1e13]
-        result = hand_built([[v, v, v, v, ""] for v in values])
+        result = hand_built(values, values[::-1], [""] * len(values))
         text = result.to_csv()
         assert text == reference_csv(result)
-        assert [line.split(",")[0] for line in text.splitlines()[1:]] == [
+        assert [line.split(",")[1] for line in text.splitlines()[1:]] == [
             "1", "True", "1", "1e+13", "10000000000000", "1", "True", "1e+13"]
 
     @settings(max_examples=200, deadline=None)
-    @given(rows=st.lists(st.lists(AXIS_CELLS, min_size=2, max_size=2).flatmap(
-               lambda axes: st.lists(OUTPUT_CELLS, min_size=3, max_size=3).map(
-                   lambda outputs: axes + outputs)), max_size=30),
-           chunk=st.integers(1, 8))
-    def test_any_cells_match_the_row_writer(self, rows, chunk):
-        result = hand_built(rows)
-        with mock.patch.object(sweep, "CSV_CHUNK_ROWS", chunk):
-            assert result.to_csv() == reference_csv(result)
+    @given(result=hand_built_results())
+    def test_any_cells_match_the_row_writer(self, result):
+        assert result.to_csv() == reference_csv(result)
+
+    @pytest.mark.parametrize("spec", two_series_specs())
+    def test_axis_cells_are_the_grid_in_order(self, spec):
+        result = run_sweep(spec)
+        text = result.to_csv()
+        assert text == reference_csv(result)
+        n_axes = len(spec.axes)
+        assert [line.split(",")[:n_axes] for line in text.splitlines()[1:]] == \
+            [[f"{v:.12g}" for v in point] for point in spec.grid().tolist()]
+        assert "-0" in {line.split(",")[0] for line in text.splitlines()[1:]}
+
+    def test_an_axis_at_the_float_limit_warns_nothing(self):
+        # linspace's product for the last point overflows; it is set to hi.
+        top = float(np.finfo(float).max)
+        spec = SweepSpec(base=default_params(),
+                         axes=(Axis("gma_over_omega_b", -top, 0.0, 4),),
+                         outputs=("stable",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_sweep(spec)
+            text = result.to_csv()
+        assert text == reference_csv(result)
+        assert result.column("gma_over_omega_b") == [-top, top / 3 - top,
+                                                     2 * (top / 3) - top, 0.0]
+        assert result.column("error") == ["parameter_error"] * 3 + [""]
 
     def test_ragged_rows_are_refused(self):
-        with pytest.raises(ValueError):
-            hand_built([[0.0, 0.0, 1, 2, ""], [0.0, 0.0, 1, ""]]).to_csv()
+        # A column shorter or longer than the grid's 3 points is never cut
+        # or padded: every writer raises.
+        axes = (Axis("G_over_omega_b", 0.0, 0.5, 3),)
+        for length in (2, 4):
+            result = hand_built([1, 1, 1], list(range(length)), ["", "", ""],
+                                axes=axes)
+            for write in (result.to_csv, lambda: result.rows, result.to_json):
+                with pytest.raises(ValueError):
+                    write()
 
-    def test_axis_cache_stays_bounded(self, monkeypatch):
-        monkeypatch.setattr(sweep, "CSV_CHUNK_ROWS", 8)
-        formatted = {}
-        for start in range(0, 100, 8):
-            values = [float(v) for v in range(start + 1, start + 9)]
-            assert sweep._format_axis_cells(values, formatted) == [
-                f"{v:.12g}" for v in values]
-            assert len(formatted) <= 16
+    def test_rows_columns_and_json_read_the_cells(self, monkeypatch):
+        # Two batches of two series: unstable points, then failed ones.
+        monkeypatch.setattr(sweep, "BATCH_SIZE", 8)
+        spec = dataclasses.replace(covariance_failure_spec(), series=(
+            Series("cold"), Series("hot", (("temperature", 0.1),))))
+        assert len(sweep._batches(spec.grid())) == 2
+        result = run_sweep(spec)
+        rows = result.rows
+        for series in spec.series:
+            assert set(result.column("error", series.label)) == \
+                {"", "singular_solve"}
+        assert result.to_json() == json.dumps(
+            [dict(zip(result.columns, row)) for row in rows],
+            separators=(",", ":")) + "\n"
+        grid = spec.grid()
+        assert result.column(spec.axes[0].name) == grid[:, 0].tolist()
+        assert rows == [[*point, *cells] for point, *cells
+                        in zip(grid.tolist(), *result.cells)]
+        for series in spec.series:
+            index = result._column_index("stable", series.label)
+            assert result.column("stable", series.label) == \
+                result.cells[index - 1]
+        assert run_sweep(spec, jobs=2).cells == result.cells
 
 
 class TestFigurePresets:
