@@ -1309,17 +1309,38 @@ class TestCsvWriter:
         result = run_sweep(make_spec())
         assert result.to_csv() == reference_csv(result) == expected
 
-    def test_zeros_nan_and_infinities(self):
+    @pytest.mark.parametrize("batch_size", [BATCH_SIZE, 3, 2])
+    def test_zeros_nan_and_infinities(self, monkeypatch, batch_size):
+        # Zeros of both signs, NaNs, infinities and None come out of the
+        # sweep's items and keep their cells however the grid is cut: 9
+        # points make one batch, or four (size 3) or six (size 2).
         values = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, None,
-                  np.float64(-0.0)]
-        result = hand_built(values, values[::-1],
-                            ["", "x", "unstable", "", "", "", "", ""])
+                  np.float64(-0.0), np.float64(math.nan)]
+        codes = ["", "x", "unstable", "", "", "", "", "", "singular_solve"]
+        columns = [values, values[::-1], codes]
+        spec = SweepSpec(base=default_params(),
+                         axes=(Axis("G_over_omega_b", -0.5, 0.5, len(values)),),
+                         outputs=("stable", "E_N(am)"))
+        position = {x: k for k, (x,) in enumerate(spec.grid().tolist())}
+        sizes = []
+
+        def cells_at(spec, points, series):
+            sizes.append(len(points))
+            index = [position[x] for x in points[:, 0].tolist()]
+            return [[column[k] for k in index] for column in columns]
+
+        monkeypatch.setattr(sweep, "BATCH_SIZE", batch_size)
+        monkeypatch.setattr(sweep, "_series_cells", cells_at)
+        result = run_sweep(spec)
+        assert sum(sizes) == len(values)
+        assert len(sizes) == {BATCH_SIZE: 1, 3: 4, 2: 6}[batch_size]
+        assert result.cells == columns
         text = result.to_csv()
         assert text == reference_csv(result)
         assert [line.split(",")[1:] for line in text.splitlines()[1:4]] == [
-            ["0", "-0", ""], ["-0", "", "x"], ["nan", "-inf", "unstable"]]
+            ["0", "nan", ""], ["-0", "-0", "x"], ["nan", "", "unstable"]]
         assert [line.split(",")[1] for line in text.splitlines()[4:]] == [
-            "nan", "inf", "-inf", "", "-0"]
+            "nan", "inf", "-inf", "", "-0", "nan"]
 
     def test_equal_values_of_other_types_keep_their_cells(self):
         # 1.0 == 1 == True and 1e13 == 10**13, but their cells differ.
