@@ -29,6 +29,9 @@ EXIT_ARGS = 2
 EXIT_IO = 3
 EXIT_UNSTABLE = 4
 
+_THREADS = (f"a sweep runs on up to {_sweep.BATCH_THREADS} threads, one per "
+            "usable core")
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # Only the subcommands that use a flag accept it.
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="worker processes for sweeps")
+                      help=f"ignored: {_THREADS}")
     noise = argparse.ArgumentParser(add_help=False)
     noise.add_argument("--gain-noise", choices=GAIN_NOISE_MODES,
                        default="vacuum", dest="gain_noise",
@@ -200,14 +203,23 @@ def _cmd_sweep(args, params: SystemParams) -> str:
     spec = _sweep.SweepSpec(base=params, axes=axes,
                             outputs=tuple(args.output),
                             gain_noise=args.gain_noise)
-    result = _sweep.run_sweep(spec, jobs=args.jobs)
-    return result.to_csv() if args.format == "csv" else result.to_json()
+    return _run_sweep(args, spec)
 
 
 def _cmd_figure(args, params: SystemParams) -> str:
     spec = _sweep.figure_preset(args.name, gain_noise=args.gain_noise,
                                 base=params)
-    result = _sweep.run_sweep(spec, jobs=args.jobs)
+    return _run_sweep(args, spec)
+
+
+def _run_sweep(args, spec: _sweep.SweepSpec) -> str:
+    """The sweep's CSV or JSON. ``--jobs`` must be >= 1 and changes nothing:
+    any value but 1 says so on stderr."""
+    if args.jobs < 1:
+        raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.jobs != 1:
+        print(f"note: --jobs is ignored; {_THREADS}", file=sys.stderr)
+    result = _sweep.run_sweep(spec)
     return result.to_csv() if args.format == "csv" else result.to_json()
 
 

@@ -1,11 +1,21 @@
-"""Grid sweeps, figure presets and the vanishing-temperature search."""
+"""Grid sweeps, figure presets and the vanishing-temperature search.
+
+A sweep's items (its batches and series) run on one thread per usable core,
+at most BATCH_THREADS, the calling thread included (:func:`map_batches`);
+each stacked LAPACK call runs whole on its item's thread. NumPy's
+linear-algebra functions release the GIL and solve each matrix of a stack on
+its own, so every item gets the same bits on any number of threads.
+"""
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -15,8 +25,8 @@ from .config import build_params, default_config
 from .dynamics import (check_gain_noise, diffusion_batch, drift_matrices,
                        stability_batch)
 from .errors import (BracketInvalidError, MagnomechError, ParameterError,
-                     BATCH_THREADS, UnstableSystemError, alive, map_batches,
-                     no_failures, raise_failure, record_failures)
+                     UnstableSystemError, alive, no_failures, raise_failure,
+                     record_failures)
 from .model import SystemParams, parameter_violations, pt_classify
 from .steady_state import working_point_batch
 
@@ -32,6 +42,10 @@ _SEARCH_LEVELS = 3
 #: the batch's (N, 36, 36) stack: a full batch of them raises peak memory by
 #: about 14 MB (fig4b, fig4d).
 BATCH_SIZE = 1024
+
+#: Most threads of a map_batches call. Each keeps one batch in flight, and
+#: two threads are all that was measured (a 2-core VM).
+BATCH_THREADS = 2
 
 _NUMERIC_FIELDS = tuple(f.name for f in fields(SystemParams))
 
@@ -454,30 +468,65 @@ def _batches(grid: np.ndarray) -> list[np.ndarray]:
     return [grid[n * i // count:n * (i + 1) // count] for i in range(count)]
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity mask, where known."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this OS
+        return os.cpu_count() or 1
+
+
+def map_batches(func, batches: list) -> list:
+    """``[func(batch) for batch in batches]`` on one thread per usable core,
+    at most BATCH_THREADS, the calling thread included, each in a copy of
+    the caller's context (so its ``np.errstate`` holds there too) and each
+    taking the next batch until none is left. A lone batch runs as a plain
+    call; helper threads live for one call. The first error stops the
+    hand-out of further batches and is raised once every thread has stopped."""
+    threads = 1 if len(batches) < 2 else min(BATCH_THREADS, _usable_cores())
+    if threads < 2:
+        return [func(batch) for batch in batches]
+    results = [None] * len(batches)
+    pending = iter(range(len(batches)))
+    raised = []
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                k = None if raised else next(pending, None)
+            if k is None:
+                return
+            try:
+                results[k] = func(batches[k])
+            except BaseException as exc:
+                with lock:
+                    raised.append(exc)
+                return
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(work,), name="magnomech")
+               for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    contextvars.copy_context().run(work)
+    for helper in helpers:
+        helper.join()
+    if raised:
+        raise raised[0]
+    return results
+
+
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the grid in batches of at most BATCH_SIZE points.
 
-    Each batch and series is one item. At ``jobs`` 1, or on a grid of one
-    batch, the items run on one thread per usable core, at most
-    BATCH_THREADS, the calling thread included (``errors.map_batches``).
-    Otherwise up to ``jobs`` worker processes, never more than there are
-    batches, share the items. Each column of a series' cells joins that
-    column of its items in batch order. The batches are the same for any
-    worker or thread count, and so are the results.
+    Each batch and series is one item, run by :func:`map_batches`. Each
+    column of a series' cells joins that column of its items in batch order.
+    The batches are the same for any thread count, and so are the results.
     """
-    if not isinstance(jobs, (int, np.integer)) or jobs < 1:
-        raise ParameterError(f"jobs must be an integer >= 1, got {jobs!r}")
-    batches = _batches(spec.grid())
-    workers = min(jobs, len(batches))
-    items = [(points, series) for points in batches for series in spec.series]
-    if workers == 1:
-        parts = map_batches(lambda item: _series_cells(spec, *item), items)
-    else:
-        # Imported here: it loads multiprocessing, which one process never uses.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_series_cells, [spec] * len(items), *zip(*items),
-                                  chunksize=math.ceil(len(items) / (4 * workers))))
+    items = [(points, series) for points in _batches(spec.grid())
+             for series in spec.series]
+    parts = map_batches(lambda item: _series_cells(spec, *item), items)
     n = len(spec.series)  # item b * n + s is batch b's series s
     cells = [list(itertools.chain.from_iterable(pieces)) for s in range(n)
              for pieces in zip(*parts[s::n])]

@@ -38,7 +38,6 @@ from test_dynamics import mode_drift, spectra_agree
 
 TWO_PI = 2.0 * math.pi
 OMEGA_B = default_params().omega_b
-JOBS = 4
 
 FIGS = ("fig2a", "fig2b", "fig2c", "fig2d", "fig3a", "fig3b", "fig3c",
         "fig3d", "fig4a", "fig4b", "fig4c", "fig4d", "fig5", "fig6a", "fig6b")
@@ -101,7 +100,7 @@ def _augment(spec):
 @pytest.fixture(scope="module")
 def presets():
     """All figure presets evaluated once, with quality certificates added."""
-    return {name: run_sweep(_augment(figure_preset(name)), jobs=JOBS)
+    return {name: run_sweep(_augment(figure_preset(name)))
             for name in FIGS}
 
 
@@ -109,7 +108,7 @@ def presets():
 def gain_side_presets():
     """The gain-side criteria's presets in the GAIN_SIDE_NOISE convention."""
     return {name: run_sweep(_augment(figure_preset(
-                name, gain_noise=GAIN_SIDE_NOISE)), jobs=JOBS)
+                name, gain_noise=GAIN_SIDE_NOISE)))
             for name in GAIN_SIDE_FIGS}
 
 
@@ -377,13 +376,17 @@ def test_criterion_11_steering_implies_entanglement(presets, report):
            noise="vacuum")
 
 
-def test_criterion_12_determinism_across_workers(tmp_path, report):
-    # fig4d's 9,696 covariance points make 10 batches, shared by 4 workers.
+def test_criterion_12_determinism_across_workers(tmp_path, report, cores):
+    # fig4d's 9,696 covariance points make 10 batches, shared by two
+    # threads, then all on the calling thread. The two-thread run also
+    # passes --jobs 4, which is ignored and must move no byte.
     assert len(figure_preset("fig4d").grid()) > 4 * BATCH_SIZE
-    out1 = tmp_path / "j1.csv"
-    out4 = tmp_path / "j4.csv"
+    out1 = tmp_path / "t1.csv"
+    out2 = tmp_path / "t2.csv"
+    cores(2)
+    assert cli_main(["figure", "fig4d", "--format", "csv", "--jobs", "4",
+                     "--out", str(out2)]) == 0
+    cores(1)
     assert cli_main(["figure", "fig4d", "--format", "csv", "--jobs", "1",
                      "--out", str(out1)]) == 0
-    assert cli_main(["figure", "fig4d", "--format", "csv", "--jobs", "4",
-                     "--out", str(out4)]) == 0
-    report(12, out1.read_bytes() == out4.read_bytes(), noise="vacuum")
+    report(12, out1.read_bytes() == out2.read_bytes(), noise="vacuum")

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -16,7 +17,7 @@ from magnomech import (Axis, MagnomechError, ParameterError, SweepSpec,
                        figure_preset, merge_layers, pair_measures, run_sweep,
                        solve_lyapunov, stability, two_mode_eigenfrequencies,
                        working_point)
-from magnomech import cli
+from magnomech import cli, sweep
 from magnomech.cli import main
 from magnomech.config import apply_overrides
 from magnomech.dynamics import GAIN_NOISE_MODES
@@ -485,7 +486,7 @@ class TestVanishTemp:
 def run_fresh(code: str) -> str:
     """Last stdout line of ``code`` run in a new interpreter on this src/.
     The interpreter leads a process group of its own: on a timeout the
-    whole group is killed, process-pool workers it forked included."""
+    whole group is killed, any child it forked included."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -512,34 +513,73 @@ def test_runtime_imports_no_scipy():
     assert run_fresh(code) == "[]"
 
 
-def test_process_pool_is_imported_only_for_a_pool():
-    code = ("import sys\n"
-            "import magnomech\n"
-            "print('multiprocessing' in sys.modules,"
-            " 'concurrent.futures' in sys.modules)\n")
-    assert run_fresh(code) == "False False"
-    # fig2a's 10,201 points make 10 batches, so --jobs 2 runs a pool.
+def test_no_process_or_executor_module_is_imported():
+    # Neither the package nor a threaded sweep loads multiprocessing or
+    # concurrent.futures: a sweep's threads are plain threading.Threads.
     code = ("import io, sys\n"
+            "import magnomech\n"
             "from magnomech import cli\n"
+            "loaded = lambda: ('multiprocessing' in sys.modules,"
+            " 'concurrent.futures' in sys.modules)\n"
+            "before = loaded()\n"
             "sys.stdout = io.StringIO()\n"
-            "assert cli.main(['figure', 'fig2a', '--format', 'csv']) == 0\n"
-            "before = 'multiprocessing' in sys.modules\n"
-            "assert cli.main(['figure', 'fig2a', '--jobs', '2']) == 0\n"
+            "assert cli.main(['figure', 'fig2a']) == 0\n"
             "sys.stdout = sys.__stdout__\n"
-            "print(before, 'multiprocessing' in sys.modules)\n")
-    assert run_fresh(code) == "False True"
+            "print(*before, *loaded())\n")
+    assert run_fresh(code) == "False False False False"
 
 
-def test_process_pool_after_split_stacks():
-    # The one-process sweep runs its batches on a thread pool; the process
-    # pool forked after it must neither hang nor change a row.
-    code = ("from magnomech import errors, sweep\n"
-            "errors._usable_cores = lambda: 2\n"
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this OS")
+def test_a_forked_child_after_batch_threads():
+    # A sweep's helper threads live for one call, so none is left when a
+    # child forks after a threaded fig2a: the child runs the same sweep on
+    # a helper of its own, neither hanging nor changing a row.
+    code = ("import multiprocessing, threading\n"
+            "from magnomech import sweep\n"
+            "sweep._usable_cores = lambda: 2  # threaded on any machine\n"
             "spec = sweep.figure_preset('fig2a')\n"
-            "one = sweep.run_sweep(spec, jobs=1).rows\n"
-            "threaded = errors._pool is not None\n"
-            "print(threaded, sweep.run_sweep(spec, jobs=2).rows == one)\n")
-    assert run_fresh(code) == "True True"
+            "rows = sweep.run_sweep(spec).rows\n"
+            "start, helpers = threading.Thread.start, []\n"
+            "def counted(thread):\n"
+            "    helpers.append(thread.name)\n"
+            "    start(thread)\n"
+            "def child(conn):\n"
+            "    threading.Thread.start = counted\n"
+            "    conn.send((sweep.run_sweep(spec).rows == rows, helpers))\n"
+            "ctx = multiprocessing.get_context('fork')\n"
+            "ours, theirs = ctx.Pipe()\n"
+            "alone = threading.active_count() == 1\n"
+            "process = ctx.Process(target=child, args=(theirs,))\n"
+            "process.start()\n"
+            "same, started = ours.recv()\n"
+            "process.join()\n"
+            "print(alone, same, started, process.exitcode)\n")
+    assert run_fresh(code) == "True True ['magnomech'] 0"
+
+
+class TestJobsFlag:
+    """``--jobs N`` must be at least 1 and changes no output byte. Only
+    ``sweep`` and ``figure`` accept it (test_flag_without_effect_exits_2)."""
+
+    def test_jobs_below_one_exits_2(self, capsys):
+        for command in (("figure", "fig2d"),
+                        ("sweep", "--axis", "G_over_omega_b:0.1:0.2:2",
+                         "--output", "stable")):
+            code, out, err = run_cli(capsys, *command, "--jobs", "0")
+            assert code == 2 and out == "" and "--jobs" in err
+
+    def test_jobs_other_than_one_only_say_so(self, capsys, cores):
+        # fig2a's 10 batches run on two threads whatever --jobs says.
+        cores(2)
+        code, one, err = run_cli(capsys, "figure", "fig2a", "--format", "csv",
+                                 "--jobs", "1")
+        assert code == 0 and err == ""
+        code, two, err = run_cli(capsys, "figure", "fig2a", "--format", "csv",
+                                 "--jobs", "2")
+        assert code == 0 and two == one
+        assert err.count("\n") == 1 and err.endswith(
+            f"up to {sweep.BATCH_THREADS} threads, one per usable core\n")
 
 
 class TestRepeatedCalls:

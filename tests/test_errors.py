@@ -1,5 +1,6 @@
 """LAPACK stacks: a rejected point fails alone, the others keep the bits of
-one call. Batch threads: every batch's result, in order."""
+one call. Batch threads (``sweep.map_batches``): every batch's result, in
+order."""
 
 import os
 import sys
@@ -10,9 +11,10 @@ import warnings
 import numpy as np
 import pytest
 
-from magnomech import errors
+from magnomech import sweep
 from magnomech.errors import (EigenSolveError, SingularSolveError,
-                              lapack_stack, map_batches, no_failures)
+                              lapack_stack, no_failures)
+from magnomech.sweep import map_batches
 
 
 def _assert_same(result, whole):
@@ -23,7 +25,7 @@ def _assert_same(result, whole):
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                     reason="no affinity masks on this OS")
 def test_usable_cores_follow_the_affinity_mask():
-    assert errors._usable_cores() == len(os.sched_getaffinity(0))
+    assert sweep._usable_cores() == len(os.sched_getaffinity(0))
 
 
 @pytest.mark.parametrize("bad", [0, 255, 770])
@@ -53,50 +55,48 @@ def test_a_failing_chunk_fails_its_points_as_one_call(bad):
         _assert_same(result[good], func(*(stack[good] for stack in stacks)))
 
 
-def record_submissions(monkeypatch) -> list:
-    """The arguments of each task submitted to the thread pool: a batch
-    thread's are its one loop."""
-    submitted = []
-    pool = errors._thread_pool()
+def record_helpers(monkeypatch) -> list:
+    """The helper threads started while it records, in start order: each
+    runs one batch loop of a map_batches call."""
+    started = []
 
-    class Recording:
-        def submit(self, fn, *args):
-            submitted.append(args)
-            return pool.submit(fn, *args)
-    monkeypatch.setattr(errors, "_thread_pool", Recording)
-    return submitted
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+    monkeypatch.setattr(threading, "Thread", Recording)
+    return started
 
 
-def threads_at(monkeypatch, threads: int) -> None:
+def threads_at(cores, monkeypatch, threads: int) -> None:
     """Make map_batches run ``threads`` threads, on any machine."""
-    monkeypatch.setattr(errors, "_usable_cores", lambda: threads)
-    monkeypatch.setattr(errors, "BATCH_THREADS", max(threads, 2))
+    cores(threads)
+    monkeypatch.setattr(sweep, "BATCH_THREADS", max(threads, 2))
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
-def test_batches_come_back_in_order(threads, monkeypatch):
-    threads_at(monkeypatch, threads)
-    submitted = record_submissions(monkeypatch)
+def test_batches_come_back_in_order(threads, cores, monkeypatch):
+    threads_at(cores, monkeypatch, threads)
+    started = record_helpers(monkeypatch)
     assert map_batches(lambda k: k * k, list(range(12))) == [
         k * k for k in range(12)]
-    assert len(submitted) == threads - 1  # the helper loops
+    assert len(started) == threads - 1  # the helper loops
+    # A helper lives for its call alone.
+    assert not any(helper.is_alive() for helper in started)
 
 
-def test_concurrent_callers_share_one_pool(monkeypatch):
+def test_concurrent_callers_keep_their_results(cores, monkeypatch):
     # More calling threads than cores, each mapping its own stack's halves
-    # over two threads, while the first maps race to make the pool.
-    threads_at(monkeypatch, 2)
-    monkeypatch.setattr(errors, "_pool", None)
+    # over two threads.
+    threads_at(cores, monkeypatch, 2)
     stacks = [np.random.default_rng(seed).standard_normal((64, 6, 6))
               for seed in range(8)]
     results = [None] * len(stacks)
-    pools = set()
 
     def work(i):
         for _ in range(5):
             results[i] = map_batches(np.linalg.eigvals,
                                      [stacks[i][:32], stacks[i][32:]])
-            pools.add(id(errors._pool))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -110,27 +110,15 @@ def test_concurrent_callers_share_one_pool(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert len(pools) == 1
     for stack, result in zip(stacks, results):
         _assert_same(np.concatenate(result), np.linalg.eigvals(stack))
 
 
-def test_a_forked_child_maps_serially(monkeypatch):
-    # A forked child's copy of the pool has no threads to run a helper.
-    threads_at(monkeypatch, 2)
-    monkeypatch.setattr(errors, "_forked", True)
-    submitted = record_submissions(monkeypatch)
-    caller = threading.get_ident()
-    assert map_batches(lambda k: (k, threading.get_ident()), list(range(4))) \
-        == [(k, caller) for k in range(4)]
-    assert submitted == []
-
-
 @pytest.mark.parametrize("threads", [1, 2, 3])
-def test_an_error_stops_the_hand_out(threads, monkeypatch):
+def test_an_error_stops_the_hand_out(threads, cores, monkeypatch):
     # Batch 4 fails at once while the others take 50 ms: batches already
     # handed out finish, no later one starts, and no thread runs on.
-    threads_at(monkeypatch, threads)
+    threads_at(cores, monkeypatch, threads)
     bad, error = 4, EigenSolveError("injected")
     lock = threading.Lock()
     started, running = [], [0]
@@ -158,10 +146,10 @@ def test_an_error_stops_the_hand_out(threads, monkeypatch):
     assert len(started) == count
 
 
-def test_batch_threads_keep_the_callers_errstate(monkeypatch):
+def test_batch_threads_keep_the_callers_errstate(cores, monkeypatch):
     # Each of the two batches waits for the other: the caller runs one and
     # the helper the other, on any number of CPUs.
-    threads_at(monkeypatch, 2)
+    threads_at(cores, monkeypatch, 2)
     both = threading.Barrier(2, timeout=30)
     ran = set()
 

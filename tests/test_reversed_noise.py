@@ -20,12 +20,12 @@ OMEGA_B = default_params().omega_b
 
 @pytest.fixture(scope="module")
 def fig3b_rev():
-    return run_sweep(figure_preset("fig3b", gain_noise="reversed"), jobs=2)
+    return run_sweep(figure_preset("fig3b", gain_noise="reversed"))
 
 
 @pytest.fixture(scope="module")
 def fig5_rev():
-    return run_sweep(figure_preset("fig5", gain_noise="reversed"), jobs=2)
+    return run_sweep(figure_preset("fig5", gain_noise="reversed"))
 
 
 class TestEntanglementEnhancement:

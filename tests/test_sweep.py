@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import gc
 import json
@@ -20,7 +19,7 @@ from magnomech import (Axis, BracketInvalidError, DegenerateDenominatorError,
                        drift_from_params, evaluate_point, figure_preset,
                        pair_measures, run_sweep, solve_lyapunov,
                        vanishing_temperature, working_point)
-from magnomech import errors, measures, model, sweep
+from magnomech import measures, model, sweep
 from magnomech.dynamics import (diffusion_batch, diffusion_matrices,
                                 stability_batch)
 from magnomech.errors import no_failures, raise_failure
@@ -28,7 +27,7 @@ from magnomech.measures import RESIDUAL_REL_TARGET
 from magnomech.sweep import (BATCH_SIZE, FIGURE_NAMES, SweepResult,
                              VANISHING_TEMPERATURE_TOL,
                              apply_parameter)
-from test_errors import record_submissions
+from test_errors import record_helpers
 
 OMEGA_B = default_params().omega_b
 
@@ -444,45 +443,15 @@ class TestRunSweep:
         line = csv_text.splitlines()[1]
         assert line.split(",")[1] == ""  # empty cell, not "0"
 
-    def test_worker_count_does_not_change_bytes(self, monkeypatch):
-        # Two batches each, so that three workers share them.
+    def test_worker_count_does_not_change_bytes(self, monkeypatch, cores):
+        # Two batches each, on one thread and on two.
         monkeypatch.setattr(sweep, "BATCH_SIZE", SMALL_BATCH)
         for spec in (figure_preset("fig3a"), ep_crossing_spec()):
             assert len(spec.grid()) > SMALL_BATCH
-            a = run_sweep(spec, jobs=1).to_csv()
-            b = run_sweep(spec, jobs=3).to_csv()
-            assert a == b
-
-    def test_pool_never_exceeds_batches(self, monkeypatch):
-        max_workers_seen = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                max_workers_seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        # run_sweep imports the pool class only when it runs one.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            RecordingPool)
-        spec = SweepSpec(base=default_params(),
-                         axes=(Axis("G_over_omega_b", 0.0, 0.5,
-                                    2 * BATCH_SIZE + 1),),
-                         outputs=("stable",))
-        serial = run_sweep(spec, jobs=1).rows
-        assert max_workers_seen == []
-        # 2,049 points make 4 equal batches.
-        assert run_sweep(spec, jobs=5000).rows == serial
-        assert max_workers_seen == [4]
-        run_sweep(spec, jobs=2)
-        assert max_workers_seen == [4, 2]
+            cores(1)
+            a = run_sweep(spec).to_csv()
+            cores(2)
+            assert run_sweep(spec).to_csv() == a
 
     def test_stability_rows_do_not_depend_on_the_batch_size(self, monkeypatch):
         # Three of every seven points fail with parameter_error (T < 0), one
@@ -774,25 +743,6 @@ class TestRunSweep:
                       axes=(Axis("G_over_omega_b", 0.1, 0.2, 2),),
                       outputs="stable")
 
-    def test_jobs_must_be_positive(self):
-        spec = SweepSpec(base=default_params(),
-                         axes=(Axis("G_over_omega_b", 0.1, 0.2, 2),),
-                         outputs=("stable",))
-        with pytest.raises(ParameterError, match="jobs"):
-            run_sweep(spec, jobs=0)
-
-    @pytest.mark.parametrize("jobs", [2.5, 2.0, "2", None])
-    def test_jobs_must_be_an_integer(self, jobs, monkeypatch):
-        # Rejected before the grid is built.
-        spec = SweepSpec(base=default_params(),
-                         axes=(Axis("G_over_omega_b", 0.1, 0.2, 2),),
-                         outputs=("stable",))
-        calls = count_calls(monkeypatch, "_batches")
-        with pytest.raises(ParameterError, match="integer"):
-            run_sweep(spec, jobs=jobs)
-        assert calls == []
-        assert run_sweep(spec, jobs=np.int64(2)).rows == run_sweep(spec).rows
-
     def test_series_become_labeled_columns(self):
         spec = SweepSpec(base=default_params(),
                          axes=(Axis("G_over_omega_b", 0.1, 0.2, 2),),
@@ -853,8 +803,8 @@ def two_series_map() -> SweepSpec:
 
 
 class TestBatchThreads:
-    """At jobs 1 a sweep runs its (batch, series) items on one thread per
-    usable core, at most BATCH_THREADS."""
+    """A sweep runs its (batch, series) items on one thread per usable core,
+    at most BATCH_THREADS."""
 
     @staticmethod
     def serial_rows(spec: SweepSpec) -> list[list]:
@@ -865,17 +815,17 @@ class TestBatchThreads:
             cells += sweep._series_cells(spec, points, series)
         return rows_of(cells)
 
-    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("make_spec, count", [
         (lambda: thread_spec(2), 1), (lambda: thread_spec(BATCH_SIZE), 1),
         (lambda: thread_spec(BATCH_SIZE + 1), 2),
         (lambda: thread_spec(2 * BATCH_SIZE + 3), 4), (two_series_map, 2)])
     def test_rows_are_the_serial_rows(self, monkeypatch, make_spec, count,
-                                      cores):
+                                      threads, cores):
         spec = make_spec()
         n = len(spec.grid())
         expected = self.serial_rows(spec)
-        monkeypatch.setattr(errors, "_usable_cores", lambda: cores)
+        cores(threads)
         calls = count_calls(monkeypatch, "_series_cells")
         assert run_sweep(spec).rows == expected
         assert len(calls) == count * len(spec.series)
@@ -886,7 +836,7 @@ class TestBatchThreads:
         assert len(sizes) == count and sum(sizes) == n
         assert sizes[-1] - sizes[0] <= 1 and sizes[-1] <= BATCH_SIZE
 
-    def test_shared_drift_rows_do_not_depend_on_the_cores(self, monkeypatch):
+    def test_shared_drift_rows_do_not_depend_on_the_cores(self, cores):
         # Two drifts of 1,025 temperatures each make 4 batches, each of one
         # drift, whatever the cores. Cut into one batch per 1,024 points and
         # thread, one core would make 3, the middle one holding both drifts:
@@ -899,39 +849,35 @@ class TestBatchThreads:
                                Axis("temperature", 0.0, 0.25, 1025)),
                          outputs=("E_N(am)",))
         rows = []
-        for cores in (1, 2, 3):
-            monkeypatch.setattr(errors, "_usable_cores", lambda: cores)
+        for n in (1, 2, 3):
+            cores(n)
             rows.append(run_sweep(spec).rows)
-        rows.append(run_sweep(spec, jobs=2).rows)
-        assert rows[1:] == rows[:1] * 3
+        assert rows[1:] == rows[:1] * 2
         assert sum(bool(row[2]) for row in rows[0][BATCH_SIZE:]) > 500
 
-    def test_batch_threads_stop_at_the_cap(self, monkeypatch):
+    def test_batch_threads_stop_at_the_cap(self, monkeypatch, cores):
         # One thread per usable core up to BATCH_THREADS, so one helper loop
-        # from two cores up; a forked child takes its items alone.
-        submitted = record_submissions(monkeypatch)
+        # from two cores up.
+        started = record_helpers(monkeypatch)
         calls = count_calls(monkeypatch, "map_batches")
         spec = SweepSpec(base=default_params(), outputs=("stable",),
                          axes=(Axis("G_over_omega_b", 0.0, 0.5,
                                     2 * BATCH_SIZE + 3),))
         seen = []
-        for cores in (1, 2, 3, 64):
-            monkeypatch.setattr(errors, "_usable_cores", lambda: cores)
+        for n in (1, 2, 3, 64):
+            cores(n)
             run_sweep(spec)
-            seen.append(len(submitted))
-            submitted.clear()
-        monkeypatch.setattr(errors, "_forked", True)
-        run_sweep(spec)
-        seen.append(len(submitted))
+            seen.append(len(started))
+            started.clear()
         assert sweep.BATCH_THREADS == 2
-        assert seen == [0, 1, 1, 1, 0]
+        assert seen == [0, 1, 1, 1]
         # Per sweep: one flat call over its 4 items (4 batches of one
         # series), none nested.
-        assert [len(args[1]) for args in calls] == [4] * 5
+        assert [len(args[1]) for args in calls] == [4] * 4
 
-    def test_an_error_in_a_batch_reaches_the_caller(self, monkeypatch):
+    def test_an_error_in_a_batch_reaches_the_caller(self, monkeypatch, cores):
         # The third of four batches fails; the caller gets its error.
-        monkeypatch.setattr(errors, "_usable_cores", lambda: 2)
+        cores(2)
         spec = thread_spec(2 * BATCH_SIZE + 3)
         evaluate, third = sweep._series_cells, spec.grid()[1025:1538]
 
@@ -943,8 +889,8 @@ class TestBatchThreads:
         with pytest.raises(SingularSolveError, match="injected"):
             run_sweep(spec)
 
-    def test_concurrent_sweeps_keep_their_rows(self, monkeypatch):
-        monkeypatch.setattr(errors, "_usable_cores", lambda: 2)
+    def test_concurrent_sweeps_keep_their_rows(self, cores):
+        cores(2)
         specs = [thread_spec(2 * BATCH_SIZE + 3), two_series_map(),
                  gain_loss_line("temperature")]
         expected = [run_sweep(spec).rows for spec in specs]
@@ -975,34 +921,35 @@ class TestSeriesThreads:
     at most BATCH_THREADS, with the rows of one thread."""
 
     @pytest.mark.parametrize("axis", ["G", "temperature"])
-    def test_rows_are_the_serial_rows(self, monkeypatch, axis):
+    def test_rows_are_the_serial_rows(self, cores, axis):
         spec = gain_loss_line(axis)
         expected = TestBatchThreads.serial_rows(spec)
         rows = []
-        for cores in (1, 2, 3):
-            monkeypatch.setattr(errors, "_usable_cores", lambda: cores)
+        for n in (1, 2, 3):
+            cores(n)
             rows.append(run_sweep(spec).rows)
-        rows.append(run_sweep(spec, jobs=2).rows)
-        assert rows == [expected] * 4
+        assert rows == [expected] * 3
 
-    def test_a_lone_batch_hands_one_series_to_a_helper(self, monkeypatch):
-        monkeypatch.setattr(errors, "_usable_cores", lambda: 2)
-        submitted = record_submissions(monkeypatch)
+    def test_a_lone_batch_hands_one_series_to_a_helper(self, monkeypatch,
+                                                       cores):
+        cores(2)
+        started = record_helpers(monkeypatch)
         spec = gain_loss_line("G")
         assert len(spec.grid()) <= BATCH_SIZE and len(spec.series) == 2
         run_sweep(spec)
-        assert [len(args) for args in submitted] == [1]  # one helper loop
+        assert len(started) == 1  # one helper loop
         # A grid of two batches makes four items: still one helper loop in
         # all, taking the next item until none is left.
-        submitted.clear()
+        started.clear()
         run_sweep(two_series_map())
-        assert [len(args) for args in submitted] == [1]
+        assert len(started) == 1
 
-    def test_an_error_in_a_series_reaches_the_caller(self, monkeypatch):
+    def test_an_error_in_a_series_reaches_the_caller(self, monkeypatch,
+                                                     cores):
         # Both series start; the gain series fails at once while the loss
         # series takes 50 ms: the error is raised once the loss series has
         # stopped.
-        monkeypatch.setattr(errors, "_usable_cores", lambda: 2)
+        cores(2)
         series_cells = sweep._series_cells
         lock, both = threading.Lock(), threading.Barrier(2, timeout=30)
         running, finished = [0], []
@@ -1392,9 +1339,11 @@ class TestCsvWriter:
                 with pytest.raises(ValueError):
                     write()
 
-    def test_rows_columns_and_json_read_the_cells(self, monkeypatch):
-        # Two batches of two series: unstable points, then failed ones.
+    def test_rows_columns_and_json_read_the_cells(self, monkeypatch, cores):
+        # Two batches of two series: unstable points, then failed ones; on
+        # two threads, then on one.
         monkeypatch.setattr(sweep, "BATCH_SIZE", 8)
+        cores(2)
         spec = dataclasses.replace(covariance_failure_spec(), series=(
             Series("cold"), Series("hot", (("temperature", 0.1),))))
         assert len(sweep._batches(spec.grid())) == 2
@@ -1414,7 +1363,8 @@ class TestCsvWriter:
             index = result._column_index("stable", series.label)
             assert result.column("stable", series.label) == \
                 result.cells[index - 1]
-        assert run_sweep(spec, jobs=2).cells == result.cells
+        cores(1)
+        assert run_sweep(spec).cells == result.cells
 
 
 class TestFigurePresets:
