@@ -59,20 +59,22 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="vacuum", dest="gain_noise",
                        help="cavity noise convention for a gain cavity")
 
+    # Each subcommand binds the handler that main() calls with its arguments.
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("classify", parents=[common],
-                   help="phase of the photon-magnon pair")
-    sub.add_parser("steady-state", parents=[common],
-                   help="classical working point")
-    sub.add_parser("drift", parents=[common], help="6x6 drift matrix")
-    sub.add_parser("stability", parents=[common],
-                   help="drift eigenvalues and stability verdict")
+    for name, handler, summary in (
+            ("classify", _cmd_classify, "phase of the photon-magnon pair"),
+            ("steady-state", _cmd_steady_state, "classical working point"),
+            ("drift", _cmd_drift, "6x6 drift matrix"),
+            ("stability", _cmd_stability, "drift eigenvalues and stability verdict")):
+        sub.add_parser(name, parents=[common], help=summary).set_defaults(handler=handler)
     p = sub.add_parser("measures", parents=[common, noise],
                        help="entanglement and steering of the mode pairs")
+    p.set_defaults(handler=_cmd_measures)
     p.add_argument("--pair", choices=_measures.PAIRS + ("all",), default="all")
 
     p = sub.add_parser("sweep", parents=[common, jobs, noise],
                        help="custom parameter sweep")
+    p.set_defaults(handler=_cmd_sweep)
     p.add_argument("--axis", action="append", required=True, metavar="NAME:LO:HI:N",
                    help="sweep axis (repeat for a 2-D grid)")
     p.add_argument("--output", action="append", required=True, metavar="NAME",
@@ -80,10 +82,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", parents=[common, jobs, noise],
                        help="run one of the built-in figure data sets")
+    p.set_defaults(handler=_cmd_figure)
     p.add_argument("name", choices=_sweep.FIGURE_NAMES)
 
     p = sub.add_parser("vanish-temp", parents=[common, noise],
                        help="temperature where a pair's entanglement reaches zero")
+    p.set_defaults(handler=_cmd_vanish_temp)
     p.add_argument("--pair", choices=_measures.PAIRS, default="am")
     p.add_argument("--t-lo", default="0 mk", help="bracket low end (e.g. '0 mk')")
     p.add_argument("--t-hi", default="250 mk", help="bracket high end")
@@ -232,18 +236,6 @@ def _cmd_vanish_temp(args, params: SystemParams) -> str:
     return _json_line(obj) if args.format == "json" else _kv_csv(obj)
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "steady-state": _cmd_steady_state,
-    "drift": _cmd_drift,
-    "stability": _cmd_stability,
-    "measures": _cmd_measures,
-    "sweep": _cmd_sweep,
-    "figure": _cmd_figure,
-    "vanish-temp": _cmd_vanish_temp,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -252,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ARGS if exc.code not in (0, None) else EXIT_OK
     try:
         params = _load_params(args)
-        text = _HANDLERS[args.command](args, params)
+        text = args.handler(args, params)
         _emit(text, args.out)
     except UnstableSystemError as exc:
         print(json.dumps({"error": exc.code, "detail": str(exc)}),

@@ -20,15 +20,16 @@ from importlib import resources
 from .errors import ConfigError
 from .model import ANGULAR_FIELDS, SystemParams, TWO_PI, rabi_frequency
 
-_TEMPERATURE_KEYS = ("temperature",)
-_FIELD_KEYS = ("b0",)
-_PLAIN_KEYS = ("sphere_diameter", "spin_density")
+#: Unit category of each key, in the order that errors list the valid keys.
+_CATEGORY_BY_KEY = {**dict.fromkeys(ANGULAR_FIELDS, "frequency"),
+                    "temperature": "temperature", "b0": "field",
+                    "sphere_diameter": "plain", "spin_density": "plain"}
 
-VALID_KEYS = ANGULAR_FIELDS + _TEMPERATURE_KEYS + _FIELD_KEYS + _PLAIN_KEYS
+VALID_KEYS = tuple(_CATEGORY_BY_KEY)
 
 #: Unit suffix -> (multiplier, category). omega_b ratios are resolved later.
-#: Cyclic magnitudes are scaled first and multiplied by 2*pi last, so that
-#: "10 mhz" gives exactly TWO_PI * 10e6.
+#: The cyclic ``hz`` magnitudes are scaled first and multiplied by 2*pi last,
+#: so that "10 mhz" gives exactly TWO_PI * 10e6.
 _UNITS = {
     "hz": (1.0, "frequency"),
     "khz": (1e3, "frequency"),
@@ -41,12 +42,6 @@ _UNITS = {
     "t": (1.0, "field"),
     "": (1.0, "plain"),
 }
-_CYCLIC_UNITS = ("hz", "khz", "mhz", "ghz")
-
-_CATEGORY_BY_KEY = {key: "frequency" for key in ANGULAR_FIELDS}
-_CATEGORY_BY_KEY.update({key: "temperature" for key in _TEMPERATURE_KEYS})
-_CATEGORY_BY_KEY.update({key: "field" for key in _FIELD_KEYS})
-_CATEGORY_BY_KEY.update({key: "plain" for key in _PLAIN_KEYS})
 
 _VALUE_RE = re.compile(
     r"^\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*([a-zA-Z_]*)\s*$")
@@ -79,7 +74,7 @@ def parse_value(key: str, text: str) -> tuple[float, str]:
             f"unit {suffix!r} is a {category} unit but key {key!r} expects "
             f"a {expected}")
     value = magnitude * factor
-    return (TWO_PI * value if suffix in _CYCLIC_UNITS else value), expected
+    return (TWO_PI * value if suffix.endswith("hz") else value), expected
 
 
 def parse_entries(pairs: list[tuple[str, str]]) -> dict[str, tuple[float, str]]:

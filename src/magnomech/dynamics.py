@@ -13,8 +13,7 @@ import numpy as np
 
 from . import model as _model
 from .errors import (EigenSolveError, MagnomechError, ParameterError, alive,
-                     lapack_stack, no_failures, raise_failure, record_failures,
-                     store_failure)
+                     batch_of_one, lapack_stack, record_failures, store_failure)
 from .model import SystemParams
 from .steady_state import WorkingPoint
 
@@ -171,9 +170,7 @@ def diffusion_batch(columns: dict, rows: np.ndarray, gain_noise: str,
 def diffusion_from_params(params: SystemParams,
                           gain_noise: str = "vacuum") -> DiffusionMatrix:
     """A batch of one of :func:`diffusion_batch`."""
-    failures = no_failures(1)
-    d = diffusion_batch(params.columns(), np.arange(1), gain_noise, failures)
-    raise_failure(failures)
+    d = batch_of_one(diffusion_batch, params.columns(), np.arange(1), gain_noise)
     return DiffusionMatrix(d=d[0])
 
 
@@ -202,9 +199,7 @@ def stability_batch(a: np.ndarray, failures: np.ndarray
 def stability(drift: QuadratureDrift) -> StabilityReport:
     """Eigenvalues, maximal Lyapunov exponent and the stability verdict of
     :func:`stability_batch`."""
-    failures = no_failures(1)
-    eigenvalues, max_lyapunov, stable = stability_batch(drift.a[None], failures)
-    raise_failure(failures)
+    eigenvalues, max_lyapunov, stable = batch_of_one(stability_batch, drift.a[None])
     return StabilityReport(eigenvalues=eigenvalues[0],
                            max_lyapunov=float(max_lyapunov[0]),
                            stable=bool(stable[0]))

@@ -6,7 +6,7 @@ Each class carries the short ``code`` that sweeps write into a failed point's
 Batched kernels keep one entry per point in an object array of failures:
 None while the point is fine, else the exception that stopped it. A point
 that has failed is skipped by every later stage, and a scalar call is a
-batch of one that raises its point's failure.
+batch of one that raises its point's failure: :func:`batch_of_one`.
 
 Stored exceptions carry no traceback. The cyclic garbage collector cannot see
 into NumPy object arrays, so a traceback whose frames hold the array that
@@ -115,3 +115,12 @@ def raise_failure(failures: np.ndarray) -> None:
     failure = failures.flat[0]
     if failure is not None:
         raise type(failure)(*failure.args)
+
+
+def batch_of_one(kernel, *args):
+    """``kernel(*args, failures)`` on a fresh failure array of one point: its
+    result, unless that point failed, when (a copy of) its failure is raised."""
+    failures = no_failures(1)
+    result = kernel(*args, failures)
+    raise_failure(failures)
+    return result

@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import (CrossCheckMismatchError, NonFiniteDeterminantError,
                      NonPhysicalCMError, ParameterError, SingularSolveError,
-                     UnstableSystemError, alive, lapack_stack, no_failures,
-                     raise_failure, record_failures)
+                     UnstableSystemError, alive, batch_of_one, lapack_stack,
+                     no_failures, raise_failure, record_failures)
 from .dynamics import (STABILITY_REL_TOL, DiffusionMatrix, QuadratureDrift,
                        read_only, stability)
 
@@ -260,10 +260,8 @@ def solve_lyapunov(drift: QuadratureDrift,
     """
     report = stability(drift)
     check_stable(report.max_lyapunov, report.stable)
-    failures = no_failures(1)
-    v, residual = lyapunov_batch(drift.a[None], diffusion.d[None],
-                                 np.asarray(report.eigenvalues)[None], failures)
-    raise_failure(failures)
+    v, residual = batch_of_one(lyapunov_batch, drift.a[None], diffusion.d[None],
+                               np.asarray(report.eigenvalues)[None])
     return CovarianceMatrix(v=v[0], physicality_margin=physicality_margin(v[0]),
                             residual=float(residual[0]))
 
@@ -310,7 +308,9 @@ def _determinants(sub: np.ndarray) -> tuple[np.ndarray, ...]:
 @np.errstate(all="ignore")
 def _log_negativity(dets, failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(E_N, eta^-) per matrix; records NonFiniteDeterminantError where the
-    determinants overflow and NonPhysicalCMError where E_N does not exist."""
+    determinants overflow and NonPhysicalCMError where E_N does not exist:
+    det V or the discriminant is negative beyond its clamp, or eta^-^2 is
+    negative."""
     det_a, det_b, det_c, det_v = dets
     sigma = det_a + det_b - 2.0 * det_c
     disc = sigma**2 - 4.0 * det_v
@@ -326,7 +326,10 @@ def _log_negativity(dets, failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         lambda k: NonPhysicalCMError(
             f"discriminant {disc[k]:.6g} negative beyond clamp tolerance"))
     disc = np.where(disc < 0.0, 0.0, disc)
-    eta_minus = np.sqrt(0.5 * (sigma - np.sqrt(disc)))
+    eta2 = 0.5 * (sigma - np.sqrt(disc))
+    record_failures(failures, ~(eta2 >= 0.0), lambda k: NonPhysicalCMError(
+        f"negative eta^-^2 {eta2[k]:.6g}"))
+    eta_minus = np.sqrt(eta2)
     return np.fmax(0.0, -np.log(2.0 * eta_minus)), eta_minus
 
 
@@ -334,13 +337,18 @@ def _log_negativity(dets, failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _steering(dets, failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward and backward steering per matrix; records
     NonFiniteDeterminantError where a determinant overflowed and
-    NonPhysicalCMError where the two-mode determinant is not positive."""
+    NonPhysicalCMError where the two-mode determinant is not positive or a
+    single-mode determinant is negative."""
     det_a, det_b, _, det_v = dets
     record_failures(failures, ~np.isfinite(dets).all(axis=0),
                     lambda k: NonFiniteDeterminantError(
                         "two-mode determinant is not finite"))
     record_failures(failures, det_v <= 0.0, lambda k: NonPhysicalCMError(
         f"non-positive two-mode determinant {det_v[k]:.6g}"))
+    record_failures(failures, (det_a < 0.0) | (det_b < 0.0),
+                    lambda k: NonPhysicalCMError(
+                        f"negative single-mode determinant: det A = "
+                        f"{det_a[k]:.6g}, det B = {det_b[k]:.6g}"))
     return (np.fmax(0.0, 0.5 * np.log(det_a / (4.0 * det_v))),
             np.fmax(0.0, 0.5 * np.log(det_b / (4.0 * det_v))))
 
@@ -379,9 +387,7 @@ def log_negativity(v: np.ndarray) -> tuple[float, float]:
     eta^- = 2^{-1/2} * sqrt(Sigma - sqrt(Sigma^2 - 4 det V)), with
     Sigma = det A + det B - 2 det C; E_N = max(0, -ln 2 eta^-).
     """
-    failures = no_failures(1)
-    e_n, eta_minus = _log_negativity(_determinants(_two_mode(v)[None]), failures)
-    raise_failure(failures)
+    e_n, eta_minus = batch_of_one(_log_negativity, _determinants(_two_mode(v)[None]))
     return float(e_n[0]), float(eta_minus[0])
 
 
@@ -394,9 +400,7 @@ def steering(v: np.ndarray, direction: str = "forward") -> float:
     """
     if direction not in ("forward", "backward"):
         raise ParameterError("direction must be 'forward' or 'backward'")
-    failures = no_failures(1)
-    s_12, s_21 = _steering(_determinants(_two_mode(v)[None]), failures)
-    raise_failure(failures)
+    s_12, s_21 = batch_of_one(_steering, _determinants(_two_mode(v)[None]))
     return float((s_12 if direction == "forward" else s_21)[0])
 
 
@@ -429,9 +433,10 @@ class PairBatch:
         eta_ppt = np.full(shape, np.nan)
         eta_ppt[mask] = _ppt_spectrum(sub[mask])[:, 0]
         eta = self.eta_minus
+        tol = CROSS_CHECK_TOL * np.maximum(np.abs(eta), 1e-30)
+        # A NaN on either side is a mismatch.
         record_failures(
-            self.failures,
-            np.abs(eta_ppt - eta) > CROSS_CHECK_TOL * np.maximum(np.abs(eta), 1e-30),
+            self.failures, mask & ~(np.abs(eta_ppt - eta) <= tol),
             lambda k: CrossCheckMismatchError(
                 f"eta^- mismatch: formula {float(eta[k])!r} vs "
                 f"symplectic {float(eta_ppt[k])!r}"))

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateDenominatorError, EigenSolveError, ParameterError,
-                     alive, lapack_stack, no_failures, raise_failure,
-                     record_failures)
+                     alive, batch_of_one, lapack_stack, record_failures)
 from .model import SystemParams
 
 #: Relative threshold below which the response denominator counts as degenerate.
@@ -140,7 +139,5 @@ def working_point_batch(v: dict, failures: np.ndarray) -> tuple[np.ndarray, ...]
 
 def working_point(params: SystemParams) -> WorkingPoint:
     """A batch of one of :func:`working_point_batch`."""
-    failures = no_failures(1)
-    fields = working_point_batch(params.columns(), failures)
-    raise_failure(failures)
+    fields = batch_of_one(working_point_batch, params.columns())
     return WorkingPoint(*(field[0].item() for field in fields))

@@ -78,6 +78,13 @@ class TestSteadyStateAndDrift:
         assert len(lines) == 6
         assert all(len(line.split(",")) == 6 for line in lines)
 
+    def test_drift_json_is_the_library_drift(self, capsys):
+        code, out, _ = run_cli(capsys, "drift", "--format", "json")
+        params = build_params(default_config())
+        drift = drift_from_params(params, working_point(params))
+        assert code == 0
+        assert out == json.dumps({"drift": drift.a.tolist()}) + "\n"
+
     def test_bare_detuning_reaches_self_consistent_point(self, capsys):
         code, out, _ = run_cli(capsys, "steady-state",
                                "--set", "epsilon_d=1e13rad_s",
@@ -429,6 +436,11 @@ class TestSweepAndFigure:
         code, _, _ = run_cli(capsys, "sweep", "--axis", "nope:0:1:5",
                              "--output", "stable")
         assert code == 2
+        for axis in ("temperature:0:1", "temperature:0:1:5:6"):
+            code, out, err = run_cli(capsys, "sweep", "--axis", axis,
+                                     "--output", "stable")
+            assert (code, out) == (2, "")
+            assert err == f"error: axis must look like NAME:LO:HI:N, got {axis!r}\n"
 
     @pytest.mark.parametrize("axis", ["temperature:-1e308:1e308:3",
                                       "temperature:0:inf:3"])

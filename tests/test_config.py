@@ -168,6 +168,17 @@ class TestBuildParams:
             build_params(merge_layers([default_config(),
                                        parse_entries([("b0", "1e-4 t")])]))
 
+    def test_omega_b_in_omega_b_units_exits_2(self, capsys):
+        assert cli.main(["steady-state", "--set", "omega_b=1omega_b"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: omega_b cannot itself be given in omega_b units\n")
+
+    def test_incomplete_set(self):
+        with pytest.raises(ConfigError, match="^incomplete parameter set: "):
+            build_params(parse_entries([("omega_b", "10 mhz")]))
+
 
 class TestLibraryLayersMatchTheCli:
     """build_params and apply_overrides accept and refuse what the CLI's

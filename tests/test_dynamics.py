@@ -5,8 +5,9 @@ import pytest
 
 from magnomech import (EigenSolveError, ParameterError, diffusion_matrix,
                        quadrature_drift, stability, thermal_occupation)
-from magnomech.dynamics import (STABILITY_REL_TOL, QuadratureDrift,
-                                diffusion_matrices, stability_batch)
+from magnomech.dynamics import (STABILITY_REL_TOL, DiffusionMatrix,
+                                QuadratureDrift, diffusion_matrices,
+                                stability_batch)
 from magnomech.errors import no_failures
 
 TWO_PI = 2.0 * math.pi
@@ -92,6 +93,12 @@ class TestQuadratureDrift:
     def test_rejects_non_finite(self):
         with pytest.raises(ParameterError):
             quadrature_drift(np.nan, 0, 0, 0.1, 0.1, 1.0, 0, 0)
+
+    def test_drift_and_diffusion_are_6x6(self):
+        with pytest.raises(ParameterError, match="^drift matrix must be 6x6$"):
+            QuadratureDrift(a=np.zeros((4, 4)))
+        with pytest.raises(ParameterError, match="^diffusion matrix must be 6x6$"):
+            DiffusionMatrix(d=np.zeros((6, 5)))
 
 
 class TestComplexDrift:

@@ -28,6 +28,11 @@ def test_usable_cores_follow_the_affinity_mask():
     assert sweep._usable_cores() == len(os.sched_getaffinity(0))
 
 
+def test_usable_cores_without_affinity_masks_are_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert sweep._usable_cores() == (os.cpu_count() or 1)
+
+
 @pytest.mark.parametrize("bad", [0, 255, 770])
 def test_a_failing_chunk_fails_its_points_as_one_call(bad):
     # LAPACK rejects the whole stack for one bad point: that point fails

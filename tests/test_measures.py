@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magnomech import (CrossCheckMismatchError, NonFiniteDeterminantError,
-                       ParameterError, SingularSolveError, UnstableSystemError,
+                       NonPhysicalCMError, ParameterError, SingularSolveError,
+                       UnstableSystemError,
                        diffusion_matrix, log_negativity, pair_measures,
                        physicality_margin,
                        ppt_symplectic_eigenvalues, quadrature_drift,
@@ -17,7 +18,7 @@ from magnomech import (CrossCheckMismatchError, NonFiniteDeterminantError,
 from magnomech import dynamics, measures
 from magnomech.dynamics import DiffusionMatrix
 from magnomech.errors import no_failures
-from magnomech.measures import MODE_INDICES, lyapunov_batch
+from magnomech.measures import MODE_INDICES, PairBatch, lyapunov_batch
 
 TWO_PI = 2.0 * math.pi
 OMEGA_B = TWO_PI * 10e6
@@ -358,6 +359,9 @@ class TestReductions:
             pair_measures(v, "xx")
         with pytest.raises(ParameterError):
             steering_between(v, "a", "a")
+        with pytest.raises(ParameterError,
+                           match="^direction must be 'forward' or 'backward'$"):
+            steering(_reduced(v, "a", "m"), "sideways")
 
     @pytest.mark.parametrize("shape", [(3, 3), (4, 6), (1, 6, 6), (8, 8)])
     def test_margin_takes_a_matrix_of_one_to_three_modes(self, shape):
@@ -424,6 +428,55 @@ class TestPairMeasures:
                 with pytest.raises(NonFiniteDeterminantError) as exc:
                     call()
                 assert exc.value.code == "nonfinite_determinant"
+
+    def test_negative_eta_minus_squared_and_mode_determinants_fail(self):
+        # det A = det B = -1, det C = 0, det V = 1: Sigma = -2 and a zero
+        # discriminant make eta^-^2 = -1. Neither E_N nor steering exists.
+        two_mode = np.diag([1.0, -1.0, 1.0, -1.0])
+        v = np.diag([1.0, -1.0, 1.0, -1.0, 0.5, 0.5])
+        modes = "negative single-mode determinant: det A = -1, det B = -1"
+        for call, message in [
+                (lambda: log_negativity(two_mode), "negative eta^-^2 -1"),
+                (lambda: pair_measures(v, "am"), "negative eta^-^2 -1"),
+                (lambda: steering(two_mode, "forward"), modes),
+                (lambda: steering(two_mode, "backward"), modes)]:
+            with pytest.raises(NonPhysicalCMError) as exc:
+                call()
+            assert exc.value.args == (message,)
+        batch = PairBatch(v[None], ("am",), checked=("am",))
+        assert type(batch.failures[0, 0]) is NonPhysicalCMError
+        assert type(batch.steering_failures[0, 0]) is NonPhysicalCMError
+
+    def test_a_negative_mode_determinant_stops_steering_and_the_pair(self):
+        # det A = -1 < 0 < det V = 4, and eta^- = 1 exists: steering from
+        # the first mode fails, and with it the pair's checked E_N.
+        two_mode = np.array([[-1.0, 0, 1, 0], [0, 1, 0, -2],
+                             [1, 0, 1, 0], [0, -2, 0, 2]])
+        assert log_negativity(two_mode) == pytest.approx((0.0, 1.0))
+        with pytest.raises(NonPhysicalCMError,
+                           match="^negative single-mode determinant: det A = -1, "):
+            steering(two_mode, "forward")
+        v = 0.5 * np.eye(6)
+        v[:4, :4] = two_mode
+        batch = PairBatch(v[None], ("am",), checked=("am",))
+        assert batch.failures[0, 0] is batch.steering_failures[0, 0]
+        assert type(batch.failures[0, 0]) is NonPhysicalCMError
+        with pytest.raises(NonPhysicalCMError):
+            pair_measures(v, "am")
+
+    def test_a_nan_on_either_side_of_the_cross_check_is_a_mismatch(
+            self, monkeypatch):
+        # With the symplectic route returning NaN, a checked pair fails;
+        # an unchecked one stays unchecked.
+        monkeypatch.setattr(measures, "_ppt_spectrum",
+                            lambda sub: np.full(sub.shape[:-2] + (2,), np.nan))
+        v = 0.5 * np.eye(6)
+        v[:4, :4] = tmsv_cm(0.5)
+        batch = PairBatch(v[None], ("am", "bm"), checked=("am",))
+        assert type(batch.failures[0, 0]) is CrossCheckMismatchError
+        assert batch.failures[0, 1] is None
+        with pytest.raises(CrossCheckMismatchError):
+            pair_measures(v, "am")
 
     def test_steering_implies_entanglement_on_random_states(self):
         rng = np.random.default_rng(101)

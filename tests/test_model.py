@@ -125,6 +125,11 @@ class TestPTClassify:
     def test_margin_sign(self):
         assert pt_classify(1.0, 0.1, 0.1).margin == pytest.approx(1.8)
 
+    def test_kappa_m_must_be_positive(self):
+        with pytest.raises(ParameterError,
+                           match="^pt_classify: kappa_m must be positive$"):
+            pt_classify(1.0, 0.1, 0.0)
+
     def test_overflowing_rate_sum_is_broken(self):
         # kappa_a + kappa_m overflows, and so does the margin, but 2 g_ma
         # is far below the sum: not an exceptional point.
@@ -142,6 +147,11 @@ class TestTwoModeEigenfrequencies:
     def test_overflow_is_a_parameter_error(self, kappa_a, kappa_m, g_ma):
         with pytest.raises(ParameterError, match="eigenfrequencies overflow"):
             two_mode_eigenfrequencies(-OMEGA_B, kappa_a, kappa_m, g_ma)
+
+    def test_nan_input_is_a_parameter_error(self):
+        with pytest.raises(ParameterError,
+                           match="^two_mode_eigenfrequencies: non-finite input$"):
+            two_mode_eigenfrequencies(0.3, math.nan, 0.2, 0.1)
 
     def test_decoupled_limit(self):
         wp, wm = two_mode_eigenfrequencies(0.3, 0.1, 0.2, 0.0)

@@ -1366,6 +1366,14 @@ class TestCsvWriter:
         cores(1)
         assert run_sweep(spec).cells == result.cells
 
+    def test_unknown_column_lists_the_columns(self):
+        result = run_sweep(SweepSpec(base=default_params(), outputs=("stable",),
+                                     axes=(Axis("G_over_omega_b", 0.0, 0.1, 2),)))
+        with pytest.raises(KeyError) as exc:
+            result.column("E_N(am)")
+        assert exc.value.args == (
+            f"no column 'E_N(am)'; have {result.columns}",)
+
 
 class TestFigurePresets:
     def test_all_names_build(self):
