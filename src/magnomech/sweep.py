@@ -14,9 +14,10 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import os
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,8 @@ from .dynamics import (check_gain_noise, diffusion_batch, drift_matrices,
 from .errors import (BracketInvalidError, MagnomechError, ParameterError,
                      UnstableSystemError, alive, no_failures, raise_failure,
                      record_failures)
-from .model import SystemParams, parameter_violations, pt_classify
+from .model import (ANGULAR_FIELDS, SystemParams, parameter_violations,
+                    pt_classify)
 from .steady_state import working_point_batch
 
 #: Absolute tolerance (K) of the vanishing-temperature bisection.
@@ -47,20 +49,18 @@ BATCH_SIZE = 1024
 #: two threads are all that was measured (a 2-core VM).
 BATCH_THREADS = 2
 
-_NUMERIC_FIELDS = tuple(f.name for f in fields(SystemParams))
-
-#: Sweep parameters with their own rule or CSV column: name -> (fields set,
-#: reference field, CSV column). Each field is set to value * reference, or
-#: to the value itself when there is no reference. Any other sweep parameter
-#: is a SystemParams field, in a column "<field>_rad_s".
-_DERIVED_PARAMS = {
+#: Sweep parameters: name -> (fields set, reference field, CSV column). Each
+#: field is set to value * reference, or to the value itself when there is
+#: no reference. Every SystemParams field is one.
+_SWEEP_PARAMS = {
+    **{field: ((field,), None, f"{field}_rad_s") for field in ANGULAR_FIELDS},
+    "temperature": (("temperature",), None, "T_K"),
     "G_over_omega_b": (("G_eff",), "omega_b", "G/omega_b"),
     "G_over_gma": (("G_eff",), "g_ma", "G/g_ma"),
     "gma_over_omega_b": (("g_ma",), "omega_b", "g_ma/omega_b"),
     "gma_over_G": (("g_ma",), "G_eff", "g_ma/G"),
     "kappa_a_over_kappa_m": (("kappa_a",), "kappa_m", "kappa_a/kappa_m"),
     "delta_over_omega_b": (("delta_a", "delta_m_eff"), "omega_b", "Delta/omega_b"),
-    "temperature": (("temperature",), None, "T_K"),
 }
 
 #: Sweep outputs: name -> (kind, arguments, CSV column). Kinds: "report"
@@ -82,11 +82,12 @@ _OUTPUTS = {
 }
 
 
-def _check_parameter_name(name: str) -> None:
-    if name not in _NUMERIC_FIELDS and name not in _DERIVED_PARAMS:
-        raise ParameterError(
-            f"unknown sweep parameter {name!r}; valid: "
-            f"{sorted({*_NUMERIC_FIELDS, *_DERIVED_PARAMS})}")
+def _sweep_parameter(name: str) -> tuple:
+    """The (fields set, reference field, CSV column) of sweep parameter ``name``."""
+    if name not in _SWEEP_PARAMS:
+        raise ParameterError(f"unknown sweep parameter {name!r}; valid: "
+                             f"{sorted(_SWEEP_PARAMS)}")
+    return _SWEEP_PARAMS[name]
 
 
 def _output_names(outputs) -> tuple[str, ...]:
@@ -103,17 +104,11 @@ def _check_outputs(outputs: tuple[str, ...]) -> None:
             raise ParameterError(f"unknown sweep output {output!r}")
 
 
-def _fields_set(name: str) -> set:
-    """The SystemParams fields that sweep parameter ``name`` sets."""
-    return set(_DERIVED_PARAMS.get(name, ((name,),))[0])
-
-
 @np.errstate(all="ignore")  # an overflowing product fails its point's check
 def _parameter_changes(values, name: str, value) -> dict:
     """Fields changed by one swept parameter, from the current ``values``
     (a SystemParams' fields or the columns of a batch)."""
-    _check_parameter_name(name)
-    targets, ref, _ = _DERIVED_PARAMS.get(name, ((name,), None, None))
+    targets, ref, _ = _sweep_parameter(name)
     if ref is not None:
         if values[ref] is None:
             raise ParameterError(f"sweep parameter {name} needs {ref} to be set")
@@ -137,6 +132,9 @@ class Axis:
         if not isinstance(self.count, (int, np.integer)) or self.count < 2:
             raise ParameterError(
                 f"axis count must be an integer >= 2, got {self.count!r}")
+        if not (isinstance(self.lo, numbers.Real) and isinstance(self.hi, numbers.Real)):
+            raise ParameterError(
+                f"axis bounds must be real numbers, got {self.lo!r} and {self.hi!r}")
         if not self.lo < self.hi:
             raise ParameterError("axis requires lo < hi")
         if not math.isfinite(self.hi - self.lo):
@@ -153,6 +151,10 @@ class Series:
 
     label: str = ""
     overrides: tuple[tuple[str, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.label, str):  # a column is named by str(label)
+            raise ParameterError(f"a series label must be a str, got {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -171,33 +173,32 @@ class SweepSpec:
             raise ParameterError(
                 f"a sweep needs series with distinct labels, got {labels}")
         check_gain_noise(self.gain_noise)
-        names = [axis.name for axis in self.axes]
-        names += [name for series in self.series for name, _ in series.overrides]
-        for name in names:
-            _check_parameter_name(name)
-        fields = [_fields_set(axis.name) for axis in self.axes]
-        if len(fields) == 2 and fields[0] & fields[1]:
-            raise ParameterError(f"axes {names[0]!r} and {names[1]!r} set the "
-                                 f"same field {sorted(fields[0] & fields[1])}")
-        # The axes are applied after a series' overrides and would overwrite them.
-        swept = set().union(*fields)
-        for series in self.series:
-            for name, _ in series.overrides:
-                clash = _fields_set(name) & swept
-                if clash:
+        steps = [(f"series {series.label!r} override", name, value)
+                 for series in self.series for name, value in series.overrides]
+        for name in [axis.name for axis in self.axes] + [step[1] for step in steps]:
+            _sweep_parameter(name)
+        # An axis is applied after the series' overrides and the earlier
+        # axis: it may not overwrite a field one of them set, nor change the
+        # reference one of them read its value from.
+        swept = set().union(*(_SWEEP_PARAMS[axis.name][0] for axis in self.axes))
+        for axis in self.axes:
+            fields = set(_SWEEP_PARAMS[axis.name][0])
+            for step, name, value in steps:
+                if not isinstance(value, numbers.Real):
                     raise ParameterError(
-                        f"series {series.label!r} override {name!r} sets the "
-                        f"field {sorted(clash)} of an axis")
-        # An axis must not change a reference an earlier step read its value from.
-        earlier = [(f"series {series.label!r} override", name)
-                   for series in self.series for name, _ in series.overrides]
-        for axis, axis_fields in zip(self.axes, fields):
-            for step, name in earlier:
-                ref = _DERIVED_PARAMS.get(name, (None, None))[1]
-                if ref in axis_fields:
+                        f"{step} {name!r} needs a real number, got {value!r}")
+                targets, ref, _ = _SWEEP_PARAMS[name]
+                clash = fields.intersection(targets)
+                if clash and step == "axis":
+                    raise ParameterError(f"axes {name!r} and {axis.name!r} set "
+                                         f"the same field {sorted(clash)}")
+                if clash:
+                    raise ParameterError(f"{step} {name!r} sets the field "
+                                         f"{sorted(swept.intersection(targets))} of an axis")
+                if ref in fields:
                     raise ParameterError(f"axis {axis.name!r} sets the reference "
                                          f"{ref!r} of the earlier {step} {name!r}")
-            earlier.append(("axis", axis.name))
+            steps.append(("axis", axis.name, axis.lo))
         object.__setattr__(self, "outputs", _output_names(self.outputs))
         _check_outputs(self.outputs)
         if len(set(self.outputs)) < len(self.outputs):
@@ -434,9 +435,7 @@ def _format_cells(values) -> list[str]:
 
 def _column_names(spec: SweepSpec) -> dict[str, str]:
     """Undecorated column of each axis and output of ``spec``, and the error."""
-    names = {axis.name: _DERIVED_PARAMS[axis.name][2]
-             if axis.name in _DERIVED_PARAMS else f"{axis.name}_rad_s"
-             for axis in spec.axes}
+    names = {axis.name: _SWEEP_PARAMS[axis.name][2] for axis in spec.axes}
     names.update((out, _OUTPUTS[out][2]) for out in spec.outputs)
     names["error"] = "error"
     return names

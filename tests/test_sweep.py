@@ -403,6 +403,80 @@ class TestSpecValidation:
                       axes=(Axis("G_over_omega_b", 0.0, 0.5, 3),),
                       outputs=(output,))
 
+    def test_every_field_is_a_sweep_parameter(self):
+        # Each SystemParams field sets itself, in a column in rad/s, except
+        # the temperature in kelvin.
+        names = [field.name for field in dataclasses.fields(model.SystemParams)]
+        for name in names:
+            column = "T_K" if name == "temperature" else f"{name}_rad_s"
+            assert sweep._SWEEP_PARAMS[name] == ((name,), None, column)
+            spec = SweepSpec(base=default_params(),
+                             axes=(Axis(name, 0.5, 1.0, 2),), outputs=("stable",))
+            assert sweep._column_names(spec)[name] == column
+        ratios = ["G_over_omega_b", "G_over_gma", "gma_over_omega_b",
+                  "gma_over_G", "kappa_a_over_kappa_m", "delta_over_omega_b"]
+        with pytest.raises(ParameterError) as exc:
+            apply_parameter(default_params(), "warp_factor", 9.0)
+        assert str(exc.value) == ("unknown sweep parameter 'warp_factor'; "
+                                  f"valid: {sorted(names + ratios)}")
+
+    @pytest.mark.parametrize("axes, overrides, message", [
+        # The second axis and the override both set G_eff: the axis meets
+        # the override before the earlier axis.
+        (("G_over_omega_b", "G_eff"), (("G_eff", 0.1),),
+         "series 'x' override 'G_eff' sets the field ['G_eff'] of an axis"),
+        # The axis changes the reference of the first override, and the
+        # second override sets the axis's field: the first step comes first.
+        (("omega_b",), (("G_over_omega_b", 0.1), ("omega_b", 1.0)),
+         "axis 'omega_b' sets the reference 'omega_b' of the earlier series "
+         "'x' override 'G_over_omega_b'"),
+        # The first axis changes the override's reference, and the second
+        # sets the first one's field: the first axis comes first.
+        (("g_ma", "gma_over_omega_b"), (("G_over_gma", 0.2),),
+         "axis 'g_ma' sets the reference 'g_ma' of the earlier series 'x' "
+         "override 'G_over_gma'")])
+    def test_two_broken_rules_report_the_first_in_the_walk(self, axes, overrides,
+                                                           message):
+        # Each axis in turn meets the overrides in order, then the earlier
+        # axis; a step's field clash is reported before its reference.
+        with pytest.raises(ParameterError) as exc:
+            SweepSpec(base=default_params(),
+                      axes=tuple(Axis(name, 0.5, 1.0, 2) for name in axes),
+                      outputs=("stable",), series=(Series("x", overrides),))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("label", [None, 1, b"x", ("x",)])
+    def test_series_labels_are_str(self, label):
+        # Series(None) beside Series("") or Series(1) beside Series("1")
+        # would name two columns alike.
+        with pytest.raises(ParameterError, match="a series label must be a str"):
+            Series(label)
+
+    @pytest.mark.parametrize("value", [None, "abc", "0.1", 1j])
+    def test_override_values_are_real_numbers(self, value):
+        with pytest.raises(ParameterError) as exc:
+            SweepSpec(base=default_params(),
+                      axes=(Axis("temperature", 0.0, 0.1, 2),),
+                      outputs=("stable",),
+                      series=(Series(), Series("x", (("G_eff", value),))))
+        assert str(exc.value) == (f"series 'x' override 'G_eff' needs a real "
+                                  f"number, got {value!r}")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_override_values_fail_their_cells(self, value):
+        spec = SweepSpec(base=default_params(),
+                         axes=(Axis("temperature", 0.0, 0.1, 2),),
+                         outputs=("stable",),
+                         series=(Series("x", (("G_over_omega_b", value),)),))
+        assert run_sweep(spec).column("error", "x") == ["parameter_error"] * 2
+
+    @pytest.mark.parametrize("lo, hi", [("0", 1.0), (0.0, None), (0.0, 1j)])
+    def test_axis_bounds_are_real_numbers(self, lo, hi):
+        with pytest.raises(ParameterError) as exc:
+            Axis("temperature", lo, hi, 2)
+        assert str(exc.value) == (f"axis bounds must be real numbers, got "
+                                  f"{lo!r} and {hi!r}")
+
 
 class TestRunSweep:
     def test_matches_direct_evaluation(self):
