@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import threading
@@ -283,6 +284,24 @@ class TestApplyParameter:
     def test_unknown_name(self):
         with pytest.raises(ParameterError, match="unknown sweep parameter"):
             apply_parameter(default_params(), "warp_factor", 9.0)
+
+    @pytest.mark.parametrize("name", ["G_over_omega_b", "temperature"])
+    @pytest.mark.parametrize("value", ["abc", None, 1j, [0.1]])
+    def test_value_that_is_not_a_real_number(self, name, value):
+        with pytest.raises(ParameterError) as exc:
+            apply_parameter(default_params(), name, value)
+        assert str(exc.value) == \
+            f"sweep parameter {name!r} needs a real number, got {value!r}"
+
+    @pytest.mark.parametrize("name, field", [("G_over_omega_b", "G_eff"),
+                                             ("temperature", "temperature")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_fails_as_its_params(self, name, field, value):
+        # NaN and infinities are real numbers: the SystemParams they make
+        # rejects them.
+        with pytest.raises(ParameterError) as exc:
+            apply_parameter(default_params(), name, value)
+        assert str(exc.value) == f"SystemParams.{field} is not finite"
 
     def test_valid_names_are_listed_once(self):
         with pytest.raises(ParameterError) as exc:
@@ -1694,62 +1713,151 @@ class TestVanishingTemperature:
                      for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
         return mids
 
-    def _evaluated(self, t_lo, t_hi, path):
-        """The temperatures a search evaluates along the reference ``path``
-        of midpoints: both ends, then the 7 midpoints of three levels below
-        the bracket at every third step."""
-        evaluated, lo, hi = [t_lo, t_hi], t_lo, t_hi
+    @staticmethod
+    def _walk(lo, hi, target):
+        """The midpoints a bisection of [lo, hi] visits if E_N reaches 0 at
+        ``target``."""
+        mids = []
+        while hi - lo > VANISHING_TEMPERATURE_TOL:
+            mids.append(0.5 * (lo + hi))
+            lo, hi = (mids[-1], hi) if mids[-1] < target else (lo, mids[-1])
+        return mids
+
+    def _rounds(self, t_lo, t_hi, path, predicted):
+        """The temperatures a search evaluates, round by round, along the
+        reference ``path`` of midpoints when the crossing is predicted at
+        ``predicted`` (or None). The first round takes both ends, the 7
+        midpoints of three levels, then the midpoints below them that a walk
+        toward the prediction visits. A later round takes the 7 midpoints of
+        three levels below the bracket whose midpoint the round before did
+        not evaluate."""
+        toward = [] if predicted is None else self._walk(t_lo, t_hi, predicted)
+        rounds = [[t_lo, t_hi, *self._three_levels(t_lo, t_hi), *toward[3:]]]
+        lo, hi = t_lo, t_hi
         for step, mid in enumerate(path):
-            if step % 3 == 0:
-                evaluated += self._three_levels(lo, hi)
             assert mid == 0.5 * (lo + hi)
+            if mid not in rounds[-1]:
+                rounds.append(self._three_levels(lo, hi))
             if step + 1 < len(path) and path[step + 1] > mid:
                 lo = mid
             else:
                 hi = mid
-        return evaluated
+        return rounds
 
-    def test_evaluates_three_levels_per_round(self, monkeypatch):
-        # Each evaluated temperature takes the occupations of the cavity,
-        # the magnon and the phonon, in that order.
-        calls, occupation = [], model.thermal_occupation
+    @staticmethod
+    def _record(monkeypatch):
+        """Record each occupation taken, as (omega, T), the size of each
+        PairBatch built, and each predicted crossing."""
+        calls, batches, predictions = [], [], []
+        occupation, pair_batch = model.thermal_occupation, measures.PairBatch
+        predict = sweep._predict_crossing
         monkeypatch.setattr(model, "thermal_occupation", lambda omega, t: (
             calls.append((omega, t)) or occupation(omega, t)))
+
+        def counted(v, *args, **kwargs):
+            batches.append(len(v))
+            return pair_batch(v, *args, **kwargs)
+        monkeypatch.setattr(measures, "PairBatch", counted)
+        monkeypatch.setattr(sweep, "_predict_crossing", lambda *args: (
+            predictions.append(predict(*args)) or predictions[-1]))
+        return calls, batches, predictions
+
+    @staticmethod
+    def _check_schedule(base, rounds, calls, batches):
+        """The occupations taken are those of the temperatures of
+        ``rounds``, in order, the cavity's, the magnon's and the phonon's
+        each, and each round is one PairBatch."""
+        omegas = (base.omega_a, base.omega_m, base.omega_b)
+        assert calls == [(omega, t) for t in itertools.chain(*rounds)
+                         for omega in omegas]
+        assert batches == [len(temperatures) for temperatures in rounds]
+
+    def test_evaluates_three_levels_per_round(self, monkeypatch):
+        # The prediction takes no occupation, and each of these searches
+        # finishes in its first round.
+        calls, batches, predictions = self._record(monkeypatch)
         for base, t_lo, t_hi, noise in self.SEARCHES:
             visited = []
             sequential_bisection(base, "am", t_lo, t_hi, noise, visited)
             calls.clear()
+            batches.clear()
             vanishing_temperature(base, "am", t_lo, t_hi, noise)
-            omegas = (base.omega_a, base.omega_m, base.omega_b)
-            expected = self._evaluated(t_lo, t_hi, visited[2:])
-            assert calls == [(omega, t) for t in expected for omega in omegas]
-            assert set(visited) <= set(expected)
+            rounds = self._rounds(t_lo, t_hi, visited[2:], predictions[-1])
+            self._check_schedule(base, rounds, calls, batches)
+            assert len(rounds) == 1
+            assert set(visited) <= set(rounds[0])
+
+    @staticmethod
+    def _sibling(path, expected):
+        """A crossing on the far side of the first midpoint below three
+        levels: the first round walks down the wrong half there."""
+        return 2.0 * path[3] - expected
 
     def test_off_path_failures_do_not_raise(self, monkeypatch):
         base, t_lo, t_hi, noise = self.SEARCHES[-1]
         visited = []
         expected = sequential_bisection(base, "am", t_lo, t_hi, noise, visited)
-        evaluated = self._evaluated(t_lo, t_hi, visited[2:])
-        off_path = [t for t in evaluated if t not in visited]
-        assert len(off_path) == len(evaluated) - len(visited) > 0
-        # A failure in the first round, and one in the last.
-        seen = self._fail_at(monkeypatch, {off_path[0], off_path[-1]})
+        predicted = self._sibling(visited[2:], expected)
+        monkeypatch.setattr(sweep, "_predict_crossing", lambda *args: predicted)
+        rounds = self._rounds(t_lo, t_hi, visited[2:], predicted)
+        tree, wrong_path = rounds[0][2:9], rounds[0][9:]
+        off_path = [[t for t in temperatures if t not in visited]
+                    for temperatures in (tree, wrong_path, rounds[-1])]
+        assert len(rounds) > 1 and all(off_path)
+        # A failure in the first round's three levels, one on its wrong
+        # path below them, and one in the last round.
+        bad = {off_path[0][0], off_path[1][-1], off_path[2][-1]}
+        seen = self._fail_at(monkeypatch, bad)
         assert vanishing_temperature(base, "am", t_lo, t_hi, noise) == expected
-        assert off_path[0] in seen and off_path[-1] in seen
+        assert bad <= set(seen)
 
-    def test_search_builds_four_pair_batches(self, monkeypatch):
-        # [0, 0.35] K takes 12 steps: both ends and three levels, then
-        # three rounds of three levels.
+    def test_search_builds_one_pair_batch(self, monkeypatch):
+        # [0, 0.35] K takes 12 steps, and its one round takes both ends,
+        # three levels and the 9 steps below them. The prediction builds
+        # no PairBatch.
         base, t_lo, t_hi, noise = self.SEARCHES[1]
-        sizes = []
-        pair_batch = measures.PairBatch
-
-        def counted(v, *args, **kwargs):
-            sizes.append(len(v))
-            return pair_batch(v, *args, **kwargs)
-        monkeypatch.setattr(measures, "PairBatch", counted)
+        _, batches, _ = self._record(monkeypatch)
         vanishing_temperature(base, "am", t_lo, t_hi, noise)
-        assert sizes == [9, 7, 7, 7]
+        assert batches == [18]
+
+    @pytest.mark.parametrize("wrong", ["sibling", "none"])
+    def test_a_wrong_prediction_falls_back_to_three_levels(self, monkeypatch,
+                                                           wrong):
+        # A prediction on the wrong side of the fourth step, or none, leaves
+        # the walk to rounds of three levels: the same bits as a walk one
+        # temperature at a time, in no more rounds than three levels each.
+        calls, batches, _ = self._record(monkeypatch)
+        for base, t_lo, t_hi, noise in self.SEARCHES:
+            visited = []
+            expected = sequential_bisection(base, "am", t_lo, t_hi, noise, visited)
+            path = visited[2:]
+            predicted = self._sibling(path, expected) if wrong == "sibling" else None
+            monkeypatch.setattr(sweep, "_predict_crossing", lambda *args: predicted)
+            calls.clear()
+            batches.clear()
+            assert vanishing_temperature(base, "am", t_lo, t_hi, noise) == expected
+            rounds = self._rounds(t_lo, t_hi, path, predicted)
+            self._check_schedule(base, rounds, calls, batches)
+            assert len(rounds) == -(-len(path) // 3)
+
+    @pytest.mark.parametrize("t_hi", [1e300, 1e308, math.inf])
+    def test_prediction_takes_no_occupation(self, monkeypatch, t_hi):
+        # The prediction takes closed-form occupations, raises nothing and
+        # warns of nothing. From SEARCHES[1]'s drift, it finds the crossing
+        # to within the search's tolerance over the search's bracket, and
+        # none where the grid overflows D or the determinants, or where an
+        # end is infinite.
+        base, t_lo, t_end, noise = self.SEARCHES[1]
+        failures = no_failures(1)
+        *_, channels = sweep._shared_drift(sweep._drifts(base.columns(), failures),
+                                           failures)
+        expected = vanishing_temperature(base, "am", t_lo, t_end, noise)
+        occupation = mock.Mock(side_effect=AssertionError("an occupation"))
+        monkeypatch.setattr(model, "thermal_occupation", occupation)
+        predicted = sweep._predict_crossing(base, "am", channels, t_lo, t_end, noise)
+        assert abs(predicted - expected) < VANISHING_TEMPERATURE_TOL
+        assert sweep._predict_crossing(base, "am", channels, t_lo, t_hi, noise) is None
+        occupation.assert_not_called()
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(g=st.floats(0.0, 0.35), g_ma=st.floats(0.5, 1.5),
