@@ -17,7 +17,7 @@ any other column compared exactly) or leaves the tolerances of
 ``perfbench/checks.py``. Then it compares the ``figure <preset> --format
 json --jobs 1`` output of the ``JSON_FIGURES`` byte for byte, naming the
 first byte that differs. Last it runs the 80 single-point commands (each of
-``COMMANDS`` at each of ``POINTS``, in json and csv) and the 14 ``vanish-temp``
+``COMMANDS`` at each of ``POINTS``, in json and csv) and the 15 ``vanish-temp``
 ``SEARCHES`` in both checkouts and names, with a diff, each whose merged
 stdout and stderr or exit code differ by a byte. Exits 1 if a cell fails, a
 figure's JSON differs or a command differs.
@@ -98,6 +98,11 @@ SEARCHES = (
     [*_FAILING, "--t-hi", "1e308 k"],
     [*_LOSS, "--t-hi", "1e300 k"],
     [*_LOSS, "--t-lo", "1e307 k", "--t-hi", "1.7e308 k"],
+    # A search whose first prediction is wrong below some step: it leaves
+    # the predicted path and takes a second round.
+    [*_sets("kappa_a=-1860026.2918242107rad_s", "G_eff=13425487.711668348rad_s"),
+     "--pair", "ab", "--t-lo", "0.003552985519973547k",
+     "--t-hi", "0.3282376022596506k"],
 )
 
 

@@ -94,13 +94,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_params(args) -> SystemParams:
+def _layers(args) -> list:
+    """The bundled defaults, the --config file, then the --set overrides."""
     layers = [_config.default_config()]
     if args.config:
         layers.append(_config.load_config(args.config))
     if args.overrides:
         layers.append(_config.apply_overrides({}, args.overrides))
-    return _config.build_params(_config.merge_layers(layers))
+    return layers
 
 
 def _emit(text: str, out: str) -> None:
@@ -213,12 +214,15 @@ def _cmd_sweep(args, params: SystemParams) -> str:
 def _cmd_figure(args, params: SystemParams) -> str:
     spec = _sweep.figure_preset(args.name, gain_noise=args.gain_noise,
                                 base=params)
-    return _run_sweep(args, spec)
+    return _run_sweep(args, spec, args.name)
 
 
-def _run_sweep(args, spec: _sweep.SweepSpec) -> str:
-    """The sweep's CSV or JSON. ``--jobs`` must be >= 1 and changes nothing:
-    any value but 1 says so on stderr."""
+def _run_sweep(args, spec: _sweep.SweepSpec, preset: str | None = None) -> str:
+    """The sweep's CSV or JSON. A ``--set`` must take effect. ``--jobs``
+    must be >= 1 and changes nothing: any value but 1 says so on stderr."""
+    if args.overrides:
+        *earlier, overrides = _layers(args)
+        _sweep._check_overrides(_config.merge_layers(earlier), overrides, spec, preset)
     if args.jobs < 1:
         raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
     if args.jobs != 1:
@@ -243,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_ARGS if exc.code not in (0, None) else EXIT_OK
     try:
-        params = _load_params(args)
+        params = _config.build_params(_config.merge_layers(_layers(args)))
         text = args.handler(args, params)
         _emit(text, args.out)
     except UnstableSystemError as exc:

@@ -236,9 +236,8 @@ def combine_channels(channels: tuple, d: np.ndarray,
         record_failures(failures, alive(failures),
                         lambda k: type(failure)(*failure.args))
     _check_diffusion(d, failures)
-    c = d[:, [0, 2, 5], [0, 2, 5], None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        v = c[:, 0] * w[0] + c[:, 1] * w[1] + c[:, 2] * w[2]
+        v = np.einsum("nk,kij->nij", d[:, [0, 2, 5], [0, 2, 5]], w)
     record_failures(failures, ~np.isfinite(v).all(axis=(1, 2)),
                     lambda k: SingularSolveError(_NON_FINITE))
     v[~alive(failures)] = np.nan

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures as _measures
-from .config import build_params, default_config
+from .config import build_params, default_config, merge_layers
 from .dynamics import (check_gain_noise, diffusion_batch, diffusion_matrices,
                        drift_matrices, stability_batch)
 from .errors import (BracketInvalidError, MagnomechError, ParameterError,
@@ -36,11 +36,6 @@ from .steady_state import working_point_batch
 
 #: Absolute tolerance (K) of the vanishing-temperature bisection.
 VANISHING_TEMPERATURE_TOL = 1e-4
-
-#: Bisection levels whose midpoints the vanishing-temperature search
-#: evaluates as one batch: 7 temperatures per round. The first adds both
-#: ends and the walk's midpoints below them toward a predicted crossing.
-_SEARCH_LEVELS = 3
 
 #: Temperatures per pass of the vanishing-temperature search's prediction.
 _PREDICTION_POINTS = 17
@@ -584,17 +579,15 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
     "reversed" noise gives no such guarantee.
 
     T enters only D, so the working point and :func:`_shared_drift` (drift,
-    eigenvalues, channel systems) are solved once, and so is a prediction of
-    the crossing (:func:`_predict_crossing`). A round is one batch of
-    occupations, channel combinations and pair measures. The first takes
-    both ends, the midpoints of _SEARCH_LEVELS levels, and below them the
-    walk's midpoints toward the prediction. A later round, only where the
-    walk leaves that path, takes the midpoints of _SEARCH_LEVELS levels
-    below the bracket: never more rounds than without the prediction. The
-    drift's failure and instability are raised once, as the low end's.
-    Past them only the temperatures the walk visits can raise, and each
-    raises what a single point would, in the order a one-at-a-time
-    bisection would.
+    eigenvalues, channel systems) are solved once. Each round is one batch
+    of occupations, channel combinations and pair measures at the midpoints
+    the walk visits below its bracket if E_N reaches 0 where
+    :func:`_predict_crossing` puts the crossing inside it, or at the next
+    one alone with no prediction (then [0, 0.35] K takes 12 rounds); the
+    first also takes both ends. The drift's failure and instability are
+    raised once, as the low end's. Past them only the temperatures the walk
+    visits can raise, each what a single point would, in the order of a
+    one-at-a-time bisection.
     """
     if not t_lo < t_hi:
         raise BracketInvalidError("need t_lo < t_hi")
@@ -636,26 +629,21 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
             raise type(value)(*value.args)
         return value
 
-    def midpoints(lo: float, hi: float) -> list:
-        """The midpoints of _SEARCH_LEVELS bisection levels below [lo, hi],
-        level by level, each from the walk's own 0.5 * (lo + hi)."""
-        brackets, found = [(lo, hi)], []
-        for _ in range(_SEARCH_LEVELS):
-            mids = [0.5 * (low + high) for low, high in brackets]
-            found += mids
-            brackets = [half for (low, high), mid in zip(brackets, mids)
-                        for half in ((low, mid), (mid, high))]
-        return found
+    def path(lo: float, hi: float) -> list:
+        """The walk's midpoints below [lo, hi] if E_N reaches 0 at the
+        crossing predicted inside it, else only the next one."""
+        target = _predict_crossing(base, pair, channels, lo, hi, gain_noise)
+        mids = []
+        while hi - lo > VANISHING_TEMPERATURE_TOL:
+            mids.append(0.5 * (lo + hi))
+            if target is None:
+                break
+            lo, hi = (mids[-1], hi) if mids[-1] < target else (lo, mids[-1])
+        return mids
 
-    # The midpoints the walk visits if E_N reaches 0 at the prediction.
-    target = _predict_crossing(base, pair, channels, t_lo, t_hi, gain_noise)
-    lo, hi, path = t_lo, t_hi, []
-    while target is not None and hi - lo > VANISHING_TEMPERATURE_TOL:
-        path.append(0.5 * (lo + hi))
-        lo, hi = (path[-1], hi) if path[-1] < target else (lo, path[-1])
     # An invalid end fails as the SystemParams holding it would, and the
     # high end only after the low end's own failure.
-    outcomes = e_n([t_lo, t_hi, *midpoints(t_lo, t_hi), *path[_SEARCH_LEVELS:]])
+    outcomes = e_n([t_lo, t_hi, *path(t_lo, t_hi)])
     lo_val = outcome(t_lo)
     base.replace(temperature=t_hi)
     hi_val = outcome(t_hi)
@@ -667,11 +655,8 @@ def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
     while hi - lo > VANISHING_TEMPERATURE_TOL:
         mid = 0.5 * (lo + hi)
         if mid not in outcomes:  # off-path outcomes are dropped
-            outcomes = e_n(midpoints(lo, hi))
-        if outcome(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+            outcomes = e_n(path(lo, hi))
+        lo, hi = (mid, hi) if outcome(mid) > 0.0 else (lo, mid)
     return 0.5 * (lo + hi)
 
 
@@ -739,3 +724,31 @@ def figure_preset(name: str, gain_noise: str = "vacuum",
     return SweepSpec(base=base, axes=axes, outputs=outputs,
                      series=_GAIN_LOSS if gain_loss else (Series(),),
                      gain_noise=gain_noise)
+
+
+#: The field that a config key sets, where not its own (config.build_params).
+_KEY_FIELDS = dict.fromkeys(("b0", "sphere_diameter", "spin_density"), "epsilon_d")
+
+
+def _check_overrides(earlier: dict, overrides: dict, spec: SweepSpec,
+                     preset: str | None) -> None:
+    """Refuse a ``--set`` of ``overrides``, over the ``earlier`` config
+    layers, if a change of figure ``preset``, an override of every series or
+    an axis sets each field it changes: its key's, and those of the earlier
+    keys it drops (config.merge_layers). A set delta_m_eff leaves delta_m
+    unused."""
+    changes = [name for name, _ in _FIGURES[preset][0]] if preset else []
+    series = set.intersection(*({name for name, _ in s.overrides} for s in spec.series))
+    steps = ([(f"{preset} change", name) for name in changes]
+             + [("series override", name) for name in sorted(series)]
+             + [("axis", axis.name) for axis in spec.axes])
+    setters = {field: f"{step} {name!r} sets {field}" for step, name in steps
+               for field in _SWEEP_PARAMS[name][0]}
+    if "delta_m_eff" in setters:
+        setters.setdefault("delta_m", setters["delta_m_eff"])
+    for key, entry in overrides.items():
+        dropped = earlier.keys() - merge_layers([earlier, {key: entry}]).keys()
+        fields = [_KEY_FIELDS.get(k, k) for k in (key, *dropped)]
+        if setters.keys() >= set(fields):
+            raise ParameterError(f"--set {key} takes no effect: the "
+                                 f"{setters[fields[0]]} at every point")

@@ -149,7 +149,13 @@ class TestMeasures:
         ("classify", "--gain-noise", "reversed"),
         ("steady-state", "--gain-noise", "reversed"),
         ("drift", "--gain-noise", "reversed"),
-        ("stability", "--gain-noise", "reversed")])
+        ("stability", "--gain-noise", "reversed"),
+        # A --set of a field that the sweep sets at every point: a preset's
+        # change, its series' override (fig2a has none) or an axis.
+        ("figure", "fig2d", "--format", "csv", "--set", "G_eff=0.1omega_b"),
+        ("figure", "fig2a", "--format", "csv", "--set", "kappa_a=-0.05omega_b"),
+        ("sweep", "--axis", "G_over_omega_b:0:0.5:3", "--set", "G_eff=0.1omega_b",
+         "--output", "stable")])
     def test_flag_without_effect_exits_2(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 2 and out == ""
@@ -354,6 +360,50 @@ class TestSweepAndFigure:
                                  "--set", "epsilon_d=1e13rad_s")
         assert code == 2 and out == ""
         assert "G_eff" in err
+
+    @pytest.mark.parametrize("argv, setting", [
+        (("figure", "fig3a"), "kappa_a=0.01omega_b"),
+        (("figure", "fig6b"), "temperature=100mk"),
+        (("sweep", "--axis", "delta_over_omega_b:-1:0:3", "--output", "stable"),
+         "delta_m=-1omega_b")])
+    def test_set_without_effect_names_what_sets_its_field(self, capsys, argv,
+                                                          setting):
+        # A series override and an axis name themselves; a delta_m is
+        # unused where delta_m_eff is given.
+        code, out, err = run_cli(capsys, *argv, "--set", setting)
+        assert code == 2 and out == ""
+        assert err == {
+            "kappa_a": "error: --set kappa_a takes no effect: the series override "
+                       "'kappa_a_over_kappa_m' sets kappa_a at every point\n",
+            "temperature": "error: --set temperature takes no effect: the axis "
+                           "'temperature' sets temperature at every point\n",
+            "delta_m": "error: --set delta_m takes no effect: the axis "
+                       "'delta_over_omega_b' sets delta_m_eff at every point\n",
+        }[setting.partition("=")[0]]
+
+    @pytest.mark.parametrize("argv, setting", [
+        # A reference that the preset's change or the axis only reads.
+        (("figure", "fig2d", "--format", "csv"), "kappa_m=0.2omega_b"),
+        (("sweep", "--axis", "G_over_gma:0:0.5:3", "--output", "max_lyapunov",
+          "--format", "csv"), "g_ma=0.05omega_b"),
+        # A drive drops the bundled G_eff, although the axis sets epsilon_d.
+        (("sweep", "--set", "delta_m=-0.95omega_b", "--axis", "epsilon_d:8e13:5e14:3",
+          "--output", "stable", "--format", "csv"), "epsilon_d=9.2e13rad_s")])
+    def test_set_of_a_field_the_sweep_reads_takes_effect(self, capsys, argv,
+                                                         setting):
+        code, out, _ = run_cli(capsys, *argv, "--set", setting)
+        assert code == 0
+        assert out != run_cli(capsys, *argv)[1]
+
+    def test_set_counts_what_it_drops_from_the_config_layers(self, capsys, tmp_path):
+        # A G_eff clears the drive of a --config layer, although fig3a's axis
+        # sets G_eff; over the bundled defaults it clears nothing.
+        conf = tmp_path / "drive.conf"
+        conf.write_text("epsilon_d = 9.2e13 rad_s\n")
+        argv = ("figure", "fig3a", "--format", "csv", "--config", str(conf))
+        code, out, _ = run_cli(capsys, *argv, "--set", "G_eff=0.2omega_b")
+        assert code == 0 and out != run_cli(capsys, *argv)[1]
+        assert run_cli(capsys, *argv[:4], "--set", "G_eff=0.2omega_b")[0] == 2
 
     def test_custom_sweep(self, capsys):
         code, out, _ = run_cli(

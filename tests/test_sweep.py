@@ -1703,17 +1703,6 @@ class TestVanishingTemperature:
         assert str(got.value) == str(reference.value)
 
     @staticmethod
-    def _three_levels(lo, hi):
-        """The 7 midpoints of three bisection levels below [lo, hi],
-        breadth first."""
-        level, mids = [(lo, hi)], []
-        for _ in range(3):
-            mids += [0.5 * (a + b) for a, b in level]
-            level = [half for a, b in level
-                     for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
-        return mids
-
-    @staticmethod
     def _walk(lo, hi, target):
         """The midpoints a bisection of [lo, hi] visits if E_N reaches 0 at
         ``target``."""
@@ -1723,34 +1712,42 @@ class TestVanishingTemperature:
             lo, hi = (mids[-1], hi) if mids[-1] < target else (lo, mids[-1])
         return mids
 
-    def _rounds(self, t_lo, t_hi, path, predicted):
+    def _rounds(self, t_lo, t_hi, path, predictions):
         """The temperatures a search evaluates, round by round, along the
-        reference ``path`` of midpoints when the crossing is predicted at
-        ``predicted`` (or None). The first round takes both ends, the 7
-        midpoints of three levels, then the midpoints below them that a walk
-        toward the prediction visits. A later round takes the 7 midpoints of
-        three levels below the bracket whose midpoint the round before did
-        not evaluate."""
-        toward = [] if predicted is None else self._walk(t_lo, t_hi, predicted)
-        rounds = [[t_lo, t_hi, *self._three_levels(t_lo, t_hi), *toward[3:]]]
+        reference ``path`` of midpoints, given the predictions its rounds
+        made, in order, as ((lo, hi), crossing or None). Each round predicts
+        inside the walk's bracket and takes the midpoints a walk toward that
+        crossing visits, or only the bracket's midpoint with none; the first
+        takes both ends before them. A later round starts at the first
+        midpoint of the path that the round before did not evaluate."""
+        predictions = iter(predictions)
+
+        def walk(lo, hi):
+            bracket, target = next(predictions)
+            assert bracket == (lo, hi)
+            mids = self._walk(lo, hi, hi if target is None else target)
+            return mids[:1] if target is None else mids
+        rounds = [[t_lo, t_hi, *walk(t_lo, t_hi)]]
         lo, hi = t_lo, t_hi
         for step, mid in enumerate(path):
             assert mid == 0.5 * (lo + hi)
             if mid not in rounds[-1]:
-                rounds.append(self._three_levels(lo, hi))
+                rounds.append(walk(lo, hi))
             if step + 1 < len(path) and path[step + 1] > mid:
                 lo = mid
             else:
                 hi = mid
+        assert next(predictions, None) is None  # one prediction per round
         return rounds
 
     @staticmethod
-    def _record(monkeypatch):
+    def _record(monkeypatch, predict=None):
         """Record each occupation taken, as (omega, T), the size of each
-        PairBatch built, and each predicted crossing."""
+        PairBatch built, and each prediction made by ``predict`` (by
+        default the search's own), as ((lo, hi), crossing)."""
         calls, batches, predictions = [], [], []
         occupation, pair_batch = model.thermal_occupation, measures.PairBatch
-        predict = sweep._predict_crossing
+        predict = predict or sweep._predict_crossing
         monkeypatch.setattr(model, "thermal_occupation", lambda omega, t: (
             calls.append((omega, t)) or occupation(omega, t)))
 
@@ -1759,7 +1756,7 @@ class TestVanishingTemperature:
             return pair_batch(v, *args, **kwargs)
         monkeypatch.setattr(measures, "PairBatch", counted)
         monkeypatch.setattr(sweep, "_predict_crossing", lambda *args: (
-            predictions.append(predict(*args)) or predictions[-1]))
+            predictions.append((args[3:5], predict(*args))) or predictions[-1][1]))
         return calls, batches, predictions
 
     @staticmethod
@@ -1772,73 +1769,83 @@ class TestVanishingTemperature:
                          for omega in omegas]
         assert batches == [len(temperatures) for temperatures in rounds]
 
-    def test_evaluates_three_levels_per_round(self, monkeypatch):
-        # The prediction takes no occupation, and each of these searches
-        # finishes in its first round.
-        calls, batches, predictions = self._record(monkeypatch)
-        for base, t_lo, t_hi, noise in self.SEARCHES:
-            visited = []
-            sequential_bisection(base, "am", t_lo, t_hi, noise, visited)
-            calls.clear()
-            batches.clear()
-            vanishing_temperature(base, "am", t_lo, t_hi, noise)
-            rounds = self._rounds(t_lo, t_hi, visited[2:], predictions[-1])
-            self._check_schedule(base, rounds, calls, batches)
-            assert len(rounds) == 1
-            assert set(visited) <= set(rounds[0])
-
-    @staticmethod
-    def _sibling(path, expected):
-        """A crossing on the far side of the first midpoint below three
-        levels: the first round walks down the wrong half there."""
-        return 2.0 * path[3] - expected
-
-    def test_off_path_failures_do_not_raise(self, monkeypatch):
-        base, t_lo, t_hi, noise = self.SEARCHES[-1]
+    def _search(self, monkeypatch, search, predict=None):
+        """The temperatures the one-at-a-time walk of ``search`` in SEARCHES
+        visits, and the rounds of the search when ``predict`` makes its
+        predictions (by default its own). Checks the rounds against the
+        occupations taken and the PairBatches built, and the value against
+        the walk's."""
+        base, t_lo, t_hi, noise = search
         visited = []
         expected = sequential_bisection(base, "am", t_lo, t_hi, noise, visited)
-        predicted = self._sibling(visited[2:], expected)
-        monkeypatch.setattr(sweep, "_predict_crossing", lambda *args: predicted)
-        rounds = self._rounds(t_lo, t_hi, visited[2:], predicted)
-        tree, wrong_path = rounds[0][2:9], rounds[0][9:]
-        off_path = [[t for t in temperatures if t not in visited]
-                    for temperatures in (tree, wrong_path, rounds[-1])]
-        assert len(rounds) > 1 and all(off_path)
-        # A failure in the first round's three levels, one on its wrong
-        # path below them, and one in the last round.
-        bad = {off_path[0][0], off_path[1][-1], off_path[2][-1]}
-        seen = self._fail_at(monkeypatch, bad)
+        calls, batches, predictions = self._record(monkeypatch, predict)
+        value = vanishing_temperature(base, "am", t_lo, t_hi, noise)
+        rounds = self._rounds(t_lo, t_hi, visited[2:], predictions)
+        self._check_schedule(base, rounds, calls, batches)
+        assert value == expected
+        return visited, rounds
+
+    def test_each_round_walks_a_fresh_prediction(self, monkeypatch):
+        # The prediction takes no occupation, and each of these searches
+        # takes one round: the temperatures the one-at-a-time walk visits.
+        for search in self.SEARCHES:
+            visited, rounds = self._search(monkeypatch, search)
+            assert rounds == [visited]
+
+    @staticmethod
+    def _sibling_first(search):
+        """A prediction of the crossing on the far side of the walk's fourth
+        midpoint, then the search's own: its first round walks down the
+        wrong half there."""
+        base, t_lo, t_hi, noise = search
+        visited = []
+        expected = sequential_bisection(base, "am", t_lo, t_hi, noise, visited)
+        predict, calls = sweep._predict_crossing, itertools.count()
+        return lambda *args: (2.0 * visited[2 + 3] - expected if next(calls) == 0
+                              else predict(*args))
+
+    def test_off_path_failures_do_not_raise(self, monkeypatch):
+        # Failures at every temperature of the first round's wrong path,
+        # below the step where it leaves the walk, raise nothing. The second
+        # round's fresh prediction is right: it leaves no temperature off
+        # the path.
+        search = self.SEARCHES[-1]
+        base, t_lo, t_hi, noise = search
+        visited, rounds = self._search(monkeypatch, search, self._sibling_first(search))
+        wrong_path = [t for t in rounds[0] if t not in visited]
+        assert len(rounds) == 2 and wrong_path == rounds[0][2 + 4:]
+        assert set(rounds[1]) <= set(visited)
+        monkeypatch.undo()
+        expected = sequential_bisection(base, "am", t_lo, t_hi, noise)
+        monkeypatch.setattr(sweep, "_predict_crossing", self._sibling_first(search))
+        seen = self._fail_at(monkeypatch, set(wrong_path))
         assert vanishing_temperature(base, "am", t_lo, t_hi, noise) == expected
-        assert bad <= set(seen)
+        assert set(wrong_path) <= set(seen)
 
     def test_search_builds_one_pair_batch(self, monkeypatch):
-        # [0, 0.35] K takes 12 steps, and its one round takes both ends,
-        # three levels and the 9 steps below them. The prediction builds
-        # no PairBatch.
+        # [0, 0.35] K takes 12 steps, and its one round takes both ends and
+        # the 12 steps. The prediction builds no PairBatch.
         base, t_lo, t_hi, noise = self.SEARCHES[1]
         _, batches, _ = self._record(monkeypatch)
         vanishing_temperature(base, "am", t_lo, t_hi, noise)
-        assert batches == [18]
+        assert batches == [14]
 
     @pytest.mark.parametrize("wrong", ["sibling", "none"])
-    def test_a_wrong_prediction_falls_back_to_three_levels(self, monkeypatch,
-                                                           wrong):
-        # A prediction on the wrong side of the fourth step, or none, leaves
-        # the walk to rounds of three levels: the same bits as a walk one
-        # temperature at a time, in no more rounds than three levels each.
-        calls, batches, _ = self._record(monkeypatch)
-        for base, t_lo, t_hi, noise in self.SEARCHES:
-            visited = []
-            expected = sequential_bisection(base, "am", t_lo, t_hi, noise, visited)
-            path = visited[2:]
-            predicted = self._sibling(path, expected) if wrong == "sibling" else None
-            monkeypatch.setattr(sweep, "_predict_crossing", lambda *args: predicted)
-            calls.clear()
-            batches.clear()
-            assert vanishing_temperature(base, "am", t_lo, t_hi, noise) == expected
-            rounds = self._rounds(t_lo, t_hi, path, predicted)
-            self._check_schedule(base, rounds, calls, batches)
-            assert len(rounds) == -(-len(path) // 3)
+    def test_a_wrong_prediction_is_made_again(self, monkeypatch, wrong):
+        # A prediction on the wrong side of the fourth step costs one more
+        # round, which walks toward a fresh prediction made inside the
+        # bracket where the walk left the path. With no prediction, each
+        # round takes the bracket's next midpoint. The bits are those of a
+        # walk one temperature at a time either way.
+        for search in self.SEARCHES:
+            if wrong == "sibling":
+                visited, rounds = self._search(monkeypatch, search,
+                                               self._sibling_first(search))
+                assert len(rounds) == 2 and set(rounds[1]) <= set(visited)
+            else:
+                visited, rounds = self._search(monkeypatch, search, lambda *args: None)
+                assert rounds == [visited[:3], *([t] for t in visited[3:])]
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("t_hi", [1e300, 1e308, math.inf])
     def test_prediction_takes_no_occupation(self, monkeypatch, t_hi):
