@@ -95,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _layers(args) -> list:
-    """The bundled defaults, the --config file, then the --set overrides."""
     layers = [_config.default_config()]
     if args.config:
         layers.append(_config.load_config(args.config))
@@ -221,8 +220,7 @@ def _run_sweep(args, spec: _sweep.SweepSpec, preset: str | None = None) -> str:
     """The sweep's CSV or JSON. A ``--set`` must take effect. ``--jobs``
     must be >= 1 and changes nothing: any value but 1 says so on stderr."""
     if args.overrides:
-        *earlier, overrides = _layers(args)
-        _sweep._check_overrides(_config.merge_layers(earlier), overrides, spec, preset)
+        _sweep._check_overrides(args.layers, spec, preset)
     if args.jobs < 1:
         raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
     if args.jobs != 1:
@@ -247,7 +245,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_ARGS if exc.code not in (0, None) else EXIT_OK
     try:
-        params = _config.build_params(_config.merge_layers(_layers(args)))
+        args.layers = _layers(args)
+        params = _config.build_params(_config.merge_layers(args.layers))
         text = args.handler(args, params)
         _emit(text, args.out)
     except UnstableSystemError as exc:

@@ -726,29 +726,28 @@ def figure_preset(name: str, gain_noise: str = "vacuum",
                      gain_noise=gain_noise)
 
 
-#: The field that a config key sets, where not its own (config.build_params).
-_KEY_FIELDS = dict.fromkeys(("b0", "sphere_diameter", "spin_density"), "epsilon_d")
-
-
-def _check_overrides(earlier: dict, overrides: dict, spec: SweepSpec,
-                     preset: str | None) -> None:
-    """Refuse a ``--set`` of ``overrides``, over the ``earlier`` config
-    layers, if a change of figure ``preset``, an override of every series or
-    an axis sets each field it changes: its key's, and those of the earlier
-    keys it drops (config.merge_layers). A set delta_m_eff leaves delta_m
-    unused."""
-    changes = [name for name, _ in _FIGURES[preset][0]] if preset else []
+def _check_overrides(layers: list, spec: SweepSpec, preset: str | None) -> None:
+    """Refuse a key of the last config layer (a ``--set``) if a change of
+    figure ``preset``, an override of every series or an axis sets each
+    field it changes: its own, and each that build_params gives otherwise
+    without it. A delta_m_eff that the sweep sets leaves delta_m unread."""
     series = set.intersection(*({name for name, _ in s.overrides} for s in spec.series))
-    steps = ([(f"{preset} change", name) for name in changes]
-             + [("series override", name) for name in sorted(series)]
-             + [("axis", axis.name) for axis in spec.axes])
-    setters = {field: f"{step} {name!r} sets {field}" for step, name in steps
+    steps = [(f"{preset} change", name) for name, _ in _FIGURES[preset][0]] if preset else []
+    steps += [("series override", name) for name in sorted(series)]
+    setters = {field: f"{step} {name!r} sets {field}" for step, name
+               in steps + [("axis", axis.name) for axis in spec.axes]
                for field in _SWEEP_PARAMS[name][0]}
     if "delta_m_eff" in setters:
         setters.setdefault("delta_m", setters["delta_m_eff"])
-    for key, entry in overrides.items():
-        dropped = earlier.keys() - merge_layers([earlier, {key: entry}]).keys()
-        fields = [_KEY_FIELDS.get(k, k) for k in (key, *dropped)]
-        if setters.keys() >= set(fields):
+    *earlier, last = layers
+    given = vars(build_params(merge_layers(layers)))
+    for key in last:
+        try:
+            other = vars(build_params(merge_layers(
+                [*earlier, {k: entry for k, entry in last.items() if k != key}])))
+        except MagnomechError:  # the parameters need the key
+            continue
+        fields = {f for f in given if given[f] != other[f]} | ({key} & given.keys())
+        if fields and setters.keys() >= fields:
             raise ParameterError(f"--set {key} takes no effect: the "
-                                 f"{setters[fields[0]]} at every point")
+                                 f"{setters[min(fields)]} at every point")

@@ -388,7 +388,14 @@ class TestSweepAndFigure:
           "--format", "csv"), "g_ma=0.05omega_b"),
         # A drive drops the bundled G_eff, although the axis sets epsilon_d.
         (("sweep", "--set", "delta_m=-0.95omega_b", "--axis", "epsilon_d:8e13:5e14:3",
-          "--output", "stable", "--format", "csv"), "epsilon_d=9.2e13rad_s")])
+          "--output", "stable", "--format", "csv"), "epsilon_d=9.2e13rad_s"),
+        # So does a b0, which the other keys of its drive need.
+        (("sweep", "--set", "delta_m=-0.95omega_b", "--set", "sphere_diameter=1e-3",
+          "--set", "spin_density=4.22e27", "--axis", "epsilon_d:8e13:5e14:3",
+          "--output", "max_lyapunov", "--format", "csv"), "b0=1e-5t"),
+        # omega_b rescales each key given in omega_b, although the axis sets it.
+        (("sweep", "--axis", "omega_b:5e7:7e7:3", "--output", "max_lyapunov",
+          "--format", "csv"), "omega_b=6e7rad_s")])
     def test_set_of_a_field_the_sweep_reads_takes_effect(self, capsys, argv,
                                                          setting):
         code, out, _ = run_cli(capsys, *argv, "--set", setting)
@@ -397,7 +404,8 @@ class TestSweepAndFigure:
 
     def test_set_counts_what_it_drops_from_the_config_layers(self, capsys, tmp_path):
         # A G_eff clears the drive of a --config layer, although fig3a's axis
-        # sets G_eff; over the bundled defaults it clears nothing.
+        # sets G_eff; over the bundled defaults it sets G_eff alone, even to
+        # the value it has there.
         conf = tmp_path / "drive.conf"
         conf.write_text("epsilon_d = 9.2e13 rad_s\n")
         argv = ("figure", "fig3a", "--format", "csv", "--config", str(conf))
