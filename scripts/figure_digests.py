@@ -19,8 +19,13 @@ json --jobs 1`` output of the ``JSON_FIGURES`` byte for byte, naming the
 first byte that differs. Last it runs the 80 single-point commands (each of
 ``COMMANDS`` at each of ``POINTS``, in json and csv) and the 15 ``vanish-temp``
 ``SEARCHES`` in both checkouts and names, with a diff, each whose merged
-stdout and stderr or exit code differ by a byte. Exits 1 if a cell fails, a
-figure's JSON differs or a command differs.
+stdout and stderr or exit code differ by a byte. Last it runs the library on
+every entry of the benchmark's query pool, ``perfbench/reference/
+queries.json.gz``, in a subprocess per checkout: ``evaluate_point`` of
+``QUERY_OUTPUTS`` for a point entry, ``vanishing_temperature`` for a
+``vanish`` one. It compares the ``repr`` of each result (or raised error),
+which keeps every bit, and names each entry that differs. Exits 1 if a cell
+fails, a figure's JSON differs, a command differs or a pool entry differs.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ import csv
 import difflib
 import hashlib
 import io
+import itertools
+import json
 import os
 import shlex
 import subprocess
@@ -41,6 +48,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from checks import _cell_atol, close  # noqa: E402
+from workloads import QUERY_OUTPUTS  # noqa: E402
 from magnomech.dynamics import GAIN_NOISE_MODES  # noqa: E402
 from magnomech.sweep import FIGURE_NAMES  # noqa: E402
 
@@ -106,6 +114,28 @@ SEARCHES = (
 )
 
 
+#: The benchmark's query pool, read by both checkouts' library.
+QUERY_POOL = ROOT / "perfbench" / "reference" / "queries.json.gz"
+
+#: Prints ``<id> <repr of the result or error>`` per pool entry.
+_POOL_CHILD = """
+import gzip, json, sys
+import magnomech as mg
+outputs = tuple(json.loads(sys.argv[2]))
+for entry in json.load(gzip.open(sys.argv[1], "rt")):
+    try:
+        params = mg.SystemParams(**entry["params"])
+        if entry["kind"] == "vanish":
+            result = mg.vanishing_temperature(params, entry["pair"],
+                                              entry["t_lo"], entry["t_hi"])
+        else:
+            result = mg.evaluate_point(params, outputs)
+    except Exception as exc:
+        result = exc
+    print(entry["id"], repr(result))
+"""
+
+
 def run(checkout: Path, args: list[str]) -> tuple[int, str]:
     """Exit code and merged stdout and stderr of ``python -m magnomech
     <args>`` on the ``src/`` of ``checkout``."""
@@ -114,6 +144,16 @@ def run(checkout: Path, args: list[str]) -> tuple[int, str]:
                           cwd=checkout, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.STDOUT, text=True)
     return done.returncode, done.stdout
+
+
+def query_pool(checkout: Path) -> list[str]:
+    """One ``<id> <repr>`` line per query pool entry, from the library of
+    ``checkout``."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    done = subprocess.run([sys.executable, "-c", _POOL_CHILD, str(QUERY_POOL),
+                           json.dumps(QUERY_OUTPUTS)], cwd=checkout, env=env,
+                          stdout=subprocess.PIPE, text=True, check=True)
+    return done.stdout.splitlines()
 
 
 def figure(checkout: Path, name: str, gain_noise: str = "vacuum",
@@ -196,11 +236,18 @@ def against(checkout: Path) -> int:
                 *(f"{output}exit {status}\n".splitlines()
                   for status, output in (other, this)),
                 "other", "this", lineterm="")))
+    this, other = query_pool(ROOT), query_pool(checkout)
+    entries = 0
+    for mine, theirs in itertools.zip_longest(this, other):
+        if mine != theirs:
+            entries += 1
+            print(f"DIFF query pool entry: {theirs} -> {mine}")
     figures = len(FIGURE_NAMES) * len(GAIN_NOISE_MODES)
-    bad = failed or json_differ or differ
+    bad = failed or json_differ or differ or entries
     print(f"total moved {total}  max abs {worst:.3g}  failing CSVs {failed} "
           f"of {figures}  differing JSON figures {json_differ} of "
           f"{len(JSON_FIGURES)}  differing commands {differ} of {len(commands)}  "
+          f"differing query pool entries {entries} of {len(this)}  "
           f"{'FAIL' if bad else 'PASS'}")
     return int(bool(bad))
 

@@ -217,10 +217,15 @@ def _cmd_figure(args, params: SystemParams) -> str:
 
 
 def _run_sweep(args, spec: _sweep.SweepSpec, preset: str | None = None) -> str:
-    """The sweep's CSV or JSON. A ``--set`` must take effect. ``--jobs``
-    must be >= 1 and changes nothing: any value but 1 says so on stderr."""
-    if args.overrides:
-        _sweep._check_overrides(args.layers, spec, preset)
+    """The sweep's CSV or JSON. A ``--set`` must take effect; a ``--config``
+    key without effect gets a stderr note (one file serves many runs).
+    ``--jobs`` must be >= 1 and changes nothing: any value but 1 says so."""
+    for reason in (_sweep._keys_without_effect(args.layers, -1, spec, preset)
+                   if args.overrides else ()):
+        raise ParameterError(f"--set {reason}")
+    if args.config:
+        for reason in _sweep._keys_without_effect(args.layers, 1, spec, preset):
+            print(f"note: --config {reason}", file=sys.stderr)
     if args.jobs < 1:
         raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
     if args.jobs != 1:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import model as _model
 from .errors import (EigenSolveError, MagnomechError, ParameterError, alive,
-                     batch_of_one, lapack_stack, record_failures, store_failure)
+                     all_alive, batch_of_one, lapack_stack, record_failures)
 from .model import SystemParams
 from .steady_state import WorkingPoint
 
@@ -115,7 +115,6 @@ def drift_from_params(params: SystemParams, wp: WorkingPoint) -> QuadratureDrift
 _DIFFUSION_ENTRIES = read_only([0, 7, 14, 21, 35])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite D fails later
 def diffusion_matrices(kappa_a, kappa_m, gamma_b, n_a, n_m, n_b,
                        gain_noise: str = "vacuum") -> np.ndarray:
     """Diffusion matrices of numbers, shape (6, 6), or of N-vectors of
@@ -129,6 +128,7 @@ def diffusion_matrices(kappa_a, kappa_m, gamma_b, n_a, n_m, n_b,
     return d.reshape(rates.shape[1:] + (6, 6))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite D fails later
 def diffusion_matrix(kappa_a: float, kappa_m: float, gamma_b: float,
                      n_a: float, n_m: float, n_b: float,
                      gain_noise: str = "vacuum") -> DiffusionMatrix:
@@ -161,7 +161,7 @@ def diffusion_batch(columns: dict, rows: np.ndarray, gain_noise: str,
             occupations.append([_model.thermal_occupation(omega[k], temperatures[k])
                                 for omega in omegas])
         except MagnomechError as exc:
-            store_failure(failures, i, exc)
+            failures[i] = exc.with_traceback(None)
             occupations.append([0.0, 0.0, 0.0])
     rates = (columns[name][rows] for name in ("kappa_a", "kappa_m", "gamma_b"))
     return diffusion_matrices(*rates, *np.array(occupations).T, gain_noise)
@@ -183,14 +183,16 @@ def stability_batch(a: np.ndarray, failures: np.ndarray
     entry. Points that already failed are skipped (NaN); an eigenvalue
     failure is recorded.
     """
+    every = all_alive(failures)
+    live = np.arange(len(a)) if every else np.flatnonzero(alive(failures))
     eigenvalues = np.full(a.shape[:-1], np.nan, dtype=complex)
-    live = np.flatnonzero(alive(failures))
     eigenvalues[live] = lapack_stack(
-        np.linalg.eigvals, (a[live],), eigenvalues[live], failures, live,
-        EigenSolveError, "eigenvalue computation failed")
-    record_failures(failures, ~np.isfinite(eigenvalues).all(axis=-1),
-                    lambda k: EigenSolveError(
-                        "eigenvalue computation returned non-finite values"))
+        np.linalg.eigvals, (a if every else a[live],), eigenvalues[live],
+        failures, live, EigenSolveError, "eigenvalue computation failed")
+    if not (all_alive(failures) and np.isfinite(eigenvalues.sum())):
+        record_failures(failures, ~np.isfinite(eigenvalues).all(axis=-1),
+                        lambda k: EigenSolveError(
+                            "eigenvalue computation returned non-finite values"))
     max_lyapunov = eigenvalues.real.max(axis=-1)
     return (eigenvalues, max_lyapunov,
             max_lyapunov < -(STABILITY_REL_TOL * a[:, 4, 5]))

@@ -8,6 +8,12 @@ None while the point is fine, else the exception that stopped it. A point
 that has failed is skipped by every later stage, and a scalar call is a
 batch of one that raises its point's failure: :func:`batch_of_one`.
 
+Kernels run under their caller's ``np.errstate(all="ignore")``: a value
+that overflows fails its point's checks instead of warning. A stage runs its
+rule-by-rule :func:`record_failures` passes, which give each failed point the
+code and message of the first rule it breaks, only when one cheap test of
+the whole batch (:func:`all_alive`, finite, in range) fails.
+
 Stored exceptions carry no traceback. The cyclic garbage collector cannot see
 into NumPy object arrays, so a traceback whose frames hold the array that
 holds the exception would never be freed.
@@ -73,7 +79,7 @@ class BracketInvalidError(MagnomechError):
 
 def no_failures(shape) -> np.ndarray:
     """Failure array of a batch of the given shape, none failed yet."""
-    return np.full(shape, None, dtype=object)
+    return np.empty(shape, dtype=object)
 
 
 def alive(failures: np.ndarray) -> np.ndarray:
@@ -81,9 +87,9 @@ def alive(failures: np.ndarray) -> np.ndarray:
     return np.equal(failures, None)
 
 
-def store_failure(failures: np.ndarray, k, exc: MagnomechError) -> None:
-    """Record a caught exception at point k, without its traceback."""
-    failures[k] = exc.with_traceback(None)
+def all_alive(failures: np.ndarray) -> bool:
+    """Whether no point has failed (a stored exception counts as true)."""
+    return not np.count_nonzero(failures)
 
 
 def record_failures(failures: np.ndarray, mask, make) -> None:
@@ -119,8 +125,10 @@ def raise_failure(failures: np.ndarray) -> None:
 
 def batch_of_one(kernel, *args):
     """``kernel(*args, failures)`` on a fresh failure array of one point: its
-    result, unless that point failed, when (a copy of) its failure is raised."""
+    result, unless that point failed, when (a copy of) its failure is raised.
+    The kernel runs with NumPy's floating-point warnings off, as in a sweep."""
     failures = no_failures(1)
-    result = kernel(*args, failures)
+    with np.errstate(all="ignore"):
+        result = kernel(*args, failures)
     raise_failure(failures)
     return result

@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import (CrossCheckMismatchError, NonFiniteDeterminantError,
                      NonPhysicalCMError, ParameterError, SingularSolveError,
-                     UnstableSystemError, alive, batch_of_one, lapack_stack,
-                     no_failures, raise_failure, record_failures)
+                     UnstableSystemError, alive, all_alive, batch_of_one,
+                     lapack_stack, no_failures, raise_failure, record_failures)
 from .dynamics import (STABILITY_REL_TOL, DiffusionMatrix, QuadratureDrift,
                        read_only, stability)
 
@@ -93,23 +93,21 @@ def check_stable(max_lyapunov: float, stable: bool) -> None:
             f"-{STABILITY_REL_TOL:g} omega_b")
 
 
-# Entries of the flattened 36x36 Kronecker sum I (x) A + A (x) I that come
-# from A: entry [(i, j), (i, l)] of I (x) A is A[j,l], entry [(i, j), (k, j)]
-# of A (x) I is A[i,k]. Each tuple holds the I (x) A part, then the A (x) I part.
-_i, _j, _k = np.indices((6, 6, 6)).reshape(3, -1)
-_KRON_TARGETS = (read_only(np.ravel_multi_index((_i, _j, _i, _k), (6,) * 4)),
-                 read_only(np.ravel_multi_index((_i, _j, _k, _j), (6,) * 4)))
-_KRON_SOURCES = (read_only(_j * 6 + _k), read_only(_i * 6 + _k))
-del _i, _j, _k
-
-
 def _residual_matrices(al, vl, dl) -> np.ndarray:
-    """A V + V A^T + D per point, in the precision of the inputs."""
-    return al @ vl + vl @ al.swapaxes(-1, -2) + dl
+    """A V + V A^T + D per point, in the precision of the inputs, for a
+    symmetric V: then V A^T is (A V)^T bit for bit, as a matmul of this
+    dtype sums its products in order."""
+    av = al @ vl
+    return av + av.swapaxes(-1, -2) + dl
 
 
 def _max_abs(m: np.ndarray) -> np.ndarray:
     return np.abs(m).max(axis=(-2, -1)).astype(np.float64)
+
+
+def _nonnegative(*values: np.ndarray) -> bool:
+    """Whether no entry of ``values`` is negative or NaN."""
+    return all(x.min(initial=0.0) >= 0.0 for x in values)
 
 
 _NON_FINITE = "vectorized Lyapunov solve gave a non-finite solution"
@@ -148,25 +146,28 @@ def lyapunov_batch(a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray,
     residual max|A V + V A^T + D| (N,), NaN at points that failed.
     """
     _check_solvable(eigenvalues, d, failures)
-    live = np.flatnonzero(alive(failures))
-    # Build the live systems only: masking a full stack of them copies it.
-    a, d = a[live], d[live]
-    flat = a.reshape(-1, 36)
-    lhs = np.zeros((len(a), 36 * 36))
-    lhs[:, _KRON_TARGETS[0]] = flat[:, _KRON_SOURCES[0]]
-    lhs[:, _KRON_TARGETS[1]] += flat[:, _KRON_SOURCES[1]]
+    every = all_alive(failures)
+    live = np.arange(len(failures)) if every else np.flatnonzero(alive(failures))
+    if not every:  # build the live systems only: masking a full stack copies it
+        a, d = a[live], d[live]
+    # The Kronecker sum I (x) A + A (x) I in its 4-index form, through two
+    # diagonal views: [i, j, i, l] is set to A[j, l], then [i, j, k, j] gets
+    # A[i, k] added.
+    lhs = np.zeros((len(a), 6, 6, 6, 6))
+    np.einsum("nijil->nijl", lhs)[...] = a[:, None]
+    diagonal = np.einsum("nijkj->nijk", lhs)
+    diagonal += a[:, :, None]
     lhs = lhs.reshape(-1, 36, 36)
     # (n, 36, 1) right-hand sides, which NumPy 1.x and 2.x read alike. They
     # are -vec(D) / s, with s the largest power of two up to max|D|: that is
     # exact, and no step of the solve overflows unless V itself does.
-    d_max = np.abs(d).max(axis=(1, 2))[:, None, None]
-    scale = np.ldexp(1.0, np.frexp(d_max)[1] - 1)
+    d_max = np.abs(d).max(axis=(1, 2))
+    scale = np.ldexp(1.0, np.frexp(d_max)[1] - 1)[:, None, None]
     rhs = -(d / scale).reshape(-1, 36, 1)
     x = lapack_stack(np.linalg.solve, (lhs, rhs), np.zeros(rhs.shape),
                      failures, live, SingularSolveError,
                      "vectorized Lyapunov solve failed")
-    with np.errstate(over="ignore"):
-        x = x * scale
+    x = x * scale
     if not np.isfinite(x).all():  # a finite D can still overflow V
         bad = ~np.isfinite(x).all(axis=(1, 2))
         for k in live[bad].tolist():
@@ -183,7 +184,7 @@ def lyapunov_batch(a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray,
     vl = 0.5 * (vl + vl.swapaxes(-1, -2))
     resid = _residual_matrices(al, vl, d)
     res = _max_abs(resid)
-    target = RESIDUAL_REL_TARGET * d_max[:, 0, 0]
+    target = RESIDUAL_REL_TARGET * d_max
     active = solved & ~(res <= target)
     for _ in range(MAX_REFINEMENTS):
         act = np.flatnonzero(active)
@@ -200,6 +201,8 @@ def lyapunov_batch(a: np.ndarray, d: np.ndarray, eigenvalues: np.ndarray,
         resid[act[better]] = resid_next[better]
         res[act[better]] = next_res[better]
         active[act] = better & ~(next_res <= target[act])
+    if every and all_alive(failures):  # every point solved
+        return vl.astype(np.float64), res
     v = np.full((len(failures), 6, 6), np.nan)
     residual = np.full(len(failures), np.nan)
     v[live[solved]] = vl[solved]
@@ -236,18 +239,18 @@ def combine_channels(channels: tuple, d: np.ndarray,
         record_failures(failures, alive(failures),
                         lambda k: type(failure)(*failure.args))
     _check_diffusion(d, failures)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = np.einsum("nk,kij->nij", d[:, [0, 2, 5], [0, 2, 5]], w)
-    record_failures(failures, ~np.isfinite(v).all(axis=(1, 2)),
-                    lambda k: SingularSolveError(_NON_FINITE))
-    v[~alive(failures)] = np.nan
+    v = np.einsum("nk,kij->nij", d[:, [0, 2, 5], [0, 2, 5]], w)
+    if not (all_alive(failures) and np.isfinite(v.sum())):
+        record_failures(failures, ~np.isfinite(v).all(axis=(1, 2)),
+                        lambda k: SingularSolveError(_NON_FINITE))
+        v[~alive(failures)] = np.nan
     return v
 
 
 def lyapunov_residuals(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> np.ndarray:
     """max|A V + V A^T + D| (N,) of N solutions, in extended precision."""
-    return _max_abs(_residual_matrices(a.astype(np.longdouble),
-                                       v.astype(np.longdouble), d))
+    al, vl = a.astype(np.longdouble), v.astype(np.longdouble)
+    return _max_abs(al @ vl + vl @ al.swapaxes(-1, -2) + d)
 
 
 def solve_lyapunov(drift: QuadratureDrift,
@@ -291,7 +294,6 @@ _BLOCK_ROWS = read_only(np.array([[0, 1], [2, 3], [0, 1]])[:, :, None])
 _BLOCK_COLS = read_only(np.array([[0, 1], [2, 3], [2, 3]])[:, None, :])
 
 
-@np.errstate(all="ignore")
 def _determinants(sub: np.ndarray) -> tuple[np.ndarray, ...]:
     """det A, det B, det C and det V of (..., 4, 4) two-mode matrices.
 
@@ -304,7 +306,6 @@ def _determinants(sub: np.ndarray) -> tuple[np.ndarray, ...]:
     return blocks[..., 0], blocks[..., 1], blocks[..., 2], np.linalg.det(sub)
 
 
-@np.errstate(all="ignore")
 def _log_negativity(dets, failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(E_N, eta^-) per matrix; records NonFiniteDeterminantError where the
     determinants overflow and NonPhysicalCMError where E_N does not exist:
@@ -313,41 +314,45 @@ def _log_negativity(dets, failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     det_a, det_b, det_c, det_v = dets
     sigma = det_a + det_b - 2.0 * det_c
     disc = sigma**2 - 4.0 * det_v
-    # Finite unless a determinant, Sigma^2 or 4 det V overflowed.
-    record_failures(
-        failures, ~np.isfinite(disc),
-        lambda k: NonFiniteDeterminantError("Sigma^2 - 4 det V is not finite"))
-    record_failures(
-        failures, det_v < -DISCRIMINANT_CLAMP * np.maximum(det_a * det_b, 1.0),
-        lambda k: NonPhysicalCMError(f"negative two-mode determinant {det_v[k]:.6g}"))
-    record_failures(
-        failures, disc < -DISCRIMINANT_CLAMP * sigma**2,
-        lambda k: NonPhysicalCMError(
-            f"discriminant {disc[k]:.6g} negative beyond clamp tolerance"))
-    disc = np.where(disc < 0.0, 0.0, disc)
-    eta2 = 0.5 * (sigma - np.sqrt(disc))
-    record_failures(failures, ~(eta2 >= 0.0), lambda k: NonPhysicalCMError(
-        f"negative eta^-^2 {eta2[k]:.6g}"))
+    eta2 = 0.5 * (sigma - np.sqrt(np.where(disc < 0.0, 0.0, disc)))
+    # A finite disc (so finite determinants) >= 0, det V and eta^-^2 >= 0.
+    if not (all_alive(failures) and _nonnegative(disc, det_v, eta2)
+            and disc.max(initial=0.0) < np.inf):
+        # Finite unless a determinant, Sigma^2 or 4 det V overflowed.
+        record_failures(
+            failures, ~np.isfinite(disc),
+            lambda k: NonFiniteDeterminantError("Sigma^2 - 4 det V is not finite"))
+        record_failures(
+            failures, det_v < -DISCRIMINANT_CLAMP * np.maximum(det_a * det_b, 1.0),
+            lambda k: NonPhysicalCMError(f"negative two-mode determinant {det_v[k]:.6g}"))
+        record_failures(
+            failures, disc < -DISCRIMINANT_CLAMP * sigma**2,
+            lambda k: NonPhysicalCMError(
+                f"discriminant {disc[k]:.6g} negative beyond clamp tolerance"))
+        record_failures(failures, ~(eta2 >= 0.0), lambda k: NonPhysicalCMError(
+            f"negative eta^-^2 {eta2[k]:.6g}"))
     eta_minus = np.sqrt(eta2)
     return np.fmax(0.0, -np.log(2.0 * eta_minus)), eta_minus
 
 
-@np.errstate(all="ignore")
 def _steering(dets, failures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward and backward steering per matrix; records
     NonFiniteDeterminantError where a determinant overflowed and
     NonPhysicalCMError where the two-mode determinant is not positive or a
     single-mode determinant is negative."""
-    det_a, det_b, _, det_v = dets
-    record_failures(failures, ~np.isfinite(dets).all(axis=0),
-                    lambda k: NonFiniteDeterminantError(
-                        "two-mode determinant is not finite"))
-    record_failures(failures, det_v <= 0.0, lambda k: NonPhysicalCMError(
-        f"non-positive two-mode determinant {det_v[k]:.6g}"))
-    record_failures(failures, (det_a < 0.0) | (det_b < 0.0),
-                    lambda k: NonPhysicalCMError(
-                        f"negative single-mode determinant: det A = "
-                        f"{det_a[k]:.6g}, det B = {det_b[k]:.6g}"))
+    det_a, det_b, det_c, det_v = dets
+    # A sum is finite only if its terms are (an overflow runs the passes).
+    if not (all_alive(failures) and np.isfinite((det_a + det_b + det_c + det_v).sum())
+            and det_v.min(initial=1.0) > 0.0 and _nonnegative(det_a, det_b)):
+        record_failures(failures, ~np.isfinite(dets).all(axis=0),
+                        lambda k: NonFiniteDeterminantError(
+                            "two-mode determinant is not finite"))
+        record_failures(failures, det_v <= 0.0, lambda k: NonPhysicalCMError(
+            f"non-positive two-mode determinant {det_v[k]:.6g}"))
+        record_failures(failures, (det_a < 0.0) | (det_b < 0.0),
+                        lambda k: NonPhysicalCMError(
+                            f"negative single-mode determinant: det A = "
+                            f"{det_a[k]:.6g}, det B = {det_b[k]:.6g}"))
     return (np.fmax(0.0, 0.5 * np.log(det_a / (4.0 * det_v))),
             np.fmax(0.0, 0.5 * np.log(det_b / (4.0 * det_v))))
 
@@ -380,6 +385,7 @@ def ppt_symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
     return _ppt_spectrum(_two_mode(v))
 
 
+@np.errstate(all="ignore")  # a value that overflows fails its check
 def log_negativity(v: np.ndarray) -> tuple[float, float]:
     """(E_N, eta^-) of a 4x4 two-mode covariance matrix, E_N in nats.
 
@@ -390,6 +396,7 @@ def log_negativity(v: np.ndarray) -> tuple[float, float]:
     return float(e_n[0]), float(eta_minus[0])
 
 
+@np.errstate(all="ignore")  # a value that overflows fails its check
 def steering(v: np.ndarray, direction: str = "forward") -> float:
     """Directional Gaussian steering in nats of a 4x4 two-mode covariance
     matrix, blocks A (first mode), B (second mode) and C.
@@ -427,20 +434,27 @@ class PairBatch:
         self.e_n, self.eta_minus = _log_negativity(dets, self.failures)
         # eta^- is computed twice: from the determinant formula and from the
         # partially transposed symplectic spectrum. The two must agree to
-        # CROSS_CHECK_TOL relative.
-        mask = alive(self.failures) & [pair in checked for pair in pairs]
-        eta_ppt = np.full(shape, np.nan)
-        eta_ppt[mask] = _ppt_spectrum(sub[mask])[:, 0]
+        # CROSS_CHECK_TOL relative. The spectra of the alive checked pairs
+        # are one stack in row order: all of sub when that is every pair.
+        if all_alive(self.failures) and all(pair in checked for pair in pairs):
+            mask = True
+            eta_ppt = _ppt_spectrum(sub.reshape(-1, 4, 4))[:, 0].reshape(shape)
+        else:
+            mask = alive(self.failures) & [pair in checked for pair in pairs]
+            eta_ppt = np.full(shape, np.nan)
+            eta_ppt[mask] = _ppt_spectrum(sub[mask])[:, 0]
         eta = self.eta_minus
-        tol = CROSS_CHECK_TOL * np.maximum(np.abs(eta), 1e-30)
         # A NaN on either side is a mismatch.
-        record_failures(
-            self.failures, mask & ~(np.abs(eta_ppt - eta) <= tol),
-            lambda k: CrossCheckMismatchError(
-                f"eta^- mismatch: formula {float(eta[k])!r} vs "
-                f"symplectic {float(eta_ppt[k])!r}"))
-        record_failures(self.failures, ~alive(self.steering_failures),
-                        lambda k: self.steering_failures[k])
+        agree = np.abs(eta_ppt - eta) <= CROSS_CHECK_TOL * np.maximum(np.abs(eta), 1e-30)
+        if not agree.all():
+            record_failures(
+                self.failures, mask & ~agree,
+                lambda k: CrossCheckMismatchError(
+                    f"eta^- mismatch: formula {float(eta[k])!r} vs "
+                    f"symplectic {float(eta_ppt[k])!r}"))
+        if not all_alive(self.steering_failures):
+            record_failures(self.failures, ~alive(self.steering_failures),
+                            lambda k: self.steering_failures[k])
 
 
 def check_pair(pair: str) -> None:
@@ -457,6 +471,7 @@ def pair_of_modes(source: str, target: str) -> tuple[str, bool]:
     return _PAIR_OF_MODES[source, target]
 
 
+@np.errstate(all="ignore")  # a value that overflows fails its check
 def pair_measures(cm: CovarianceMatrix | np.ndarray, pair: str) -> PairMeasures:
     """Entanglement and both steering directions for one mode pair.
 
@@ -471,6 +486,7 @@ def pair_measures(cm: CovarianceMatrix | np.ndarray, pair: str) -> PairMeasures:
                         eta_minus=float(batch.eta_minus[0, 0]))
 
 
+@np.errstate(all="ignore")  # a value that overflows fails its check
 def steering_between(cm: CovarianceMatrix | np.ndarray, source: str,
                      target: str) -> float:
     """Steering from ``source`` mode to ``target`` mode (modes 'a', 'm', 'b')."""

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateDenominatorError, EigenSolveError, ParameterError,
-                     alive, batch_of_one, lapack_stack, record_failures)
+                     alive, all_alive, batch_of_one, lapack_stack, record_failures)
 from .model import SystemParams
 
 #: Relative threshold below which the response denominator counts as degenerate.
@@ -50,8 +50,9 @@ def _lower_root(v: dict, gain: np.ndarray, failures: np.ndarray
     solved = np.flatnonzero(alive(failures) & (0.0 < gain) & (gain < np.inf))
     if not solved.size:
         return n, steps
-    ar, ai, br, bi, gain = (x[solved] for x in (
-        ar, ai, v["delta_a"] * k, v["kappa_a"] * k, gain))
+    inputs = (ar, ai, v["delta_a"] * k, v["kappa_a"] * k, gain)
+    ar, ai, br, bi, gain = (inputs if solved.size == len(n)
+                            else (x[solved] for x in inputs))
     q2, q1, q0 = br**2 + bi**2, 2.0 * (ar * br + ai * bi), ar**2 + ai**2
     companion = np.zeros((len(solved), 3, 3))
     companion[:, 1, 0] = companion[:, 2, 1] = 1.0
@@ -77,14 +78,14 @@ def _lower_root(v: dict, gain: np.ndarray, failures: np.ndarray
     if scaled.any():
         root[scaled] = s / np.where(roots[scaled].imag == 0.0,
                                     roots[scaled].real, 0.0).max(axis=-1)
+    q2_3, q1_2 = 3.0 * q2, 2.0 * q1
     for _ in range(NEWTON_STEPS):
         root = root - (((q2 * root + q1) * root + q0) * root - gain) / (
-            (3.0 * q2 * root + 2.0 * q1) * root + q0)
+            (q2_3 * root + q1_2) * root + q0)
     n[solved], steps[solved] = root, NEWTON_STEPS
     return n, steps
 
 
-@np.errstate(all="ignore")  # failed or extreme points divide by 0 or overflow
 def working_point_batch(v: dict, failures: np.ndarray) -> tuple[np.ndarray, ...]:
     """The WorkingPoint fields (m_s, x_s, delta_m_eff, G, iterations) of N
     points, one N-vector each; a failed point's fields are unspecified: read
@@ -119,8 +120,7 @@ def working_point_batch(v: dict, failures: np.ndarray) -> tuple[np.ndarray, ...]
             delta, steps = v["delta_m_eff"], np.zeros(size, dtype=int)
         dr, di = _denominator(v, delta)
         d2 = dr**2 + di**2
-        scale = np.max([np.abs(da), np.abs(ka), np.abs(delta), v["kappa_m"],
-                        v["g_ma"], v["omega_b"]], axis=0)
+        scale = np.abs([da, ka, delta, v["kappa_m"], v["g_ma"], v["omega_b"]]).max(axis=0)
         record_failures(failures, np.sqrt(d2) < DEGENERATE_REL_TOL * scale**2,
                         lambda k: DegenerateDenominatorError(
                             f"steady-state denominator {complex(dr[k], di[k])!r} "
@@ -130,10 +130,12 @@ def working_point_batch(v: dict, failures: np.ndarray) -> tuple[np.ndarray, ...]
                   -v["g_mb"] * m2 / v["omega_b"], delta, v["g_mb"] * np.sqrt(m2),
                   steps)
     m_s, x_s, delta, g, _ = fields
-    finite = np.isfinite(m_s) & np.isfinite(x_s) & np.isfinite(delta) & np.isfinite(g)
-    record_failures(failures, ~finite, lambda k: ParameterError(
-        f"working point overflows: m_s = {m_s[k]}, x_s = {x_s[k]}, "
-        f"delta_m_eff = {delta[k]}, G = {g[k]}"))
+    # A sum is finite only if its terms are (an overflow runs the pass).
+    if not (all_alive(failures) and np.isfinite((m_s + x_s + delta + g).sum())):
+        finite = np.isfinite(m_s) & np.isfinite(x_s) & np.isfinite(delta) & np.isfinite(g)
+        record_failures(failures, ~finite, lambda k: ParameterError(
+            f"working point overflows: m_s = {m_s[k]}, x_s = {x_s[k]}, "
+            f"delta_m_eff = {delta[k]}, G = {g[k]}"))
     return fields
 
 

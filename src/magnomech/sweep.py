@@ -28,8 +28,8 @@ from .config import build_params, default_config, merge_layers
 from .dynamics import (check_gain_noise, diffusion_batch, diffusion_matrices,
                        drift_matrices, stability_batch)
 from .errors import (BracketInvalidError, MagnomechError, ParameterError,
-                     UnstableSystemError, alive, no_failures, raise_failure,
-                     record_failures)
+                     UnstableSystemError, alive, all_alive, no_failures,
+                     raise_failure, record_failures)
 from .model import (ANGULAR_FIELDS, SystemParams, hbar, k_B,
                     parameter_violations, pt_classify)
 from .steady_state import working_point_batch
@@ -97,12 +97,6 @@ def _output_names(outputs) -> tuple[str, ...]:
         raise ParameterError(
             f"outputs must be a sequence of output names, got the str {outputs!r}")
     return tuple(outputs)
-
-
-def _check_outputs(outputs: tuple[str, ...]) -> None:
-    for output in outputs:
-        if output not in _OUTPUTS:
-            raise ParameterError(f"unknown sweep output {output!r}")
 
 
 @np.errstate(all="ignore")  # an overflowing product fails its point's check
@@ -205,7 +199,7 @@ class SweepSpec:
                                          f"{ref!r} of the earlier {step} {name!r}")
             steps.append(("axis", axis.name, axis.lo))
         object.__setattr__(self, "outputs", _output_names(self.outputs))
-        _check_outputs(self.outputs)
+        _plan(self.outputs)  # refuses an unknown output
         if len(set(self.outputs)) < len(self.outputs):
             raise ParameterError(
                 f"a sweep needs distinct outputs, got {list(self.outputs)}")
@@ -241,18 +235,26 @@ def _shared_drift(a: np.ndarray, failures: np.ndarray) -> tuple:
 
 
 @functools.lru_cache(maxsize=1024)
-def _pair_plan(outputs: tuple[str, ...]) -> tuple[tuple, tuple, tuple]:
-    """The pairs a PairBatch needs for ``outputs``, those of them to
-    cross-check, and the pair measures in output order as (position,
-    PairBatch attribute, column in pairs, steering): a steering measure is
-    stopped only by a steering failure."""
+def _plan(outputs: tuple[str, ...]) -> tuple:
+    """How :func:`_evaluate` reads ``outputs``, checked once per tuple: each
+    output's kind, whether any needs a covariance matrix, the pairs a
+    PairBatch needs, those of them to cross-check, the PairBatch attributes
+    read, and the pair measures in output order as (position, attribute,
+    column in pairs, steering): a steering measure is stopped only by a
+    steering failure."""
+    for output in outputs:
+        if output not in _OUTPUTS:
+            raise ParameterError(f"unknown sweep output {output!r}")
+    kinds = tuple(_OUTPUTS[out][0] for out in outputs)
     measures = [(j, *args, kind == "steering")
                 for j, (kind, args, _) in enumerate(map(_OUTPUTS.get, outputs))
                 if kind in ("pair", "steering")]
     pairs = tuple(dict.fromkeys(pair for _, pair, _, _ in measures))
     checked = tuple(pair for _, pair, _, steering in measures if not steering)
-    return pairs, checked, tuple((j, name, pairs.index(pair), steering)
-                                 for j, pair, name, steering in measures)
+    return (kinds, any(kind != "report" for kind in kinds), pairs, checked,
+            tuple(dict.fromkeys(name for _, _, name, _ in measures)),
+            tuple((j, name, pairs.index(pair), steering)
+                  for j, pair, name, steering in measures))
 
 
 def _cells(n: int, points: np.ndarray, values) -> list:
@@ -264,6 +266,7 @@ def _cells(n: int, points: np.ndarray, values) -> list:
     return column.tolist()
 
 
+@np.errstate(all="ignore")  # each stage's checks fail what overflows
 def _evaluate(columns: dict, failures: np.ndarray, outputs: tuple[str, ...],
               gain_noise: str) -> list[list]:
     """One column per output, then the column of error codes, one cell per
@@ -280,10 +283,8 @@ def _evaluate(columns: dict, failures: np.ndarray, outputs: tuple[str, ...],
     error and leaves the later measures None.
     """
     check_gain_noise(gain_noise)
-    _check_outputs(outputs)
-    kinds = [_OUTPUTS[out][0] for out in outputs]
+    kinds, covariance, pairs, checked, names, measures = _plan(outputs)
     a = _drifts(columns, failures)
-    covariance = any(kind != "report" for kind in kinds)
     live = np.flatnonzero(alive(failures)) if covariance and len(a) > 1 else []
     # A covariance batch whose live points all share one drift (a
     # temperature axis) solves that drift once.
@@ -297,8 +298,8 @@ def _evaluate(columns: dict, failures: np.ndarray, outputs: tuple[str, ...],
     else:
         eigenvalues, max_lyapunov, stable = stability_batch(a, failures)
     reported = alive(failures)
-    solved = np.flatnonzero(reported & stable & covariance)
-    if solved.size:
+    solved = np.flatnonzero(reported & stable) if covariance else []
+    if len(solved):
         sub_failures = failures[solved]
         d = diffusion_batch(columns, solved, gain_noise, sub_failures)
         if shared:  # a combination's residual is taken only if asked for
@@ -308,9 +309,10 @@ def _evaluate(columns: dict, failures: np.ndarray, outputs: tuple[str, ...],
         else:
             v, residual = _measures.lyapunov_batch(a[solved], d, eigenvalues[solved],
                                                    sub_failures)
-        failures[solved] = sub_failures
-        ok = alive(sub_failures)
-        solved, v, residual = solved[ok], v[ok], residual[ok]
+        if not all_alive(sub_failures):
+            failures[solved] = sub_failures
+            ok = alive(sub_failures)
+            solved, v, residual = solved[ok], v[ok], residual[ok]
     n = len(failures)
     reported = np.flatnonzero(reported)
     cells = [[None] * n for _ in outputs]
@@ -323,13 +325,12 @@ def _evaluate(columns: dict, failures: np.ndarray, outputs: tuple[str, ...],
         elif kind == "report":
             values = stable.astype(int) if out == "stable" else max_lyapunov
             cells[j] = _cells(n, reported, values[reported])
-        elif kind == "cm" and solved.size:
+        elif kind == "cm" and len(solved):
             cells[j] = _cells(n, solved, residual if out == "residual"
                               else _measures.physicality_margins(v))
-    pairs, checked, measures = _pair_plan(outputs)
-    if solved.size and measures:
+    if len(solved) and measures:
         batch = _measures.PairBatch(v, pairs, checked=checked)
-        tables = {name: getattr(batch, name).tolist() for _, name, _, _ in measures}
+        tables = {name: getattr(batch, name).tolist() for name in names}
         stops = (batch.failures.tolist(), batch.steering_failures.tolist())
         for i, k in enumerate(solved.tolist()):
             for j, name, col, steering in measures:
@@ -537,7 +538,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(spec=spec, columns=_result_columns(spec), cells=cells)
 
 
-@np.errstate(all="ignore")  # a prediction reaches no output
 def _predict_crossing(base: SystemParams, pair: str, channels: tuple, t_lo: float,
                       t_hi: float, gain_noise: str) -> float | None:
     """Where the pair's eta^- first reaches 1/2 (E_N reaches 0) in
@@ -567,6 +567,7 @@ def _predict_crossing(base: SystemParams, pair: str, channels: tuple, t_lo: floa
     return float(t_lo + (0.5 - eta[i]) / (eta[i + 1] - eta[i]) * (t_hi - t_lo))
 
 
+@np.errstate(all="ignore")  # each stage's checks fail what overflows
 def vanishing_temperature(base: SystemParams, pair: str, t_lo: float,
                           t_hi: float, gain_noise: str = "vacuum") -> float:
     """Bisect for the temperature where the pair's entanglement reaches zero.
@@ -726,11 +727,13 @@ def figure_preset(name: str, gain_noise: str = "vacuum",
                      gain_noise=gain_noise)
 
 
-def _check_overrides(layers: list, spec: SweepSpec, preset: str | None) -> None:
-    """Refuse a key of the last config layer (a ``--set``) if a change of
-    figure ``preset``, an override of every series or an axis sets each
-    field it changes: its own, and each that build_params gives otherwise
-    without it. A delta_m_eff that the sweep sets leaves delta_m unread."""
+def _keys_without_effect(layers: list, index: int, spec: SweepSpec,
+                         preset: str | None):
+    """Yields why each key of config layer ``index`` takes no effect, if it
+    does not: a change of figure ``preset``, an override of every series or
+    an axis sets each field the key changes, its own and each that
+    build_params gives otherwise without it. A delta_m_eff that the sweep
+    sets leaves delta_m unread."""
     series = set.intersection(*({name for name, _ in s.overrides} for s in spec.series))
     steps = [(f"{preset} change", name) for name, _ in _FIGURES[preset][0]] if preset else []
     steps += [("series override", name) for name in sorted(series)]
@@ -739,15 +742,15 @@ def _check_overrides(layers: list, spec: SweepSpec, preset: str | None) -> None:
                for field in _SWEEP_PARAMS[name][0]}
     if "delta_m_eff" in setters:
         setters.setdefault("delta_m", setters["delta_m_eff"])
-    *earlier, last = layers
+    layer = layers[index]
     given = vars(build_params(merge_layers(layers)))
-    for key in last:
+    for key in layer:
+        others = list(layers)
+        others[index] = {k: entry for k, entry in layer.items() if k != key}
         try:
-            other = vars(build_params(merge_layers(
-                [*earlier, {k: entry for k, entry in last.items() if k != key}])))
+            other = vars(build_params(merge_layers(others)))
         except MagnomechError:  # the parameters need the key
             continue
         fields = {f for f in given if given[f] != other[f]} | ({key} & given.keys())
         if fields and setters.keys() >= fields:
-            raise ParameterError(f"--set {key} takes no effect: the "
-                                 f"{setters[min(fields)]} at every point")
+            yield f"{key} takes no effect: the {setters[min(fields)]} at every point"

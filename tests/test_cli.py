@@ -413,6 +413,23 @@ class TestSweepAndFigure:
         assert code == 0 and out != run_cli(capsys, *argv)[1]
         assert run_cli(capsys, *argv[:4], "--set", "G_eff=0.2omega_b")[0] == 2
 
+    def test_config_key_without_effect_gets_a_note(self, capsys, tmp_path):
+        # One config file serves many runs: a key that fig2d's change sets at
+        # every point gets a stderr note, and the run keeps the exit code and
+        # the bytes of the run without the file. A key that takes effect
+        # (temperature under fig3a's E_N) gets none.
+        conf = tmp_path / "g.conf"
+        conf.write_text("G_eff = 0.1 omega_b\ntemperature = 10 mk\n")
+        argv = ("figure", "fig2d", "--format", "csv")
+        code, out, err = run_cli(capsys, *argv, "--config", str(conf))
+        assert code == 0 and out == run_cli(capsys, *argv)[1]
+        assert err == ("note: --config G_eff takes no effect: the fig2d change "
+                       "'G_over_omega_b' sets G_eff at every point\n")
+        conf.write_text("temperature = 10 mk\n")
+        argv = ("figure", "fig3a", "--format", "csv")
+        code, out, err = run_cli(capsys, *argv, "--config", str(conf))
+        assert code == 0 and err == "" and out != run_cli(capsys, *argv)[1]
+
     def test_custom_sweep(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--axis", "G_over_omega_b:0.1:0.3:3",

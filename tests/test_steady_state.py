@@ -268,7 +268,8 @@ class TestCubicWorkingPoint:
     def test_degenerate_denominator_fails_its_point(self):
         points = [_drive_params(), _drive_params(g_ma=0.0, kappa_a=0.0, delta_a=0.0)]
         failures = no_failures(2)
-        working_point_batch(_columns(points), failures)
+        with np.errstate(all="ignore"):  # as the kernel's callers run it
+            working_point_batch(_columns(points), failures)
         assert failures[0] is None
         assert type(failures[1]) is DegenerateDenominatorError
         with pytest.raises(DegenerateDenominatorError, match="denominator"):
@@ -281,7 +282,8 @@ class TestCubicWorkingPoint:
             epsilon_d=1e154, delta_a=1e-100, kappa_a=0.0, g_ma=0.0,
             kappa_m=1e-3, delta_m=0.0)]
         failures = no_failures(2)
-        _, _, _, g, _ = working_point_batch(_columns(points), failures)
+        with np.errstate(all="ignore"):  # as the kernel's callers run it
+            _, _, _, g, _ = working_point_batch(_columns(points), failures)
         assert failures[0] is None and g[0] == working_point(points[0]).G
         assert type(failures[1]) is EigenSolveError
         assert "working-point cubic" in str(failures[1])
@@ -295,7 +297,8 @@ class TestCubicWorkingPoint:
             G_eff=None, delta_m_eff=None, delta_m=-0.95 * OMEGA_B,
             epsilon_d=9.2e13, delta_a=0.0, kappa_a=kappa_a)
         v, failures = _columns([p]), no_failures(1)
-        m_s, _, _, _, _ = working_point_batch(v, failures)
+        with np.errstate(all="ignore"):  # as the kernel's callers run it
+            m_s, _, _, _, _ = working_point_batch(v, failures)
         assert failures[0] is None and m_s[0] == working_point(p).m_s
         f, _, exact_gain = _cubic(p)
         x = Fraction(abs(m_s[0]) ** 2)
@@ -343,7 +346,8 @@ class TestCubicWorkingPoint:
         # (EigenSolveError) or n underflows.
         assume(delta_a == kappa_a == 0.0 or math.hypot(delta_a, kappa_a) > 1e-100)
         v, failures = _columns([p]), no_failures(1)
-        working_point_batch(v, failures)
+        with np.errstate(all="ignore"):  # as the kernel's callers run it
+            working_point_batch(v, failures)
         # A vanishing denominator (here |D| < 1e-12 * scale^2) has no root.
         assume(type(failures[0]) is not DegenerateDenominatorError)
         assert failures[0] is None

@@ -152,6 +152,45 @@ def repaired_override_spec() -> SweepSpec:
                      series=(Series("x", (("G_over_omega_b", 0.2),)),))
 
 
+#: A temperature axis whose 5e300 K overflows the two-mode determinants and
+#: whose 1e301 K overflows D, so that a batch mixes healthy points with
+#: points that each stage's one healthy-batch test must send to its
+#: rule-by-rule checks.
+HOT = Axis("temperature", 0.02, 1e301, 3)
+
+
+def reversed_guards_spec() -> SweepSpec:
+    """A gain cavity at kappa_a = 0.45 kappa_m under reversed noise: at 20 mK
+    the G = 0.175 omega_b point has no E_N(bm) (nonphysical_cm), its
+    neighbours do; at 5e300 K every point fails at its determinants
+    (nonfinite_determinant), at 1e301 K at its D (singular_solve)."""
+    base = default_params()
+    return SweepSpec(base=base.replace(kappa_a=0.45 * base.kappa_m),
+                     axes=(Axis("G_over_omega_b", 0.15, 0.2, 3), HOT),
+                     outputs=("stable", "E_N(bm)", "S(b->m)", "E_N(am)",
+                              "eta_minus(ab)", "residual", "physicality_margin"),
+                     gain_noise="reversed")
+
+
+def overflow_guards_spec() -> SweepSpec:
+    """Steering alone, under vacuum noise: at 5e300 K the two-mode
+    determinants overflow (nonfinite_determinant), at 1e301 K D does
+    (singular_solve)."""
+    return SweepSpec(base=default_params(),
+                     axes=(Axis("G_over_omega_b", 0.1, 0.3, 3), HOT),
+                     outputs=("S(m->b)", "S(a->b)", "stable", "max_lyapunov",
+                              "physicality_margin"))
+
+
+def working_point_overflow_spec() -> SweepSpec:
+    """At g_mb = 1e-300 the magnon amplitude G_eff / g_mb squares to
+    infinity (parameter_error); the drift, set by G_eff, is each G's own."""
+    return SweepSpec(base=default_params(),
+                     axes=(Axis("g_mb", 1e-300, 2.5, 3),
+                           Axis("G_over_omega_b", 0.1, 0.3, 3)),
+                     outputs=("stable", "E_N(am)", "S(a->m)", "residual"))
+
+
 def point_rows(spec: SweepSpec) -> list[list]:
     """The rows of ``spec`` evaluated one point at a time. A point's
     overrides, then its axis values, apply in order, and only the
@@ -584,7 +623,11 @@ class TestRunSweep:
         (covariance_failure_spec, {"", "singular_solve"}),
         (all_outputs_spec, {"", "cross_check_mismatch"}),
         (repeated_override_spec, {""}),
-        (repaired_override_spec, {"", "parameter_error"})])
+        (repaired_override_spec, {"", "parameter_error"}),
+        (reversed_guards_spec, {"", "nonphysical_cm", "nonfinite_determinant",
+                                "singular_solve"}),
+        (overflow_guards_spec, {"", "nonfinite_determinant", "singular_solve"}),
+        (working_point_overflow_spec, {"", "parameter_error"})])
     def test_batched_rows_match_single_points(self, make_spec, codes):
         spec = make_spec()
         result = run_sweep(spec)
@@ -646,7 +689,8 @@ class TestRunSweep:
         columns = spec.base.columns(3)
         columns["temperature"] = np.array([0.0, 0.1, 0.2])
         failures = no_failures(3)
-        sweep._drifts(columns, failures)
+        with np.errstate(all="ignore"):  # as the kernel's callers run it
+            sweep._drifts(columns, failures)
         # Three points fail at the same occupation.
         columns["temperature"] = np.array([0.1, 0.1, 0.1])
         TestVanishingTemperature._fail_at(monkeypatch, {0.1})
@@ -1849,11 +1893,12 @@ class TestVanishingTemperature:
 
     @pytest.mark.parametrize("t_hi", [1e300, 1e308, math.inf])
     def test_prediction_takes_no_occupation(self, monkeypatch, t_hi):
-        # The prediction takes closed-form occupations, raises nothing and
-        # warns of nothing. From SEARCHES[1]'s drift, it finds the crossing
-        # to within the search's tolerance over the search's bracket, and
-        # none where the grid overflows D or the determinants, or where an
-        # end is infinite.
+        # The prediction takes closed-form occupations and raises nothing,
+        # under the search's errstate: the search warns of nothing (its
+        # tests run with RuntimeWarning an error). From SEARCHES[1]'s drift,
+        # it finds the crossing to within the search's tolerance over the
+        # search's bracket, and none where the grid overflows D or the
+        # determinants, or where an end is infinite.
         base, t_lo, t_end, noise = self.SEARCHES[1]
         failures = no_failures(1)
         *_, channels = sweep._shared_drift(sweep._drifts(base.columns(), failures),
@@ -1861,9 +1906,11 @@ class TestVanishingTemperature:
         expected = vanishing_temperature(base, "am", t_lo, t_end, noise)
         occupation = mock.Mock(side_effect=AssertionError("an occupation"))
         monkeypatch.setattr(model, "thermal_occupation", occupation)
-        predicted = sweep._predict_crossing(base, "am", channels, t_lo, t_end, noise)
+        with np.errstate(all="ignore"):  # as the search runs it
+            predicted = sweep._predict_crossing(base, "am", channels, t_lo, t_end, noise)
+            assert sweep._predict_crossing(base, "am", channels, t_lo, t_hi,
+                                           noise) is None
         assert abs(predicted - expected) < VANISHING_TEMPERATURE_TOL
-        assert sweep._predict_crossing(base, "am", channels, t_lo, t_hi, noise) is None
         occupation.assert_not_called()
 
     @settings(derandomize=True, max_examples=60, deadline=None)
